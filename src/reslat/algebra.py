@@ -103,7 +103,6 @@ class FiniteAlgebra:
         if extra:
             raise SignatureError("tables without signature entry: %s" % sorted(extra))
         self.tables = frozen
-        self._leq = None
         self._np = {}
 
     def _check_elem(self, v, opname):
@@ -149,14 +148,6 @@ class FiniteAlgebra:
     def leq(self, a, b):
         """Lattice order: a <= b iff meet(a, b) == a."""
         return self.tables["meet"][a][b] == a
-
-    def leq_matrix(self):
-        if self._leq is None:
-            m = self.tables["meet"]
-            self._leq = tuple(
-                tuple(m[a][b] == a for b in range(self.size)) for a in range(self.size)
-            )
-        return self._leq
 
     def label(self, i):
         if self.labels is not None:
@@ -241,7 +232,12 @@ class FiniteAlgebra:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise InvalidSpecError("%s is not JSON: %s" % (path, exc)) from None
+            except KeyError as exc:
+                raise InvalidSpecError("%s lacks key %s" % (path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +245,6 @@ class FiniteAlgebra:
 # ---------------------------------------------------------------------------
 
 CHAIN_KINDS = ("lukasiewicz", "godel")
-TNORM_KINDS = CHAIN_KINDS + ("product",)
 
 
 @dataclass(frozen=True)
@@ -540,6 +535,93 @@ def subalgebra_generate(alg, seed, op_names=None):
         known.extend(new)
         frontier = new
     return frozenset(current)
+
+
+# ---------------------------------------------------------------------------
+# order-closed, operation-closed subsets: filters, ideals, kernel ideals
+# ---------------------------------------------------------------------------
+
+
+def bitmask(members):
+    """The set as an integer with bit i set for each member i."""
+    return sum(1 << i for i in members)
+
+
+def enumerate_closed(alg, universe, up, const, binary=(), unary=()):
+    """Every up-set (up=True) or down-set of `universe` that contains
+    `const` and is closed under the binary and unary tables wherever their
+    values lie in `universe`, as frozensets sorted by bitmask.
+
+    A DFS over a linear extension, elements with the fewest elements
+    above (below) them first, so the order constraint is local; the
+    operation closure is tested at the leaves."""
+    uni = sorted(universe)
+    inside = frozenset(uni)
+    leq = alg.leq
+    beyond = {
+        a: frozenset(b for b in uni if b != a and (leq(a, b) if up else leq(b, a)))
+        for a in uni
+    }
+    order = sorted(uni, key=lambda a: (len(beyond[a]), a))
+    out = []
+
+    def closed(chosen):
+        if const not in chosen:
+            return False
+        for a in chosen:
+            for t in binary:
+                row = t[a]
+                for b in chosen:
+                    v = row[b]
+                    if v not in chosen and v in inside:
+                        return False
+            for t in unary:
+                v = t[a]
+                if v not in chosen and v in inside:
+                    return False
+        return True
+
+    def rec(i, chosen):
+        if i == len(order):
+            if closed(chosen):
+                out.append(chosen)
+            return
+        e = order[i]
+        rec(i + 1, chosen)
+        if beyond[e] <= chosen:
+            rec(i + 1, chosen | {e})
+
+    rec(0, frozenset())
+    out.sort(key=bitmask)
+    return out
+
+
+def generate_closed(alg, seed, up, const, binary=(), unary=()):
+    """Least up-set (up=True) or down-set of `alg` that contains `seed` and
+    `const` and is closed under the binary and unary tables."""
+    leq = alg.leq
+    found = set(seed) | {const}
+    members = list(found)
+    for i, a in enumerate(members):  # the list grows while it is walked
+        new = [b for b in range(alg.size) if (leq(a, b) if up else leq(b, a))]
+        new += [t[a] for t in unary]
+        for t in binary:
+            for b in members[: i + 1]:
+                new += (t[a][b], t[b][a])
+        for v in new:
+            if v not in found:
+                found.add(v)
+                members.append(v)
+    return frozenset(found)
+
+
+def union_closure(basis):
+    """Every union of basis sets, the empty union included: the opens of
+    the finite topology the basis generates."""
+    out = {frozenset()}
+    for b in set(basis):
+        out |= {u | b for u in out}
+    return out
 
 
 def product(algs, name=None):

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 from . import budgets
 from .algebra import (
     FiniteAlgebra,
+    bitmask,
+    enumerate_closed,
+    generate_closed,
     homomorphisms,
     is_homomorphism,
     lattice_reduct,
@@ -34,7 +37,7 @@ class Ideal:
         return x in self.members
 
     def bitmask(self):
-        return sum(1 << i for i in self.members)
+        return bitmask(self.members)
 
 
 def _ideal_sum(alg, mode):
@@ -48,23 +51,7 @@ def _ideal_sum(alg, mode):
 def ideal_generate(alg, seed, mode="auto"):
     """Ig: least 0-containing downward set closed under the additive op."""
     add = _ideal_sum(alg, mode)
-    s = set(seed)
-    s.add(alg.zero)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(s)
-        for a in snapshot:
-            for b in snapshot:
-                v = add[a][b]
-                if v not in s:
-                    s.add(v)
-                    changed = True
-            for b in range(alg.size):
-                if alg.leq(b, a) and b not in s:
-                    s.add(b)
-                    changed = True
-    return Ideal(alg, frozenset(s))
+    return Ideal(alg, generate_closed(alg, seed, False, alg.zero, [add]))
 
 
 def is_ideal(alg, members, mode="auto"):
@@ -83,34 +70,16 @@ def is_ideal(alg, members, mode="auto"):
 
 
 def enumerate_ideals(alg, mode="auto", bound=None, budget=None):
-    """All ideals, by downward-set DFS plus additive-closure filtering."""
+    """All ideals: additively closed down-sets containing 0."""
     budget = budget or budgets.from_env()
     bound = bound if bound is not None else budget.spectrum
     if alg.size > bound:
         raise ResourceError("ideal enumeration bound exceeded")
-    n = alg.size
-    below = [frozenset(b for b in range(n) if alg.leq(b, a)) for a in range(n)]
-    order = sorted(range(n), key=lambda a: (len(below[a]), a))
     add = _ideal_sum(alg, mode)
-    out = []
-
-    def rec(i, chosen):
-        if i == len(order):
-            if alg.zero in chosen:
-                for a in chosen:
-                    for b in chosen:
-                        if add[a][b] not in chosen:
-                            return
-                out.append(frozenset(chosen))
-            return
-        e = order[i]
-        rec(i + 1, chosen)
-        if below[e] - {e} <= chosen:
-            rec(i + 1, chosen | {e})
-
-    rec(0, frozenset())
-    out.sort(key=lambda s: sum(1 << i for i in s))
-    return [Ideal(alg, s) for s in out]
+    return [
+        Ideal(alg, s)
+        for s in enumerate_closed(alg, range(alg.size), False, alg.zero, [add])
+    ]
 
 
 def ideal_join_characterize(alg, m_ideal, n_ideal, mode="auto"):
@@ -159,19 +128,14 @@ def ideal_extension(alg, b_subuniverse, m_ideal, n_ideal, mode="auto",
 # ---------------------------------------------------------------------------
 
 
-def _canon(parts, n):
-    """Partition as a tuple: element -> least member of its class."""
-    rep = list(range(n))
-    for block in parts:
-        least = min(block)
-        for x in block:
-            rep[x] = least
-    return tuple(rep)
+def congruence_closure(alg, pairs, universe=None):
+    """Smallest congruence containing the given element pairs.
 
-
-def congruence_closure(alg, pairs):
-    """Smallest congruence containing the given element pairs."""
+    With `universe`, a subuniverse holding the pairs, it is the smallest
+    congruence of that subalgebra, the identity outside it.  Every element
+    maps to the least member of its class, so the tuple is canonical."""
     n = alg.size
+    inside = range(n) if universe is None else tuple(universe)
     parent = list(range(n))
 
     def find(x):
@@ -198,7 +162,7 @@ def congruence_closure(alg, pairs):
             if union(t[x], t[y]):
                 queue.append((t[x], t[y]))
         for t in binary:
-            for z in range(n):
+            for z in inside:
                 if union(t[x][z], t[y][z]):
                     queue.append((t[x][z], t[y][z]))
                 if union(t[z][x], t[z][y]):
@@ -235,6 +199,12 @@ def all_congruences(alg, budget=None, bound=None):
                     new.append(j)
         frontier = new
     return sorted(known)
+
+
+def partition_leq(t1, t2):
+    """t1 finer-or-equal t2 as partitions (every t1 class inside a t2 class)."""
+    image = {}
+    return all(image.setdefault(a, b) == b for a, b in zip(t1, t2))
 
 
 def congruence_blocks(theta):
@@ -329,52 +299,10 @@ def cp_extend(pair, budget=None):
     return None
 
 
-def congruence_on_subalgebra(alg, subuniverse, blocks):
-    """Encode an equivalence on a subuniverse as a full-length tuple
-    (identity outside), for use as the R/S field of CongruencePair."""
-    rep = list(range(alg.size))
-    for block in blocks:
-        least = min(block)
-        for x in block:
-            rep[x] = least
-    return tuple(rep)
-
-
 def principal_congruence_on(alg, subuniverse, pairs):
     """The congruence of the subalgebra generated by the pairs, encoded
     as a full-length tuple (identity outside the subuniverse)."""
-    sub = frozenset(subuniverse)
-    parent = list(range(alg.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
-
-    queue = [p for p in pairs if union(*p)]
-    unary = [alg.tables[nm] for nm, ar in alg.signature.ops if ar == 1]
-    binary = [alg.tables[nm] for nm, ar in alg.signature.ops if ar == 2]
-    while queue:
-        x, y = queue.pop()
-        for t in unary:
-            if t[x] in sub and t[y] in sub and union(t[x], t[y]):
-                queue.append((t[x], t[y]))
-        for t in binary:
-            for z in sub:
-                for u, v in ((t[x][z], t[y][z]), (t[z][x], t[z][y])):
-                    if u in sub and v in sub and union(u, v):
-                        queue.append((u, v))
-    return tuple(find(x) for x in range(alg.size))
+    return congruence_closure(alg, pairs, universe=subuniverse)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +492,7 @@ def gratzer_schmidt_check(alg, bound=None, budget=None):
     surjective = set(mapping.values()) == set(congruences)
     monotone = all(
         (i.members <= j.members)
-        == _congruence_leq(mapping[i.members], mapping[j.members])
+        == partition_leq(mapping[i.members], mapping[j.members])
         for i in ideals
         for j in ideals
     )
@@ -582,13 +510,3 @@ def gratzer_schmidt_check(alg, bound=None, budget=None):
         "conditions": conditions,
         "biconditional": correspondence == conditions,
     }
-
-
-def _congruence_leq(t1, t2):
-    """t1 finer-or-equal t2 as partitions (every t1 class inside a t2 class)."""
-    n = len(t1)
-    for x in range(n):
-        for y in range(n):
-            if t1[x] == t1[y] and t2[x] != t2[y]:
-                return False
-    return True

@@ -8,6 +8,8 @@ comma list of ``name=value`` pairs, e.g. ``RESLAT_BUDGET=spectrum=40,closure=209
 import os
 from dataclasses import dataclass, replace
 
+from .errors import InvalidSpecError
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -46,9 +48,7 @@ def from_env(base=None):
         name, _, value = piece.partition("=")
         name = name.strip()
         if name not in Budget.__dataclass_fields__ or not value.strip().isdigit():
-            raise ValueError("bad RESLAT_BUDGET entry: %r" % piece)
+            raise InvalidSpecError("bad RESLAT_BUDGET entry: %r" % piece)
         fields[name] = int(value)
     return budget.scaled(**fields)
 
-
-DEFAULT = Budget()

@@ -228,8 +228,6 @@ def cmd_amalgamate(args):
 
 
 def cmd_kripke(args):
-    from concurrent.futures import ThreadPoolExecutor
-
     from .kripke import (
         random_kripke,
         verify_derived_identities,
@@ -259,15 +257,7 @@ def cmd_kripke(args):
             out.append({"seed": seed, "suite": "diagonals", "witness": wit})
         return out
 
-    seeds = [args.seed + i for i in range(args.random)]
-    if args.threads > 1:
-        # per-system verification is pure; results are collected in seed
-        # order so the report is independent of the worker count
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            chunks = list(pool.map(verify_one, seeds))
-    else:
-        chunks = [verify_one(s) for s in seeds]
-    failures = [item for chunk in chunks for item in chunk]
+    failures = [item for i in range(args.random) for item in verify_one(args.seed + i)]
     payload = {"systems": args.random, "failures": failures}
     _emit(
         args,
@@ -354,12 +344,6 @@ def build_parser():
         description="finite-scale workbench for residuated lattices and their logics",
     )
     parser.add_argument("--json", action="store_true", help="JSON reports on stdout")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count; results are independent of it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="class axiom suite")

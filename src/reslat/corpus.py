@@ -28,7 +28,13 @@ from .amalgam import (
     principal_congruence_on,
 )
 from .errors import NoGenericPointError
-from .free import atoms, boolean_variety, free_algebra, free_product_decomposition_check
+from .free import (
+    atoms,
+    atomless_shadow_check,
+    boolean_variety,
+    free_algebra,
+    free_product_decomposition_check,
+)
 from .kripke import (
     KripkeSystem,
     detect_fault,
@@ -199,19 +205,10 @@ def criterion_3():
 
 @_criterion("4 atomless shadow in Fr_2 and Fr_3")
 def criterion_4():
-    from .algebra import complement
-
     for n in (2, 3):
-        fr = corpus_free(n)
-        alg = fr.algebra
-        g = fr.generators[-1]
-        neg_g = complement(alg, g)
-        sub = subalgebra_generate(alg, fr.generators[:-1])
-        for a in sorted(sub):
-            if a == alg.zero:
-                continue
-            if alg.meet(a, g) == alg.zero or alg.meet(a, neg_g) == alg.zero:
-                return False, (n, a)
+        held, witness = atomless_shadow_check(boolean_variety(), n)
+        if not held:
+            return False, (n, witness)
     return True, "every nonzero element of the small subalgebra splits over the last generator"
 
 

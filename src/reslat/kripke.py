@@ -162,9 +162,6 @@ class SemigroupG:
     def full(cls, alpha):
         return cls(alpha, all_maps(alpha))
 
-    def name_of(self, tau):
-        return "s_" + "".join(str(t) for t in tau)
-
     def __iter__(self):
         return iter(self.maps)
 

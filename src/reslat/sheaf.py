@@ -5,17 +5,21 @@ open-sets correspondence.
 
 Ideals here are congruence-kernel style: downward closed and closed under
 oplus when present, under the declared operators always (the notion whose
-primes carry the duality).
+primes carry the duality).  They are enumerated and generated by the
+closed-set helpers of `reslat.algebra` (`enumerate_closed`,
+`generate_closed`, `union_closure`); congruences come from
+`reslat.amalgam`.
 """
 
 from dataclasses import dataclass
 
 from . import budgets
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, enumerate_closed, generate_closed, union_closure
 from .amalgam import (
     all_congruences,
     congruence_closure,
     is_relatively_complemented,
+    partition_leq,
     quotient,
 )
 from .errors import DomainError, ResourceError
@@ -73,69 +77,19 @@ def zero_dim(alg, operators=None):
 def _kernel_ideals(alg, subuniverse, operators):
     """All subsets of `subuniverse` that are 0-containing, downward closed
     (within the subuniverse), oplus-closed when present, operator-closed."""
-    sub = sorted(subuniverse)
-    sset = set(sub)
+    return enumerate_closed(alg, subuniverse, False, alg.zero, *_kernel_ops(alg, operators))
+
+
+def _kernel_ops(alg, operators):
+    """(binary, unary) closure tables of a kernel ideal: oplus (else join)
+    and the operators present in the signature."""
     add = alg.tables["oplus"] if "oplus" in alg.signature else alg.tables["join"]
-    otabs = [alg.tables[f] for f in operators if f in alg.signature]
-    below = {
-        a: frozenset(b for b in sub if alg.leq(b, a)) for a in sub
-    }
-    order = sorted(sub, key=lambda a: (len(below[a]), a))
-    out = []
-
-    def closed(chosen):
-        if alg.zero not in chosen:
-            return False
-        for a in chosen:
-            for b in chosen:
-                v = add[a][b]
-                if v in sset and v not in chosen:
-                    return False
-            for t in otabs:
-                v = t[a]
-                if v in sset and v not in chosen:
-                    return False
-        return True
-
-    def rec(i, chosen):
-        if i == len(order):
-            if closed(chosen):
-                out.append(frozenset(chosen))
-            return
-        e = order[i]
-        rec(i + 1, chosen)
-        if below[e] - {e} <= chosen:
-            rec(i + 1, chosen | {e})
-
-    rec(0, frozenset())
-    out.sort(key=lambda s: sum(1 << i for i in s))
-    return out
+    return [add], [alg.tables[f] for f in operators if f in alg.signature]
 
 
 def kernel_ideal_generate(alg, seed, operators=None):
     ops = default_operators(alg) if operators is None else list(operators)
-    add = alg.tables["oplus"] if "oplus" in alg.signature else alg.tables["join"]
-    otabs = [alg.tables[f] for f in ops if f in alg.signature]
-    s = set(seed)
-    s.add(alg.zero)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(s)
-        for a in snapshot:
-            for b in snapshot:
-                if add[a][b] not in s:
-                    s.add(add[a][b])
-                    changed = True
-            for t in otabs:
-                if t[a] not in s:
-                    s.add(t[a])
-                    changed = True
-            for b in range(alg.size):
-                if alg.leq(b, a) and b not in s:
-                    s.add(b)
-                    changed = True
-    return frozenset(s)
+    return generate_closed(alg, seed, False, alg.zero, *_kernel_ops(alg, ops))
 
 
 def prime_ideals_of(alg, subuniverse, operators):
@@ -182,17 +136,7 @@ class DualSheaf:
         return frozenset(i for i, x in enumerate(self.points) if b not in x)
 
     def opens(self):
-        base = {self.basic_open(b) for b in self.nr_universe}
-        out = {frozenset()}
-        frontier = [frozenset()]
-        while frontier:
-            u = frontier.pop()
-            for b in base:
-                v = u | b
-                if v not in out:
-                    out.add(v)
-                    frontier.append(v)
-        return out
+        return union_closure(self.basic_open(b) for b in self.nr_universe)
 
     def support(self, a):
         """[sigma_a] = {x : sigma_a(x) != 0_x}."""
@@ -380,7 +324,7 @@ def regularity(alg, operators=None, budget=None):
     maximal_congs = {
         t
         for t in proper_congs
-        if not any(t != u and _finer(t, u) for u in proper_congs)
+        if not any(t != u and partition_leq(t, u) for u in proper_congs)
     }
     regular = True
     strongly = True
@@ -399,19 +343,6 @@ def regularity(alg, operators=None, budget=None):
         "strongly_regular": strongly,
         "congruence_strongly_regular": cong_strongly,
     }
-
-
-def _finer(t1, t2):
-    n = len(t1)
-    for x in range(n):
-        for y in range(n):
-            if t1[x] == t1[y] and t2[x] != t2[y]:
-                return False
-    return True
-
-
-def is_simple(alg, budget=None):
-    return len(all_congruences(alg, budget=budget)) == 2 if alg.size > 1 else False
 
 
 def strongly_regular_equiv_check(alg, operators=None, budget=None):

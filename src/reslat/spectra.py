@@ -5,7 +5,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import budgets
-from .algebra import AxiomReport
+from .algebra import (
+    AxiomReport,
+    bitmask,
+    enumerate_closed,
+    generate_closed,
+    union_closure,
+)
 from .errors import (
     DomainError,
     PreconditionError,
@@ -29,7 +35,7 @@ class Filter:
         return self.alg.zero not in self.members
 
     def bitmask(self):
-        return sum(1 << i for i in self.members)
+        return bitmask(self.members)
 
     def __contains__(self, x):
         return x in self.members
@@ -57,47 +63,7 @@ def is_filter(alg, members):
 
 def generate_filter(alg, seed):
     """Fl: least filter containing the seed (may be improper)."""
-    s = set(seed)
-    s.add(alg.one)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(s)
-        for a in snapshot:
-            for b in snapshot:
-                v = alg.star(a, b)
-                if v not in s:
-                    s.add(v)
-                    changed = True
-            for b in range(alg.size):
-                if alg.leq(a, b) and b not in s:
-                    s.add(b)
-                    changed = True
-    return Filter(alg, frozenset(s))
-
-
-def _upsets(alg):
-    """All nonempty upward-closed subsets, by DFS over a linear extension."""
-    n = alg.size
-    above = [frozenset(b for b in range(n) if alg.leq(a, b)) for a in range(n)]
-    # visit elements from top to bottom so the up-closure constraint is local
-    order = sorted(range(n), key=lambda a: (len(above[a]), a))
-    out = []
-
-    def rec(i, chosen):
-        if i == len(order):
-            if chosen:
-                out.append(frozenset(chosen))
-            return
-        e = order[i]
-        # excluding e is always allowed
-        rec(i + 1, chosen)
-        # including e requires everything above e already in
-        if above[e] - {e} <= chosen:
-            rec(i + 1, chosen | {e})
-
-    rec(0, frozenset())
-    return out
+    return Filter(alg, generate_closed(alg, seed, True, alg.one, [alg.tables["star"]]))
 
 
 def is_prime_filter(alg, members):
@@ -111,7 +77,7 @@ def is_prime_filter(alg, members):
 
 
 def enumerate_filters(alg, kind="all-proper", bound=None, budget=None):
-    """Exhaustive filter enumeration (up-set scan with closure pruning).
+    """Exhaustive filter enumeration (star-closed up-sets containing 1).
 
     kind: all-proper | prime | maximal.  Output sorted by bitmask.
     """
@@ -122,21 +88,8 @@ def enumerate_filters(alg, kind="all-proper", bound=None, budget=None):
             "filter enumeration bound %d exceeded by %r (size %d)"
             % (bound, alg.name, alg.size)
         )
-    star = alg.star
-    filters = []
-    for up in _upsets(alg):
-        ok = True
-        for a in up:
-            for b in up:
-                if star(a, b) not in up:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            filters.append(up)
+    filters = enumerate_closed(alg, range(alg.size), True, alg.one, [alg.tables["star"]])
     proper = [f for f in filters if alg.zero not in f]
-    proper.sort(key=lambda f: sum(1 << i for i in f))
     if kind == "all-proper":
         chosen = proper
     elif kind == "prime":
@@ -200,17 +153,7 @@ class SpectrumSpace:
 
     # finite topology on Max generated by the D_M basis
     def opens(self):
-        base = sorted(set(self.basis.values()), key=sorted)
-        out = {frozenset()}
-        frontier = [frozenset()]
-        while frontier:
-            u = frontier.pop()
-            for b in base:
-                v = u | b
-                if v not in out:
-                    out.add(v)
-                    frontier.append(v)
-        return out
+        return union_closure(self.basis.values())
 
     def interior(self, s):
         out = frozenset()
@@ -266,17 +209,10 @@ def prime_lattice_filters(alg, bound=None, budget=None):
     bound = bound if bound is not None else budget.spectrum
     if alg.size > bound:
         raise ResourceError("filter enumeration bound exceeded")
-    meet = alg.meet
-    out = []
-    for up in _upsets(alg):
-        if alg.zero in up:
-            continue
-        if any(meet(a, b) not in up for a in up for b in up):
-            continue
-        if is_prime_filter(alg, up):
-            out.append(up)
-    out.sort(key=lambda f: sum(1 << i for i in f))
-    return out
+    lattice_filters = enumerate_closed(
+        alg, range(alg.size), True, alg.one, [alg.tables["meet"]]
+    )
+    return [f for f in lattice_filters if alg.zero not in f and is_prime_filter(alg, f)]
 
 
 def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
@@ -509,10 +445,6 @@ def pair_saturated(tp, alg=None):
             if not witnessed:
                 return False, (a, j)
     return True, None
-
-
-def filters_as_points(filters):
-    return [f.members for f in filters]
 
 
 def upset(alg, a):

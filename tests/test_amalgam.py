@@ -78,6 +78,11 @@ def test_ideal_enumeration_matches_brute_force():
                     brute.append(frozenset(members))
         brute.sort(key=lambda s: sum(1 << i for i in s))
         assert fast == brute
+        # Ig(seed) is the least ideal over the seed
+        for r in range(3):
+            for seed in combinations(range(alg.size), r):
+                least = frozenset.intersection(*[s for s in brute if s >= set(seed)])
+                assert ideal_generate(alg, seed).members == least, (alg.name, seed)
 
 
 def test_join_characterization_exhaustive_on_ba():
@@ -178,6 +183,51 @@ def test_congruence_closure_respects_ops():
     theta = congruence_closure(alg, [(0, 1)])
     # collapsing 0 with 1/2 forces everything in an MV chain
     assert len(set(theta)) == 1
+
+
+def equivalences(elements):
+    """Every equivalence relation on `elements`, as element -> block label."""
+    if not elements:
+        yield {}
+        return
+    first, rest = elements[0], elements[1:]
+    for sub in equivalences(rest):
+        labels = sorted(set(sub.values()))
+        for label in labels + [first]:
+            yield {**sub, first: label}
+
+
+def test_congruence_closure_on_subuniverse_matches_brute_force():
+    fr = free_algebra(boolean_variety(), 2)
+    alg = fr.algebra
+    ops = [(alg.tables[nm], ar) for nm, ar in alg.signature.ops if ar > 0]
+    for gens in ([], [fr.generators[0]], [fr.generators[1]]):
+        sub = sorted(subalgebra_generate(alg, gens))
+        assert len(sub) < alg.size
+        compatible = []
+        for eq in equivalences(sub):
+            if all(
+                eq[t[x]] == eq[t[y]] if ar == 1
+                else eq[t[x][z]] == eq[t[y][z]] and eq[t[z][x]] == eq[t[z][y]]
+                for t, ar in ops
+                for x in sub
+                for y in sub
+                if eq[x] == eq[y]
+                for z in sub
+            ):
+                compatible.append(eq)
+        for a in sub:
+            for b in sub:
+                # least compatible equivalence over (a, b): the meet of all
+                least = list(range(alg.size))
+                for x in sub:
+                    least[x] = min(
+                        y for y in sub
+                        if all(eq[x] == eq[y] for eq in compatible if eq[a] == eq[b])
+                    )
+                got = congruence_closure(alg, [(a, b)], universe=sub)
+                assert got == tuple(least), (gens, a, b)
+                assert principal_congruence_on(alg, sub, [(a, b)]) == got
 
 
 def test_cp_extend_found():

@@ -156,6 +156,34 @@ def test_omit_verb(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 2
     assert main(["check", "luk:3"]) == 2  # missing --class
+    assert main(["--threads", "2", "kripke", "verify"]) == 2
+
+
+def test_malformed_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("RESLAT_BUDGET", "foo")
+    code, _, err = run(capsys, "spectrum", "luk:3")
+    assert code == 2
+    assert "RESLAT_BUDGET" in err
+
+
+def test_non_json_algebra_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text("not json")
+    code, _, err = run(capsys, "check", str(path), "--class", "mv")
+    assert code == 2
+    assert str(path) in err
+
+
+def test_algebra_file_without_size_exit_code(tmp_path, capsys):
+    from reslat.algebra import ChainSpec, make_chain
+
+    data = make_chain(ChainSpec("lukasiewicz", 3)).to_json()
+    del data["size"]
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "check", str(path), "--class", "mv")
+    assert code == 2
+    assert str(path) in err and "size" in err
 
 
 def test_resource_exit_code(capsys, monkeypatch):

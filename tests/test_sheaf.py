@@ -1,5 +1,7 @@
 """Dual sheaves: zero-dimensional parts, stalks, sections, eta, regularity."""
 
+from itertools import combinations
+
 from reslat.algebra import (
     ChainSpec,
     FiniteAlgebra,
@@ -12,6 +14,7 @@ from reslat.algebra import (
 )
 from reslat.kripke import KripkeSystem, dimension_set, set_algebra
 from reslat.sheaf import (
+    _kernel_ideals,
     dual_sheaf,
     eta_check,
     kernel_ideal_generate,
@@ -220,6 +223,45 @@ def test_kernel_ideal_generation_respects_operators():
     )
     ideal = kernel_ideal_generate(reduct, [atom], ["c_0"])
     assert pc.apply("c_0", atom) in ideal
+
+
+def brute_force_kernel_ideals(alg, sub, operators):
+    """Oracle: every subset of `sub` that holds 0 and is closed downward,
+    under oplus (else join) and under the operators, inside `sub`."""
+    sub = sorted(sub)
+    add = alg.tables["oplus"] if "oplus" in alg.signature else alg.tables["join"]
+    unary = [alg.tables[f] for f in operators]
+    out = []
+    for r in range(len(sub) + 1):
+        for members in combinations(sub, r):
+            s = set(members)
+            images = (
+                [add[a][b] for a in s for b in s]
+                + [t[a] for t in unary for a in s]
+                + [b for a in s for b in sub if alg.leq(b, a)]
+            )
+            if alg.zero in s and all(v in s for v in images if v in sub):
+                out.append(frozenset(s))
+    return sorted(out, key=lambda s: sum(1 << i for i in s))
+
+
+def test_kernel_ideals_match_brute_force():
+    # a proper subuniverse carrying an operator: the c_0-fixed points
+    pc = sheaf_reduct(coordinate_closure_product([luk(3), ba4()]))
+    zd, _ = zero_dim(pc)
+    assert 0 < len(zd) < pc.size
+    # and a subset the operations leave, where closure is only checked inside
+    lower = range(pc.size // 2)
+    for sub in (zd, lower):
+        assert _kernel_ideals(pc, sub, ["c_0"]) == brute_force_kernel_ideals(pc, sub, ["c_0"])
+    # generation: the least kernel ideal over each seed
+    small = sheaf_reduct(coordinate_closure_product([luk(2), luk(3)]))
+    for alg, ops in ((luk(3), []), (godel(4), []), (ba4(), []), (small, ["c_0"])):
+        every = brute_force_kernel_ideals(alg, range(alg.size), ops)
+        for r in range(3):
+            for seed in combinations(range(alg.size), r):
+                least = frozenset.intersection(*[s for s in every if s >= set(seed)])
+                assert kernel_ideal_generate(alg, seed, ops) == least, (alg.name, seed)
 
 
 def test_report_shape():

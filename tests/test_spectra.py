@@ -55,19 +55,25 @@ def test_fl_of_half_in_godel3():
 
 
 def brute_force_filters(alg):
-    """Oracle: scan all subsets for the filter laws."""
+    """Oracle: scan all subsets for the filter laws (improper one included)."""
     out = []
     for r in range(1, alg.size + 1):
         for members in combinations(range(alg.size), r):
-            if is_filter(alg, members) and alg.zero not in members:
+            if is_filter(alg, members):
                 out.append(frozenset(members))
     return sorted(out, key=lambda f: sum(1 << i for i in f))
 
 
 def test_enumeration_matches_brute_force():
     for alg in (luk(3), luk(4), godel(3), godel(4), ba4()):
+        every = brute_force_filters(alg)
         fast = [f.members for f in enumerate_filters(alg)]
-        assert fast == brute_force_filters(alg)
+        assert fast == [f for f in every if alg.zero not in f]
+        # Fl(seed) is the least filter over the seed
+        for r in range(3):
+            for seed in combinations(range(alg.size), r):
+                least = frozenset.intersection(*[f for f in every if f >= set(seed)])
+                assert generate_filter(alg, seed).members == least, (alg.name, seed)
 
 
 def test_filters_are_principal_over_idempotents():
