@@ -9,7 +9,10 @@ point enters the core anywhere.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iproduct
+
+import numpy
 
 from .errors import (
     DomainError,
@@ -60,6 +63,34 @@ class Signature:
         return any(n == name for n, _ in self.ops)
 
 
+def _table_array(t, arity, size, opname):
+    """The table as an integer array, after one shape and one range check.
+
+    Entries must be integers (Python or numpy); floats and booleans are
+    rejected, not truncated."""
+    try:
+        arr = numpy.asarray(t)
+    except ValueError:  # ragged rows
+        raise SignatureError("table %r has wrong shape" % opname) from None
+    if arr.shape != (size,) * arity:
+        raise SignatureError(
+            "table %r has shape %s, expected %s" % (opname, arr.shape, (size,) * arity)
+        )
+    # a bool among ints still gives an int array, so lists are scanned too
+    if arr.dtype.kind not in "iu" or (
+        arity
+        and not isinstance(t, numpy.ndarray)
+        and bool in set(map(type, chain.from_iterable(t) if arity == 2 else t))
+    ):
+        raise SignatureError("table %r holds non-integer entries" % opname)
+    bad = (arr < 0) | (arr >= size)
+    if bad.any():
+        raise SignatureError(
+            "table %r contains non-element %r" % (opname, arr[bad].flat[0].item())
+        )
+    return arr
+
+
 class FiniteAlgebra:
     """Universe 0..size-1 plus one table per signature operation.
 
@@ -77,37 +108,26 @@ class FiniteAlgebra:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != size:
             raise InvalidSpecError("labels length must equal size")
-        frozen = {}
+        # entries share one int object per element instead of one per entry
+        elements = numpy.array(range(size), dtype=object)
+        self.tables = {}
+        self._np = {}
         for opname, arity in signature.ops:
             if opname not in tables:
                 raise SignatureError("missing table for %r" % opname)
             t = tables[opname]
+            arr = _table_array(t, arity, size, opname)
             if arity == 0:
-                t = int(t)
-                self._check_elem(t, opname)
+                self.tables[opname] = elements[arr]
             elif arity == 1:
-                t = tuple(int(v) for v in t)
-                if len(t) != size:
-                    raise SignatureError("unary table %r has wrong length" % opname)
-                for v in t:
-                    self._check_elem(v, opname)
+                self.tables[opname] = tuple(elements[arr].tolist())
             else:
-                t = tuple(tuple(int(v) for v in row) for row in t)
-                if len(t) != size or any(len(r) != size for r in t):
-                    raise SignatureError("binary table %r has wrong shape" % opname)
-                for row in t:
-                    for v in row:
-                        self._check_elem(v, opname)
-            frozen[opname] = t
+                self.tables[opname] = tuple([tuple(elements[row].tolist()) for row in arr])
+            if isinstance(t, numpy.ndarray):
+                self._np[opname] = arr.astype(numpy.int32, copy=False)
         extra = set(tables) - set(signature.names())
         if extra:
             raise SignatureError("tables without signature entry: %s" % sorted(extra))
-        self.tables = frozen
-        self._np = {}
-
-    def _check_elem(self, v, opname):
-        if not (0 <= v < self.size):
-            raise SignatureError("table %r contains non-element %r" % (opname, v))
 
     # ---- basic access -------------------------------------------------
 
@@ -178,10 +198,8 @@ class FiniteAlgebra:
         ]
 
     def np_table(self, name):
-        """Numpy view of a table, cached; used by the bulk verifiers."""
+        """Numpy int32 form of a table, cached; used by the bulk verifiers."""
         if name not in self._np:
-            import numpy
-
             self._np[name] = numpy.array(self.tables[name], dtype=numpy.int32)
         return self._np[name]
 
@@ -215,7 +233,7 @@ class FiniteAlgebra:
         sig = []
         for name in sorted(ops):
             t = ops[name]
-            if isinstance(t, int):
+            if not isinstance(t, list):
                 sig.append((name, 0))
             elif t and isinstance(t[0], list):
                 sig.append((name, 2))
@@ -231,13 +249,20 @@ class FiniteAlgebra:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise InvalidSpecError("%s is not JSON: %s" % (path, exc)) from None
-            except KeyError as exc:
-                raise InvalidSpecError("%s lacks key %s" % (path, exc)) from None
+        return load_json(path, cls.from_json)
+
+
+def load_json(path, build):
+    """build(data) for the JSON data in the file at path.  A file that is
+    not JSON, or lacks a key that build reads, is an InvalidSpecError
+    naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return build(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise InvalidSpecError("%s is not JSON: %s" % (path, exc)) from None
+        except KeyError as exc:
+            raise InvalidSpecError("%s lacks key %s" % (path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -387,117 +412,150 @@ class AxiomReport:
 
 
 def _derived_mv_ops(alg):
-    """oplus/odot/neg, from the algebra's own tables when present, else
-    via neg a = a -> 0, odot = star, oplus(a,b) = neg(neg a odot neg b)."""
-    n = alg.size
+    """oplus/odot/neg arrays, from the algebra's own tables when present,
+    else via neg a = a -> 0, odot = star, oplus(a,b) = neg(neg a odot neg b)."""
     if "neg" in alg.signature:
-        neg = alg.tables["neg"]
+        neg = alg.np_table("neg")
     else:
-        z = alg.zero
-        neg = tuple(alg.imp(a, z) for a in range(n))
-    if "odot" in alg.signature:
-        odot = alg.tables["odot"]
-    else:
-        odot = alg.tables["star"]
+        neg = alg.np_table("imp")[:, alg.zero]
+    odot = alg.np_table("odot" if "odot" in alg.signature else "star")
     if "oplus" in alg.signature:
-        oplus = alg.tables["oplus"]
+        oplus = alg.np_table("oplus")
     else:
-        oplus = tuple(
-            tuple(neg[odot[neg[a]][neg[b]]] for b in range(n)) for a in range(n)
-        )
+        oplus = neg[odot[neg[:, None], neg[None, :]]]
     return oplus, odot, neg
 
 
-def _axioms_for_class(alg, cls):
-    """List of (axiom id, arity, predicate on element tuples)."""
-    jn, mt, st, im = alg.join, alg.meet, alg.star, alg.imp
-    one, zero = alg.one, alg.zero
-    lattice = [
-        ("join-comm", 2, lambda a, b: jn(a, b) == jn(b, a)),
-        ("meet-comm", 2, lambda a, b: mt(a, b) == mt(b, a)),
-        ("join-assoc", 3, lambda a, b, c: jn(a, jn(b, c)) == jn(jn(a, b), c)),
-        ("meet-assoc", 3, lambda a, b, c: mt(a, mt(b, c)) == mt(mt(a, b), c)),
-        ("absorb-1", 2, lambda a, b: jn(a, mt(a, b)) == a),
-        ("absorb-2", 2, lambda a, b: mt(a, jn(a, b)) == a),
-        ("bound-top", 1, lambda a: mt(a, one) == a),
-        ("bound-bottom", 1, lambda a: jn(a, zero) == a),
-    ]
-    monoid = [
-        ("star-comm", 2, lambda a, b: st(a, b) == st(b, a)),
-        ("star-assoc", 3, lambda a, b, c: st(a, st(b, c)) == st(st(a, b), c)),
-        ("star-unit", 1, lambda a: st(one, a) == a),
-    ]
-    adjoint = [
+# Each axiom is (id, lhs, rhs) and holds when both sides agree for every
+# assignment of elements to its variables.  A term is a variable ("a",
+# "b", "c", which are also the positions in a witness tuple), a constant
+# ("0", "1") or (op, term, ...).  ("<=", s, t) is the lattice order as a
+# truth value, so an identity between two of them is an equivalence.
+_VARIABLES = ("a", "b", "c")
+_LATTICE = (
+    ("join-comm", ("join", "a", "b"), ("join", "b", "a")),
+    ("meet-comm", ("meet", "a", "b"), ("meet", "b", "a")),
+    ("join-assoc", ("join", "a", ("join", "b", "c")), ("join", ("join", "a", "b"), "c")),
+    ("meet-assoc", ("meet", "a", ("meet", "b", "c")), ("meet", ("meet", "a", "b"), "c")),
+    ("absorb-1", ("join", "a", ("meet", "a", "b")), "a"),
+    ("absorb-2", ("meet", "a", ("join", "a", "b")), "a"),
+    ("bound-top", ("meet", "a", "1"), "a"),
+    ("bound-bottom", ("join", "a", "0"), "a"),
+)
+_RESIDUATED = _LATTICE + (
+    ("star-comm", ("star", "a", "b"), ("star", "b", "a")),
+    ("star-assoc", ("star", "a", ("star", "b", "c")), ("star", ("star", "a", "b"), "c")),
+    ("star-unit", ("star", "1", "a"), "a"),
+    ("adjunction", ("<=", "c", ("imp", "a", "b")), ("<=", ("star", "a", "c"), "b")),
+)
+_STAR_IS_MEET = ("star-is-meet", ("star", "a", "b"), ("meet", "a", "b"))
+_AXIOMS = {
+    "residuated-lattice": _RESIDUATED,
+    "bl": _RESIDUATED + (
+        ("prelinearity", ("join", ("imp", "a", "b"), ("imp", "b", "a")), "1"),
+        ("divisibility", ("star", "a", ("imp", "a", "b")), ("meet", "a", "b")),
+    ),
+    "heyting": _RESIDUATED + (_STAR_IS_MEET,),
+    "boolean": _RESIDUATED + (
+        _STAR_IS_MEET,
+        ("excluded-middle", ("join", "a", ("imp", "a", "0")), "1"),
+    ),
+    "mv": (
+        ("mv1-oplus-comm", ("oplus", "a", "b"), ("oplus", "b", "a")),
+        ("mv1-odot-comm", ("odot", "a", "b"), ("odot", "b", "a")),
+        ("mv2-oplus-assoc", ("oplus", "a", ("oplus", "b", "c")), ("oplus", ("oplus", "a", "b"), "c")),
+        ("mv2-odot-assoc", ("odot", "a", ("odot", "b", "c")), ("odot", ("odot", "a", "b"), "c")),
+        ("mv3-oplus-zero", ("oplus", "a", "0"), "a"),
+        ("mv3-odot-one", ("odot", "a", "1"), "a"),
+        ("mv4-oplus-one", ("oplus", "a", "1"), "1"),
+        ("mv4-odot-zero", ("odot", "a", "0"), "0"),
+        ("mv5-oplus-neg", ("oplus", "a", ("neg", "a")), "1"),
+        ("mv5-odot-neg", ("odot", "a", ("neg", "a")), "0"),
+        ("mv6-demorgan-oplus", ("neg", ("oplus", "a", "b")), ("odot", ("neg", "a"), ("neg", "b"))),
+        ("mv6-demorgan-odot", ("neg", ("odot", "a", "b")), ("oplus", ("neg", "a"), ("neg", "b"))),
+        ("mv7-double-neg", ("neg", ("neg", "a")), "a"),
+        ("mv7-neg-zero", ("neg", "0"), "1"),
         (
-            "adjunction",
-            3,
-            lambda x, y, z: (alg.leq(z, im(x, y))) == (alg.leq(st(x, z), y)),
+            "mv8-lukasiewicz",
+            ("oplus", ("neg", ("oplus", ("neg", "a"), "b")), "b"),
+            ("oplus", ("neg", ("oplus", ("neg", "b"), "a")), "a"),
         ),
-    ]
-    rl = lattice + monoid + adjoint
-    if cls == "residuated-lattice":
-        return rl
-    if cls == "bl":
-        return rl + [
-            ("prelinearity", 2, lambda a, b: jn(im(a, b), im(b, a)) == one),
-            ("divisibility", 2, lambda a, b: st(a, im(a, b)) == mt(a, b)),
-        ]
-    if cls == "heyting":
-        return rl + [("star-is-meet", 2, lambda a, b: st(a, b) == mt(a, b))]
-    if cls == "boolean":
-        return (
-            rl
-            + [("star-is-meet", 2, lambda a, b: st(a, b) == mt(a, b))]
-            + [("excluded-middle", 1, lambda a: jn(a, im(a, zero)) == one)]
+    ),
+}
+# grid points evaluated at once; an n**3 grid is cut along its first axis
+_GRID_CHUNK = 1 << 16
+
+
+def _variables(term):
+    if isinstance(term, str):
+        return {term} & set(_VARIABLES)
+    return set().union(*map(_variables, term[1:]))
+
+
+# per class: (id, arity, lhs, rhs), the arity being the number of variables
+_SUITES = {
+    cls: tuple((aid, len(_variables(lhs) | _variables(rhs)), lhs, rhs) for aid, lhs, rhs in axioms)
+    for cls, axioms in _AXIOMS.items()
+}
+
+
+def _grid_chunks(n, arity):
+    """The grid of all arity-tuples of elements, in chunks along its first
+    axis: per chunk, one index array per variable, shaped to broadcast."""
+    rows = max(1, _GRID_CHUNK // n ** max(arity - 1, 0))
+    chunks = []
+    for lo in range(0, n if arity else 1, rows):
+        axes = [numpy.arange(n)] * arity
+        if arity:
+            axes[0] = numpy.arange(lo, min(n, lo + rows))
+        chunks.append(
+            {
+                var: axis.reshape([-1 if j == i else 1 for j in range(arity)])
+                for i, (var, axis) in enumerate(zip(_VARIABLES, axes))
+            }
         )
-    if cls == "mv":
-        op, od, ng = _derived_mv_ops(alg)
+    return chunks
 
-        def O(a, b):
-            return op[a][b]
 
-        def D(a, b):
-            return od[a][b]
-
-        def N(a):
-            return ng[a]
-
-        return [
-            ("mv1-oplus-comm", 2, lambda a, b: O(a, b) == O(b, a)),
-            ("mv1-odot-comm", 2, lambda a, b: D(a, b) == D(b, a)),
-            ("mv2-oplus-assoc", 3, lambda a, b, c: O(a, O(b, c)) == O(O(a, b), c)),
-            ("mv2-odot-assoc", 3, lambda a, b, c: D(a, D(b, c)) == D(D(a, b), c)),
-            ("mv3-oplus-zero", 1, lambda a: O(a, zero) == a),
-            ("mv3-odot-one", 1, lambda a: D(a, one) == a),
-            ("mv4-oplus-one", 1, lambda a: O(a, one) == one),
-            ("mv4-odot-zero", 1, lambda a: D(a, zero) == zero),
-            ("mv5-oplus-neg", 1, lambda a: O(a, N(a)) == one),
-            ("mv5-odot-neg", 1, lambda a: D(a, N(a)) == zero),
-            ("mv6-demorgan-oplus", 2, lambda a, b: N(O(a, b)) == D(N(a), N(b))),
-            ("mv6-demorgan-odot", 2, lambda a, b: N(D(a, b)) == O(N(a), N(b))),
-            ("mv7-double-neg", 1, lambda a: N(N(a)) == a),
-            ("mv7-neg-zero", 0, lambda: N(zero) == one),
-            ("mv8-lukasiewicz", 2, lambda a, b: O(N(O(N(a), b)), b) == O(N(O(N(b), a)), a)),
-        ]
-    raise DomainError("unknown algebra class %r" % cls)
+def _evaluate(term, env):
+    """Value of a term, broadcast over the variable grids held in env."""
+    if type(term) is str:
+        return env[term]
+    x = _evaluate(term[1], env)
+    if len(term) == 2:
+        return env[term[0]][x]
+    y = _evaluate(term[2], env)
+    if term[0] == "<=":
+        return env["meet"][x, y] == x
+    return env[term[0]][x, y]
 
 
 def check_class_axioms(alg, cls):
-    """Exhaustively evaluate a class axiom suite; first witness per axiom."""
+    """Exhaustively evaluate a class axiom suite; first witness per axiom,
+    the first failing tuple in itertools.product order."""
     for name in ("join", "meet", "star", "imp"):
         if name not in alg.signature:
             raise SignatureError("class check needs core op %r" % name)
-    axioms = _axioms_for_class(alg, cls)
-    n = alg.size
+    if cls not in _SUITES:
+        raise DomainError("unknown algebra class %r" % cls)
+    env = {name: alg.np_table(name) for name in ("join", "meet", "star", "imp")}
+    env.update({"0": alg.zero, "1": alg.one})
+    if cls == "mv":
+        env.update(zip(("oplus", "odot", "neg"), _derived_mv_ops(alg)))
+    grids = {}
     violations = []
-    for aid, arity, pred in axioms:
-        witness = None
-        for args in iproduct(range(n), repeat=arity):
-            if not pred(*args):
-                witness = args
+    for aid, arity, lhs, rhs in _SUITES[cls]:
+        if arity not in grids:
+            grids[arity] = _grid_chunks(alg.size, arity)
+        for grid in grids[arity]:  # C order: the flat grid is product order
+            env.update(grid)
+            holds = _evaluate(lhs, env) == _evaluate(rhs, env)
+            first = holds.argmin()
+            if not holds.flat[first]:
+                at = numpy.unravel_index(first, holds.shape)
+                witness = tuple(grid[v].ravel()[k].item() for v, k in zip(_VARIABLES, at))
+                violations.append((aid, witness))
                 break
-        if witness is not None:
-            violations.append((aid, witness))
     return AxiomReport(cls, not violations, violations)
 
 
@@ -791,8 +849,6 @@ def iso_check(a, b, gens=None):
 
 def is_homomorphism(a, b, mapping):
     """Verify a full element map a -> b against every table."""
-    import numpy
-
     m = numpy.asarray(mapping, dtype=numpy.int32)
     for opname, arity in a.signature.ops:
         if arity == 0:

@@ -8,8 +8,9 @@ Exit codes: 0 pass / witness found; 1 counterexample or nothing found
 import argparse
 import json
 import sys
+from operator import itemgetter
 
-from .algebra import check_class_axioms, load_algebra
+from .algebra import check_class_axioms, load_algebra, load_json
 from .errors import (
     NoGenericPointError,
     ReslatError,
@@ -169,8 +170,7 @@ def cmd_taut(args):
 def cmd_lindenbaum(args):
     from .logic import Theory, lindenbaum
 
-    with open(args.theory, "r", encoding="utf-8") as fh:
-        theory = Theory.from_json(json.load(fh))
+    theory = load_json(args.theory, Theory.from_json)
     lind = lindenbaum(theory, args.vars)
     payload = {
         "classes": lind.algebra.size,
@@ -206,12 +206,11 @@ def cmd_amalgamate(args):
     from .algebra import FiniteAlgebra
     from .amalgam import AmalgamProblem, amalgamate, superamalgam_check
 
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    a = FiniteAlgebra.from_json(data["A"])
-    b = FiniteAlgebra.from_json(data["B"])
-    c = FiniteAlgebra.from_json(data["C"])
-    problem = AmalgamProblem(a, b, c, tuple(data["m"]), tuple(data["n"]), args.max_size)
+    def build(data):
+        a, b, c = (FiniteAlgebra.from_json(data[k]) for k in "ABC")
+        return AmalgamProblem(a, b, c, tuple(data["m"]), tuple(data["n"]), args.max_size)
+
+    problem = load_json(args.problem, build)
     result = amalgamate(problem, require_super=args.super_check)
     if result is None:
         _emit(args, {"amalgam": None}, "none within bound")
@@ -297,10 +296,9 @@ def cmd_omit(args):
 
     alg = load_algebra(args.alg)
     inside = eval_element_expr(alg, args.inside)
-    with open(args.types, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     families = [
-        [eval_element_expr(alg, text) for text in entry] for entry in data["types"]
+        [eval_element_expr(alg, text) for text in entry]
+        for entry in load_json(args.types, itemgetter("types"))
     ]
     certified = [non_principal_certify(alg, fam) for fam in families]
     from .spectra import zariski_sets

@@ -85,7 +85,9 @@ def free_algebra(variety, n, budget=None):
         for v in iproduct(range(g.size), repeat=n):
             coords.append((ai, v))
     if len(coords) > budget.closure:
-        raise ResourceError("coordinate count %d over budget" % len(coords))
+        raise ResourceError(
+            "coordinate count %d over closure budget %d" % (len(coords), budget.closure)
+        )
     gens_of = [variety.generators[ai] for ai, _ in coords]
     sig = variety.signature
     C = len(coords)
@@ -119,6 +121,11 @@ def free_algebra(variety, n, budget=None):
 
     def apply_binary(opname, left, right):
         m1, m2 = len(left), len(right)
+        if m1 * m2 > budget.closure:
+            raise ResourceError(
+                "free-algebra closure block of %d candidates over closure budget %d"
+                % (m1 * m2, budget.closure)
+            )
         out = np.empty((m1 * m2, C), dtype=np.int32)
         ts = ctabs[opname]
         for c in range(C):
@@ -143,7 +150,10 @@ def free_algebra(variety, n, budget=None):
         if not fresh:
             break
         if len(seen) > budget.closure:
-            raise ResourceError("free-algebra closure budget exceeded")
+            raise ResourceError(
+                "free-algebra closure of %d elements over closure budget %d"
+                % (len(seen), budget.closure)
+            )
         frontier = np.array(sorted(set(fresh)), dtype=np.int32)
         E = np.vstack([E, frontier])
     order = sorted(tuple(int(x) for x in row) for row in E)
@@ -156,11 +166,10 @@ def free_algebra(variety, n, budget=None):
         if ar == 0:
             tables[opname] = elems[tuple(g.const(opname) for g in gens_of)]
         elif ar == 1:
-            res = apply_unary(opname, E)
-            tables[opname] = [lookup[k] for k in keys_of(res)]
+            tables[opname] = [lookup[k] for k in keys_of(apply_unary(opname, E))]
         else:
-            res = apply_binary(opname, E, E)
-            flat = [lookup[k] for k in keys_of(res)]
+            # the result block is freed once keyed, before the tables are built
+            flat = [lookup[k] for k in keys_of(apply_binary(opname, E, E))]
             tables[opname] = [flat[i * size : (i + 1) * size] for i in range(size)]
     labels = None
     if size <= 64:

@@ -16,9 +16,10 @@ from itertools import product as iproduct
 import numpy as np
 
 from . import budgets
-from .algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature
+from .algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, load_json
 from .errors import (
     ClosureError,
+    InternalError,
     InvalidSpecError,
     ResourceError,
     SignatureError,
@@ -114,8 +115,7 @@ class KripkeSystem:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(path, cls.from_json)
 
 
 def all_maps(alpha):
@@ -278,12 +278,19 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
             raise ResourceError(
                 "set-algebra universe would exceed %d elements" % budget.kripke_universe
             )
-    masks = sorted(
-        sum(parts) for parts in iproduct(*col_choices)
-    )
-    midx = {m: i for i, m in enumerate(masks)}
-    n = len(masks)
     full = (1 << npos) - 1
+    # masks as numpy ints of the smallest width holding every position bit
+    # (object dtype, i.e. Python ints, beyond 64 positions)
+    dtype = np.min_scalar_type(full)
+    masks = np.array(sorted(sum(parts) for parts in iproduct(*col_choices)), dtype=dtype)
+    n = len(masks)
+
+    def index(values):
+        """Element indices of result masks; each must be in the universe."""
+        idx = np.searchsorted(masks, values)
+        if not np.array_equal(masks.take(idx, mode="clip"), values):
+            raise InternalError("set-algebra operation left the universe")
+        return idx.astype(np.int32)
 
     # future masks and quantifier masks per position
     fut = []
@@ -310,61 +317,48 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
             cyl[p][j] = cm
             qm[p][j] = qmask
 
-    sub_pos = {}
-    for tau in G:
-        table = []
-        for (k, v) in positions:
-            moved = tuple(v[tau[i]] for i in range(system.alpha))
-            table.append(pidx[(k, moved)])
-        sub_pos[tau] = table
-
-    def imp_mask(f, g):
-        bad = f & ~g & full
-        out = 0
-        for p in range(npos):
-            if not bad & fut[p]:
-                out |= 1 << p
-        return out
-
-    def c_mask(f, j):
-        out = 0
-        for p in range(npos):
-            if f & cyl[p][j]:
-                out |= 1 << p
-        return out
-
-    def q_mask(f, j):
-        out = 0
-        for p in range(npos):
-            if not (qm[p][j] & ~f & full):
-                out |= 1 << p
-        return out
-
-    def s_mask(f, tau):
-        t = sub_pos[tau]
-        out = 0
-        for p in range(npos):
-            if (f >> t[p]) & 1:
-                out |= 1 << p
-        return out
-
+    # Each result mask is assembled bit by bit from the highest position
+    # down: shift left, then OR in the bit of the next position.
+    outside = ~masks
+    bad = masks[:, None] & outside  # f & ~g for every pair (f, g)
+    imp = np.zeros_like(bad)
+    scratch = np.empty_like(bad)
+    hit = np.empty(bad.shape, dtype=bool)
+    for p in reversed(range(npos)):
+        imp <<= 1
+        np.equal(np.bitwise_and(bad, fut[p], out=scratch), 0, out=hit)
+        imp |= hit
+    del bad, scratch, hit
     sig = list(CORE_OPS)
     tables = {
-        "join": [[midx[masks[a] | masks[b]] for b in range(n)] for a in range(n)],
-        "meet": [[midx[masks[a] & masks[b]] for b in range(n)] for a in range(n)],
-        "imp": [[midx[imp_mask(masks[a], masks[b])] for b in range(n)] for a in range(n)],
-        "zero": midx[0],
-        "one": midx[full],
+        "join": index(masks[:, None] | masks),
+        "meet": index(masks[:, None] & masks),
+        "imp": index(imp),
+        "zero": index(0),
+        "one": index(full),
     }
+    del imp
     tables["star"] = tables["meet"]
     for j in range(system.alpha):
+        c = np.zeros_like(masks)
+        q = np.zeros_like(masks)
+        for p in reversed(range(npos)):
+            c <<= 1
+            c |= (masks & cyl[p][j]) != 0
+            q <<= 1
+            q |= (outside & qm[p][j]) == 0
         sig.append(("c_%d" % j, 1))
-        tables["c_%d" % j] = [midx[c_mask(masks[a], j)] for a in range(n)]
+        tables["c_%d" % j] = index(c)
         sig.append(("q_%d" % j, 1))
-        tables["q_%d" % j] = [midx[q_mask(masks[a], j)] for a in range(n)]
+        tables["q_%d" % j] = index(q)
     for tau in G:
+        s = np.zeros_like(masks)
+        for k, v in reversed(positions):
+            moved = tuple(v[tau[i]] for i in range(system.alpha))
+            s <<= 1
+            s |= (masks >> pidx[(k, moved)]) & 1
         sig.append((_tau_name(tau), 1))
-        tables[_tau_name(tau)] = [midx[s_mask(masks[a], tau)] for a in range(n)]
+        tables[_tau_name(tau)] = index(s)
     if with_diagonals:
         for i in range(system.alpha):
             for j in range(system.alpha):
@@ -373,14 +367,14 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
                     if v[i] == v[j]:
                         dm |= 1 << p
                 sig.append(("d_%d_%d" % (i, j), 0))
-                tables["d_%d_%d" % (i, j)] = midx[dm]
+                tables["d_%d_%d" % (i, j)] = index(dm)
     alg = FiniteAlgebra(
         "kripke(%d worlds, alpha=%d)" % (w, system.alpha),
         n,
         Signature(tuple(sig)),
         tables,
     )
-    return KripkeSetAlgebra(alg, system, G, with_diagonals, positions, masks)
+    return KripkeSetAlgebra(alg, system, G, with_diagonals, positions, masks.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,279 @@
+"""Pure-Python reference implementations kept as differential-test oracles.
+
+They are the per-entry loops the vectorized table core replaced: the
+mask-loop table builder of `kripke.set_algebra` and the per-tuple checker
+of `algebra.check_class_axioms`.  Tests compare the library against them
+on every input they generate.
+"""
+
+from itertools import product as iproduct
+
+from reslat import budgets
+from reslat.algebra import CORE_OPS, AxiomReport
+from reslat.errors import ClosureError, DomainError, ResourceError, SignatureError
+from reslat.kripke import SemigroupG, _tau_name
+
+
+def set_algebra_tables(system, G=None, with_diagonals=False, budget=None):
+    """(signature ops, tables, masks) of the Kripke set algebra, one
+    Python-int bitmask operation per table entry."""
+    budget = budget or budgets.from_env()
+    if G is None:
+        G = SemigroupG.full(system.alpha)
+    if system.total_assignments() > budget.kripke_assignments:
+        raise ResourceError(
+            "total assignment count %d over budget %d"
+            % (system.total_assignments(), budget.kripke_assignments)
+        )
+    w = system.world_count()
+    positions = []
+    for k in range(w):
+        for v in system.assignments[k]:
+            positions.append((k, v))
+    positions = tuple(positions)
+    pidx = {p: i for i, p in enumerate(positions)}
+    npos = len(positions)
+
+    for k in range(w):
+        vset = set(system.assignments[k])
+        for tau in G:
+            for v in system.assignments[k]:
+                moved = tuple(v[tau[i]] for i in range(system.alpha))
+                if moved not in vset:
+                    raise ClosureError(k, v, tau)
+
+    columns = {}
+    for i, (k, v) in enumerate(positions):
+        columns.setdefault(v, []).append((k, i))
+    col_choices = []
+    total = 1
+    for v in sorted(columns):
+        entries = columns[v]
+        ws = [k for k, _ in entries]
+        opts = []
+        for bits in iproduct((0, 1), repeat=len(entries)):
+            ok = True
+            for a in range(len(entries)):
+                for b in range(len(entries)):
+                    if system.leq[ws[a]][ws[b]] and bits[a] > bits[b]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                mask = 0
+                for bit, (_, pos) in zip(bits, entries):
+                    mask |= bit << pos
+                opts.append(mask)
+        col_choices.append(opts)
+        total *= len(opts)
+        if total > budget.kripke_universe:
+            raise ResourceError(
+                "set-algebra universe would exceed %d elements" % budget.kripke_universe
+            )
+    masks = sorted(sum(parts) for parts in iproduct(*col_choices))
+    midx = {m: i for i, m in enumerate(masks)}
+    n = len(masks)
+    full = (1 << npos) - 1
+
+    fut = []
+    cyl = [[0] * system.alpha for _ in range(npos)]
+    qm = [[0] * system.alpha for _ in range(npos)]
+    for p, (k, v) in enumerate(positions):
+        fmask = 0
+        for p2, (l, v2) in enumerate(positions):
+            if v2 == v and system.leq[k][l]:
+                fmask |= 1 << p2
+        fut.append(fmask)
+        for j in range(system.alpha):
+            cm = 0
+            qmask = 0
+            for p2, (l, v2) in enumerate(positions):
+                agree = all(v2[i] == v[i] for i in range(system.alpha) if i != j)
+                if not agree:
+                    continue
+                if l == k:
+                    cm |= 1 << p2
+                if system.leq[k][l]:
+                    qmask |= 1 << p2
+            cyl[p][j] = cm
+            qm[p][j] = qmask
+
+    sub_pos = {}
+    for tau in G:
+        table = []
+        for (k, v) in positions:
+            moved = tuple(v[tau[i]] for i in range(system.alpha))
+            table.append(pidx[(k, moved)])
+        sub_pos[tau] = table
+
+    def imp_mask(f, g):
+        bad = f & ~g & full
+        out = 0
+        for p in range(npos):
+            if not bad & fut[p]:
+                out |= 1 << p
+        return out
+
+    def c_mask(f, j):
+        out = 0
+        for p in range(npos):
+            if f & cyl[p][j]:
+                out |= 1 << p
+        return out
+
+    def q_mask(f, j):
+        out = 0
+        for p in range(npos):
+            if not (qm[p][j] & ~f & full):
+                out |= 1 << p
+        return out
+
+    def s_mask(f, tau):
+        t = sub_pos[tau]
+        out = 0
+        for p in range(npos):
+            if (f >> t[p]) & 1:
+                out |= 1 << p
+        return out
+
+    sig = list(CORE_OPS)
+    tables = {
+        "join": [[midx[masks[a] | masks[b]] for b in range(n)] for a in range(n)],
+        "meet": [[midx[masks[a] & masks[b]] for b in range(n)] for a in range(n)],
+        "imp": [[midx[imp_mask(masks[a], masks[b])] for b in range(n)] for a in range(n)],
+        "zero": midx[0],
+        "one": midx[full],
+    }
+    tables["star"] = tables["meet"]
+    for j in range(system.alpha):
+        sig.append(("c_%d" % j, 1))
+        tables["c_%d" % j] = [midx[c_mask(masks[a], j)] for a in range(n)]
+        sig.append(("q_%d" % j, 1))
+        tables["q_%d" % j] = [midx[q_mask(masks[a], j)] for a in range(n)]
+    for tau in G:
+        sig.append((_tau_name(tau), 1))
+        tables[_tau_name(tau)] = [midx[s_mask(masks[a], tau)] for a in range(n)]
+    if with_diagonals:
+        for i in range(system.alpha):
+            for j in range(system.alpha):
+                dm = 0
+                for p, (k, v) in enumerate(positions):
+                    if v[i] == v[j]:
+                        dm |= 1 << p
+                sig.append(("d_%d_%d" % (i, j), 0))
+                tables["d_%d_%d" % (i, j)] = midx[dm]
+    return tuple(sig), tables, masks
+
+
+def _derived_mv_ops(alg):
+    n = alg.size
+    if "neg" in alg.signature:
+        neg = alg.tables["neg"]
+    else:
+        z = alg.zero
+        neg = tuple(alg.imp(a, z) for a in range(n))
+    if "odot" in alg.signature:
+        odot = alg.tables["odot"]
+    else:
+        odot = alg.tables["star"]
+    if "oplus" in alg.signature:
+        oplus = alg.tables["oplus"]
+    else:
+        oplus = tuple(
+            tuple(neg[odot[neg[a]][neg[b]]] for b in range(n)) for a in range(n)
+        )
+    return oplus, odot, neg
+
+
+def _axioms_for_class(alg, cls):
+    """List of (axiom id, arity, predicate on element tuples)."""
+    jn, mt, st, im = alg.join, alg.meet, alg.star, alg.imp
+    one, zero = alg.one, alg.zero
+    lattice = [
+        ("join-comm", 2, lambda a, b: jn(a, b) == jn(b, a)),
+        ("meet-comm", 2, lambda a, b: mt(a, b) == mt(b, a)),
+        ("join-assoc", 3, lambda a, b, c: jn(a, jn(b, c)) == jn(jn(a, b), c)),
+        ("meet-assoc", 3, lambda a, b, c: mt(a, mt(b, c)) == mt(mt(a, b), c)),
+        ("absorb-1", 2, lambda a, b: jn(a, mt(a, b)) == a),
+        ("absorb-2", 2, lambda a, b: mt(a, jn(a, b)) == a),
+        ("bound-top", 1, lambda a: mt(a, one) == a),
+        ("bound-bottom", 1, lambda a: jn(a, zero) == a),
+    ]
+    monoid = [
+        ("star-comm", 2, lambda a, b: st(a, b) == st(b, a)),
+        ("star-assoc", 3, lambda a, b, c: st(a, st(b, c)) == st(st(a, b), c)),
+        ("star-unit", 1, lambda a: st(one, a) == a),
+    ]
+    adjoint = [
+        (
+            "adjunction",
+            3,
+            lambda x, y, z: (alg.leq(z, im(x, y))) == (alg.leq(st(x, z), y)),
+        ),
+    ]
+    rl = lattice + monoid + adjoint
+    if cls == "residuated-lattice":
+        return rl
+    if cls == "bl":
+        return rl + [
+            ("prelinearity", 2, lambda a, b: jn(im(a, b), im(b, a)) == one),
+            ("divisibility", 2, lambda a, b: st(a, im(a, b)) == mt(a, b)),
+        ]
+    if cls == "heyting":
+        return rl + [("star-is-meet", 2, lambda a, b: st(a, b) == mt(a, b))]
+    if cls == "boolean":
+        return (
+            rl
+            + [("star-is-meet", 2, lambda a, b: st(a, b) == mt(a, b))]
+            + [("excluded-middle", 1, lambda a: jn(a, im(a, zero)) == one)]
+        )
+    if cls == "mv":
+        op, od, ng = _derived_mv_ops(alg)
+
+        def O(a, b):
+            return op[a][b]
+
+        def D(a, b):
+            return od[a][b]
+
+        def N(a):
+            return ng[a]
+
+        return [
+            ("mv1-oplus-comm", 2, lambda a, b: O(a, b) == O(b, a)),
+            ("mv1-odot-comm", 2, lambda a, b: D(a, b) == D(b, a)),
+            ("mv2-oplus-assoc", 3, lambda a, b, c: O(a, O(b, c)) == O(O(a, b), c)),
+            ("mv2-odot-assoc", 3, lambda a, b, c: D(a, D(b, c)) == D(D(a, b), c)),
+            ("mv3-oplus-zero", 1, lambda a: O(a, zero) == a),
+            ("mv3-odot-one", 1, lambda a: D(a, one) == a),
+            ("mv4-oplus-one", 1, lambda a: O(a, one) == one),
+            ("mv4-odot-zero", 1, lambda a: D(a, zero) == zero),
+            ("mv5-oplus-neg", 1, lambda a: O(a, N(a)) == one),
+            ("mv5-odot-neg", 1, lambda a: D(a, N(a)) == zero),
+            ("mv6-demorgan-oplus", 2, lambda a, b: N(O(a, b)) == D(N(a), N(b))),
+            ("mv6-demorgan-odot", 2, lambda a, b: N(D(a, b)) == O(N(a), N(b))),
+            ("mv7-double-neg", 1, lambda a: N(N(a)) == a),
+            ("mv7-neg-zero", 0, lambda: N(zero) == one),
+            ("mv8-lukasiewicz", 2, lambda a, b: O(N(O(N(a), b)), b) == O(N(O(N(b), a)), a)),
+        ]
+    raise DomainError("unknown algebra class %r" % cls)
+
+
+def check_class_axioms(alg, cls):
+    """Every axiom evaluated tuple by tuple in itertools.product order;
+    the first failing tuple is the axiom's witness."""
+    for name in ("join", "meet", "star", "imp"):
+        if name not in alg.signature:
+            raise SignatureError("class check needs core op %r" % name)
+    n = alg.size
+    violations = []
+    for aid, arity, pred in _axioms_for_class(alg, cls):
+        witness = None
+        for args in iproduct(range(n), repeat=arity):
+            if not pred(*args):
+                witness = args
+                break
+        if witness is not None:
+            violations.append((aid, witness))
+    return AxiomReport(cls, not violations, violations)

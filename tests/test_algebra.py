@@ -1,11 +1,17 @@
 """Chains, t-norms, residua, axiom suites and structural operations."""
 
+import json
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from reslat.algebra import (
+    ALGEBRA_CLASSES,
+    CHAIN_KINDS,
     ChainSpec,
     FiniteAlgebra,
     Signature,
@@ -359,3 +365,81 @@ def test_star_tables_monotone_on_generated_chains():
                     for y in range(n):
                         assert t[x1][y] <= t[x2][y]
                         assert t[y][x1] <= t[y][x2]
+
+
+# ---- differential: broadcast class checker against the per-tuple oracle --------
+
+
+@st.composite
+def small_algebras(draw):
+    """Tables over at most 5 elements: a chain with a few entries changed,
+    or random tables (mostly not lattices), with or without MV tables."""
+    n = draw(st.integers(1, 5))
+    elem = st.integers(0, n - 1)
+    square = st.lists(st.lists(elem, min_size=n, max_size=n), min_size=n, max_size=n)
+    if n >= 2 and draw(st.booleans()):
+        ops = make_chain(ChainSpec(draw(st.sampled_from(CHAIN_KINDS)), n)).to_json()["ops"]
+        for _ in range(draw(st.integers(0, 3))):
+            name = draw(st.sampled_from(sorted(k for k, t in ops.items() if isinstance(t, list))))
+            if isinstance(ops[name][0], list):
+                ops[name][draw(elem)][draw(elem)] = draw(elem)
+            else:
+                ops[name][draw(elem)] = draw(elem)
+    else:
+        ops = {name: draw(square) for name in ("join", "meet", "star", "imp")}
+        ops["zero"], ops["one"] = draw(elem), draw(elem)
+        if draw(st.booleans()):
+            ops["neg"] = draw(st.lists(elem, min_size=n, max_size=n))
+            ops["odot"], ops["oplus"] = draw(square), draw(square)
+    return FiniteAlgebra.from_json({"size": n, "ops": ops})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_algebras())
+def test_class_axioms_match_per_tuple_oracle(alg):
+    for cls in ALGEBRA_CLASSES:
+        assert check_class_axioms(alg, cls) == oracles.check_class_axioms(alg, cls)
+
+
+def test_chunked_grid_matches_per_tuple_oracle(monkeypatch):
+    # a 5-point chunk cuts every grid of a 9-element algebra into rows,
+    # so witnesses found past the first chunk are checked too
+    import reslat.algebra
+
+    monkeypatch.setattr(reslat.algebra, "_GRID_CHUNK", 5)
+    base = product([core_reduct(luk(3)), core_reduct(godel(3))]).to_json()
+    faults = [None, ("join", 8, 7, 0), ("meet", 4, 4, 8), ("star", 5, 6, 2), ("imp", 7, 2, 0)]
+    for fault in faults:
+        data = json.loads(json.dumps(base))
+        if fault:
+            op, x, y, v = fault
+            data["ops"][op][x][y] = v
+        alg = FiniteAlgebra.from_json(data)
+        for cls in ALGEBRA_CLASSES:
+            assert check_class_axioms(alg, cls) == oracles.check_class_axioms(alg, cls)
+
+
+@pytest.mark.parametrize("bad", [1.7, True, 1.0])
+def test_non_integer_table_entries_rejected(tmp_path, bad):
+    for op in ("meet", "zero"):
+        data = luk(3).to_json()
+        if op == "zero":
+            data["ops"]["zero"] = bad
+        else:
+            data["ops"]["meet"][1][2] = bad
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SignatureError, match="non-integer"):
+            FiniteAlgebra.load(str(path))
+
+
+def test_numpy_integer_tables_accepted():
+    import numpy as np
+
+    alg = luk(3)
+    tables = {name: np.asarray(t, dtype=np.int16) for name, t in alg.tables.items()}
+    tables["zero"] = np.int64(alg.zero)
+    copy = FiniteAlgebra("copy", 3, alg.signature, tables)
+    assert copy.tables == alg.tables
+    assert all(type(v) is int for row in copy.tables["imp"] for v in row)
+    assert copy.np_table("imp").tolist() == [list(r) for r in alg.tables["imp"]]

@@ -204,3 +204,51 @@ def test_corpus_verb_wired():
     parser = build_parser()
     args = parser.parse_args(["corpus", "run"])
     assert args.action == "run"
+
+
+def test_free_decompose_check_over_closure_budget_exit_code(capsys):
+    # Fr_4 for the decomposition check: its closure blocks exceed the default
+    # closure budget, which is reported before anything is allocated
+    code, _, err = run(
+        capsys, "free", "--variety", "ba", "--gens", "3", "--atoms", "--decompose-check"
+    )
+    assert code == 3
+    assert "over closure budget 1048576" in err and "Traceback" not in err
+
+
+def test_non_json_theory_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "theory.json"
+    path.write_text("not json")
+    code, _, err = run(capsys, "lindenbaum", "--theory", str(path), "--vars", "1")
+    assert code == 2
+    assert str(path) in err
+
+
+def test_non_json_problem_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text("{")
+    code, _, err = run(capsys, "amalgamate", "--problem", str(path))
+    assert code == 2
+    assert str(path) in err
+
+
+def test_non_json_types_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "types.json"
+    path.write_text("[g0")
+    code, _, err = run(
+        capsys, "omit", "--alg", "luk:3", "--inside", "1", "--types", str(path)
+    )
+    assert code == 2
+    assert str(path) in err
+
+
+def test_float_table_entry_exit_code(tmp_path, capsys):
+    from reslat.algebra import ChainSpec, make_chain
+
+    data = make_chain(ChainSpec("lukasiewicz", 3)).to_json()
+    data["ops"]["imp"][0][1] = 1.7
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "check", str(path), "--class", "mv")
+    assert code == 2
+    assert "non-integer" in err

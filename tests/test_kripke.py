@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from reslat.algebra import check_class_axioms
 from reslat.budgets import Budget
 from reslat.errors import ClosureError, InvalidSpecError, ResourceError
@@ -314,3 +315,71 @@ def test_quantifiers_additive_and_multiplicative():
                 qj = lambda v: alg.apply("q_%d" % j, v)
                 assert cj(alg.join(x, y)) == alg.join(cj(x), cj(y))
                 assert qj(alg.meet(x, y)) == alg.meet(qj(x), qj(y))
+
+
+# ---- differential: vectorized build against the mask-loop oracle --------------------
+
+
+def assert_same_build(system, budget=None, **kw):
+    """set_algebra and the per-entry oracle agree on signature, tables and
+    masks, or raise the same error."""
+    try:
+        want = oracles.set_algebra_tables(system, budget=budget, **kw)
+    except (ClosureError, ResourceError) as exc:
+        with pytest.raises(type(exc)) as got:
+            set_algebra(system, budget=budget, **kw)
+        assert str(got.value) == str(exc)
+        return
+    sig, tables, masks = want
+    ksa = set_algebra(system, budget=budget, **kw)
+    alg = ksa.algebra
+    assert alg.signature.ops == sig
+    assert ksa.masks == masks
+    for name, arity in sig:
+        expected = tables[name]
+        if arity == 1:
+            expected = tuple(expected)
+        elif arity == 2:
+            expected = tuple(map(tuple, expected))
+        assert alg.tables[name] == expected, name
+
+
+def test_set_algebra_matches_oracle_on_random_systems():
+    for seed in range(100):
+        system, _ = random_kripke(seed, 3, 3, 3)
+        assert_same_build(system, with_diagonals=True)
+
+
+def test_set_algebra_matches_oracle_on_hand_built_systems():
+    for system in (
+        KripkeSystem(1, [[True]], {0: (0,)}, None, 1),
+        one_world(),
+        growing_pair(),
+        KripkeSystem(
+            1, [[True]], {0: (0, 1, 2)}, {0: [(0, 0), (0, 1), (1, 0), (1, 1)]}, 2
+        ),
+    ):
+        for diagonals in (False, True):
+            assert_same_build(system, with_diagonals=diagonals)
+
+
+def test_set_algebra_matches_oracle_on_errors():
+    assert_same_build(one_world(base=3, alpha=3))  # 27 assignments > 16
+    assert_same_build(one_world(base=2, alpha=2), budget=Budget(kripke_universe=8))
+    not_closed = KripkeSystem(1, [[True]], {0: (0, 1)}, {0: [(0, 1)]}, 2)
+    assert_same_build(not_closed)
+    with pytest.raises(ClosureError) as got:
+        set_algebra(not_closed)
+    with pytest.raises(ClosureError) as want:
+        oracles.set_algebra_tables(not_closed)
+    assert (got.value.world, got.value.assignment, got.value.tau) == (
+        want.value.world, want.value.assignment, want.value.tau
+    )
+
+
+def test_set_algebra_beyond_64_positions_matches_oracle():
+    # 11 mutually accessible worlds sharing 6 assignments: 66 positions,
+    # more than a 64-bit mask holds, but only 2**6 elements
+    w = 11
+    system = KripkeSystem(w, [[True] * w] * w, {k: tuple(range(6)) for k in range(w)}, None, 1)
+    assert_same_build(system, budget=Budget(kripke_assignments=66), with_diagonals=True)
