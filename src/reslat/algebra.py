@@ -9,8 +9,10 @@ point enters the core anywhere.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from itertools import product as iproduct
+from math import prod
 
 import numpy
 
@@ -228,8 +230,13 @@ class FiniteAlgebra:
 
     @classmethod
     def from_json(cls, data):
-        size = int(data["size"])
-        ops = data["ops"]
+        if not isinstance(data, dict):
+            raise InvalidSpecError("an algebra must be a JSON object")
+        size, ops = data["size"], data["ops"]
+        if type(size) is not int:  # bool is a subclass of int
+            raise InvalidSpecError("size must be an integer, not %r" % (size,))
+        if not isinstance(ops, dict):
+            raise InvalidSpecError("ops must be an object mapping names to tables")
         sig = []
         for name in sorted(ops):
             t = ops[name]
@@ -333,8 +340,12 @@ def residuum_oracle(star_table, x, y):
     raise InternalError("no residuum witness; star(x, 0) > y should be impossible")
 
 
+@lru_cache(maxsize=32)
 def make_chain(spec):
-    """Chain algebra on {0, 1/(n-1), ..., 1} for the given t-norm kind."""
+    """Chain algebra on {0, 1/(n-1), ..., 1} for the given t-norm kind.
+
+    Memoized: algebras are never changed after construction, so every
+    caller can share one chain per spec."""
     if not isinstance(spec, ChainSpec):
         spec = ChainSpec(*spec)
     n = spec.size
@@ -690,31 +701,29 @@ def product(algs, name=None):
     for a in algs[1:]:
         if a.signature.ops != sig.ops:
             raise SignatureError("product requires a shared signature")
-    ranges = [range(a.size) for a in algs]
-    elems = list(iproduct(*ranges))
-    index = {e: i for i, e in enumerate(elems)}
+    sizes = [a.size for a in algs]
+    size = prod(sizes)
+    # element i has coordinate i // strides[j] % sizes[j] in factor j
+    strides = [prod(sizes[j + 1 :]) for j in range(len(algs))]
+    coords = [numpy.arange(size) // s % n for s, n in zip(strides, sizes)]
     tables = {}
     for opname, arity in sig.ops:
         if arity == 0:
-            tables[opname] = index[tuple(a.const(opname) for a in algs)]
+            tables[opname] = sum(a.const(opname) * s for a, s in zip(algs, strides))
         elif arity == 1:
-            ts = [a.tables[opname] for a in algs]
-            tables[opname] = [
-                index[tuple(t[e[i]] for i, t in enumerate(ts))] for e in elems
-            ]
+            tables[opname] = sum(
+                a.np_table(opname)[c] * s for a, c, s in zip(algs, coords, strides)
+            )
         else:
-            ts = [a.tables[opname] for a in algs]
-            tables[opname] = [
-                [
-                    index[tuple(t[x[i]][y[i]] for i, t in enumerate(ts))]
-                    for y in elems
-                ]
-                for x in elems
-            ]
-    labels = ["(" + ",".join(a.label(e[i]) for i, a in enumerate(algs)) + ")" for e in elems]
+            tables[opname] = sum(
+                a.np_table(opname)[c[:, None], c[None, :]] * s
+                for a, c, s in zip(algs, coords, strides)
+            )
+    factor_labels = [[a.label(x) for x in range(a.size)] for a in algs]
+    labels = ["(" + ",".join(parts) + ")" for parts in iproduct(*factor_labels)]
     return FiniteAlgebra(
         name or " x ".join(a.name for a in algs),
-        len(elems),
+        size,
         sig,
         tables,
         labels=labels,

@@ -4,10 +4,14 @@ the Gratzer-Schmidt ideal/congruence correspondence."""
 
 from dataclasses import dataclass
 
+import numpy
+
 from . import budgets
 from .algebra import (
+    CORE_NAMES,
     FiniteAlgebra,
     bitmask,
+    check_class_axioms,
     enumerate_closed,
     generate_closed,
     homomorphisms,
@@ -128,14 +132,9 @@ def ideal_extension(alg, b_subuniverse, m_ideal, n_ideal, mode="auto",
 # ---------------------------------------------------------------------------
 
 
-def congruence_closure(alg, pairs, universe=None):
-    """Smallest congruence containing the given element pairs.
-
-    With `universe`, a subuniverse holding the pairs, it is the smallest
-    congruence of that subalgebra, the identity outside it.  Every element
-    maps to the least member of its class, so the tuple is canonical."""
-    n = alg.size
-    inside = range(n) if universe is None else tuple(universe)
+def _union_find(n):
+    """find and union over 0..n-1.  Every root is the least member of its
+    class; union says whether it merged two classes."""
     parent = list(range(n))
 
     def find(x):
@@ -153,6 +152,18 @@ def congruence_closure(alg, pairs, universe=None):
         parent[ry] = rx
         return True
 
+    return find, union
+
+
+def congruence_closure(alg, pairs, universe=None):
+    """Smallest congruence containing the given element pairs.
+
+    With `universe`, a subuniverse holding the pairs, it is the smallest
+    congruence of that subalgebra, the identity outside it.  Every element
+    maps to the least member of its class, so the tuple is canonical."""
+    n = alg.size
+    inside = range(n) if universe is None else tuple(universe)
+    find, union = _union_find(n)
     queue = [p for p in pairs if union(*p)]
     unary = [alg.tables[nm] for nm, ar in alg.signature.ops if ar == 1]
     binary = [alg.tables[nm] for nm, ar in alg.signature.ops if ar == 2]
@@ -175,11 +186,22 @@ def principal_congruence(alg, x, y):
 
 
 def all_congruences(alg, budget=None, bound=None):
-    """The congruence lattice: closure of principal congruences under join."""
+    """The congruence lattice, as sorted canonical tuples.
+
+    In an integral commutative residuated lattice (the residuated-lattice
+    suite passes) congruences correspond to filters: theta_F relates x
+    and y when x->y and y->x lie in F.  Each congruence of the algebra is
+    one of its reduct's, so the theta_F that respect every table are all
+    of them.  Any other algebra closes its principal congruences under
+    join."""
     budget = budget or budgets.from_env()
     bound = bound if bound is not None else max(budget.spectrum, 20)
     if alg.size > bound:
         raise ResourceError("congruence lattice bound exceeded")
+    if all(name in alg.signature for name in CORE_NAMES) and check_class_axioms(
+        alg, "residuated-lattice"
+    ).passed:
+        return sorted(t for t in _filter_congruences(alg) if _respects(alg, t))
     n = alg.size
     identity = tuple(range(n))
     principals = set()
@@ -192,8 +214,7 @@ def all_congruences(alg, budget=None, bound=None):
         new = []
         for a in frontier:
             for b in list(known):
-                pairs = [(i, a[i]) for i in range(n)] + [(i, b[i]) for i in range(n)]
-                j = congruence_closure(alg, pairs)
+                j = partition_join(a, b)
                 if j not in known:
                     known.add(j)
                     new.append(j)
@@ -201,10 +222,49 @@ def all_congruences(alg, budget=None, bound=None):
     return sorted(known)
 
 
+def _filter_congruences(alg):
+    """theta_F for every filter F of an integral commutative residuated
+    lattice.  A filter holds the product of its members, which lies below
+    all of them (a*b <= a meet b), so it is the up-set of that element:
+    the filters are the principal up-sets closed under star (1 is the top,
+    so each holds it)."""
+    meet, star, imp = (alg.np_table(name) for name in ("meet", "star", "imp"))
+    above = meet == numpy.arange(alg.size)[:, None]  # above[a, x]: a <= x
+    out = []
+    for f in above:
+        if f[star[numpy.ix_(f, f)]].all():
+            related = f[imp] & f[imp.T]
+            out.append(tuple(related.argmax(axis=1).tolist()))  # least related
+    return out
+
+
+def _respects(alg, theta):
+    """Whether the canonical tuple theta is compatible with every table:
+    an op's value class depends only on its arguments' classes."""
+    r = numpy.asarray(theta)
+    for name, arity in alg.signature.ops:
+        if arity:
+            t = alg.np_table(name)
+            at_classes = t[r] if arity == 1 else t[r[:, None], r[None, :]]
+            if not numpy.array_equal(r[t], r[at_classes]):
+                return False
+    return True
+
+
 def partition_leq(t1, t2):
     """t1 finer-or-equal t2 as partitions (every t1 class inside a t2 class)."""
     image = {}
     return all(image.setdefault(a, b) == b for a, b in zip(t1, t2))
+
+
+def partition_join(t1, t2):
+    """The finest partition coarser than both, as a canonical tuple.  Of
+    two congruences it is their join in the congruence lattice."""
+    find, union = _union_find(len(t1))
+    for x, (a, b) in enumerate(zip(t1, t2)):
+        union(x, a)
+        union(x, b)
+    return tuple(map(find, range(len(t1))))
 
 
 def congruence_blocks(theta):

@@ -171,12 +171,10 @@ def free_algebra(variety, n, budget=None):
             # the result block is freed once keyed, before the tables are built
             flat = [lookup[k] for k in keys_of(apply_binary(opname, E, E))]
             tables[opname] = [flat[i * size : (i + 1) * size] for i in range(size)]
-    labels = None
-    if size <= 64:
-        labels = [
-            "g%d" % projections.index(e) if e in projections else "e%d" % i
-            for i, e in enumerate(order)
-        ]
+    labels = [
+        "g%d" % projections.index(e) if e in projections else "e%d" % i
+        for i, e in enumerate(order)
+    ]
     alg = FiniteAlgebra(
         "Fr_%d(%s)" % (n, "+".join(g.name for g in variety.generators)),
         size,

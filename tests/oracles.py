@@ -1,16 +1,24 @@
 """Pure-Python reference implementations kept as differential-test oracles.
 
 They are the per-entry loops the vectorized table core replaced: the
-mask-loop table builder of `kripke.set_algebra` and the per-tuple checker
-of `algebra.check_class_axioms`.  Tests compare the library against them
-on every input they generate.
+mask-loop table builder of `kripke.set_algebra`, the per-tuple checker
+of `algebra.check_class_axioms`, the tuple-keyed `algebra.product` and
+the pairwise join closure of `amalgam.all_congruences`.  Tests compare
+the library against them on every input they generate.
 """
 
 from itertools import product as iproduct
 
 from reslat import budgets
-from reslat.algebra import CORE_OPS, AxiomReport
-from reslat.errors import ClosureError, DomainError, ResourceError, SignatureError
+from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra
+from reslat.amalgam import congruence_closure, principal_congruence
+from reslat.errors import (
+    ClosureError,
+    DomainError,
+    InvalidSpecError,
+    ResourceError,
+    SignatureError,
+)
 from reslat.kripke import SemigroupG, _tau_name
 
 
@@ -277,3 +285,70 @@ def check_class_axioms(alg, cls):
         if witness is not None:
             violations.append((aid, witness))
     return AxiomReport(cls, not violations, violations)
+
+
+def product(algs, name=None):
+    """Componentwise product; every entry looked up by its element tuple."""
+    if not algs:
+        raise InvalidSpecError("empty product")
+    sig = algs[0].signature
+    for a in algs[1:]:
+        if a.signature.ops != sig.ops:
+            raise SignatureError("product requires a shared signature")
+    ranges = [range(a.size) for a in algs]
+    elems = list(iproduct(*ranges))
+    index = {e: i for i, e in enumerate(elems)}
+    tables = {}
+    for opname, arity in sig.ops:
+        if arity == 0:
+            tables[opname] = index[tuple(a.const(opname) for a in algs)]
+        elif arity == 1:
+            ts = [a.tables[opname] for a in algs]
+            tables[opname] = [
+                index[tuple(t[e[i]] for i, t in enumerate(ts))] for e in elems
+            ]
+        else:
+            ts = [a.tables[opname] for a in algs]
+            tables[opname] = [
+                [
+                    index[tuple(t[x[i]][y[i]] for i, t in enumerate(ts))]
+                    for y in elems
+                ]
+                for x in elems
+            ]
+    labels = ["(" + ",".join(a.label(e[i]) for i, a in enumerate(algs)) + ")" for e in elems]
+    return FiniteAlgebra(
+        name or " x ".join(a.name for a in algs),
+        len(elems),
+        sig,
+        tables,
+        labels=labels,
+    )
+
+
+def all_congruences(alg, budget=None, bound=None):
+    """Principal congruences closed under join, each join a congruence
+    closure of the union of two congruences."""
+    budget = budget or budgets.from_env()
+    bound = bound if bound is not None else max(budget.spectrum, 20)
+    if alg.size > bound:
+        raise ResourceError("congruence lattice bound exceeded")
+    n = alg.size
+    identity = tuple(range(n))
+    principals = set()
+    for x in range(n):
+        for y in range(x + 1, n):
+            principals.add(principal_congruence(alg, x, y))
+    known = {identity} | principals
+    frontier = list(known)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(known):
+                pairs = [(i, a[i]) for i in range(n)] + [(i, b[i]) for i in range(n)]
+                j = congruence_closure(alg, pairs)
+                if j not in known:
+                    known.add(j)
+                    new.append(j)
+        frontier = new
+    return sorted(known)

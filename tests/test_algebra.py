@@ -259,6 +259,28 @@ def test_product_of_two_boolean_algebras():
     assert check_class_axioms(p, "boolean").passed
 
 
+@pytest.mark.parametrize(
+    "sizes, name",
+    [((3, 4), None), ((4, 2), "p"), ((2, 3, 2), None), ((3, 2, 4), "q")],
+)
+def test_product_matches_oracle(sizes, name):
+    """Mixed-size factors with binary, unary (neg) and constant tables."""
+    factors = [luk(n) for n in sizes]
+    got, want = product(factors, name=name), oracles.product(factors, name=name)
+    assert (got.name, got.size, got.signature, got.labels, got.tables) == (
+        want.name, want.size, want.signature, want.labels, want.tables
+    )
+    for opname, arity in got.signature.ops:
+        if arity:
+            assert (got.np_table(opname) == want.np_table(opname)).all()
+
+
+def test_make_chain_is_memoized():
+    spec = ChainSpec("lukasiewicz", 5)
+    assert make_chain(spec) is make_chain(spec)
+    assert make_chain(spec) is not make_chain(ChainSpec("godel", 5))
+
+
 def test_iso_product_vs_free_boolean():
     from reslat.free import boolean_variety, free_algebra
 

@@ -1,12 +1,20 @@
 """Ideals, congruences, amalgamation, interpolation, Gratzer-Schmidt."""
 
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from reslat.algebra import (
     ChainSpec,
+    FiniteAlgebra,
+    Signature,
+    check_class_axioms,
     core_reduct,
+    lattice_reduct,
     make_chain,
     product,
     subalgebra_generate,
@@ -27,14 +35,17 @@ from reslat.amalgam import (
     ideal_join_characterize,
     interpolant_search,
     is_ideal,
+    partition_join,
     principal_congruence,
     principal_congruence_on,
     quotient,
     restrict_congruence,
     superamalgam_check,
 )
+from reslat.corpus import corpus_algebras
 from reslat.errors import PreconditionError
-from reslat.free import boolean_variety, free_algebra
+from reslat.free import boolean_variety, distributive_lattice_variety, free_algebra
+from reslat.kripke import mutate_table, random_kripke
 from reslat.spectra import generate_filter
 
 
@@ -165,6 +176,90 @@ def test_congruences_of_godel3():
     # identity, collapse {0,1/2}, everything
     congs = all_congruences(godel(3))
     assert len(congs) == 3
+
+
+def is_residuated_lattice(alg):
+    return "star" in alg.signature and check_class_axioms(alg, "residuated-lattice").passed
+
+
+def test_all_congruences_match_oracle_on_corpus():
+    algs = [alg for alg in corpus_algebras() if alg.size <= 20]
+    assert len(algs) == 53 and all(map(is_residuated_lattice, algs))
+    for alg in algs:
+        assert all_congruences(alg) == oracles.all_congruences(alg), alg.name
+
+
+def test_all_congruences_match_oracle_on_kripke_set_algebras():
+    algs = [random_kripke(seed, 2, 2, 2)[1].algebra for seed in range(200)]
+    algs = [alg for alg in algs if alg.size <= 20]
+    assert len(algs) == 171 and all(map(is_residuated_lattice, algs))
+    for alg in algs:
+        assert all_congruences(alg) == oracles.all_congruences(alg), alg.name
+
+
+def renumbered(alg, perm):
+    """The isomorphic copy in which element x is called perm[x]."""
+    inv = sorted(range(alg.size), key=perm.__getitem__)
+    tables = {}
+    for name, arity in alg.signature.ops:
+        t = alg.tables[name]
+        if arity == 0:
+            tables[name] = perm[t]
+        elif arity == 1:
+            tables[name] = [perm[t[x]] for x in inv]
+        else:
+            tables[name] = [[perm[t[x][y]] for y in inv] for x in inv]
+    return FiniteAlgebra(alg.name + "#renumbered", alg.size, alg.signature, tables)
+
+
+def test_all_congruences_match_oracle_on_renumbered_algebras():
+    """Element order that is not a linear extension of the lattice order."""
+    rng = random.Random(3)
+    algs = [luk(4), godel(5), ba4(), free_algebra(boolean_variety(), 2).algebra]
+    kripke = (random_kripke(seed, 2, 2, 2)[1].algebra for seed in range(10))
+    algs += [alg for alg in kripke if alg.size <= 20][:3]
+    for alg in algs:
+        shuffled = list(range(alg.size))
+        rng.shuffle(shuffled)
+        for perm in (shuffled, list(reversed(range(alg.size)))):
+            copy = renumbered(alg, perm)
+            assert is_residuated_lattice(copy)
+            assert all_congruences(copy) == oracles.all_congruences(copy), alg.name
+
+
+def test_all_congruences_match_oracle_without_filters():
+    """Algebras that are not residuated lattices join principal congruences."""
+    reducts = [lattice_reduct(alg) for alg in corpus_algebras() if alg.size <= 12]
+    # 1/2 -> 0 = 1 breaks the adjunction of luk:3
+    mutant = mutate_table(luk(3), "imp", (1, 0), 2)
+    assert not check_class_axioms(mutant, "residuated-lattice").passed
+    for alg in [mutant] + reducts:
+        assert all_congruences(alg) == oracles.all_congruences(alg), alg.name
+
+
+def test_all_congruences_match_oracle_on_free_distributive_lattice():
+    # several rounds of joins on the fallback path; the slowest oracle run
+    fr3 = free_algebra(distributive_lattice_variety(), 3).algebra
+    congs = all_congruences(fr3)
+    assert len(congs) == 256
+    assert congs == oracles.all_congruences(fr3)
+
+
+@st.composite
+def partitions(draw, n):
+    """A partition of range(n), each element mapped to its class's least member."""
+    blocks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return tuple(blocks.index(b) for b in blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(partitions(n), partitions(n))))
+def test_partition_join_is_closure_of_union(pair):
+    t1, t2 = pair
+    n = len(t1)
+    bare_set = FiniteAlgebra("set", n, Signature(()), {})
+    union = [(x, t[x]) for t in pair for x in range(n)]
+    assert partition_join(t1, t2) == congruence_closure(bare_set, union)
 
 
 def test_quotient_shapes():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from reslat.cli import main
 
 
@@ -184,6 +186,46 @@ def test_algebra_file_without_size_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path), "--class", "mv")
     assert code == 2
     assert str(path) in err and "size" in err
+
+
+def luk3_json(**changes):
+    from reslat.algebra import ChainSpec, make_chain
+
+    return {**make_chain(ChainSpec("lukasiewicz", 3)).to_json(), **changes}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [luk3_json()],
+        luk3_json(size="x"),
+        luk3_json(size=True),
+        luk3_json(size=3.0),
+        luk3_json(size=0),
+        luk3_json(ops=[]),
+    ],
+    ids=["top-level-list", "size-string", "size-bool", "size-float", "size-zero", "ops-list"],
+)
+def test_malformed_algebra_file_exit_code(tmp_path, capsys, data):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "check", str(path), "--class", "mv")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_interp_on_dumped_fr3(tmp_path, capsys):
+    """The README interp example: generators keep their g<i> labels in Fr_3."""
+    from reslat.free import boolean_variety, free_algebra
+
+    path = tmp_path / "fr3.json"
+    path.write_text(free_algebra(boolean_variety(), 3).algebra.dumps())
+    code, out, _ = run(
+        capsys, "interp", "--alg", str(path), "--x", "g0 /\\ g1", "--z", "g1 \\/ g2",
+        "--x1", "g0,g1", "--x2", "g1,g2",
+    )
+    assert code == 0
+    assert out.startswith("interpolant: ")
 
 
 def test_resource_exit_code(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from reslat import logic
 from reslat.algebra import ChainSpec, check_class_axioms, make_chain, product
 from reslat.errors import DomainError, InvalidSpecError, NoGenericPointError
 from reslat.logic import (
@@ -127,6 +128,18 @@ def test_tautology_examples():
     assert counter == ("luk:3", {"p0": "1/2"})
     ok, _ = is_tautology(parse("1"), parse_chain_list("luk:2,godel:5"))
     assert ok
+
+
+def test_tautology_verdicts_same_on_fresh_chains(monkeypatch):
+    """Memoized chains give the verdicts that chains built per call give."""
+    specs = parse_chain_list("luk:2..6,godel:2..6")
+    texts = ("(p0->p1) \\/ (p1->p0)", "p0 \\/ ~p0", "~~p0 -> p0", "(p0 & p1) -> (p0 /\\ p1)",
+             "(p0 /\\ (p0 -> p1)) <-> (p0 & (p0 -> p1))", "~(p0 & ~p0)", "1")
+    formulas = [parse(t) for t in texts]
+    cached = [is_tautology(f, specs) for f in formulas]
+    assert cached == [is_tautology(f, specs) for f in formulas]
+    monkeypatch.setattr(logic, "make_chain", make_chain.__wrapped__)
+    assert cached == [is_tautology(f, specs) for f in formulas]
 
 
 def test_consequence_restricts_to_models():
