@@ -205,6 +205,30 @@ class FiniteAlgebra:
             self._np[name] = numpy.array(self.tables[name], dtype=numpy.int32)
         return self._np[name]
 
+    def restrict(self, name, elements, index, ops=None, labels=None):
+        """The algebra on `elements` (parent elements, one per new element)
+        with the tables of `ops` (default: every op), each entry mapped
+        through `index`: parent element -> new element, -1 where a result
+        leaves the new universe.
+
+        Returns (algebra, None), or (None, (op, args)) for the first result
+        outside, in signature order and then row order, args being parent
+        elements."""
+        names = self.signature.names() if ops is None else ops
+        elements = numpy.asarray(elements, dtype=numpy.intp)
+        index = numpy.asarray(index, dtype=numpy.int32)
+        can_leave = (index < 0).any()
+        grids = ((), (elements,), (elements[:, None], elements))  # by arity
+        sig = tuple((op, self.signature.arity(op)) for op in names)
+        tables = {}
+        for op, arity in sig:
+            new = index[self.np_table(op)[grids[arity]]]
+            if can_leave and (new < 0).any():
+                at = numpy.unravel_index((new < 0).argmax(), new.shape)
+                return None, (op, tuple(elements[list(at)].tolist()))
+            tables[op] = new
+        return FiniteAlgebra(name, len(elements), Signature(sig), tables, labels=labels), None
+
     def __repr__(self):
         return "FiniteAlgebra(%r, size=%d)" % (self.name, self.size)
 
@@ -260,16 +284,20 @@ class FiniteAlgebra:
 
 
 def load_json(path, build):
-    """build(data) for the JSON data in the file at path.  A file that is
-    not JSON, or lacks a key that build reads, is an InvalidSpecError
-    naming the path."""
+    """build(data) for the JSON object in the file at path.  A file that is
+    not JSON, holds no object at its top level, or lacks a key that build
+    reads, is an InvalidSpecError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return build(json.load(fh))
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidSpecError("%s is not JSON: %s" % (path, exc)) from None
-        except KeyError as exc:
-            raise InvalidSpecError("%s lacks key %s" % (path, exc)) from None
+    if not isinstance(data, dict):
+        raise InvalidSpecError("%s does not hold a JSON object" % path)
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise InvalidSpecError("%s lacks key %s" % (path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -884,13 +912,12 @@ def complement(alg, x):
 
 def core_reduct(alg):
     """Restriction to the six required core ops (for mixed-signature products)."""
-    sig = Signature(CORE_OPS)
-    tables = {k: alg.tables[k] for k, _ in CORE_OPS}
-    return FiniteAlgebra(alg.name + "#core", alg.size, sig, tables, labels=alg.labels)
+    every = range(alg.size)
+    return alg.restrict(alg.name + "#core", every, every, [n for n, _ in CORE_OPS], alg.labels)[0]
 
 
 def lattice_reduct(alg):
     """The bounded-lattice reduct (join/meet/zero/one only)."""
-    sig = Signature((("join", 2), ("meet", 2), ("zero", 0), ("one", 0)))
-    tables = {k: alg.tables[k] for k in ("join", "meet", "zero", "one")}
-    return FiniteAlgebra(alg.name + "#lattice", alg.size, sig, tables, labels=alg.labels)
+    every = range(alg.size)
+    ops = ("join", "meet", "zero", "one")
+    return alg.restrict(alg.name + "#lattice", every, every, ops, alg.labels)[0]

@@ -9,7 +9,6 @@ import numpy
 from . import budgets
 from .algebra import (
     CORE_NAMES,
-    FiniteAlgebra,
     bitmask,
     check_class_axioms,
     enumerate_closed,
@@ -277,27 +276,14 @@ def congruence_blocks(theta):
 def quotient(alg, theta, name=None):
     """Quotient algebra and the projection map element -> class index."""
     blocks = congruence_blocks(theta)
-    index = {}
+    index = [0] * alg.size
     for ci, block in enumerate(blocks):
         for x in block:
             index[x] = ci
-    tables = {}
-    for opname, ar in alg.signature.ops:
-        if ar == 0:
-            tables[opname] = index[alg.const(opname)]
-        elif ar == 1:
-            t = alg.tables[opname]
-            tables[opname] = [index[t[b[0]]] for b in blocks]
-        else:
-            t = alg.tables[opname]
-            tables[opname] = [
-                [index[t[b[0]][c[0]]] for c in blocks] for b in blocks
-            ]
-    labels = ["[" + alg.label(b[0]) + "]" for b in blocks]
-    q = FiniteAlgebra(
-        name or alg.name + "/theta", len(blocks), alg.signature, tables, labels=labels
-    )
-    return q, [index[x] for x in range(alg.size)]
+    reps = [block[0] for block in blocks]
+    labels = ["[" + alg.label(r) + "]" for r in reps]
+    q, _ = alg.restrict(name or alg.name + "/theta", reps, index, labels=labels)
+    return q, index
 
 
 def restrict_congruence(theta, subuniverse):

@@ -227,13 +227,7 @@ def cmd_amalgamate(args):
 
 
 def cmd_kripke(args):
-    from .kripke import (
-        random_kripke,
-        verify_derived_identities,
-        verify_diagonal_equivalence_shadow,
-        verify_gpha_axioms,
-        verify_heyting_quantifiers,
-    )
+    from .kripke import random_kripke, verify_kripke
 
     if args.action != "verify":
         raise ReslatError("unknown kripke action %r" % args.action)
@@ -241,19 +235,15 @@ def cmd_kripke(args):
     def verify_one(seed):
         out = []
         _, ksa = random_kripke(seed, args.max_worlds, args.max_base, args.alpha)
-        for label, rep in (
-            ("derived", verify_derived_identities(ksa)),
-            ("gpha", verify_gpha_axioms(ksa)),
-        ):
-            if not rep.passed:
-                out.append({"seed": seed, "suite": label, "violations": rep.violations[:3]})
-        for j in range(ksa.alpha):
-            rep = verify_heyting_quantifiers(ksa, j)
-            if not rep.passed:
-                out.append({"seed": seed, "suite": "quantifiers-%d" % j})
-        ok, wit = verify_diagonal_equivalence_shadow(ksa)
-        if not ok:
-            out.append({"seed": seed, "suite": "diagonals", "witness": wit})
+        for suite, passed, detail in verify_kripke(ksa):
+            if passed:
+                continue
+            entry = {"seed": seed, "suite": "-".join(map(str, suite))}
+            if suite[0] in ("derived", "gpha"):
+                entry["violations"] = detail[:3]
+            elif suite[0] == "diagonals":
+                entry["witness"] = detail
+            out.append(entry)
         return out
 
     failures = [item for i in range(args.random) for item in verify_one(args.seed + i)]

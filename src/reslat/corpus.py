@@ -41,10 +41,7 @@ from .kripke import (
     mutate_table,
     random_kripke,
     set_algebra,
-    verify_derived_identities,
-    verify_diagonal_equivalence_shadow,
-    verify_gpha_axioms,
-    verify_heyting_quantifiers,
+    verify_kripke,
 )
 from .logic import (
     eval_formula,
@@ -311,15 +308,9 @@ def criterion_6():
 def criterion_7():
     for seed in range(100):
         _, ksa = random_kripke(seed, 3, 3, 3)
-        if not verify_derived_identities(ksa).passed:
-            return False, ("derived", seed)
-        if not verify_gpha_axioms(ksa).passed:
-            return False, ("gpha", seed)
-        for j in range(ksa.alpha):
-            if not verify_heyting_quantifiers(ksa, j).passed:
-                return False, ("quantifiers", seed, j)
-        if not verify_diagonal_equivalence_shadow(ksa)[0]:
-            return False, ("diagonals", seed)
+        for suite, passed, _ in verify_kripke(ksa):
+            if not passed:
+                return False, (suite[0], seed) + suite[1:]
     # exhaustive single-entry fault injection on the canonical instance
     system = KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2)
     ksa = set_algebra(system, with_diagonals=True)

@@ -5,6 +5,8 @@ of prod_{A in K} A^(A^n) generated by the n projection tuples."""
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+import numpy as np
+
 from . import budgets
 from .algebra import (
     FiniteAlgebra,
@@ -75,8 +77,6 @@ def free_algebra(variety, n, budget=None):
     The closure itself runs vectorized per coordinate; elements end up in
     canonical (lexicographic tuple) order.
     """
-    import numpy as np
-
     if n < 1:
         raise InvalidSpecError("need at least one generator")
     budget = budget or budgets.from_env()
@@ -274,29 +274,13 @@ def is_atomic(alg):
 
 def relativize(alg, b):
     """Rl_b: universe {x : x <= b}, every op relativized by meeting with b."""
-    sub = [x for x in range(alg.size) if alg.leq(x, b)]
-    index = {x: i for i, x in enumerate(sub)}
-    tables = {}
-    for opname, ar in alg.signature.ops:
-        if ar == 0:
-            tables[opname] = index[alg.meet(alg.const(opname), b)]
-        elif ar == 1:
-            t = alg.tables[opname]
-            tables[opname] = [index[alg.meet(t[x], b)] for x in sub]
-        else:
-            t = alg.tables[opname]
-            tables[opname] = [
-                [index[alg.meet(t[x][y], b)] for y in sub] for x in sub
-            ]
-    labels = [alg.label(x) for x in sub]
-    out = FiniteAlgebra(
-        "Rl_%s(%s)" % (alg.label(b), alg.name),
-        len(sub),
-        alg.signature,
-        tables,
-        labels=labels,
-    )
-    out.embedding = tuple(sub)  # position i holds original element sub[i]
+    meet_b = alg.np_table("meet")[:, b]
+    sub = np.flatnonzero(meet_b == np.arange(alg.size))
+    position = np.zeros(alg.size, dtype=np.int32)
+    position[sub] = np.arange(len(sub))
+    name = "Rl_%s(%s)" % (alg.label(b), alg.name)
+    out, _ = alg.restrict(name, sub, position[meet_b], labels=[alg.label(x) for x in sub.tolist()])
+    out.embedding = tuple(sub.tolist())  # position i holds original element sub[i]
     return out
 
 

@@ -10,6 +10,7 @@ their bit pattern over a fixed enumeration of the assignment positions.
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from itertools import product as iproduct
 
@@ -406,61 +407,31 @@ def neat_reduct(alg, J):
     not closed under the J-indexed operations.
     """
     J = frozenset(J)
-    dims = cylinder_indices(alg)
     sub = [x for x in range(alg.size) if dimension_set(alg, x) <= J]
-    index = {x: i for i, x in enumerate(sub)}
+    index = np.full(alg.size, -1, dtype=np.int32)
+    index[sub] = np.arange(len(sub))
     keep = []
-    for name, ar in alg.signature.ops:
+    for name in alg.signature.names():
         if name in ("join", "meet", "star", "imp", "zero", "one"):
-            keep.append((name, ar))
+            keep.append(name)
         elif name.startswith(("c_", "q_")) and name[2:].isdigit():
             if int(name[2:]) in J:
-                keep.append((name, ar))
+                keep.append(name)
         elif name.startswith("s_"):
             tau = tuple(int(ch) for ch in name[2:])
             fixes_outside = all(tau[i] == i for i in range(len(tau)) if i not in J)
             maps_into = all(tau[i] in J for i in J if i < len(tau))
             if fixes_outside and maps_into:
-                keep.append((name, ar))
+                keep.append(name)
         elif name.startswith("d_"):
             i, j = (int(p) for p in name[2:].split("_"))
             if i in J and j in J:
-                keep.append((name, ar))
-    tables = {}
-    for name, ar in keep:
-        if ar == 0:
-            v = alg.const(name)
-            if v not in index:
-                return None, (name, ())
-            tables[name] = index[v]
-        elif ar == 1:
-            t = alg.tables[name]
-            col = []
-            for x in sub:
-                if t[x] not in index:
-                    return None, (name, (x,))
-                col.append(index[t[x]])
-            tables[name] = col
-        else:
-            t = alg.tables[name]
-            rows = []
-            for x in sub:
-                row = []
-                for y in sub:
-                    if t[x][y] not in index:
-                        return None, (name, (x, y))
-                    row.append(index[t[x][y]])
-                rows.append(row)
-            tables[name] = rows
-    reduct = FiniteAlgebra(
-        alg.name + "|Nr_%s" % sorted(J),
-        len(sub),
-        Signature(tuple(keep)),
-        tables,
-        labels=[alg.label(x) for x in sub],
-    )
-    reduct.embedding = tuple(sub)
-    return reduct, None
+                keep.append(name)
+    labels = [alg.label(x) for x in sub]
+    reduct, witness = alg.restrict(alg.name + "|Nr_%s" % sorted(J), sub, index, keep, labels)
+    if reduct is not None:
+        reduct.embedding = tuple(sub)
+    return reduct, witness
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +445,12 @@ def _leq_all(alg, left, right):
     return np.array_equal(M[left, right], left)
 
 
+def _note(violations, aid, ok, witness=None):
+    """Record a failed identity, keeping the first witness per identity."""
+    if not ok and all(v[0] != aid for v in violations):
+        violations.append((aid, witness))
+
+
 def verify_derived_identities(ksa):
     """The nine derived-identity groups for cylindrifiers, co-quantifiers
     and substitutions; exhaustively instantiated over the finite index set."""
@@ -484,11 +461,7 @@ def verify_derived_identities(ksa):
     M = alg.np_table("meet")
     I = alg.np_table("imp")
     violations = []
-
-    def note(aid, ok, witness):
-        if not ok and all(v[0] != aid for v in violations):
-            violations.append((aid, witness))
-
+    note = partial(_note, violations)
     alpha = ksa.alpha
     for i in range(alpha):
         C = ksa.c(i)
@@ -614,11 +587,7 @@ def verify_gpha_axioms(ksa):
     for r in range(alpha + 1):
         subsets.extend(frozenset(c) for c in combinations(range(alpha), r))
     violations = []
-
-    def note(aid, ok, witness):
-        if not ok and all(v[0] != aid for v in violations):
-            violations.append((aid, witness))
-
+    note = partial(_note, violations)
     ident = tuple(range(alpha))
     note("gpha1-s-id", np.array_equal(ksa.s(ident), ar), ident)
     for sigma in ksa.G:
@@ -699,11 +668,7 @@ def verify_heyting_quantifiers(ksa, j):
     C = ksa.c(j)
     Q = ksa.q(j)
     violations = []
-
-    def note(aid, ok, witness=None):
-        if not ok and all(v[0] != aid for v in violations):
-            violations.append((aid, witness))
-
+    note = partial(_note, violations)
     note("exists1-zero", int(C[alg.zero]) == alg.zero)
     note("exists2-increasing", _leq_all(alg, ar, C[ar]))
     note(
@@ -745,6 +710,23 @@ def verify_diagonal_equivalence_shadow(ksa):
                 if not alg.leq(alg.meet(ksa.d(k, l), ksa.d(l, u)), ksa.d(k, u)):
                     return False, ("trans", (k, l, u))
     return True, None
+
+
+def verify_kripke(ksa):
+    """Run the suites lazily, in order: derived identities, GPHA axioms, the
+    quantifier axioms for each j, then the diagonals when present.  Yields
+    (suite, passed, detail) per suite: suite is ("derived",), ("gpha",),
+    ("quantifiers", j) or ("diagonals",); detail is the report's violations,
+    or the diagonal witness."""
+    report = verify_derived_identities(ksa)
+    yield ("derived",), report.passed, report.violations
+    report = verify_gpha_axioms(ksa)
+    yield ("gpha",), report.passed, report.violations
+    for j in range(ksa.alpha):
+        report = verify_heyting_quantifiers(ksa, j)
+        yield ("quantifiers", j), report.passed, report.violations
+    if ksa.with_diagonals:
+        yield ("diagonals",), *verify_diagonal_equivalence_shadow(ksa)
 
 
 # ---------------------------------------------------------------------------
@@ -809,23 +791,11 @@ def random_kripke(seed, max_worlds=3, max_base=3, max_alpha=3, budget=None):
 
 
 def mutate_table(alg, opname, position, new_value):
-    """Copy of the algebra with one table entry replaced (fault injection)."""
-    tables = {}
-    for name, ar in alg.signature.ops:
-        t = alg.tables[name]
-        if name != opname:
-            tables[name] = t
-            continue
-        if ar == 0:
-            tables[name] = new_value
-        elif ar == 1:
-            lst = list(t)
-            lst[position[0]] = new_value
-            tables[name] = lst
-        else:
-            rows = [list(r) for r in t]
-            rows[position[0]][position[1]] = new_value
-            tables[name] = rows
+    """Copy of the algebra with one table entry replaced (fault injection).
+    Only the changed table is copied; the others are the parent's arrays."""
+    tables = {name: alg.np_table(name) for name in alg.signature.names()}
+    tables[opname] = tables[opname].copy()
+    tables[opname][position] = new_value
     return FiniteAlgebra(alg.name + "#fault", alg.size, alg.signature, tables, labels=alg.labels)
 
 
@@ -838,13 +808,4 @@ def detect_fault(ksa, faulted_algebra):
     )
     if not check_class_axioms(faulted_algebra, "heyting").passed:
         return True
-    if not verify_derived_identities(wrapped).passed:
-        return True
-    if not verify_gpha_axioms(wrapped).passed:
-        return True
-    for j in range(ksa.alpha):
-        if not verify_heyting_quantifiers(wrapped, j).passed:
-            return True
-    if ksa.with_diagonals and not verify_diagonal_equivalence_shadow(wrapped)[0]:
-        return True
-    return False
+    return not all(passed for _, passed, _ in verify_kripke(wrapped))

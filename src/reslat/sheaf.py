@@ -34,18 +34,11 @@ def sheaf_reduct(alg, operators=None):
     bounds, the MV additions when present, and the declared operators.
     Residuated implication stays out: it is not part of the duality's
     similarity type, and quotients by point ideals need not respect it."""
-    from .algebra import Signature
-
     ops = default_operators(alg) if operators is None else list(operators)
     names = ["join", "meet", "zero", "one"]
-    for extra in ("oplus", "odot", "neg"):
-        if extra in alg.signature:
-            names.append(extra)
-    names.extend(ops)
-    sig = Signature(tuple((nm, alg.signature.arity(nm)) for nm in names))
-    tables = {nm: alg.tables[nm] for nm in names}
-    out = FiniteAlgebra(alg.name + "#blo", alg.size, sig, tables, labels=alg.labels)
-    return out
+    names += [extra for extra in ("oplus", "odot", "neg") if extra in alg.signature]
+    every = range(alg.size)
+    return alg.restrict(alg.name + "#blo", every, every, names + ops, alg.labels)[0]
 
 
 def zero_dim(alg, operators=None):

@@ -2,16 +2,18 @@
 
 They are the per-entry loops the vectorized table core replaced: the
 mask-loop table builder of `kripke.set_algebra`, the per-tuple checker
-of `algebra.check_class_axioms`, the tuple-keyed `algebra.product` and
-the pairwise join closure of `amalgam.all_congruences`.  Tests compare
-the library against them on every input they generate.
+of `algebra.check_class_axioms`, the tuple-keyed `algebra.product`, the
+pairwise join closure of `amalgam.all_congruences`, and the table loops
+of `amalgam.quotient`, `free.relativize`, `kripke.neat_reduct` and
+`kripke.mutate_table` that `FiniteAlgebra.restrict` replaced.  Tests
+compare the library against them on every input they generate.
 """
 
 from itertools import product as iproduct
 
 from reslat import budgets
-from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra
-from reslat.amalgam import congruence_closure, principal_congruence
+from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature
+from reslat.amalgam import congruence_blocks, congruence_closure, principal_congruence
 from reslat.errors import (
     ClosureError,
     DomainError,
@@ -19,7 +21,7 @@ from reslat.errors import (
     ResourceError,
     SignatureError,
 )
-from reslat.kripke import SemigroupG, _tau_name
+from reslat.kripke import SemigroupG, _tau_name, dimension_set
 
 
 def set_algebra_tables(system, G=None, with_diagonals=False, budget=None):
@@ -352,3 +354,137 @@ def all_congruences(alg, budget=None, bound=None):
                     new.append(j)
         frontier = new
     return sorted(known)
+
+
+def quotient(alg, theta, name=None):
+    """Quotient algebra and projection, one class lookup per table entry."""
+    blocks = congruence_blocks(theta)
+    index = {}
+    for ci, block in enumerate(blocks):
+        for x in block:
+            index[x] = ci
+    tables = {}
+    for opname, ar in alg.signature.ops:
+        if ar == 0:
+            tables[opname] = index[alg.const(opname)]
+        elif ar == 1:
+            t = alg.tables[opname]
+            tables[opname] = [index[t[b[0]]] for b in blocks]
+        else:
+            t = alg.tables[opname]
+            tables[opname] = [
+                [index[t[b[0]][c[0]]] for c in blocks] for b in blocks
+            ]
+    labels = ["[" + alg.label(b[0]) + "]" for b in blocks]
+    q = FiniteAlgebra(
+        name or alg.name + "/theta", len(blocks), alg.signature, tables, labels=labels
+    )
+    return q, [index[x] for x in range(alg.size)]
+
+
+def relativize(alg, b):
+    """Rl_b, every table entry met with b and looked up in a dict."""
+    sub = [x for x in range(alg.size) if alg.leq(x, b)]
+    index = {x: i for i, x in enumerate(sub)}
+    tables = {}
+    for opname, ar in alg.signature.ops:
+        if ar == 0:
+            tables[opname] = index[alg.meet(alg.const(opname), b)]
+        elif ar == 1:
+            t = alg.tables[opname]
+            tables[opname] = [index[alg.meet(t[x], b)] for x in sub]
+        else:
+            t = alg.tables[opname]
+            tables[opname] = [
+                [index[alg.meet(t[x][y], b)] for y in sub] for x in sub
+            ]
+    labels = [alg.label(x) for x in sub]
+    out = FiniteAlgebra(
+        "Rl_%s(%s)" % (alg.label(b), alg.name),
+        len(sub),
+        alg.signature,
+        tables,
+        labels=labels,
+    )
+    out.embedding = tuple(sub)
+    return out
+
+
+def neat_reduct(alg, J):
+    """Nr_J, each entry checked against the candidate set in turn."""
+    J = frozenset(J)
+    sub = [x for x in range(alg.size) if dimension_set(alg, x) <= J]
+    index = {x: i for i, x in enumerate(sub)}
+    keep = []
+    for name, ar in alg.signature.ops:
+        if name in ("join", "meet", "star", "imp", "zero", "one"):
+            keep.append((name, ar))
+        elif name.startswith(("c_", "q_")) and name[2:].isdigit():
+            if int(name[2:]) in J:
+                keep.append((name, ar))
+        elif name.startswith("s_"):
+            tau = tuple(int(ch) for ch in name[2:])
+            fixes_outside = all(tau[i] == i for i in range(len(tau)) if i not in J)
+            maps_into = all(tau[i] in J for i in J if i < len(tau))
+            if fixes_outside and maps_into:
+                keep.append((name, ar))
+        elif name.startswith("d_"):
+            i, j = (int(p) for p in name[2:].split("_"))
+            if i in J and j in J:
+                keep.append((name, ar))
+    tables = {}
+    for name, ar in keep:
+        if ar == 0:
+            v = alg.const(name)
+            if v not in index:
+                return None, (name, ())
+            tables[name] = index[v]
+        elif ar == 1:
+            t = alg.tables[name]
+            col = []
+            for x in sub:
+                if t[x] not in index:
+                    return None, (name, (x,))
+                col.append(index[t[x]])
+            tables[name] = col
+        else:
+            t = alg.tables[name]
+            rows = []
+            for x in sub:
+                row = []
+                for y in sub:
+                    if t[x][y] not in index:
+                        return None, (name, (x, y))
+                    row.append(index[t[x][y]])
+                rows.append(row)
+            tables[name] = rows
+    reduct = FiniteAlgebra(
+        alg.name + "|Nr_%s" % sorted(J),
+        len(sub),
+        Signature(tuple(keep)),
+        tables,
+        labels=[alg.label(x) for x in sub],
+    )
+    reduct.embedding = tuple(sub)
+    return reduct, None
+
+
+def mutate_table(alg, opname, position, new_value):
+    """Copy of the algebra with one entry replaced, every table rebuilt."""
+    tables = {}
+    for name, ar in alg.signature.ops:
+        t = alg.tables[name]
+        if name != opname:
+            tables[name] = t
+            continue
+        if ar == 0:
+            tables[name] = new_value
+        elif ar == 1:
+            lst = list(t)
+            lst[position[0]] = new_value
+            tables[name] = lst
+        else:
+            rows = [list(r) for r in t]
+            rows[position[0]][position[1]] = new_value
+            tables[name] = rows
+    return FiniteAlgebra(alg.name + "#fault", alg.size, alg.signature, tables, labels=alg.labels)

@@ -1,6 +1,7 @@
 """CLI surface: verbs, exit codes, JSON shape, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,28 @@ def test_kripke_verb(capsys):
     )
     assert code == 0
     assert "0 failures" in out
+
+
+def test_kripke_verb_failure_entries(capsys, monkeypatch):
+    """Each failing suite of each system is one entry, in suite order:
+    derived and gpha entries carry violations, quantifier entries only
+    the suite name with its index."""
+    from reslat import kripke
+
+    ksa = kripke.set_algebra(
+        kripke.KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2), with_diagonals=True
+    )
+    ksa.algebra = kripke.mutate_table(ksa.algebra, "c_0", (3,), ksa.algebra.zero)
+    monkeypatch.setattr(kripke, "random_kripke", lambda *args: (None, ksa))
+    code, out, _ = run(capsys, "--json", "kripke", "verify", "--random", "2", "--seed", "5")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert [(f["seed"], f["suite"]) for f in failures] == [
+        (5, "derived"), (5, "gpha"), (5, "quantifiers-0"),
+        (6, "derived"), (6, "gpha"), (6, "quantifiers-0"),
+    ]
+    assert failures[0]["violations"][0] == ["1-increasing[0]", 0]
+    assert set(failures[2]) == {"seed", "suite"}
 
 
 def test_lindenbaum_verb(tmp_path, capsys):
@@ -258,30 +281,37 @@ def test_free_decompose_check_over_closure_budget_exit_code(capsys):
     assert "over closure budget 1048576" in err and "Traceback" not in err
 
 
+# a file that is not JSON, and one whose top level is not an object
+NOT_A_SPEC = ("not json", "[1,2]")
+
+
 def test_non_json_theory_file_exit_code(tmp_path, capsys):
     path = tmp_path / "theory.json"
-    path.write_text("not json")
-    code, _, err = run(capsys, "lindenbaum", "--theory", str(path), "--vars", "1")
-    assert code == 2
-    assert str(path) in err
+    for text in NOT_A_SPEC:
+        path.write_text(text)
+        code, _, err = run(capsys, "lindenbaum", "--theory", str(path), "--vars", "1")
+        assert code == 2
+        assert str(path) in err
 
 
 def test_non_json_problem_file_exit_code(tmp_path, capsys):
     path = tmp_path / "problem.json"
-    path.write_text("{")
-    code, _, err = run(capsys, "amalgamate", "--problem", str(path))
-    assert code == 2
-    assert str(path) in err
+    for text in ("{",) + NOT_A_SPEC:
+        path.write_text(text)
+        code, _, err = run(capsys, "amalgamate", "--problem", str(path))
+        assert code == 2
+        assert str(path) in err
 
 
 def test_non_json_types_file_exit_code(tmp_path, capsys):
     path = tmp_path / "types.json"
-    path.write_text("[g0")
-    code, _, err = run(
-        capsys, "omit", "--alg", "luk:3", "--inside", "1", "--types", str(path)
-    )
-    assert code == 2
-    assert str(path) in err
+    for text in ("[g0",) + NOT_A_SPEC:
+        path.write_text(text)
+        code, _, err = run(
+            capsys, "omit", "--alg", "luk:3", "--inside", "1", "--types", str(path)
+        )
+        assert code == 2
+        assert str(path) in err
 
 
 def test_float_table_entry_exit_code(tmp_path, capsys):
@@ -294,3 +324,21 @@ def test_float_table_entry_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path), "--class", "mv")
     assert code == 2
     assert "non-integer" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("kripke", "kripke verify --random 20 --seed 0 --max-worlds 3 --max-base 3 --alpha 3"),
+        ("sheaf", "sheaf luk:3 --eta --regularity"),
+        ("free", "free --variety ba --gens 2 --atoms --decompose-check"),
+    ],
+)
+def test_golden_json_output(capsys, name, argv):
+    """The --json bytes of these verbs are pinned to the files in golden/."""
+    code, out, _ = run(capsys, "--json", *argv.split())
+    assert code == 0
+    assert out == (GOLDEN / (name + ".json")).read_text()

@@ -21,6 +21,7 @@ from reslat.kripke import (
     verify_diagonal_equivalence_shadow,
     verify_gpha_axioms,
     verify_heyting_quantifiers,
+    verify_kripke,
 )
 
 
@@ -224,6 +225,22 @@ def test_corrupted_cylindrifier_detected():
     assert not wrapped_report.passed
 
 
+def test_verify_kripke_runs_suites_in_order():
+    ksa = set_algebra(one_world(), with_diagonals=True)
+    results = list(verify_kripke(ksa))
+    assert [suite for suite, _, _ in results] == [
+        ("derived",), ("gpha",), ("quantifiers", 0), ("quantifiers", 1), ("diagonals",)
+    ]
+    assert all(passed for _, passed, _ in results)
+    broken = type(ksa)(
+        mutate_table(ksa.algebra, "c_0", (3,), ksa.algebra.zero),
+        ksa.system, ksa.G, ksa.with_diagonals, ksa.positions, ksa.masks,
+    )
+    suite, passed, detail = next(verify_kripke(broken))
+    assert suite == ("derived",) and not passed
+    assert detail == verify_derived_identities(broken).violations
+
+
 # ---- dimension sets and neat reducts ------------------------------------------------
 
 
@@ -267,6 +284,22 @@ def test_neat_reduct_single_index():
     for x in nr.embedding:
         assert dimension_set(alg, x) <= {0}
     assert "c_0" in nr.signature and "c_1" not in nr.signature
+
+
+@pytest.mark.parametrize("opname", ["d_0_0", "c_0", "s_01", "meet"])
+def test_neat_reduct_witness_for_open_candidate_set(opname):
+    """One corrupted entry sends an element of Nr_{0} outside it; the
+    witness names that op and its arguments as elements of the algebra."""
+    alg = set_algebra(one_world(), with_diagonals=True).algebra
+    inside = [x for x in range(alg.size) if dimension_set(alg, x) <= {0}]
+    outside = next(x for x in range(alg.size) if x not in inside)
+    args = {"d_0_0": (), "meet": (inside[1], inside[2])}.get(opname, (inside[1],))
+    broken = mutate_table(alg, opname, args, outside)
+    # only c_1 decides membership in the candidate set, and it is untouched
+    assert [x for x in range(alg.size) if dimension_set(broken, x) <= {0}] == inside
+    reduct, witness = neat_reduct(broken, [0])
+    assert reduct is None and witness == (opname, args)
+    assert witness == oracles.neat_reduct(broken, [0])[1]
 
 
 # ---- random systems -----------------------------------------------------------------
