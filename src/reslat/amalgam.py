@@ -77,7 +77,9 @@ def enumerate_ideals(alg, mode="auto", bound=None, budget=None):
     budget = budget or budgets.from_env()
     bound = bound if bound is not None else budget.spectrum
     if alg.size > bound:
-        raise ResourceError("ideal enumeration bound exceeded")
+        raise ResourceError(
+            "ideal enumeration on %r (size %d) over bound %d" % (alg.name, alg.size, bound)
+        )
     add = _ideal_sum(alg, mode)
     return [
         Ideal(alg, s)
@@ -196,7 +198,9 @@ def all_congruences(alg, budget=None, bound=None):
     budget = budget or budgets.from_env()
     bound = bound if bound is not None else max(budget.spectrum, 20)
     if alg.size > bound:
-        raise ResourceError("congruence lattice bound exceeded")
+        raise ResourceError(
+            "congruence lattice of %r (size %d) over bound %d" % (alg.name, alg.size, bound)
+        )
     if all(name in alg.signature for name in CORE_NAMES) and check_class_axioms(
         alg, "residuated-lattice"
     ).passed:

@@ -326,6 +326,21 @@ def cmd_corpus(args):
     return EXIT_PASS if all(r["passed"] for r in results) else EXIT_COUNTER
 
 
+def _count(least):
+    """argparse type: an integer that is at least `least`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < least:
+            raise argparse.ArgumentTypeError("must be at least %d, not %d" % (least, value))
+        return value
+
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="reslat",
@@ -349,7 +364,7 @@ def build_parser():
 
     p = sub.add_parser("free", help="free algebra over a finitely generated variety")
     p.add_argument("--variety", required=True, help="'ba', 'dl', or comma list of files")
-    p.add_argument("--gens", type=int, required=True)
+    p.add_argument("--gens", type=_count(1), required=True)
     p.add_argument("--atoms", action="store_true")
     p.add_argument("--decompose-check", action="store_true")
     p.set_defaults(fn=cmd_free)
@@ -361,7 +376,7 @@ def build_parser():
 
     p = sub.add_parser("lindenbaum", help="finite-chain Lindenbaum algebra")
     p.add_argument("--theory", required=True, help="JSON file {axioms, chains}")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_count(1), required=True)
     p.set_defaults(fn=cmd_lindenbaum)
 
     p = sub.add_parser("interp", help="interpolant search")
@@ -380,11 +395,11 @@ def build_parser():
 
     p = sub.add_parser("kripke", help="Kripke set algebra verification")
     p.add_argument("action", choices=["verify"])
-    p.add_argument("--random", type=int, default=10)
+    p.add_argument("--random", type=_count(0), default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--max-base", type=int, default=3)
-    p.add_argument("--alpha", type=int, default=3)
+    p.add_argument("--max-worlds", type=_count(1), default=3)
+    p.add_argument("--max-base", type=_count(1), default=3)
+    p.add_argument("--alpha", type=_count(1), default=3)
     p.set_defaults(fn=cmd_kripke)
 
     p = sub.add_parser("sheaf", help="dual sheaf report")

@@ -47,11 +47,12 @@ class VarietySpec:
 class FreeAlgebra:
     """A concretely constructed free algebra plus its construction record."""
 
-    def __init__(self, algebra, generators, coords, variety):
+    def __init__(self, algebra, generators, coords, variety, vectors):
         self.algebra = algebra
         self.generators = tuple(generators)  # element indices of the free gens
         self.coords = tuple(coords)  # (generator-algebra index, valuation tuple)
         self.variety = variety
+        self.vectors = vectors  # int32 (size, len(coords)): row i is element i
 
     @property
     def size(self):
@@ -70,20 +71,34 @@ class FreeAlgebra:
         }
 
 
-def free_algebra(variety, n, budget=None):
+def _row_keys(rows):
+    """One void scalar per row; big-endian, so byte order is the
+    lexicographic order of the (non-negative) rows."""
+    rows = np.ascontiguousarray(rows, dtype=">i4")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _key_rows(keys):
+    return keys.view(">i4").reshape(len(keys), -1).astype(np.int32)
+
+
+def free_algebra(variety, n, coords=None, budget=None):
     """Birkhoff construction: close the projection tuples under the ops.
 
-    Coordinates are (A, valuation) pairs in lexicographic valuation order.
-    The closure itself runs vectorized per coordinate; elements end up in
-    canonical (lexicographic tuple) order.
+    `coords` lists the (generator-algebra index, valuation) pairs; the
+    default is every valuation, in lexicographic order.  The closure runs
+    vectorized per coordinate; elements end up in canonical (lexicographic
+    tuple) order, and `vectors` keeps the element tuples.
     """
     if n < 1:
         raise InvalidSpecError("need at least one generator")
     budget = budget or budgets.from_env()
-    coords = []
-    for ai, g in enumerate(variety.generators):
-        for v in iproduct(range(g.size), repeat=n):
-            coords.append((ai, v))
+    if coords is None:
+        coords = [
+            (ai, v)
+            for ai, g in enumerate(variety.generators)
+            for v in iproduct(range(g.size), repeat=n)
+        ]
     if len(coords) > budget.closure:
         raise ResourceError(
             "coordinate count %d over closure budget %d" % (len(coords), budget.closure)
@@ -97,23 +112,9 @@ def free_algebra(variety, n, budget=None):
         if ar > 0
     }
 
-    def keys_of(rows):
-        return [r.tobytes() for r in np.ascontiguousarray(rows, dtype=np.int32)]
-
-    start = []
-    projections = []
-    for i in range(n):
-        e = tuple(v[i] for _, v in coords)
-        projections.append(e)
-        start.append(e)
-    for opname, ar in sig.ops:
-        if ar == 0:
-            start.append(tuple(g.const(opname) for g in gens_of))
-    E = np.array(sorted(set(start)), dtype=np.int32)
-    seen = set(keys_of(E))
-
+    # result blocks are big-endian int32, ready to be keyed without a copy
     def apply_unary(opname, block):
-        out = np.empty_like(block)
+        out = np.empty(block.shape, dtype=">i4")
         ts = ctabs[opname]
         for c in range(C):
             out[:, c] = ts[c][block[:, c]]
@@ -126,55 +127,61 @@ def free_algebra(variety, n, budget=None):
                 "free-algebra closure block of %d candidates over closure budget %d"
                 % (m1 * m2, budget.closure)
             )
-        out = np.empty((m1 * m2, C), dtype=np.int32)
+        out = np.empty((m1 * m2, C), dtype=">i4")
         ts = ctabs[opname]
         for c in range(C):
             out[:, c] = ts[c][left[:, c][:, None], right[:, c][None, :]].reshape(-1)
         return out
 
-    frontier = E
-    while len(frontier):
-        blocks = []
+    def block_keys(frontier, E):
+        """Sorted keys of each op's result block; one block is alive at a time."""
         for opname, ar in sig.ops:
             if ar == 1:
-                blocks.append(apply_unary(opname, frontier))
+                yield np.unique(_row_keys(apply_unary(opname, frontier)))
             elif ar == 2:
-                blocks.append(apply_binary(opname, frontier, E))
-                blocks.append(apply_binary(opname, E, frontier))
-        fresh = []
-        for block in blocks:
-            for row, key in zip(block, keys_of(block)):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(tuple(int(x) for x in row))
-        if not fresh:
+                yield np.unique(_row_keys(apply_binary(opname, frontier, E)))
+                yield np.unique(_row_keys(apply_binary(opname, E, frontier)))
+
+    projections = _row_keys([[v[i] for _, v in coords] for i in range(n)])
+    constants = {
+        opname: _row_keys([[g.const(opname) for g in gens_of]])
+        for opname, ar in sig.ops
+        if ar == 0
+    }
+    known = np.unique(np.concatenate([projections, *constants.values()]))
+    frontier = E = _key_rows(known)
+    while True:
+        fresh = [known[:0]]
+        for keys in block_keys(frontier, E):
+            at = np.searchsorted(known, keys).clip(max=len(known) - 1)
+            fresh.append(keys[known[at] != keys])
+        fresh = np.unique(np.concatenate(fresh))
+        if not len(fresh):
             break
-        if len(seen) > budget.closure:
+        known = np.union1d(known, fresh)
+        if len(known) > budget.closure:
             raise ResourceError(
                 "free-algebra closure of %d elements over closure budget %d"
-                % (len(seen), budget.closure)
+                % (len(known), budget.closure)
             )
-        frontier = np.array(sorted(set(fresh)), dtype=np.int32)
-        E = np.vstack([E, frontier])
-    order = sorted(tuple(int(x) for x in row) for row in E)
-    elems = {e: i for i, e in enumerate(order)}
-    E = np.array(order, dtype=np.int32)
-    size = len(order)
-    lookup = {k: i for i, k in enumerate(keys_of(E))}
+        frontier, E = _key_rows(fresh), _key_rows(known)
+    size = len(known)
+
+    def index_of(rows):
+        return np.searchsorted(known, _row_keys(rows))
+
     tables = {}
     for opname, ar in sig.ops:
         if ar == 0:
-            tables[opname] = elems[tuple(g.const(opname) for g in gens_of)]
+            tables[opname] = int(np.searchsorted(known, constants[opname])[0])
         elif ar == 1:
-            tables[opname] = [lookup[k] for k in keys_of(apply_unary(opname, E))]
+            tables[opname] = index_of(apply_unary(opname, E))
         else:
-            # the result block is freed once keyed, before the tables are built
-            flat = [lookup[k] for k in keys_of(apply_binary(opname, E, E))]
-            tables[opname] = [flat[i * size : (i + 1) * size] for i in range(size)]
-    labels = [
-        "g%d" % projections.index(e) if e in projections else "e%d" % i
-        for i, e in enumerate(order)
-    ]
+            tables[opname] = index_of(apply_binary(opname, E, E)).reshape(size, size)
+    generators = np.searchsorted(known, projections).tolist()
+    labels = ["e%d" % i for i in range(size)]
+    for i in reversed(range(n)):  # the first generator names a shared element
+        labels[generators[i]] = "g%d" % i
     alg = FiniteAlgebra(
         "Fr_%d(%s)" % (n, "+".join(g.name for g in variety.generators)),
         size,
@@ -182,61 +189,26 @@ def free_algebra(variety, n, budget=None):
         tables,
         labels=labels,
     )
-    return FreeAlgebra(alg, [elems[p] for p in projections], coords, variety)
+    return FreeAlgebra(alg, generators, coords, variety, E)
 
 
 def universal_property_holds(free):
     """Every valuation of the free generators into every variety generator
-    extends to a homomorphism (namely the coordinate projection), and the
-    extension is unique because the generators generate."""
+    extends to a homomorphism (namely the coordinate projection, read off
+    the stored element vectors), and the extension is unique because the
+    generators generate."""
     alg = free.algebra
     if len(subalgebra_generate(alg, free.generators)) != alg.size:
         return False
     coord_index = {c: i for i, c in enumerate(free.coords)}
-    # rebuild the element tuples from the tables by walking Sg? cheaper:
-    # projections are homomorphisms by construction; verify directly.
     for ai, g in enumerate(free.variety.generators):
         for v in iproduct(range(g.size), repeat=len(free.generators)):
-            c = coord_index[(ai, v)]
-            mapping = _projection_map(free, c)
-            if any(mapping[free.generators[i]] != v[i] for i in range(len(v))):
+            mapping = free.vectors[:, coord_index[(ai, v)]]
+            if mapping[list(free.generators)].tolist() != list(v):
                 return False
             if not is_homomorphism(alg, g, mapping):
                 return False
     return True
-
-
-def _projection_map(free, coord):
-    """Element -> its value at one coordinate, recovered through the tables."""
-    alg = free.algebra
-    sig = alg.signature
-    g = free.variety.generators[free.coords[coord][0]]
-    val = {}
-    for i, gi in enumerate(free.generators):
-        val[gi] = free.coords[coord][1][i]
-    for opname, ar in sig.ops:
-        if ar == 0:
-            val[alg.const(opname)] = g.const(opname)
-    changed = True
-    while changed:
-        changed = False
-        for opname, ar in sig.ops:
-            if ar == 1:
-                t, tg = alg.tables[opname], g.tables[opname]
-                for x in list(val):
-                    y = t[x]
-                    if y not in val:
-                        val[y] = tg[val[x]]
-                        changed = True
-            elif ar == 2:
-                t, tg = alg.tables[opname], g.tables[opname]
-                for x in list(val):
-                    for y in list(val):
-                        z = t[x][y]
-                        if z not in val:
-                            val[z] = tg[val[x]][val[y]]
-                            changed = True
-    return [val[i] for i in range(alg.size)]
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,8 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
         total *= len(opts)
         if total > budget.kripke_universe:
             raise ResourceError(
-                "set-algebra universe would exceed %d elements" % budget.kripke_universe
+                "set-algebra universe of at least %d elements over budget %d"
+                % (total, budget.kripke_universe)
             )
     full = (1 << npos) - 1
     # masks as numpy ints of the smallest width holding every position bit

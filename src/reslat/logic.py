@@ -10,14 +10,13 @@ converse is not claimed.
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from . import budgets
-from .algebra import ChainSpec, FiniteAlgebra, Signature, make_chain
+from .algebra import ChainSpec, core_reduct, make_chain
 from .errors import (
     DomainError,
     InvalidSpecError,
     NoGenericPointError,
-    ResourceError,
 )
+from .free import VarietySpec, atoms, free_algebra
 from .spectra import upset, zariski_sets
 
 # ---------------------------------------------------------------------------
@@ -245,6 +244,13 @@ def eval_formula(f, chain, valuation):
     raise DomainError("unknown connective %r" % f.op)
 
 
+def _size(text, piece):
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidSpecError("bad chain size %r in %r" % (text, piece)) from None
+
+
 def parse_chain_list(text):
     """Chain list syntax: 'luk:2..6,godel:3' -> list of ChainSpec."""
     out = []
@@ -256,12 +262,10 @@ def parse_chain_list(text):
         kind = {"luk": "lukasiewicz", "godel": "godel"}.get(kind.lower())
         if kind is None:
             raise InvalidSpecError("bad chain %r" % piece)
-        if ".." in num:
-            lo, hi = num.split("..")
-            for n in range(int(lo), int(hi) + 1):
-                out.append(ChainSpec(kind, n))
-        else:
-            out.append(ChainSpec(kind, int(num)))
+        lo, dots, hi = num.partition("..")
+        lo = _size(lo, piece)
+        for n in (range(lo, _size(hi, piece) + 1) if dots else [lo]):
+            out.append(ChainSpec(kind, n))
     if not out:
         raise InvalidSpecError("empty chain list")
     return out
@@ -278,9 +282,13 @@ class Theory:
 
     @classmethod
     def from_json(cls, data):
+        axioms, chains = data.get("axioms", []), data["chains"]
+        for key, value in (("axioms", axioms), ("chains", chains)):
+            if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+                raise InvalidSpecError("theory %r must be a list of strings" % key)
         return cls(
-            tuple(parse(s) for s in data.get("axioms", [])),
-            tuple(parse_chain_list(",".join(data["chains"]))),
+            tuple(parse(s) for s in axioms),
+            tuple(parse_chain_list(",".join(chains))),
         )
 
 
@@ -328,9 +336,10 @@ def consequence(theory, formula):
 class LindenbaumAlgebra:
     """Formulas over n variables modulo semantic equivalence.
 
-    Classes are value vectors over all (chain, valuation) pairs satisfying
-    the theory; operations act coordinatewise; the representative of a
-    class is the first formula reaching it in breadth-first enumeration."""
+    It is the free algebra of the chains' core reducts over the (chain,
+    valuation) pairs satisfying the theory: classes are value vectors over
+    those pairs, and operations act coordinatewise.  The representative of
+    a class is the first formula reaching it in breadth-first enumeration."""
 
     def __init__(self, theory, n, algebra, vectors, reps, generator_classes):
         self.theory = theory
@@ -341,132 +350,66 @@ class LindenbaumAlgebra:
         self.generator_classes = generator_classes  # class of p0..p_{n-1}
 
     def class_of(self, formula):
-        vec = _value_vector(formula, self._coords)
-        return self._index[vec]
-
-    def attach_coords(self, coords, index):
-        self._coords = coords
-        self._index = index
-
-
-def _value_vector(formula, coords):
-    return tuple(eval_formula(formula, chain, val) for chain, val in coords)
+        names = ("p%d" % i for i in range(self.n))
+        return eval_formula(formula, self.algebra, dict(zip(names, self.generator_classes)))
 
 
 def lindenbaum(theory, n, budget=None):
-    budget = budget or budgets.from_env()
+    """The Lindenbaum algebra of the theory over the variables p0..p{n-1}."""
     chains = [make_chain(s) for s in theory.semantics]
     names = ["p%d" % i for i in range(n)]
-    coords = []
-    for chain in chains:
-        for val in _valuations(chain, names):
-            if all(
-                eval_formula(a, chain, val) == chain.one for a in theory.axioms
-            ):
-                coords.append((chain, val))
+    coords = [
+        (ai, tuple(val.values()))
+        for ai, chain in enumerate(chains)
+        for val in _valuations(chain, names)
+        if all(eval_formula(a, chain, val) == chain.one for a in theory.axioms)
+    ]
     if not coords:
         raise InvalidSpecError("theory has no satisfying valuations on its chains")
-    ops = ("join", "meet", "star", "imp")
-
-    def vec_op(name, *vecs):
-        return tuple(
-            coords[i][0].apply(name, *[v[i] for v in vecs])
-            for i in range(len(coords))
-        )
-
-    zero_vec = tuple(c.zero for c, _ in coords)
-    one_vec = tuple(c.one for c, _ in coords)
-    gen_vecs = [
-        tuple(val[nm] for _, val in coords) for nm in names
-    ]
-    universe = {}
-    order = []
-
-    def add(v):
-        if v not in universe:
-            if len(universe) >= budget.closure:
-                raise ResourceError("Lindenbaum closure budget exceeded")
-            universe[v] = len(order)
-            order.append(v)
-            return True
-        return False
-
-    add(zero_vec)
-    add(one_vec)
-    for g in gen_vecs:
-        add(g)
-    frontier = list(order)
-    known = list(order)
-    while frontier:
-        new = []
-        for v in frontier:
-            for name in ops:
-                for w in known:
-                    for r in (vec_op(name, v, w), vec_op(name, w, v)):
-                        if add(r):
-                            new.append(r)
-        known.extend(new)
-        frontier = new
-    # canonical order: sort vectors, rebuild indices
-    final = sorted(order)
-    index = {v: i for i, v in enumerate(final)}
-    tables = {
-        "zero": index[zero_vec],
-        "one": index[one_vec],
-    }
-    for name in ops:
-        tables[name] = [
-            [index[vec_op(name, a, b)] for b in final] for a in final
-        ]
-    reps = _representatives(final, index, coords, names, budget)
-    labels = [str(reps[i]) if reps[i] is not None else "e%d" % i for i in range(len(final))]
-    alg = FiniteAlgebra(
-        "lindenbaum(n=%d)" % n,
-        len(final),
-        Signature(tuple((nm, 2) for nm in ops) + (("zero", 0), ("one", 0))),
-        tables,
-        labels=labels,
-    )
-    lind = LindenbaumAlgebra(
-        theory, n, alg, final, reps, [index[g] for g in gen_vecs]
-    )
-    lind.attach_coords(coords, index)
-    return lind
+    variety = VarietySpec(tuple(core_reduct(c) for c in chains))
+    free = free_algebra(variety, n, coords, budget)
+    reps = _representatives(free.algebra, free.generators)
+    labels = [str(r) if r is not None else "e%d" % i for i, r in enumerate(reps)]
+    every = range(free.size)
+    alg, _ = free.algebra.restrict("lindenbaum(n=%d)" % n, every, every, labels=labels)
+    return LindenbaumAlgebra(theory, n, alg, free.vectors, reps, list(free.generators))
 
 
-def _representatives(final, index, coords, names, budget):
+# connective -> table, in the order candidates are tried
+_TABLE_OF = (("&", "star"), ("->", "imp"), ("/\\", "meet"), ("\\/", "join"))
+
+
+def _representatives(alg, generators):
     """First formula per class, breadth-first: constants, then variables
     by index, then one-step combinations of already-named classes.  Every
     class is reachable because the universe was closed under the same
-    connectives."""
-    reps = [None] * len(final)
-    remaining = len(final)
+    connectives.  A candidate's class is read off the tables."""
+    reps = [None] * alg.size
+    for c, f in [(alg.zero, Konst(0)), (alg.one, Konst(1))] + [
+        (g, Var("p%d" % i)) for i, g in enumerate(generators)
+    ]:
+        if reps[c] is None:
+            reps[c] = f
+    order = [k for k, r in enumerate(reps) if r is not None]  # classes as named
 
-    def try_add(f):
-        nonlocal remaining
-        i = index.get(_value_vector(f, coords))
-        if i is not None and reps[i] is None:
-            reps[i] = f
-            remaining -= 1
-            return True
-        return False
+    def name(c, make, *args):
+        if reps[c] is None:
+            reps[c] = make(*args)
+            order.append(c)
 
-    for f in [Konst(0), Konst(1)] + [Var(nm) for nm in names]:
-        try_add(f)
-    frontier = [r for r in reps if r is not None]
-    while remaining and frontier:
-        have = [r for r in reps if r is not None]
-        new = []
-        for f in frontier:
-            candidates = [Neg(f)]
-            for g in have:
-                for op in ("&", "->", "/\\", "\\/"):
-                    candidates.append(Bin(op, f, g))
-                    candidates.append(Bin(op, g, f))
-            for c in candidates:
-                if try_add(c):
-                    new.append(c)
-        frontier = new
+    tables = [(op, alg.tables[table]) for op, table in _TABLE_OF]
+    imp, zero = alg.tables["imp"], alg.zero
+    done = 0
+    while done < len(order) and None in reps:
+        frontier, done = order[done:], len(order)
+        have = [k for k, r in enumerate(reps) if r is not None]
+        for k in frontier:
+            f = reps[k]
+            name(imp[k][zero], Neg, f)
+            for j in have:
+                for op, t in tables:
+                    name(t[k][j], Bin, op, f, reps[j])
+                    name(t[j][k], Bin, op, reps[j], f)
     return reps
 
 
@@ -573,8 +516,6 @@ def join_of_atoms_is_one(alg):
     Holds in complemented algebras; the underlying argument needs
     b ^ -b = 0 and fails on chains, so callers should expect
     False there."""
-    from .free import atoms
-
     ats = atoms(alg)
     acc = alg.zero
     for a in ats:

@@ -199,7 +199,9 @@ def sections(sheaf, budget=None):
         nonlocal nodes
         nodes += 1
         if nodes > budget.sections:
-            raise ResourceError("section search over budget")
+            raise ResourceError(
+                "section search of %d nodes over budget %d" % (nodes, budget.sections)
+            )
         if i == npts:
             out.add(tuple(partial[q] for q in range(npts)))
             return

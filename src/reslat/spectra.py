@@ -208,7 +208,10 @@ def prime_lattice_filters(alg, bound=None, budget=None):
     budget = budget or budgets.from_env()
     bound = bound if bound is not None else budget.spectrum
     if alg.size > bound:
-        raise ResourceError("filter enumeration bound exceeded")
+        raise ResourceError(
+            "lattice filter enumeration on %r (size %d) over bound %d"
+            % (alg.name, alg.size, bound)
+        )
     lattice_filters = enumerate_closed(
         alg, range(alg.size), True, alg.one, [alg.tables["meet"]]
     )

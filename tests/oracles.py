@@ -5,14 +5,19 @@ mask-loop table builder of `kripke.set_algebra`, the per-tuple checker
 of `algebra.check_class_axioms`, the tuple-keyed `algebra.product`, the
 pairwise join closure of `amalgam.all_congruences`, and the table loops
 of `amalgam.quotient`, `free.relativize`, `kripke.neat_reduct` and
-`kripke.mutate_table` that `FiniteAlgebra.restrict` replaced.  Tests
-compare the library against them on every input they generate.
+`kripke.mutate_table` that `FiniteAlgebra.restrict` replaced.  Two
+more are what the vector closure of `free.free_algebra` replaced: the
+tuple-vector,
+pair-loop `lindenbaum` (with its one-`eval_formula`-per-coordinate
+`_representatives`), and `projection_map`, which recovers a coordinate
+projection of a free algebra by walking its tables.  Tests compare the
+library against them on every input they generate.
 """
 
 from itertools import product as iproduct
 
 from reslat import budgets
-from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature
+from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, make_chain
 from reslat.amalgam import congruence_blocks, congruence_closure, principal_congruence
 from reslat.errors import (
     ClosureError,
@@ -22,6 +27,7 @@ from reslat.errors import (
     SignatureError,
 )
 from reslat.kripke import SemigroupG, _tau_name, dimension_set
+from reslat.logic import Bin, Konst, Neg, Var, eval_formula
 
 
 def set_algebra_tables(system, G=None, with_diagonals=False, budget=None):
@@ -79,7 +85,8 @@ def set_algebra_tables(system, G=None, with_diagonals=False, budget=None):
         total *= len(opts)
         if total > budget.kripke_universe:
             raise ResourceError(
-                "set-algebra universe would exceed %d elements" % budget.kripke_universe
+                "set-algebra universe of at least %d elements over budget %d"
+                % (total, budget.kripke_universe)
             )
     masks = sorted(sum(parts) for parts in iproduct(*col_choices))
     midx = {m: i for i, m in enumerate(masks)}
@@ -488,3 +495,169 @@ def mutate_table(alg, opname, position, new_value):
             rows[position[0]][position[1]] = new_value
             tables[name] = rows
     return FiniteAlgebra(alg.name + "#fault", alg.size, alg.signature, tables, labels=alg.labels)
+
+
+class Lindenbaum:
+    """What the old `lindenbaum` returned: the algebra, the class value
+    vectors, representatives, generator classes and `class_of`."""
+
+    def __init__(self, algebra, vectors, reps, generator_classes, coords, index):
+        self.algebra = algebra
+        self.vectors = vectors
+        self.reps = reps
+        self.generator_classes = generator_classes
+        self._coords = coords
+        self._index = index
+
+    def class_of(self, formula):
+        return self._index[_value_vector(formula, self._coords)]
+
+
+def _value_vector(formula, coords):
+    return tuple(eval_formula(formula, chain, val) for chain, val in coords)
+
+
+def lindenbaum(theory, n, budget=None):
+    """Lindenbaum algebra by closing tuple value vectors pair by pair over
+    the satisfying (chain, valuation) pairs; one `eval_formula` per
+    coordinate for every representative candidate."""
+    budget = budget or budgets.from_env()
+    chains = [make_chain(s) for s in theory.semantics]
+    names = ["p%d" % i for i in range(n)]
+    coords = []
+    for chain in chains:
+        for vals in iproduct(range(chain.size), repeat=n):
+            val = dict(zip(names, vals))
+            if all(
+                eval_formula(a, chain, val) == chain.one for a in theory.axioms
+            ):
+                coords.append((chain, val))
+    if not coords:
+        raise InvalidSpecError("theory has no satisfying valuations on its chains")
+    ops = ("join", "meet", "star", "imp")
+
+    def vec_op(name, *vecs):
+        return tuple(
+            coords[i][0].apply(name, *[v[i] for v in vecs])
+            for i in range(len(coords))
+        )
+
+    zero_vec = tuple(c.zero for c, _ in coords)
+    one_vec = tuple(c.one for c, _ in coords)
+    gen_vecs = [
+        tuple(val[nm] for _, val in coords) for nm in names
+    ]
+    universe = {}
+    order = []
+
+    def add(v):
+        if v not in universe:
+            if len(universe) >= budget.closure:
+                raise ResourceError("Lindenbaum closure budget exceeded")
+            universe[v] = len(order)
+            order.append(v)
+            return True
+        return False
+
+    add(zero_vec)
+    add(one_vec)
+    for g in gen_vecs:
+        add(g)
+    frontier = list(order)
+    known = list(order)
+    while frontier:
+        new = []
+        for v in frontier:
+            for name in ops:
+                for w in known:
+                    for r in (vec_op(name, v, w), vec_op(name, w, v)):
+                        if add(r):
+                            new.append(r)
+        known.extend(new)
+        frontier = new
+    final = sorted(order)
+    index = {v: i for i, v in enumerate(final)}
+    tables = {
+        "zero": index[zero_vec],
+        "one": index[one_vec],
+    }
+    for name in ops:
+        tables[name] = [
+            [index[vec_op(name, a, b)] for b in final] for a in final
+        ]
+    reps = _representatives(final, index, coords, names)
+    labels = [str(reps[i]) if reps[i] is not None else "e%d" % i for i in range(len(final))]
+    alg = FiniteAlgebra(
+        "lindenbaum(n=%d)" % n,
+        len(final),
+        Signature(tuple((nm, 2) for nm in ops) + (("zero", 0), ("one", 0))),
+        tables,
+        labels=labels,
+    )
+    return Lindenbaum(alg, final, reps, [index[g] for g in gen_vecs], coords, index)
+
+
+def _representatives(final, index, coords, names):
+    reps = [None] * len(final)
+    remaining = len(final)
+
+    def try_add(f):
+        nonlocal remaining
+        i = index.get(_value_vector(f, coords))
+        if i is not None and reps[i] is None:
+            reps[i] = f
+            remaining -= 1
+            return True
+        return False
+
+    for f in [Konst(0), Konst(1)] + [Var(nm) for nm in names]:
+        try_add(f)
+    frontier = [r for r in reps if r is not None]
+    while remaining and frontier:
+        have = [r for r in reps if r is not None]
+        new = []
+        for f in frontier:
+            candidates = [Neg(f)]
+            for g in have:
+                for op in ("&", "->", "/\\", "\\/"):
+                    candidates.append(Bin(op, f, g))
+                    candidates.append(Bin(op, g, f))
+            for c in candidates:
+                if try_add(c):
+                    new.append(c)
+        frontier = new
+    return reps
+
+
+def projection_map(free, coord):
+    """Element -> its value at one coordinate of a free algebra, recovered
+    by closing the generator and constant values through the tables."""
+    alg = free.algebra
+    sig = alg.signature
+    g = free.variety.generators[free.coords[coord][0]]
+    val = {}
+    for i, gi in enumerate(free.generators):
+        val[gi] = free.coords[coord][1][i]
+    for opname, ar in sig.ops:
+        if ar == 0:
+            val[alg.const(opname)] = g.const(opname)
+    changed = True
+    while changed:
+        changed = False
+        for opname, ar in sig.ops:
+            if ar == 1:
+                t, tg = alg.tables[opname], g.tables[opname]
+                for x in list(val):
+                    y = t[x]
+                    if y not in val:
+                        val[y] = tg[val[x]]
+                        changed = True
+            elif ar == 2:
+                t, tg = alg.tables[opname], g.tables[opname]
+                for x in list(val):
+                    for y in list(val):
+                        z = t[x][y]
+                        if z not in val:
+                            val[z] = tg[val[x]][val[y]]
+                            changed = True
+    return [val[i] for i in range(alg.size)]

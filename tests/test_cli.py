@@ -1,6 +1,7 @@
 """CLI surface: verbs, exit codes, JSON shape, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,88 @@ def test_non_json_types_file_exit_code(tmp_path, capsys):
         )
         assert code == 2
         assert str(path) in err
+
+
+@pytest.mark.parametrize("theory", [
+    pytest.param({"axioms": [], "chains": ["luk:x"]}, id="chain-size-not-an-integer"),
+    pytest.param({"axioms": [], "chains": ["luk:2..y"]}, id="range-end-not-an-integer"),
+    pytest.param({"axioms": [1], "chains": ["luk:2"]}, id="axiom-not-a-string"),
+    pytest.param({"axioms": [], "chains": "luk:2"}, id="chains-not-a-list"),
+])
+def test_malformed_theory_exit_code(tmp_path, capsys, theory):
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(theory))
+    code, _, err = run(capsys, "lindenbaum", "--theory", str(path), "--vars", "1")
+    assert code == 2
+    assert err.startswith("error: ") and "bad chain 'l'" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lindenbaum", "--theory", "theory.json", "--vars", "0"),
+    ("lindenbaum", "--theory", "theory.json", "--vars", "-1"),
+    ("free", "--variety", "ba", "--gens", "0"),
+    ("kripke", "verify", "--alpha", "0"),
+    ("kripke", "verify", "--random", "-1"),
+    ("kripke", "verify", "--random", "two"),
+    ("kripke", "verify", "--max-worlds", "0"),
+    ("kripke", "verify", "--max-base", "0"),
+], ids=" ".join)
+def test_out_of_range_count_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "argument --" in err
+
+
+def test_zero_random_systems_is_a_pass(capsys):
+    code, out, _ = run(capsys, "kripke", "verify", "--random", "0")
+    assert code == 0
+    assert out.startswith("0 systems verified")
+
+
+def test_lindenbaum_two_variables_over_luk3_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps({"axioms": [], "chains": ["luk:3"]}))
+    code, _, err = run(capsys, "lindenbaum", "--theory", str(path), "--vars", "2")
+    assert code == 3
+    assert "1173060 candidates over closure budget 1048576" in err
+
+
+def _resource_cases():
+    from reslat import amalgam, free, kripke, logic, sheaf, spectra
+    from reslat.algebra import ChainSpec
+    from reslat.budgets import Budget
+
+    ba4 = free.free_algebra(free.boolean_variety(), 1).algebra
+    system = kripke.random_kripke(0, 3, 3, 3)[1].system
+    cases = [
+        ("sheaf.sections", 1,
+         lambda: sheaf.sections(sheaf.dual_sheaf(ba4), budget=Budget(sections=1))),
+        ("kripke.set_algebra", 1,
+         lambda: kripke.set_algebra(system, budget=Budget(kripke_universe=1))),
+        ("spectra.prime_lattice_filters", 2, lambda: spectra.prime_lattice_filters(ba4, bound=2)),
+        ("amalgam.enumerate_ideals", 2, lambda: amalgam.enumerate_ideals(ba4, bound=2)),
+        ("amalgam.all_congruences", 2, lambda: amalgam.all_congruences(ba4, bound=2)),
+        ("free.free_algebra", 10,
+         lambda: free.free_algebra(free.boolean_variety(), 3, budget=Budget(closure=10))),
+        ("logic.lindenbaum", 10,
+         lambda: logic.lindenbaum(
+             logic.Theory((), (ChainSpec("lukasiewicz", 3),)), 1, budget=Budget(closure=10)
+         )),
+    ]
+    return [pytest.param(limit, call, id=name) for name, limit, call in cases]
+
+
+@pytest.mark.parametrize("limit, call", _resource_cases())
+def test_resource_error_states_used_count_and_limit(limit, call):
+    from reslat.errors import ResourceError
+
+    with pytest.raises(ResourceError) as exc:
+        call()
+    unquoted = re.sub(r"'[^']*'", "", str(exc.value))  # drop algebra names
+    numbers = [int(x) for x in re.findall(r"\d+", unquoted)]
+    assert limit in numbers, str(exc.value)
+    assert any(x > limit for x in numbers), str(exc.value)
 
 
 def test_float_table_entry_exit_code(tmp_path, capsys):

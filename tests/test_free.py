@@ -4,8 +4,10 @@ from itertools import product as iproduct
 
 import pytest
 
+import oracles
 from reslat.algebra import (
     ChainSpec,
+    core_reduct,
     is_homomorphism,
     make_chain,
     product,
@@ -13,6 +15,7 @@ from reslat.algebra import (
 )
 from reslat.errors import NotComplementedError, PreconditionError, ResourceError
 from reslat.free import (
+    FreeAlgebra,
     VarietySpec,
     atoms,
     atomless_shadow_check,
@@ -28,6 +31,7 @@ from reslat.free import (
     universal_property_holds,
 )
 from reslat import budgets
+from reslat.kripke import mutate_table
 
 
 def brute_force_closure(generators, n, gen_algebras):
@@ -116,6 +120,65 @@ def test_universal_property():
     ba = boolean_variety()
     for n in (1, 2):
         assert universal_property_holds(free_algebra(ba, n))
+
+
+def _cores(kind, *sizes):
+    return VarietySpec(tuple(core_reduct(make_chain(ChainSpec(kind, k))) for k in sizes))
+
+
+CLOSURE_CASES = [
+    pytest.param(boolean_variety, n, id="ba-%d" % n) for n in (1, 2, 3)
+] + [
+    pytest.param(distributive_lattice_variety, n, id="dl-%d" % n) for n in (1, 2, 3, 4)
+] + [
+    pytest.param(lambda: VarietySpec((make_chain(ChainSpec("lukasiewicz", 3)),)), 1, id="luk:3-1"),
+    pytest.param(lambda: _cores("lukasiewicz", 2), 1, id="core-luk:2-1"),
+    pytest.param(lambda: _cores("lukasiewicz", 3), 1, id="core-luk:3-1"),
+    pytest.param(lambda: _cores("lukasiewicz", 4), 1, id="core-luk:4-1"),
+    pytest.param(lambda: _cores("lukasiewicz", 2, 3, 4), 1, id="core-luk:2..4-1"),
+    pytest.param(lambda: _cores("godel", 3), 2, id="core-godel:3-2"),
+]
+
+
+@pytest.mark.parametrize("variety, n", CLOSURE_CASES)
+def test_vectors_equal_brute_force_closure(variety, n):
+    variety = variety()
+    fr = free_algebra(variety, n)
+    want = sorted(brute_force_closure(None, n, variety.generators))
+    assert fr.vectors.dtype == "int32"
+    assert fr.vectors.shape == (len(want), len(fr.coords))
+    assert [tuple(row) for row in fr.vectors.tolist()] == want
+
+
+@pytest.mark.parametrize("variety, n", CLOSURE_CASES[:2] + CLOSURE_CASES[5:8])
+def test_vectors_equal_table_walked_projections(variety, n):
+    fr = free_algebra(variety(), n)
+    for c in range(len(fr.coords)):
+        assert fr.vectors[:, c].tolist() == oracles.projection_map(fr, c)
+
+
+def test_explicit_coordinates():
+    ba = boolean_variety()
+    full = free_algebra(ba, 2)
+    same = free_algebra(ba, 2, coords=full.coords)
+    assert same.algebra.dumps() == full.algebra.dumps()
+    # two of the four valuations: p0 = p1 on them, so Fr collapses to Fr_1
+    fr = free_algebra(ba, 2, coords=[(0, (0, 0)), (0, (1, 1))])
+    assert fr.size == 4 and fr.generators == (1, 1)
+    assert fr.algebra.labels == ("e0", "g0", "e2", "e3")
+    assert fr.vectors.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+def test_universal_property_rejects_a_corrupted_entry():
+    for variety, n in ((boolean_variety(), 2), (distributive_lattice_variety(), 3)):
+        fr = free_algebra(variety, n)
+        alg = fr.algebra
+        for opname in ("join", "meet"):
+            x, y = fr.generators[0], fr.generators[1]
+            z = alg.apply(opname, x, y)
+            bad = mutate_table(alg, opname, (x, y), (z + 1) % alg.size)
+            forged = FreeAlgebra(bad, fr.generators, fr.coords, fr.variety, fr.vectors)
+            assert not universal_property_holds(forged)
 
 
 def test_free_over_luk3_variety():

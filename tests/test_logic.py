@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from reslat import logic
+import oracles
+from reslat import budgets, logic
 from reslat.algebra import ChainSpec, check_class_axioms, make_chain, product
-from reslat.errors import DomainError, InvalidSpecError, NoGenericPointError
+from reslat.errors import DomainError, InvalidSpecError, NoGenericPointError, ResourceError
 from reslat.logic import (
     Bin,
     Konst,
+    Neg,
     ParseError,
     Theory,
     Var,
@@ -231,6 +233,99 @@ def test_henkin_finite_join_shadow():
 def test_inconsistent_theory_rejected():
     with pytest.raises(InvalidSpecError):
         lindenbaum(Theory((parse("0"),), (ChainSpec("lukasiewicz", 2),)), 1)
+
+
+# ---- differential: Lindenbaum on free_algebra against the tuple-closure oracle -------
+
+
+def random_formula(rng, depth, n):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.15:
+            return Konst(rng.randint(0, 1))
+        return Var("p%d" % rng.randrange(n))
+    if rng.random() < 0.2:
+        return Neg(random_formula(rng, depth - 1, n))
+    op = rng.choice(["&", "->", "/\\", "\\/", "<->"])
+    return Bin(op, random_formula(rng, depth - 1, n), random_formula(rng, depth - 1, n))
+
+
+def assert_same_lindenbaum(theory, n, rng):
+    """lindenbaum and the oracle agree on the algebra (name, signature,
+    tables, labels), vectors, representatives, generator classes and
+    class_of, or both reject the theory."""
+    try:
+        want = oracles.lindenbaum(theory, n)
+    except InvalidSpecError:
+        with pytest.raises(InvalidSpecError):
+            lindenbaum(theory, n)
+        return
+    got = lindenbaum(theory, n)
+    assert got.algebra.signature == want.algebra.signature
+    assert got.algebra.dumps() == want.algebra.dumps()
+    assert got.vectors.tolist() == [list(v) for v in want.vectors]
+    assert got.reps == want.reps
+    assert got.generator_classes == want.generator_classes
+    for f in got.reps + [random_formula(rng, 3, n) for _ in range(20)]:
+        assert got.class_of(f) == want.class_of(f)
+    for lib in (got, want):
+        with pytest.raises(DomainError):
+            lib.class_of(Bin("&", Var("p0"), Var("p%d" % n)))
+
+
+def L(k):
+    return ChainSpec("lukasiewicz", k)
+
+
+def G(k):
+    return ChainSpec("godel", k)
+
+
+THEORIES = [
+    ((), (L(2),), 1),
+    (("p0",), (L(2),), 1),
+    ((), (L(3),), 1),
+    ((), (G(3),), 1),
+    ((), (G(3),), 2),
+    (("0",), (L(2),), 1),
+    (("p0 <-> p1",), (G(3),), 2),
+    (("p0 \\/ ~p0",), (L(3), G(3)), 1),
+]
+
+
+@pytest.mark.parametrize("axioms, chains, n", [
+    pytest.param(*t, id="%s|%s|%d" % (";".join(t[0]), ",".join(map(str, t[1])), t[2]))
+    for t in THEORIES
+])
+def test_lindenbaum_equals_oracle(axioms, chains, n):
+    theory = Theory(tuple(parse(a) for a in axioms), chains)
+    assert_same_lindenbaum(theory, n, random.Random(0))
+
+
+def test_lindenbaum_equals_oracle_on_seeded_theories():
+    specs = [ChainSpec(kind, k) for kind in ("lukasiewicz", "godel") for k in (2, 3, 4)]
+    compared = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(1, 2)
+        chains = tuple(rng.sample(specs, rng.randint(1, 2)))
+        axioms = tuple(random_formula(rng, 2, n) for _ in range(rng.randint(0, 2)))
+        theory = Theory(axioms, chains)
+        try:
+            size = lindenbaum(theory, n).algebra.size
+        except ResourceError:
+            continue
+        except InvalidSpecError:
+            size = 0
+        if size <= 200:  # the oracle's pair loops take seconds beyond this
+            assert_same_lindenbaum(theory, n, rng)
+            compared += 1
+    assert compared >= 40
+
+
+def test_lindenbaum_two_variables_over_luk3_stops_at_the_closure_budget():
+    theory = Theory((), (L(3),))
+    with pytest.raises(ResourceError, match="1173060 candidates over closure budget 1048576"):
+        lindenbaum(theory, 2, budget=budgets.Budget())
 
 
 # ---- types and generic filters ------------------------------------------------------
