@@ -9,7 +9,7 @@ point enters the core anywhere.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from itertools import product as iproduct
 from math import prod
@@ -204,6 +204,23 @@ class FiniteAlgebra:
         if name not in self._np:
             self._np[name] = numpy.array(self.tables[name], dtype=numpy.int32)
         return self._np[name]
+
+    @cached_property
+    def partial_order(self):
+        """`leq` as a bool matrix (a <= b at [a, b]), or None when `meet`
+        does not define a partial order: a table read from a file need
+        not be a lattice."""
+        n = self.size
+        le = self.np_table("meet") == numpy.arange(n)[:, None]
+        if not le.diagonal().all() or (le & le.T).sum() != n:
+            return None
+        step = max(1, (1 << 22) // (n * n))  # bounds the n^3 test's memory
+        for lo in range(0, n, step):
+            rows = le[lo : lo + step]
+            # a <= b and b <= c, for a in rows, must give a <= c
+            if ((rows[:, :, None] & le[None, :, :]).any(axis=1) & ~rows).any():
+                return None
+        return le
 
     def restrict(self, name, elements, index, ops=None, labels=None):
         """The algebra on `elements` (parent elements, one per new element)
@@ -646,12 +663,19 @@ def bitmask(members):
 
 def enumerate_closed(alg, universe, up, const, binary=(), unary=()):
     """Every up-set (up=True) or down-set of `universe` that contains
-    `const` and is closed under the binary and unary tables wherever their
-    values lie in `universe`, as frozensets sorted by bitmask.
+    `const` and is closed under the binary and unary ops (names) wherever
+    their values lie in `universe`, as frozensets sorted by bitmask.
 
-    A DFS over a linear extension, elements with the fewest elements
-    above (below) them first, so the order constraint is local; the
-    operation closure is tested at the leaves."""
+    When `principal_closed` shows that every such set is principal, those
+    are read off its candidates.  Otherwise a DFS over a linear extension,
+    elements with the fewest elements above (below) them first, so the
+    order constraint is local; the operation closure is tested at the
+    leaves."""
+    masks = principal_closed(alg, universe, up, const, binary, unary)
+    if masks is not None:
+        return [frozenset(numpy.flatnonzero(m).tolist()) for m in masks]
+    binary = [alg.tables[name] for name in binary]
+    unary = [alg.tables[name] for name in unary]
     uni = sorted(universe)
     inside = frozenset(uni)
     leq = alg.leq
@@ -693,9 +717,72 @@ def enumerate_closed(alg, universe, up, const, binary=(), unary=()):
     return out
 
 
+def principal_closed(alg, universe, up, const, binary=(), unary=()):
+    """The sets of `enumerate_closed` as bool rows over the elements,
+    sorted by bitmask, or None when the tables do not show that they are
+    all principal.
+
+    The gate: `meet` is a partial order, some binary op is given, and
+    every binary op maps U x U into the universe U with values below
+    (up-sets) or above (down-sets) both arguments, as star and meet lie
+    below meet in an integral residuated lattice and join and oplus above
+    join.  A closed set then holds the fold of a binary op over its
+    members, which lies below (above) all of them, so it is the principal
+    up-set (down-set) in U of that element (Galatos, Jipsen, Kowalski and
+    Ono, Residuated Lattices, 2007).  The candidates are the |U| principal
+    sets; each op is checked on a chunk of them with one broadcast."""
+    le = alg.partial_order
+    if le is None or not binary:
+        return None
+    below = le if up else le.T  # below[x, y]: y lies in the closure direction of x
+    uni = numpy.array(sorted(universe), dtype=numpy.intp)
+    inside = numpy.zeros(alg.size, dtype=bool)
+    inside[uni] = True
+    grid = numpy.ix_(uni, uni)
+    tables = [alg.np_table(name)[grid] for name in binary]
+    for t in tables:
+        if not (inside[t].all() and below[t, uni[:, None]].all() and below[t, uni].all()):
+            return None
+    unary = [alg.np_table(name)[uni] for name in unary]
+    cands = below[uni] & inside
+    cands = cands[cands[:, const]]
+    step = max(1, (1 << 20) // max(1, len(uni) ** 2))  # bounds each broadcast
+    keep = []
+    for lo in range(0, len(cands), step):
+        chunk = cands[lo : lo + step]
+        on = chunk[:, uni]
+        ok = numpy.ones(len(chunk), dtype=bool)
+        for t in tables:
+            stray = on[:, :, None] & on[:, None, :] & ~chunk[:, t]
+            ok &= ~stray.any(axis=(1, 2))
+        for u in unary:
+            ok &= ~(on & ~chunk[:, u] & inside[u]).any(axis=1)
+        keep.append(chunk[ok])
+    kept = numpy.concatenate(keep) if keep else cands
+    return kept[numpy.lexsort(kept.T)]
+
+
+def splits(alg, op, members, universe=None):
+    """Whether op(a, b) in `members` forces a or b into `members`, for a
+    and b in `universe` (default: every element): primeness of a filter
+    under join, of an ideal under meet."""
+    inside = numpy.zeros(alg.size, dtype=bool)
+    inside[list(members)] = True
+    t = alg.np_table(op)
+    if universe is not None:
+        uni = numpy.array(sorted(universe), dtype=numpy.intp)
+        t = t[numpy.ix_(uni, uni)]
+        out = ~inside[uni]
+    else:
+        out = ~inside
+    return not (inside[t] & out[:, None] & out).any()
+
+
 def generate_closed(alg, seed, up, const, binary=(), unary=()):
     """Least up-set (up=True) or down-set of `alg` that contains `seed` and
-    `const` and is closed under the binary and unary tables."""
+    `const` and is closed under the binary and unary ops (names)."""
+    binary = [alg.tables[name] for name in binary]
+    unary = [alg.tables[name] for name in unary]
     leq = alg.leq
     found = set(seed) | {const}
     members = list(found)

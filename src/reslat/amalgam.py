@@ -44,11 +44,10 @@ class Ideal:
 
 
 def _ideal_sum(alg, mode):
+    """Name of the additive op of an ideal."""
     if mode == "auto":
-        mode = "oplus" if "oplus" in alg.signature else "join"
-    if mode == "lattice":
-        mode = "join"
-    return alg.tables[mode]
+        return "oplus" if "oplus" in alg.signature else "join"
+    return "join" if mode == "lattice" else mode
 
 
 def ideal_generate(alg, seed, mode="auto"):
@@ -58,7 +57,7 @@ def ideal_generate(alg, seed, mode="auto"):
 
 
 def is_ideal(alg, members, mode="auto"):
-    add = _ideal_sum(alg, mode)
+    add = alg.tables[_ideal_sum(alg, mode)]
     s = set(members)
     if alg.zero not in s:
         return False
@@ -89,7 +88,7 @@ def enumerate_ideals(alg, mode="auto", bound=None, budget=None):
 
 def ideal_join_characterize(alg, m_ideal, n_ideal, mode="auto"):
     """Ig(M u N) = {x : x <= b (+) c for b in M, c in N}, exhaustively."""
-    add = _ideal_sum(alg, mode)
+    add = alg.tables[_ideal_sum(alg, mode)]
     generated = ideal_generate(alg, m_ideal.members | n_ideal.members, mode).members
     described = frozenset(
         x
@@ -180,6 +179,28 @@ def congruence_closure(alg, pairs, universe=None):
                 if union(t[z][x], t[z][y]):
                     queue.append((t[z][x], t[z][y]))
     return tuple(find(x) for x in range(n))
+
+
+def ideal_congruence(alg, ideal):
+    """The least congruence collapsing every member of `ideal` to 0.
+
+    With m the join of the ideal and a join 0 = a for every a, any
+    congruence that collapses the ideal collapses (m, 0), so it relates a
+    to a join m: the partition by a join m lies inside it.  When that
+    partition collapses the ideal and respects every table it is the
+    answer; otherwise the pairs are closed with `congruence_closure`."""
+    n, zero = alg.size, alg.zero
+    join = alg.np_table("join")
+    m = zero
+    for a in ideal:
+        m = join[m, a]
+    key = join[:, m]
+    if (join[:, zero] == numpy.arange(n)).all() and (key[list(ideal)] == key[zero]).all():
+        _, first, inverse = numpy.unique(key, return_index=True, return_inverse=True)
+        theta = tuple(first[inverse].tolist())  # least member of each class
+        if _respects(alg, theta):
+            return theta
+    return congruence_closure(alg, [(a, zero) for a in ideal])
 
 
 def principal_congruence(alg, x, y):
@@ -536,8 +557,7 @@ def gratzer_schmidt_check(alg, bound=None, budget=None):
     congruences = all_congruences(lat, budget=budget, bound=bound or max(budget.spectrum, 20))
     mapping = {}
     for ideal in ideals:
-        theta = congruence_closure(lat, [(x, lat.zero) for x in ideal.members])
-        mapping[ideal.members] = theta
+        mapping[ideal.members] = ideal_congruence(lat, ideal.members)
     injective = len(set(mapping.values())) == len(mapping)
     surjective = set(mapping.values()) == set(congruences)
     monotone = all(

@@ -8,10 +8,11 @@ Exit codes: 0 pass / witness found; 1 counterexample or nothing found
 import argparse
 import json
 import sys
-from operator import itemgetter
 
 from .algebra import check_class_axioms, load_algebra, load_json
 from .errors import (
+    DomainError,
+    InvalidSpecError,
     NoGenericPointError,
     ReslatError,
     ResourceError,
@@ -43,29 +44,13 @@ def _element_env(alg):
 def eval_element_expr(alg, text):
     """Formula syntax over element names: & -> star, /\\ meet, \\/ join,
     -> imp, ~x = x -> 0; identifiers name elements by label or e<k>."""
-    from .logic import Konst, Neg, Var, parse
+    from .logic import eval_formula, parse
 
-    env = _element_env(alg)
-
-    def ev(f):
-        if isinstance(f, Var):
-            if f.name not in env:
-                raise ReslatError("unknown element %r" % f.name)
-            return env[f.name]
-        if isinstance(f, Konst):
-            return alg.zero if f.value == 0 else alg.one
-        if isinstance(f, Neg):
-            return alg.imp(ev(f.sub), alg.zero)
-        a, b = ev(f.left), ev(f.right)
-        return {
-            "&": alg.star,
-            "->": alg.imp,
-            "/\\": alg.meet,
-            "\\/": alg.join,
-            "<->": lambda x, y: alg.star(alg.imp(x, y), alg.imp(y, x)),
-        }[f.op](a, b)
-
-    return ev(parse(text))
+    formula = parse(text)
+    try:
+        return eval_formula(formula, alg, _element_env(alg))
+    except DomainError as exc:  # the only one eval_formula raises on parsed input
+        raise ReslatError(str(exc).replace("unbound variable", "unknown element")) from None
 
 
 def _element_list(alg, text):
@@ -281,6 +266,17 @@ def cmd_sheaf(args):
     return code
 
 
+def _types_of(data):
+    """The "types" of a types file: a list of lists of element expressions."""
+    types = data["types"]
+    if not isinstance(types, list) or not all(
+        isinstance(entry, list) and all(isinstance(text, str) for text in entry)
+        for entry in types
+    ):
+        raise InvalidSpecError('"types" must be a list of lists of element expressions')
+    return types
+
+
 def cmd_omit(args):
     from .logic import generic_filter, non_principal_certify
 
@@ -288,7 +284,7 @@ def cmd_omit(args):
     inside = eval_element_expr(alg, args.inside)
     families = [
         [eval_element_expr(alg, text) for text in entry]
-        for entry in load_json(args.types, itemgetter("types"))
+        for entry in load_json(args.types, _types_of)
     ]
     certified = [non_principal_certify(alg, fam) for fam in families]
     from .spectra import zariski_sets
@@ -359,7 +355,7 @@ def build_parser():
     p.add_argument("algebra")
     p.add_argument("--max", dest="max_only", action="store_true")
     p.add_argument("--verify-lemma", action="store_true")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_count(1), default=None)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("free", help="free algebra over a finitely generated variety")
@@ -389,7 +385,7 @@ def build_parser():
 
     p = sub.add_parser("amalgamate", help="amalgam search from a problem file")
     p.add_argument("--problem", required=True)
-    p.add_argument("--max-size", type=int, default=64)
+    p.add_argument("--max-size", type=_count(1), default=64)
     p.add_argument("--super", dest="super_check", action="store_true")
     p.set_defaults(fn=cmd_amalgamate)
 
@@ -412,7 +408,7 @@ def build_parser():
     p.add_argument("--alg", required=True)
     p.add_argument("--inside", required=True)
     p.add_argument("--types", required=True, help="JSON file {types: [[exprs]]}")
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=_count(1), default=64)
     p.set_defaults(fn=cmd_omit)
 
     p = sub.add_parser("corpus", help="acceptance corpus")

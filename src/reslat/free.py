@@ -203,6 +203,13 @@ def universal_property_holds(free):
     coord_index = {c: i for i, c in enumerate(free.coords)}
     for ai, g in enumerate(free.variety.generators):
         for v in iproduct(range(g.size), repeat=len(free.generators)):
+            if (ai, v) not in coord_index:  # no stored projection: search for one
+                seed = dict(zip(free.generators, v))
+                if len(seed) < len(set(zip(free.generators, v))):
+                    return False  # equal generators sent to different values
+                if not homomorphisms(alg, g, seed=seed, limit=1):
+                    return False
+                continue
             mapping = free.vectors[:, coord_index[(ai, v)]]
             if mapping[list(free.generators)].tolist() != list(v):
                 return False

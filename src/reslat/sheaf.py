@@ -14,10 +14,17 @@ closed-set helpers of `reslat.algebra` (`enumerate_closed`,
 from dataclasses import dataclass
 
 from . import budgets
-from .algebra import FiniteAlgebra, enumerate_closed, generate_closed, union_closure
+from .algebra import (
+    FiniteAlgebra,
+    bitmask,
+    enumerate_closed,
+    generate_closed,
+    splits,
+    union_closure,
+)
 from .amalgam import (
     all_congruences,
-    congruence_closure,
+    ideal_congruence,
     is_relatively_complemented,
     partition_leq,
     quotient,
@@ -74,10 +81,10 @@ def _kernel_ideals(alg, subuniverse, operators):
 
 
 def _kernel_ops(alg, operators):
-    """(binary, unary) closure tables of a kernel ideal: oplus (else join)
+    """(binary, unary) closure ops of a kernel ideal: oplus (else join)
     and the operators present in the signature."""
-    add = alg.tables["oplus"] if "oplus" in alg.signature else alg.tables["join"]
-    return [add], [alg.tables[f] for f in operators if f in alg.signature]
+    add = "oplus" if "oplus" in alg.signature else "join"
+    return [add], [f for f in operators if f in alg.signature]
 
 
 def kernel_ideal_generate(alg, seed, operators=None):
@@ -87,22 +94,12 @@ def kernel_ideal_generate(alg, seed, operators=None):
 
 def prime_ideals_of(alg, subuniverse, operators):
     """Kernel ideals of the subuniverse that are proper and meet-prime."""
-    sub = sorted(subuniverse)
-    out = []
-    for ideal in _kernel_ideals(alg, subuniverse, operators):
-        if len(ideal) == len(sub):
-            continue
-        prime = True
-        for a in sub:
-            for b in sub:
-                if alg.meet(a, b) in ideal and a not in ideal and b not in ideal:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(ideal)
-    return out
+    size = len(set(subuniverse))
+    return [
+        ideal
+        for ideal in _kernel_ideals(alg, subuniverse, operators)
+        if len(ideal) < size and splits(alg, "meet", ideal, subuniverse)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +156,7 @@ def dual_sheaf(alg, J=frozenset(), operators=None, budget=None):
     points = prime_ideals_of(reduct, nr, outside)
     stalks, projections = [], []
     for x in points:
-        theta = congruence_closure(reduct, [(a, reduct.zero) for a in x])
-        q, proj = quotient(reduct, theta, name="stalk")
+        q, proj = quotient(reduct, ideal_congruence(reduct, x), name="stalk")
         stalks.append(q)
         projections.append(proj)
     return DualSheaf(reduct, alg, J, tuple(outside), nr, points, stalks, projections)
@@ -330,8 +326,7 @@ def regularity(alg, operators=None, budget=None):
             regular = False
         if ig not in maximal_ideals:
             strongly = False
-        theta = congruence_closure(reduct, [(a, reduct.zero) for a in x])
-        if theta not in maximal_congs:
+        if ideal_congruence(reduct, x) not in maximal_congs:
             cong_strongly = False
     return {
         "regular": regular,
@@ -388,19 +383,21 @@ def regular_ideals_open_sets(alg, sheaf=None, operators=None, budget=None):
     zd, _ = zero_dim(alg, ops)
     zset = set(zd)
     ideals = _kernel_ideals(reduct, range(reduct.size), ops)
-    regular = [
-        i for i in ideals if kernel_ideal_generate(reduct, i & zset, ops) == i
-    ]
-    opens = sheaf.opens()
+    if reduct.partial_order is None:  # the enumeration may miss ideals: generate each
+        regular = [i for i in ideals if kernel_ideal_generate(reduct, i & zset, ops) == i]
+    else:  # Ig(i & Zd) is the meet of the ideals over i & Zd, so it is i when all hold i
+        regular = [i for i in ideals if all(i <= j for j in ideals if i & zset <= j)]
+    opens = {bitmask(u) for u in sheaf.opens()}
+    support = [bitmask(sheaf.support(a)) for a in range(reduct.size)]  # point bitmasks
 
     def U_of(ideal):
-        u = frozenset()
+        u = 0
         for a in ideal:
-            u |= sheaf.support(a)
+            u |= support[a]
         return u
 
     def J_of(u):
-        return frozenset(a for a in range(reduct.size) if sheaf.support(a) <= u)
+        return frozenset(a for a in range(reduct.size) if not support[a] & ~u)
 
     forward = {i: U_of(i) for i in regular}
     if set(forward.values()) != opens:
@@ -413,14 +410,15 @@ def regular_ideals_open_sets(alg, sheaf=None, operators=None, budget=None):
         if J_of(forward[i]) != i:
             return {"isomorphism": False, "reason": "not inverse", "witness": sorted(i),
                     "regular_ideals": len(regular), "opens": len(opens)}
-    for u in opens:
+    regular_set = set(regular)
+    for u in sorted(opens):
         j = J_of(u)
-        if frozenset(j) not in set(regular) or U_of(j) != u:
+        if j not in regular_set or U_of(j) != u:
             return {"isomorphism": False, "reason": "J[U] not regular or not inverse",
-                    "witness": sorted(u),
+                    "witness": [i for i in range(len(sheaf.points)) if u >> i & 1],
                     "regular_ideals": len(regular), "opens": len(opens)}
     order_ok = all(
-        (i1 <= i2) == (forward[i1] <= forward[i2]) for i1 in regular for i2 in regular
+        (i1 <= i2) == (not forward[i1] & ~forward[i2]) for i1 in regular for i2 in regular
     )
     return {
         "isomorphism": order_ok,

@@ -4,12 +4,15 @@ theory pairs with consistency, completion and saturation."""
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy
+
 from . import budgets
 from .algebra import (
     AxiomReport,
     bitmask,
     enumerate_closed,
     generate_closed,
+    splits,
     union_closure,
 )
 from .errors import (
@@ -63,17 +66,11 @@ def is_filter(alg, members):
 
 def generate_filter(alg, seed):
     """Fl: least filter containing the seed (may be improper)."""
-    return Filter(alg, generate_closed(alg, seed, True, alg.one, [alg.tables["star"]]))
+    return Filter(alg, generate_closed(alg, seed, True, alg.one, ["star"]))
 
 
 def is_prime_filter(alg, members):
-    if alg.zero in members:
-        return False
-    for a in range(alg.size):
-        for b in range(alg.size):
-            if alg.join(a, b) in members and a not in members and b not in members:
-                return False
-    return True
+    return alg.zero not in members and splits(alg, "join", members)
 
 
 def enumerate_filters(alg, kind="all-proper", bound=None, budget=None):
@@ -88,7 +85,7 @@ def enumerate_filters(alg, kind="all-proper", bound=None, budget=None):
             "filter enumeration bound %d exceeded by %r (size %d)"
             % (bound, alg.name, alg.size)
         )
-    filters = enumerate_closed(alg, range(alg.size), True, alg.one, [alg.tables["star"]])
+    filters = enumerate_closed(alg, range(alg.size), True, alg.one, ["star"])
     proper = [f for f in filters if alg.zero not in f]
     if kind == "all-proper":
         chosen = proper
@@ -212,10 +209,17 @@ def prime_lattice_filters(alg, bound=None, budget=None):
             "lattice filter enumeration on %r (size %d) over bound %d"
             % (alg.name, alg.size, bound)
         )
-    lattice_filters = enumerate_closed(
-        alg, range(alg.size), True, alg.one, [alg.tables["meet"]]
-    )
+    lattice_filters = enumerate_closed(alg, range(alg.size), True, alg.one, ["meet"])
     return [f for f in lattice_filters if alg.zero not in f and is_prime_filter(alg, f)]
+
+
+def _members(alg, sets):
+    """Bool matrix whose entry [a, i] says whether element a lies in the
+    i-th set."""
+    out = numpy.zeros((alg.size, len(sets)), dtype=bool)
+    for i, members in enumerate(sets):
+        out[list(members), i] = True
+    return out
 
 
 def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
@@ -224,63 +228,66 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     Items (i)-(v) and the forward half of (vi) quantify over Max as
     stated.  The backward half of (vi) is order separation and is checked
     over the prime filters of the lattice reduct, the only spectrum that
-    separates on chains with nilpotent elements."""
+    separates on chains with nilpotent elements.  Item (iii) reads "Fl(xs)
+    is improper" as "no filter but the whole algebra contains xs" when
+    `meet` orders the algebra.
+
+    Point sets are bool rows over the points and each identity is one
+    broadcast.  An identity's witness is its first failure in the order
+    of the statement's loops: pairs (a, b), then subsets, then pairs of
+    subsets, each in lexicographic order; violations are listed in the
+    order those loops first meet them."""
     sp = space or zariski_sets(alg, bound=bound, budget=budget)
     lat_primes = prime_lattice_filters(alg, bound=bound, budget=budget)
-
-    def VL(a):
-        return frozenset(i for i, f in enumerate(lat_primes) if a in f)
     n = alg.size
-    violations = []
+    vm = _members(alg, [f.members for f in sp.max_points])  # row a: V_M(a)
+    dm = ~vm
+    vl = _members(alg, lat_primes)
+    join, meet, star = (alg.np_table(name) for name in ("join", "meet", "star"))
+    leq = meet == numpy.arange(n)[:, None]
 
-    def check(aid, cond, witness):
-        if not cond and all(v[0] != aid for v in violations):
+    def spills(x):  # [a, b]: row a of x has a point outside row b
+        return (x[:, None] & ~x[None]).any(-1)
+
+    pairs = [
+        ("i-dm-join", ((dm[:, None] & dm[None]) == dm[join]).all(-1)),
+        ("ii-dm-meet", ((dm[:, None] | dm[None]) == dm[meet]).all(-1)
+         & (dm[meet] == dm[star]).all(-1)),
+        ("v-vm-meet", ((vm[:, None] & vm[None]) == vm[meet]).all(-1)),
+        ("vi-max-forward", ~leq | ~spills(vm)),
+        ("vi-separation-iff", leq == ~spills(vl)),
+    ]
+    failed = [(int((~ok).argmax()), i, aid) for i, (aid, ok) in enumerate(pairs) if not ok.all()]
+    violations = [(aid, divmod(k, n)) for k, _, aid in sorted(failed)]
+    if alg.partial_order is not None:
+        closed = enumerate_closed(alg, range(n), True, alg.one, ["star"])
+        filters = _members(alg, [f for f in closed if len(f) < n]).T
+    cover, union = None, None
+    for k in range(1, subset_size + 1):
+        subsets = list(combinations(range(n), k))
+        at = numpy.array(subsets, dtype=numpy.intp).reshape(-1, k)
+        vm_of = vm[at].all(axis=1)  # row j: V_M of the j-th subset
+        if alg.partial_order is None:  # the enumeration may miss filters: generate each
+            improper = numpy.array([len(generate_filter(alg, xs).members) == n for xs in subsets])
+        else:
+            improper = numpy.empty(len(at), dtype=bool)
+            step = max(1, (1 << 22) // max(1, len(filters) * k))  # bounds the broadcast
+            for lo in range(0, len(at), step):
+                improper[lo : lo + step] = ~filters[:, at[lo : lo + step]].all(-1).any(0)
+        ok = ~vm_of.any(-1) == improper
+        if cover is None and not ok.all():
+            cover = subsets[int((~ok).argmax())]
+        # V_M(xs u ys) = V_M(xs) & V_M(ys); the identity depends on the
+        # two rows only, so it is checked on pairs of distinct rows
+        rows, row_of = numpy.unique(vm_of, axis=0, return_inverse=True)
+        row_of = row_of.reshape(-1)
+        ok = (~(rows[:, None] & rows[None]) == (~rows[:, None] | ~rows[None])).all(-1)
+        if union is None and not ok.all():
+            i = int(numpy.flatnonzero(~ok.all(1)[row_of])[0])
+            union = (subsets[i], subsets[int(numpy.flatnonzero(~ok[row_of[i]][row_of])[0])])
+    for aid, witness in (("iii-dm-cover", cover), ("iv-dm-union", union)):
+        if witness is not None:
             violations.append((aid, witness))
-
-    for a in range(n):
-        for b in range(n):
-            check(
-                "i-dm-join",
-                sp.DM(a) & sp.DM(b) == sp.DM(alg.join(a, b)),
-                (a, b),
-            )
-            check(
-                "ii-dm-meet",
-                sp.DM(a) | sp.DM(b) == sp.DM(alg.meet(a, b)) == sp.DM(alg.star(a, b)),
-                (a, b),
-            )
-            check(
-                "v-vm-meet",
-                sp.VM(a) & sp.VM(b) == sp.VM(alg.meet(a, b)),
-                (a, b),
-            )
-            check(
-                "vi-max-forward",
-                (not alg.leq(a, b)) or sp.VM(a) <= sp.VM(b),
-                (a, b),
-            )
-            check(
-                "vi-separation-iff",
-                alg.leq(a, b) == (VL(a) <= VL(b)),
-                (a, b),
-            )
-    full = frozenset(range(len(sp.max_points)))
-    for k in range(1, subset_size + 1):
-        for xs in combinations(range(n), k):
-            fl = generate_filter(alg, xs)
-            check(
-                "iii-dm-cover",
-                (sp.DM_set(xs) == full) == (len(fl.members) == n),
-                xs,
-            )
-    for k in range(1, subset_size + 1):
-        for xs in combinations(range(n), k):
-            for ys in combinations(range(n), k):
-                check(
-                    "iv-dm-union",
-                    sp.DM_set(set(xs) | set(ys)) == sp.DM_set(xs) | sp.DM_set(ys),
-                    (xs, ys),
-                )
     return AxiomReport("dm-lemma", not violations, violations)
 
 

@@ -10,10 +10,14 @@ more are what the vector closure of `free.free_algebra` replaced: the
 tuple-vector,
 pair-loop `lindenbaum` (with its one-`eval_formula`-per-coordinate
 `_representatives`), and `projection_map`, which recovers a coordinate
-projection of a free algebra by walking its tables.  Tests compare the
+projection of a free algebra by walking its tables.  The last group is
+what principal closed sets replaced: the DFS of `enumerate_closed`, the
+pair loops of `is_prime_filter` and `prime_ideals_of`, the union-find
+stalk congruence and the frozenset `verify_dm_lemma`.  Tests compare the
 library against them on every input they generate.
 """
 
+from itertools import combinations
 from itertools import product as iproduct
 
 from reslat import budgets
@@ -28,6 +32,8 @@ from reslat.errors import (
 )
 from reslat.kripke import SemigroupG, _tau_name, dimension_set
 from reslat.logic import Bin, Konst, Neg, Var, eval_formula
+from reslat.sheaf import _kernel_ops
+from reslat.spectra import generate_filter
 
 
 def set_algebra_tables(system, G=None, with_diagonals=False, budget=None):
@@ -661,3 +667,126 @@ def projection_map(free, coord):
                             val[z] = tg[val[x]][val[y]]
                             changed = True
     return [val[i] for i in range(alg.size)]
+
+
+def bitmask(members):
+    return sum(1 << i for i in members)
+
+
+def enumerate_closed(alg, universe, up, const, binary=(), unary=()):
+    """Every closed up-set (down-set) of the universe by a DFS over a
+    linear extension, with the operation closure tested at the leaves."""
+    binary = [alg.tables[name] for name in binary]
+    unary = [alg.tables[name] for name in unary]
+    uni = sorted(universe)
+    inside = frozenset(uni)
+    leq = alg.leq
+    beyond = {
+        a: frozenset(b for b in uni if b != a and (leq(a, b) if up else leq(b, a)))
+        for a in uni
+    }
+    order = sorted(uni, key=lambda a: (len(beyond[a]), a))
+    out = []
+
+    def closed(chosen):
+        if const not in chosen:
+            return False
+        for a in chosen:
+            for t in binary:
+                row = t[a]
+                for b in chosen:
+                    v = row[b]
+                    if v not in chosen and v in inside:
+                        return False
+            for t in unary:
+                v = t[a]
+                if v not in chosen and v in inside:
+                    return False
+        return True
+
+    def rec(i, chosen):
+        if i == len(order):
+            if closed(chosen):
+                out.append(chosen)
+            return
+        e = order[i]
+        rec(i + 1, chosen)
+        if beyond[e] <= chosen:
+            rec(i + 1, chosen | {e})
+
+    rec(0, frozenset())
+    out.sort(key=bitmask)
+    return out
+
+
+def is_prime_filter(alg, members):
+    """Loop form: no join inside the set with both arguments outside."""
+    if alg.zero in members:
+        return False
+    for a in range(alg.size):
+        for b in range(alg.size):
+            if alg.join(a, b) in members and a not in members and b not in members:
+                return False
+    return True
+
+
+def prime_ideals_of(alg, subuniverse, operators):
+    """Proper kernel ideals of the subuniverse that are meet-prime in it,
+    from the DFS enumeration and a pair loop."""
+    sub = sorted(subuniverse)
+    out = []
+    for ideal in enumerate_closed(alg, sub, False, alg.zero, *_kernel_ops(alg, operators)):
+        if len(ideal) == len(sub):
+            continue
+        if all(
+            alg.meet(a, b) not in ideal or a in ideal or b in ideal for a in sub for b in sub
+        ):
+            out.append(ideal)
+    return out
+
+
+def stalk_congruence(alg, ideal):
+    """The least congruence collapsing the ideal to 0, by union-find."""
+    return congruence_closure(alg, [(a, alg.zero) for a in ideal])
+
+
+def verify_dm_lemma(alg, space, lat_primes, subset_size=2):
+    """The six D_M/V_M identities on frozenset point sets, item (iii)
+    through one `generate_filter` per subset."""
+    sp = space
+
+    def VL(a):
+        return frozenset(i for i, f in enumerate(lat_primes) if a in f)
+
+    n = alg.size
+    violations = []
+
+    def check(aid, cond, witness):
+        if not cond and all(v[0] != aid for v in violations):
+            violations.append((aid, witness))
+
+    for a in range(n):
+        for b in range(n):
+            check("i-dm-join", sp.DM(a) & sp.DM(b) == sp.DM(alg.join(a, b)), (a, b))
+            check(
+                "ii-dm-meet",
+                sp.DM(a) | sp.DM(b) == sp.DM(alg.meet(a, b)) == sp.DM(alg.star(a, b)),
+                (a, b),
+            )
+            check("v-vm-meet", sp.VM(a) & sp.VM(b) == sp.VM(alg.meet(a, b)), (a, b))
+            check("vi-max-forward", (not alg.leq(a, b)) or sp.VM(a) <= sp.VM(b), (a, b))
+            check("vi-separation-iff", alg.leq(a, b) == (VL(a) <= VL(b)), (a, b))
+    full = frozenset(range(len(sp.max_points)))
+    for k in range(1, subset_size + 1):
+        for xs in combinations(range(n), k):
+            fl = generate_filter(alg, xs)
+            check("iii-dm-cover", (sp.DM_set(xs) == full) == (len(fl.members) == n), xs)
+    for k in range(1, subset_size + 1):
+        for xs in combinations(range(n), k):
+            for ys in combinations(range(n), k):
+                check(
+                    "iv-dm-union",
+                    sp.DM_set(set(xs) | set(ys)) == sp.DM_set(xs) | sp.DM_set(ys),
+                    (xs, ys),
+                )
+    return AxiomReport("dm-lemma", not violations, violations)

@@ -315,6 +315,24 @@ def test_non_json_types_file_exit_code(tmp_path, capsys):
         assert str(path) in err
 
 
+@pytest.mark.parametrize("types", [5, "1", [5], ["1"], [[1]], [["1", None]]], ids=json.dumps)
+def test_malformed_types_file_exit_code(tmp_path, capsys, types):
+    path = tmp_path / "types.json"
+    path.write_text(json.dumps({"types": types}))
+    code, _, err = run(capsys, "omit", "--alg", "luk:3", "--inside", "1", "--types", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unknown_element_exit_code(tmp_path, capsys):
+    path = tmp_path / "types.json"
+    path.write_text(json.dumps({"types": [["e1 /\\ zz"]]}))
+    for inside, name in (("yy -> 1", "yy"), ("1", "zz")):
+        code, _, err = run(capsys, "omit", "--alg", "luk:3", "--inside", inside, "--types", str(path))
+        assert code == 2
+        assert "unknown element %r" % name in err
+
+
 @pytest.mark.parametrize("theory", [
     pytest.param({"axioms": [], "chains": ["luk:x"]}, id="chain-size-not-an-integer"),
     pytest.param({"axioms": [], "chains": ["luk:2..y"]}, id="range-end-not-an-integer"),
@@ -338,6 +356,9 @@ def test_malformed_theory_exit_code(tmp_path, capsys, theory):
     ("kripke", "verify", "--random", "two"),
     ("kripke", "verify", "--max-worlds", "0"),
     ("kripke", "verify", "--max-base", "0"),
+    ("spectrum", "godel:4", "--bound", "-1"),
+    ("omit", "--alg", "luk:3", "--inside", "1", "--types", "types.json", "--bound", "0"),
+    ("amalgamate", "--problem", "problem.json", "--max-size", "0"),
 ], ids=" ".join)
 def test_out_of_range_count_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -181,6 +181,19 @@ def test_universal_property_rejects_a_corrupted_entry():
             assert not universal_property_holds(forged)
 
 
+def test_universal_property_with_explicit_coordinates():
+    """A valuation outside `coords` is decided by a homomorphism search."""
+    fr = free_algebra(boolean_variety(), 2, coords=[(0, (0, 0)), (0, (1, 1))])
+    assert not universal_property_holds(fr)  # g0 = g1 cannot go to (0, 1)
+    assert fr.report()["universal_property"] is False
+    luk3, luk2 = (make_chain(ChainSpec("lukasiewicz", n)) for n in (3, 2))
+    variety = VarietySpec((luk3, luk2))
+    # luk:2 is a subalgebra of luk:3, so the luk:3 coordinates already give a free algebra
+    fr = free_algebra(variety, 1, coords=[(0, (v,)) for v in range(3)])
+    assert fr.size == free_algebra(VarietySpec((luk3,)), 1).size
+    assert universal_property_holds(fr)
+
+
 def test_free_over_luk3_variety():
     variety = VarietySpec((make_chain(ChainSpec("lukasiewicz", 3)),))
     fr = free_algebra(variety, 1)

@@ -1,0 +1,256 @@
+"""Principal closed sets, bitmask spectra and ideal congruences, each
+against the reference it replaced in tests/oracles.py: the DFS of
+`enumerate_closed`, the loop prime tests, the frozenset
+`verify_dm_lemma` and the union-find stalk congruence."""
+
+import time
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from reslat.algebra import (
+    ChainSpec,
+    FiniteAlgebra,
+    Signature,
+    core_reduct,
+    enumerate_closed,
+    lattice_reduct,
+    make_chain,
+    principal_closed,
+    product,
+)
+from reslat.amalgam import ideal_congruence
+from reslat.corpus import corpus_algebras
+from reslat.free import boolean_variety, free_algebra
+from reslat.kripke import random_kripke
+from reslat.sheaf import (
+    _kernel_ideals,
+    _kernel_ops,
+    default_operators,
+    kernel_ideal_generate,
+    prime_ideals_of,
+    regular_ideals_open_sets,
+    sheaf_reduct,
+    zero_dim,
+)
+from reslat.spectra import is_prime_filter, verify_dm_lemma, zariski_sets
+
+
+def kripke_algebras():
+    """The distinct set algebras of random_kripke(s, 2, 2, 2), s < 200,
+    with at most 16 elements."""
+    seen, out = set(), []
+    for s in range(200):
+        _, ksa = random_kripke(s, 2, 2, 2)
+        alg = ksa.algebra
+        key = (alg.size, alg.signature.ops, tuple(alg.tables.values()))
+        if alg.size <= 16 and key not in seen:
+            seen.add(key)
+            out.append(alg)
+    return out
+
+
+CORPUS = corpus_algebras()
+KRIPKE = kripke_algebras()
+FAMILIES = {
+    "corpus": CORPUS,
+    "kripke": KRIPKE,
+    "lattice": [lattice_reduct(a) for a in CORPUS + KRIPKE],
+}
+CHAINS = [make_chain(ChainSpec(kind, n)) for kind in ("godel", "lukasiewicz") for n in (3, 4, 5)]
+SMALL = CHAINS + [
+    product([core_reduct(CHAINS[0]), core_reduct(CHAINS[3])]),
+    product([core_reduct(make_chain(ChainSpec("lukasiewicz", 2)))] * 2),
+]  # the fault and gate tests: algebras of 3 to 9 elements
+
+
+def problems(alg):
+    """(universe, up, const, binary, unary) of the filters, lattice
+    filters and ideals of the algebra."""
+    every = range(alg.size)
+    add = "oplus" if "oplus" in alg.signature else "join"
+    out = [(every, True, alg.one, ["meet"], []), (every, False, alg.zero, [add], [])]
+    if "star" in alg.signature:
+        out.append((every, True, alg.one, ["star"], []))
+    return out
+
+
+def nr_problems(alg):
+    """The kernel-ideal problems of `dual_sheaf` on Nr_J, for every J."""
+    dims = sorted(int(n[2:]) for n in alg.signature.names() if n.startswith("c_"))
+    out = []
+    for k in range(len(dims) + 1):
+        for J in combinations(dims, k):
+            outside = [
+                f for f in default_operators(alg)
+                if not (f.startswith(("c_", "q_")) and int(f[2:]) in J)
+            ]
+            reduct = sheaf_reduct(alg, outside)
+            nr = [x for x in range(alg.size) if all(alg.apply(f, x) == x for f in outside)]
+            out.append((reduct, nr, outside))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_enumerate_closed_matches_dfs(family):
+    for alg in FAMILIES[family]:
+        for problem in problems(alg):
+            closed = enumerate_closed(alg, *problem)
+            assert closed == oracles.enumerate_closed(alg, *problem), (alg.name, problem)
+            assert [is_prime_filter(alg, f) for f in closed] == [
+                oracles.is_prime_filter(alg, f) for f in closed
+            ]
+
+
+def test_kernel_ideals_over_nr_match_dfs():
+    for alg in CORPUS + KRIPKE:
+        for reduct, nr, outside in nr_problems(alg):
+            ideals = _kernel_ideals(reduct, nr, outside)
+            ops = _kernel_ops(reduct, outside)
+            assert ideals == oracles.enumerate_closed(reduct, nr, False, reduct.zero, *ops)
+            assert prime_ideals_of(reduct, nr, outside) == oracles.prime_ideals_of(
+                reduct, nr, outside
+            )
+            every = range(reduct.size)
+            ideals = _kernel_ideals(reduct, every, outside)
+            assert ideals == oracles.enumerate_closed(reduct, every, False, reduct.zero, *ops)
+            for ideal in ideals:
+                assert ideal_congruence(reduct, ideal) == oracles.stalk_congruence(reduct, ideal)
+
+
+def test_regular_ideals_match_generated_ideals():
+    """Regular ideals (Ig(I & Zd) = I) read off the enumeration agree with
+    one `kernel_ideal_generate` per DFS ideal."""
+    for alg in CORPUS + KRIPKE:
+        ops = default_operators(alg)
+        reduct = sheaf_reduct(alg, ops)
+        zd = set(zero_dim(alg, ops)[0])
+        ideals = oracles.enumerate_closed(reduct, range(reduct.size), False, reduct.zero,
+                                          *_kernel_ops(reduct, ops))
+        regular = [i for i in ideals if kernel_ideal_generate(reduct, i & zd, ops) == i]
+        report = regular_ideals_open_sets(alg, operators=ops)
+        assert report["regular_ideals"] == len(regular), alg.name
+
+
+def test_ideal_congruence_matches_union_find_on_lattices():
+    for alg in FAMILIES["lattice"]:
+        for ideal in enumerate_closed(alg, range(alg.size), False, alg.zero, ["join"]):
+            assert ideal_congruence(alg, ideal) == oracles.stalk_congruence(alg, ideal)
+
+
+def lattice(name, covers, n):
+    """The bounded lattice on 0..n-1 (0 bottom, n-1 top) whose order is
+    generated by the covering pairs."""
+    le = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in covers:
+        le[a][b] = True
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                le[a][b] = le[a][b] or (le[a][k] and le[k][b])
+
+    def greatest_lower(a, b, le):
+        common = [c for c in range(n) if le[c][a] and le[c][b]]
+        return next(c for c in common if all(le[d][c] for d in common))
+
+    ge = [list(column) for column in zip(*le)]
+    meet = [[greatest_lower(a, b, le) for b in range(n)] for a in range(n)]
+    join = [[greatest_lower(a, b, ge) for b in range(n)] for a in range(n)]
+    sig = Signature((("join", 2), ("meet", 2), ("zero", 0), ("one", 0)))
+    return FiniteAlgebra(name, n, sig, {"join": join, "meet": meet, "zero": 0, "one": n - 1})
+
+
+def test_ideal_congruence_falls_back_off_distributive_lattices():
+    """In N5 and M3 the partition by a join m is not always a congruence,
+    so the union-find closure answers.  In N5 (0 < 1 < 3 < 4, 0 < 2 < 4)
+    the ideal {0, 1} gives the classes {0, 1}, {2, 4}, {3}; the least
+    congruence collapsing it also puts 3 with 0."""
+    n5 = lattice("N5", [(0, 1), (1, 3), (0, 2), (2, 4), (3, 4)], 5)
+    m3 = lattice("M3", [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], 5)
+    for alg in (n5, m3):
+        for ideal in enumerate_closed(alg, range(alg.size), False, alg.zero, ["join"]):
+            assert ideal_congruence(alg, ideal) == oracles.stalk_congruence(alg, ideal)
+    assert ideal_congruence(n5, {0, 1}) == (0, 0, 2, 0, 2)
+
+
+def lemma_oracle(alg, subset_size):
+    space = zariski_sets(alg, bound=64)
+    lat = oracles.enumerate_closed(alg, range(alg.size), True, alg.one, ["meet"])
+    lat_primes = [f for f in lat if alg.zero not in f and oracles.is_prime_filter(alg, f)]
+    return oracles.verify_dm_lemma(alg, space, lat_primes, subset_size)
+
+
+def test_dm_lemma_matches_frozenset_oracle():
+    for alg in CORPUS + KRIPKE:
+        k = 2 if alg.size <= 12 else 1
+        assert verify_dm_lemma(alg, subset_size=k, bound=64) == lemma_oracle(alg, k), alg.name
+
+
+def test_dm_lemma_violations_match_oracle_on_faults():
+    """Single-entry faults give failing reports; their violation lists
+    (order and witnesses) are the oracle's."""
+    failing = 0
+    for alg in [a for a in SMALL if a.size <= 4]:
+        for name in ("join", "meet", "star"):
+            for a in range(alg.size):
+                for b in range(alg.size):
+                    for v in range(alg.size):
+                        if v == alg.tables[name][a][b]:
+                            continue
+                        faulty = with_entry(alg, name, (a, b), v)
+                        report = verify_dm_lemma(faulty, bound=64)
+                        assert report == lemma_oracle(faulty, 2), (name, a, b, v)
+                        failing += not report.passed
+    assert failing
+
+
+def with_table(alg, name, table):
+    tables = {op: alg.np_table(op) for op in alg.signature.names()}
+    tables[name] = table
+    return FiniteAlgebra(alg.name + "#fault", alg.size, alg.signature, tables, alg.labels)
+
+
+def with_entry(alg, name, pos, value):
+    table = alg.np_table(name).copy()
+    table[pos] = value
+    return with_table(alg, name, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gate_failing_tables_take_the_dfs(data):
+    alg = data.draw(st.sampled_from(SMALL))
+    kind = data.draw(st.sampled_from(["non-integral star", "star = join", "corrupted meet"]))
+    n = alg.size
+    if kind == "star = join":
+        bad = with_table(alg, "star", alg.np_table("join"))
+    elif kind == "non-integral star":
+        a = data.draw(st.sampled_from([x for x in range(n) if x != alg.one]))
+        bad = with_entry(alg, "star", (a, data.draw(st.integers(0, n - 1))), alg.one)
+    else:  # the diagonal, or the reverse of a strict pair, so leq stops being an order
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b and alg.leq(a, b)]
+        a, b = data.draw(st.sampled_from(pairs))
+        if data.draw(st.booleans()):
+            bad = with_entry(alg, "meet", (a, a), b)
+        else:
+            bad = with_entry(alg, "meet", (b, a), b)
+        assert bad.partial_order is None
+    filters = (range(n), True, bad.one, ["star"], [])
+    assert principal_closed(bad, *filters) is None
+    for problem in problems(bad):
+        assert enumerate_closed(bad, *problem) == oracles.enumerate_closed(bad, *problem)
+
+
+def test_zariski_sets_reach_ba_fr3():
+    """BA Fr_3 has 256 elements: the spectra and the D_M lemma over all
+    32,896 subsets of at most two elements stay in seconds and memory."""
+    fr3 = free_algebra(boolean_variety(), 3).algebra
+    start = time.perf_counter()
+    space = zariski_sets(fr3, bound=256)
+    elapsed = time.perf_counter() - start
+    assert len(space.max_points) == len(space.prime_points) == 8
+    assert elapsed < 10, elapsed
+    assert verify_dm_lemma(fr3, space=space, bound=256).passed
