@@ -16,10 +16,12 @@ from math import prod
 
 import numpy
 
+from . import budgets
 from .errors import (
     DomainError,
     InternalError,
     InvalidSpecError,
+    ResourceError,
     SignatureError,
 )
 
@@ -386,13 +388,17 @@ def residuum_oracle(star_table, x, y):
 
 
 @lru_cache(maxsize=32)
-def make_chain(spec):
+def make_chain(spec, budget=None):
     """Chain algebra on {0, 1/(n-1), ..., 1} for the given t-norm kind.
 
-    Memoized: algebras are never changed after construction, so every
-    caller can share one chain per spec."""
+    Raises ResourceError, before any table is built, over the chain
+    budget.  Memoized: algebras are never changed after construction, so
+    every caller can share one chain per spec."""
     if not isinstance(spec, ChainSpec):
         spec = ChainSpec(*spec)
+    limit = (budget or budgets.from_env()).chain
+    if spec.size > limit:
+        raise ResourceError("chain of %d elements over budget %d" % (spec.size, limit))
     n = spec.size
     den = n - 1
     labels = [str(Fraction(i, den)) for i in range(n)]

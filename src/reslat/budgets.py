@@ -27,6 +27,8 @@ class Budget:
     tau_power: int = 4
     # max section-space search size in the sheaf module
     sections: int = 1 << 16
+    # max number of elements of a t-norm chain (its tables hold n^2 entries)
+    chain: int = 1024
 
     def scaled(self, **kw):
         return replace(self, **kw)

@@ -9,15 +9,16 @@ their bit pattern over a fixed enumeration of the assignment positions.
 
 import json
 import random
+from copy import deepcopy
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from itertools import product as iproduct
 
 import numpy as np
 
 from . import budgets
-from .algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, load_json
+from .algebra import _GRID_CHUNK, CORE_OPS, AxiomReport, FiniteAlgebra, Signature, load_json
 from .errors import (
     ClosureError,
     InternalError,
@@ -160,11 +161,87 @@ class SemigroupG:
         object.__setattr__(self, "maps", tuple(sorted(ms)))
 
     @classmethod
+    @lru_cache(maxsize=8)
     def full(cls, alpha):
+        """The full semigroup, one instance per alpha: its identities are built once."""
         return cls(alpha, all_maps(alpha))
 
     def __iter__(self):
         return iter(self.maps)
+
+    @cached_property
+    def identities(self):
+        """The identities between composites of unary maps in the derived
+        and GPHA suites, per suite as (rows, aids, witnesses) in its loop
+        order.  A row (u, v, w, x) states u o v = w o x over the rows of
+        KripkeSetAlgebra.unary.  Both suites begin with the s-laws; the
+        trivial instances tau2 = tau of 4-s-cyl-fuse and sigma = tau of
+        gpha5 are left out."""
+        alpha, g, maps = self.alpha, len(self.maps), self.maps
+        ident, unit = 0, tuple(range(alpha))
+        s = {tau: 1 + t for t, tau in enumerate(maps)}
+        cb = [1 + g + m for m in range(1 << alpha)]  # c_(J) by the bitmask of J
+        qb = [m + (1 << alpha) for m in cb]
+        c, q = ([blocks[1 << j] for j in range(alpha)] for blocks in (cb, qb))
+
+        def s_laws(unit_aid, aid):
+            laws = [(unit_aid, unit, ident, s[unit], ident, ident)]
+            return laws + [
+                (aid, (x, y), s[x], s[y], ident, s[compose(x, y)]) for x in maps for y in maps
+            ]
+
+        derived = s_laws("3-s-id", "3-s-compose")
+        for tau in maps:
+            for i in range(alpha):
+                for j in range(alpha):
+                    tau2 = tau[:i] + (j,) + tau[i + 1 :]
+                    if tau2 != tau and tau2 in s:
+                        derived.append(("4-s-cyl-fuse", (tau, i, j), s[tau], c[i], s[tau2], c[i]))
+            for j in range(alpha):
+                if tau.count(j) == 1:
+                    i = tau.index(j)
+                    derived.append(("5-push-c", (tau, i, j), s[tau], c[i], c[j], s[tau]))
+                    derived.append(("5-push-q", (tau, i, j), s[tau], q[i], q[j], s[tau]))
+        for i in range(alpha):
+            for j in range(alpha):
+                sij, sji = s[replacement(alpha, i, j)], s[replacement(alpha, j, i)]
+                if i != j:
+                    derived.append(("6-c-absorb", (i, j), c[i], sij, ident, sij))
+                    derived.append(("6-q-absorb", (i, j), q[i], sij, ident, sij))
+                derived.append(("7-s-on-c", (i, j), sij, c[i], ident, c[i]))
+                derived.append(("7-s-on-q", (i, j), sij, q[i], ident, q[i]))
+                for k in range(alpha):
+                    if k not in (i, j):
+                        derived.append(("8-commute-c", (i, j, k), sij, c[k], c[k], sij))
+                        derived.append(("8-commute-q", (i, j, k), sij, q[k], q[k], sij))
+                derived.append(("9-c-swap", (i, j), c[i], sji, c[j], sij))
+                derived.append(("9-q-swap", (i, j), q[i], sji, q[j], sij))
+
+        gpha = s_laws("gpha1-s-id", "gpha2-compose")
+        subsets = [(list(J), sum(1 << j for j in J))
+                   for r in range(alpha + 1) for J in combinations(range(alpha), r)]
+        for J, m in subsets:
+            for J2, m2 in subsets:
+                gpha.append(("gpha3-c-union", (J, J2), ident, cb[m | m2], cb[m], cb[m2]))
+                gpha.append(("gpha3-q-union", (J, J2), ident, qb[m | m2], qb[m], qb[m2]))
+            gpha.append(("gpha4-cq", J, cb[m], qb[m], ident, qb[m]))
+            gpha.append(("gpha4-qc", J, qb[m], cb[m], ident, cb[m]))
+            for sigma in maps:
+                for tau in maps:
+                    if sigma != tau and all(sigma[t] == tau[t] for t in range(alpha) if t not in J):
+                        gpha.append(("gpha5-c", (sigma, tau, J), s[sigma], cb[m], s[tau], cb[m]))
+                        gpha.append(("gpha5-q", (sigma, tau, J), s[sigma], qb[m], s[tau], qb[m]))
+            for sigma in maps:
+                pre = [t for t in range(alpha) if sigma[t] in J]
+                if len(set(sigma[t] for t in pre)) == len(pre):
+                    p = sum(1 << t for t in pre)
+                    gpha.append(("gpha6-c", (sigma, J), cb[m], s[sigma], s[sigma], cb[p]))
+                    gpha.append(("gpha6-q", (sigma, J), qb[m], s[sigma], s[sigma], qb[p]))
+
+        return {
+            suite: (np.array([i[2:] for i in found]), [i[0] for i in found], [i[1] for i in found])
+            for suite, found in (("derived", derived), ("gpha", gpha))
+        }
 
 
 def _tau_name(tau):
@@ -182,6 +259,28 @@ class KripkeSetAlgebra:
         self.with_diagonals = with_diagonals
         self.positions = positions  # tuple of (world, assignment)
         self.masks = masks  # element index -> bitmask over positions
+
+    @cached_property
+    def unary(self):
+        """The unary maps the suites compose, one row each: the identity,
+        s_tau for tau in G, then c_(J) and q_(J) per index subset J by
+        bitmask (c_(J) applies c_j in increasing j).  Cached: the algebra
+        is not replaced afterwards, detect_fault wraps each in a new instance."""
+        ident = np.arange(self.algebra.size, dtype=np.int32)
+        rows = [ident, *(self.s(tau) for tau in self.G)]
+        for op in (self.c, self.q):
+            blocks = [ident]
+            for mask in range(1, 1 << self.alpha):
+                j = mask.bit_length() - 1
+                blocks.append(op(j).take(blocks[mask ^ (1 << j)]))
+            rows += blocks
+        return np.array(rows)
+
+    @cached_property
+    def s_laws(self):
+        """Which s-laws, G.identities' first rows, hold: 3-s-id/3-s-compose = gpha1/gpha2."""
+        rows = self.G.identities["gpha"][0]
+        return _composites_agree(self.unary, rows[: 1 + len(self.G.maps) ** 2])
 
     def c(self, j):
         return self.algebra.np_table("c_%d" % j)
@@ -452,125 +551,77 @@ def _note(violations, aid, ok, witness=None):
         violations.append((aid, witness))
 
 
+def _grid_holds(rows, width, holds):
+    """holds(r) for consecutive row slices r of a rows x width grid, each
+    of at most _GRID_CHUNK entries; stops at the first False."""
+    step = max(1, _GRID_CHUNK // max(width, 1))
+    return all(holds(slice(lo, lo + step)) for lo in range(0, rows, step))
+
+
+def _commutes(W, T, U, V, U2, V2):
+    """W[T[U[a], V[b]]] == T[U2[a], V2[b]] for all a, b, a None map being
+    the identity; T[x[a], y[b]] is gathered as T.take(x, 0).take(y, 1)."""
+
+    def grid(x, y, r):
+        rows = T[r] if x is None else T.take(x[r], 0)
+        return rows if y is None else rows.take(y, 1)
+
+    return _grid_holds(
+        len(U2), len(V2), lambda r: np.array_equal(W.take(grid(U, V, r)), grid(U2, V2, r))
+    )
+
+
+def _composites_agree(stack, rows):
+    """Per row (u, v, w, x): stack[u][stack[v]] == stack[w][stack[x]],
+    _GRID_CHUNK entries at a time."""
+    n = stack.shape[1]
+    flat = stack.ravel()
+    step = max(1, _GRID_CHUNK // n)
+    out = np.empty(len(rows), dtype=bool)
+    for lo in range(0, len(rows), step):
+        u, v, w, x = rows[lo : lo + step].T
+        lhs = flat.take(stack.take(v, 0) + n * u[:, None])
+        rhs = flat.take(stack.take(x, 0) + n * w[:, None])
+        np.all(lhs == rhs, axis=1, out=out[lo : lo + step])
+    return out
+
+
+def _note_composites(note, ksa, suite):
+    """Note the failed composite identities of a suite in its loop order."""
+    rows, aids, witnesses = ksa.G.identities[suite]
+    laws = ksa.s_laws
+    ok = np.concatenate([laws, _composites_agree(ksa.unary, rows[len(laws) :])])
+    for k in np.flatnonzero(~ok):
+        note(aids[k], False, deepcopy(witnesses[k]))
+
+
 def verify_derived_identities(ksa):
     """The nine derived-identity groups for cylindrifiers, co-quantifiers
-    and substitutions; exhaustively instantiated over the finite index set."""
+    and substitutions; exhaustively instantiated over the finite index set.
+
+    Groups 3-9 are identities between composites of unary maps, evaluated
+    as one batch; the failures are noted in the loop order of the
+    instances, so each witness is the first failing instance."""
     alg = ksa.algebra
-    n = alg.size
-    ar = np.arange(n)
-    J = alg.np_table("join")
-    M = alg.np_table("meet")
-    I = alg.np_table("imp")
+    ar = np.arange(alg.size)
     violations = []
     note = partial(_note, violations)
-    alpha = ksa.alpha
-    for i in range(alpha):
+    for i in range(ksa.alpha):
         C = ksa.c(i)
-        Q = ksa.q(i)
-        note("1-increasing[%d]" % i, _leq_all(alg, ar, C[ar]), i)
-        note("1-idempotent[%d]" % i, np.array_equal(C[C], C), i)
-        note(
-            "1-additive[%d]" % i,
-            np.array_equal(C[J], J[C[:, None], C[None, :]]),
-            i,
-        )
-        note("q-decreasing[%d]" % i, _leq_all(alg, Q[ar], ar), i)
-        for j in range(alpha):
+        note("1-increasing[%d]" % i, _leq_all(alg, ar, C), i)
+        note("1-idempotent[%d]" % i, np.array_equal(C.take(C), C), i)
+        note("1-additive[%d]" % i, _commutes(C, alg.np_table("join"), None, None, C, C), i)
+        note("q-decreasing[%d]" % i, _leq_all(alg, ksa.q(i), ar), i)
+        for j in range(ksa.alpha):
             Cj = ksa.c(j)
-            note(
-                "1-commute[%d,%d]" % (i, j),
-                np.array_equal(C[Cj], Cj[C]),
-                (i, j),
-            )
-    for tau in ksa.G:
-        S = ksa.s(tau)
-        note(
-            "2-endo-join[%s]" % (tau,),
-            np.array_equal(S[J], J[S[:, None], S[None, :]]),
-            tau,
-        )
-        note(
-            "2-endo-meet[%s]" % (tau,),
-            np.array_equal(S[M], M[S[:, None], S[None, :]]),
-            tau,
-        )
-        note(
-            "2-endo-imp[%s]" % (tau,),
-            np.array_equal(S[I], I[S[:, None], S[None, :]]),
-            tau,
-        )
+            note("1-commute[%d,%d]" % (i, j), np.array_equal(C.take(Cj), Cj.take(C)), (i, j))
+    for tau, S in zip(ksa.G, ksa.unary[1:]):
+        for name in ("join", "meet", "imp"):
+            T = alg.np_table(name)
+            note("2-endo-%s[%s]" % (name, tau), _commutes(S, T, None, None, S, S), tau)
         note("2-endo-zero[%s]" % (tau,), S[alg.zero] == alg.zero, tau)
-    ident = tuple(range(ksa.alpha))
-    note("3-s-id", np.array_equal(ksa.s(ident), ar), ident)
-    for sigma in ksa.G:
-        Ss = ksa.s(sigma)
-        for tau in ksa.G:
-            St = ksa.s(tau)
-            note(
-                "3-s-compose",
-                np.array_equal(Ss[St], ksa.s(compose(sigma, tau))),
-                (sigma, tau),
-            )
-    for tau in ksa.G:
-        for i in range(alpha):
-            Ci = ksa.c(i)
-            for j in range(alpha):
-                tau2 = tau[:i] + (j,) + tau[i + 1 :]
-                if tau2 not in ksa.G.maps:
-                    continue
-                note(
-                    "4-s-cyl-fuse",
-                    np.array_equal(ksa.s(tau)[Ci], ksa.s(tau2)[Ci]),
-                    (tau, i, j),
-                )
-        for j in range(alpha):
-            pre = [t for t in range(alpha) if tau[t] == j]
-            if len(pre) == 1:
-                i = pre[0]
-                note(
-                    "5-push-c",
-                    np.array_equal(ksa.s(tau)[ksa.c(i)], ksa.c(j)[ksa.s(tau)]),
-                    (tau, i, j),
-                )
-                note(
-                    "5-push-q",
-                    np.array_equal(ksa.s(tau)[ksa.q(i)], ksa.q(j)[ksa.s(tau)]),
-                    (tau, i, j),
-                )
-    for i in range(alpha):
-        for j in range(alpha):
-            Sij = ksa.s(replacement(alpha, i, j))
-            Sji = ksa.s(replacement(alpha, j, i))
-            if i != j:
-                note("6-c-absorb", np.array_equal(ksa.c(i)[Sij], Sij), (i, j))
-                note("6-q-absorb", np.array_equal(ksa.q(i)[Sij], Sij), (i, j))
-            note("7-s-on-c", np.array_equal(Sij[ksa.c(i)], ksa.c(i)), (i, j))
-            note("7-s-on-q", np.array_equal(Sij[ksa.q(i)], ksa.q(i)), (i, j))
-            for k in range(alpha):
-                if k in (i, j):
-                    continue
-                note(
-                    "8-commute-c",
-                    np.array_equal(Sij[ksa.c(k)], ksa.c(k)[Sij]),
-                    (i, j, k),
-                )
-                note(
-                    "8-commute-q",
-                    np.array_equal(Sij[ksa.q(k)], ksa.q(k)[Sij]),
-                    (i, j, k),
-                )
-            note("9-c-swap", np.array_equal(ksa.c(i)[Sji], ksa.c(j)[Sij]), (i, j))
-            note("9-q-swap", np.array_equal(ksa.q(i)[Sji], ksa.q(j)[Sij]), (i, j))
+    _note_composites(note, ksa, "derived")
     return AxiomReport("kripke-derived", not violations, violations)
-
-
-def _compose_block(ksa, kind, J):
-    """c_(J) / q_(J) as composed unary arrays; J any index subset."""
-    n = ksa.algebra.size
-    out = np.arange(n)
-    for j in sorted(J):
-        out = (ksa.c(j) if kind == "c" else ksa.q(j))[out]
-    return out
 
 
 def verify_gpha_axioms(ksa):
@@ -579,118 +630,59 @@ def verify_gpha_axioms(ksa):
 
     The q-form of axiom (3) is checked as q_(JuJ') = q_(J) q_(J'),
     the q-analogue of the c-clause (composition of the co-quantifiers).
-    """
+    Axioms (1) and (2) share one evaluation with the derived identities
+    3-s-id and 3-s-compose.  Axioms (3)-(6) are evaluated as one batch of
+    identities between composites of unary maps; the failures are noted
+    in the loop order of the instances (J, then J', sigma, tau), so each
+    axiom's witness is its first failing instance in that order."""
     alg = ksa.algebra
-    n = alg.size
-    ar = np.arange(n)
     alpha = ksa.alpha
-    subsets = []
-    for r in range(alpha + 1):
-        subsets.extend(frozenset(c) for c in combinations(range(alpha), r))
     violations = []
     note = partial(_note, violations)
-    ident = tuple(range(alpha))
-    note("gpha1-s-id", np.array_equal(ksa.s(ident), ar), ident)
-    for sigma in ksa.G:
-        for tau in ksa.G:
-            note(
-                "gpha2-compose",
-                np.array_equal(ksa.s(sigma)[ksa.s(tau)], ksa.s(compose(sigma, tau))),
-                (sigma, tau),
-            )
-    cblk = {J: _compose_block(ksa, "c", J) for J in subsets}
-    qblk = {J: _compose_block(ksa, "q", J) for J in subsets}
-    for J in subsets:
-        for J2 in subsets:
-            note(
-                "gpha3-c-union",
-                np.array_equal(cblk[J | J2], cblk[J][cblk[J2]]),
-                (sorted(J), sorted(J2)),
-            )
-            note(
-                "gpha3-q-union",
-                np.array_equal(qblk[J | J2], qblk[J][qblk[J2]]),
-                (sorted(J), sorted(J2)),
-            )
-        note("gpha4-cq", np.array_equal(cblk[J][qblk[J]], qblk[J]), sorted(J))
-        note("gpha4-qc", np.array_equal(qblk[J][cblk[J]], cblk[J]), sorted(J))
-        for sigma in ksa.G:
-            for tau in ksa.G:
-                if all(sigma[t] == tau[t] for t in range(alpha) if t not in J):
-                    note(
-                        "gpha5-c",
-                        np.array_equal(ksa.s(sigma)[cblk[J]], ksa.s(tau)[cblk[J]]),
-                        (sigma, tau, sorted(J)),
-                    )
-                    note(
-                        "gpha5-q",
-                        np.array_equal(ksa.s(sigma)[qblk[J]], ksa.s(tau)[qblk[J]]),
-                        (sigma, tau, sorted(J)),
-                    )
-        for sigma in ksa.G:
-            pre = frozenset(t for t in range(alpha) if sigma[t] in J)
-            if len(set(sigma[t] for t in pre)) == len(pre):
-                note(
-                    "gpha6-c",
-                    np.array_equal(cblk[J][ksa.s(sigma)], ksa.s(sigma)[cblk[pre]]),
-                    (sigma, sorted(J)),
-                )
-                note(
-                    "gpha6-q",
-                    np.array_equal(qblk[J][ksa.s(sigma)], ksa.s(sigma)[qblk[pre]]),
-                    (sigma, sorted(J)),
-                )
+    _note_composites(note, ksa, "gpha")
     if ksa.with_diagonals:
-        M = alg.np_table("meet")
+        D = [[ksa.d(k, l) for l in range(alpha)] for k in range(alpha)]
         for k in range(alpha):
-            note("gphae1-dkk", ksa.d(k, k) == alg.one, k)
+            note("gphae1-dkk", D[k][k] == alg.one, k)
             for l in range(alpha):
-                dkl = ksa.d(k, l)
-                for tau in ksa.G:
-                    note(
-                        "gphae2-s-d",
-                        int(ksa.s(tau)[dkl]) == ksa.d(tau[k], tau[l]),
-                        (tau, k, l),
-                    )
+                for tau, S in zip(ksa.G, ksa.unary[1:]):
+                    note("gphae2-s-d", S[D[k][l]] == D[tau[k]][tau[l]], (tau, k, l))
                 Skl = ksa.s(replacement(alpha, k, l))
-                lhs = M[ar, dkl]
-                note("gphae3-d-leq-s", _leq_all(alg, lhs, Skl[ar]), (k, l))
+                note("gphae3-d-leq-s", _leq_all(alg, alg.np_table("meet")[:, D[k][l]], Skl), (k, l))
     return AxiomReport("gpha", not violations, violations)
 
 
 def verify_heyting_quantifiers(ksa, j):
-    """The six existential axioms for c_j and four universal ones for q_j."""
+    """The six existential axioms for c_j and four universal ones for q_j,
+    violations in that order and without witnesses.
+
+    In exists3-exists5 a variable that occurs only under c_j ranges over
+    the image R of c_j: both sides depend on such a b only through c_j(b),
+    so the check is exact and shrinks from n^2 to n|R| or |R|^2 pairs."""
     alg = ksa.algebra
     n = alg.size
     ar = np.arange(n)
-    J = alg.np_table("join")
-    M = alg.np_table("meet")
-    I = alg.np_table("imp")
-    C = ksa.c(j)
-    Q = ksa.q(j)
+    J, M, I = (alg.np_table(name) for name in ("join", "meet", "imp"))
+    C, Q = ksa.c(j), ksa.q(j)
+    R = np.unique(C)
     violations = []
     note = partial(_note, violations)
+
+    def forall3(r):
+        lhs = Q.take(I[r])
+        rhs = I.take(Q[r], 0).take(Q, 1)
+        return np.array_equal(M.take(lhs * n + rhs), lhs)
+
     note("exists1-zero", int(C[alg.zero]) == alg.zero)
-    note("exists2-increasing", _leq_all(alg, ar, C[ar]))
-    note(
-        "exists3-meet",
-        np.array_equal(C[M[ar[:, None], C[None, :]]], M[C[:, None], C[None, :]]),
-    )
-    note(
-        "exists4-imp",
-        np.array_equal(C[I[C[:, None], C[None, :]]], I[C[:, None], C[None, :]]),
-    )
-    note(
-        "exists5-join",
-        np.array_equal(C[J[C[:, None], C[None, :]]], J[C[:, None], C[None, :]]),
-    )
-    note("exists6-idempotent", np.array_equal(C[C], C))
+    note("exists2-increasing", _leq_all(alg, ar, C))
+    note("exists3-meet", _commutes(C, M, None, R, C, R))
+    note("exists4-imp", _commutes(C, I, R, R, R, R))
+    note("exists5-join", _commutes(C, J, R, R, R, R))
+    note("exists6-idempotent", np.array_equal(C.take(C), C))
     note("forall1-one", int(Q[alg.one]) == alg.one)
-    note("forall2-decreasing", _leq_all(alg, Q[ar], ar))
-    lhs = Q[I]
-    rhs = I[Q[:, None], Q[None, :]]
-    note("forall3-imp", bool(np.array_equal(M[lhs, rhs], lhs)))
-    note("forall4-idempotent", np.array_equal(Q[Q], Q))
+    note("forall2-decreasing", _leq_all(alg, Q, ar))
+    note("forall3-imp", _grid_holds(n, n, forall3))
+    note("forall4-idempotent", np.array_equal(Q.take(Q), Q))
     return AxiomReport("heyting-quantifiers", not violations, violations)
 
 

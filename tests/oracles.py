@@ -13,12 +13,18 @@ pair-loop `lindenbaum` (with its one-`eval_formula`-per-coordinate
 projection of a free algebra by walking its tables.  The last group is
 what principal closed sets replaced: the DFS of `enumerate_closed`, the
 pair loops of `is_prime_filter` and `prime_ideals_of`, the union-find
-stalk congruence and the frozenset `verify_dm_lemma`.  Tests compare the
-library against them on every input they generate.
+stalk congruence and the frozenset `verify_dm_lemma`.  Last come the
+loop bodies of the Kripke suites `verify_derived_identities`,
+`verify_gpha_axioms` and `verify_heyting_quantifiers`, one
+`np.array_equal` per identity instance, and `verify_kripke` over them.
+Tests compare the library against them on every input they generate.
 """
 
+from functools import partial
 from itertools import combinations
 from itertools import product as iproduct
+
+import numpy as np
 
 from reslat import budgets
 from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, make_chain
@@ -30,7 +36,14 @@ from reslat.errors import (
     ResourceError,
     SignatureError,
 )
-from reslat.kripke import SemigroupG, _tau_name, dimension_set
+from reslat.kripke import (
+    SemigroupG,
+    _tau_name,
+    compose,
+    dimension_set,
+    replacement,
+    verify_diagonal_equivalence_shadow,
+)
 from reslat.logic import Bin, Konst, Neg, Var, eval_formula
 from reslat.sheaf import _kernel_ops
 from reslat.spectra import generate_filter
@@ -790,3 +803,270 @@ def verify_dm_lemma(alg, space, lat_primes, subset_size=2):
                     (xs, ys),
                 )
     return AxiomReport("dm-lemma", not violations, violations)
+
+
+# ---- the loop suites of reslat.kripke ------------------------------------------
+
+
+def _leq_all(alg, left, right):
+    """left[i] <= right[i] elementwise, via the meet table."""
+    M = alg.np_table("meet")
+    return np.array_equal(M[left, right], left)
+
+
+def _note(violations, aid, ok, witness=None):
+    """Record a failed identity, keeping the first witness per identity."""
+    if not ok and all(v[0] != aid for v in violations):
+        violations.append((aid, witness))
+
+
+def verify_derived_identities(ksa):
+    """The nine derived-identity groups for cylindrifiers, co-quantifiers
+    and substitutions; exhaustively instantiated over the finite index set."""
+    alg = ksa.algebra
+    n = alg.size
+    ar = np.arange(n)
+    J = alg.np_table("join")
+    M = alg.np_table("meet")
+    I = alg.np_table("imp")
+    violations = []
+    note = partial(_note, violations)
+    alpha = ksa.alpha
+    for i in range(alpha):
+        C = ksa.c(i)
+        Q = ksa.q(i)
+        note("1-increasing[%d]" % i, _leq_all(alg, ar, C[ar]), i)
+        note("1-idempotent[%d]" % i, np.array_equal(C[C], C), i)
+        note(
+            "1-additive[%d]" % i,
+            np.array_equal(C[J], J[C[:, None], C[None, :]]),
+            i,
+        )
+        note("q-decreasing[%d]" % i, _leq_all(alg, Q[ar], ar), i)
+        for j in range(alpha):
+            Cj = ksa.c(j)
+            note(
+                "1-commute[%d,%d]" % (i, j),
+                np.array_equal(C[Cj], Cj[C]),
+                (i, j),
+            )
+    for tau in ksa.G:
+        S = ksa.s(tau)
+        note(
+            "2-endo-join[%s]" % (tau,),
+            np.array_equal(S[J], J[S[:, None], S[None, :]]),
+            tau,
+        )
+        note(
+            "2-endo-meet[%s]" % (tau,),
+            np.array_equal(S[M], M[S[:, None], S[None, :]]),
+            tau,
+        )
+        note(
+            "2-endo-imp[%s]" % (tau,),
+            np.array_equal(S[I], I[S[:, None], S[None, :]]),
+            tau,
+        )
+        note("2-endo-zero[%s]" % (tau,), S[alg.zero] == alg.zero, tau)
+    ident = tuple(range(ksa.alpha))
+    note("3-s-id", np.array_equal(ksa.s(ident), ar), ident)
+    for sigma in ksa.G:
+        Ss = ksa.s(sigma)
+        for tau in ksa.G:
+            St = ksa.s(tau)
+            note(
+                "3-s-compose",
+                np.array_equal(Ss[St], ksa.s(compose(sigma, tau))),
+                (sigma, tau),
+            )
+    for tau in ksa.G:
+        for i in range(alpha):
+            Ci = ksa.c(i)
+            for j in range(alpha):
+                tau2 = tau[:i] + (j,) + tau[i + 1 :]
+                if tau2 not in ksa.G.maps:
+                    continue
+                note(
+                    "4-s-cyl-fuse",
+                    np.array_equal(ksa.s(tau)[Ci], ksa.s(tau2)[Ci]),
+                    (tau, i, j),
+                )
+        for j in range(alpha):
+            pre = [t for t in range(alpha) if tau[t] == j]
+            if len(pre) == 1:
+                i = pre[0]
+                note(
+                    "5-push-c",
+                    np.array_equal(ksa.s(tau)[ksa.c(i)], ksa.c(j)[ksa.s(tau)]),
+                    (tau, i, j),
+                )
+                note(
+                    "5-push-q",
+                    np.array_equal(ksa.s(tau)[ksa.q(i)], ksa.q(j)[ksa.s(tau)]),
+                    (tau, i, j),
+                )
+    for i in range(alpha):
+        for j in range(alpha):
+            Sij = ksa.s(replacement(alpha, i, j))
+            Sji = ksa.s(replacement(alpha, j, i))
+            if i != j:
+                note("6-c-absorb", np.array_equal(ksa.c(i)[Sij], Sij), (i, j))
+                note("6-q-absorb", np.array_equal(ksa.q(i)[Sij], Sij), (i, j))
+            note("7-s-on-c", np.array_equal(Sij[ksa.c(i)], ksa.c(i)), (i, j))
+            note("7-s-on-q", np.array_equal(Sij[ksa.q(i)], ksa.q(i)), (i, j))
+            for k in range(alpha):
+                if k in (i, j):
+                    continue
+                note(
+                    "8-commute-c",
+                    np.array_equal(Sij[ksa.c(k)], ksa.c(k)[Sij]),
+                    (i, j, k),
+                )
+                note(
+                    "8-commute-q",
+                    np.array_equal(Sij[ksa.q(k)], ksa.q(k)[Sij]),
+                    (i, j, k),
+                )
+            note("9-c-swap", np.array_equal(ksa.c(i)[Sji], ksa.c(j)[Sij]), (i, j))
+            note("9-q-swap", np.array_equal(ksa.q(i)[Sji], ksa.q(j)[Sij]), (i, j))
+    return AxiomReport("kripke-derived", not violations, violations)
+
+
+def _compose_block(ksa, kind, J):
+    """c_(J) / q_(J) as composed unary arrays; J any index subset."""
+    n = ksa.algebra.size
+    out = np.arange(n)
+    for j in sorted(J):
+        out = (ksa.c(j) if kind == "c" else ksa.q(j))[out]
+    return out
+
+
+def verify_gpha_axioms(ksa):
+    """GPHA axioms (1)-(6) over all finite J, J' and all sigma, tau in G;
+    with diagonals also the three GPHAE identities.
+
+    The q-form of axiom (3) is checked as q_(JuJ') = q_(J) q_(J'),
+    the q-analogue of the c-clause (composition of the co-quantifiers).
+    """
+    alg = ksa.algebra
+    n = alg.size
+    ar = np.arange(n)
+    alpha = ksa.alpha
+    subsets = []
+    for r in range(alpha + 1):
+        subsets.extend(frozenset(c) for c in combinations(range(alpha), r))
+    violations = []
+    note = partial(_note, violations)
+    ident = tuple(range(alpha))
+    note("gpha1-s-id", np.array_equal(ksa.s(ident), ar), ident)
+    for sigma in ksa.G:
+        for tau in ksa.G:
+            note(
+                "gpha2-compose",
+                np.array_equal(ksa.s(sigma)[ksa.s(tau)], ksa.s(compose(sigma, tau))),
+                (sigma, tau),
+            )
+    cblk = {J: _compose_block(ksa, "c", J) for J in subsets}
+    qblk = {J: _compose_block(ksa, "q", J) for J in subsets}
+    for J in subsets:
+        for J2 in subsets:
+            note(
+                "gpha3-c-union",
+                np.array_equal(cblk[J | J2], cblk[J][cblk[J2]]),
+                (sorted(J), sorted(J2)),
+            )
+            note(
+                "gpha3-q-union",
+                np.array_equal(qblk[J | J2], qblk[J][qblk[J2]]),
+                (sorted(J), sorted(J2)),
+            )
+        note("gpha4-cq", np.array_equal(cblk[J][qblk[J]], qblk[J]), sorted(J))
+        note("gpha4-qc", np.array_equal(qblk[J][cblk[J]], cblk[J]), sorted(J))
+        for sigma in ksa.G:
+            for tau in ksa.G:
+                if all(sigma[t] == tau[t] for t in range(alpha) if t not in J):
+                    note(
+                        "gpha5-c",
+                        np.array_equal(ksa.s(sigma)[cblk[J]], ksa.s(tau)[cblk[J]]),
+                        (sigma, tau, sorted(J)),
+                    )
+                    note(
+                        "gpha5-q",
+                        np.array_equal(ksa.s(sigma)[qblk[J]], ksa.s(tau)[qblk[J]]),
+                        (sigma, tau, sorted(J)),
+                    )
+        for sigma in ksa.G:
+            pre = frozenset(t for t in range(alpha) if sigma[t] in J)
+            if len(set(sigma[t] for t in pre)) == len(pre):
+                note(
+                    "gpha6-c",
+                    np.array_equal(cblk[J][ksa.s(sigma)], ksa.s(sigma)[cblk[pre]]),
+                    (sigma, sorted(J)),
+                )
+                note(
+                    "gpha6-q",
+                    np.array_equal(qblk[J][ksa.s(sigma)], ksa.s(sigma)[qblk[pre]]),
+                    (sigma, sorted(J)),
+                )
+    if ksa.with_diagonals:
+        M = alg.np_table("meet")
+        for k in range(alpha):
+            note("gphae1-dkk", ksa.d(k, k) == alg.one, k)
+            for l in range(alpha):
+                dkl = ksa.d(k, l)
+                for tau in ksa.G:
+                    note(
+                        "gphae2-s-d",
+                        int(ksa.s(tau)[dkl]) == ksa.d(tau[k], tau[l]),
+                        (tau, k, l),
+                    )
+                Skl = ksa.s(replacement(alpha, k, l))
+                lhs = M[ar, dkl]
+                note("gphae3-d-leq-s", _leq_all(alg, lhs, Skl[ar]), (k, l))
+    return AxiomReport("gpha", not violations, violations)
+
+
+def verify_heyting_quantifiers(ksa, j):
+    """The six existential axioms for c_j and four universal ones for q_j."""
+    alg = ksa.algebra
+    n = alg.size
+    ar = np.arange(n)
+    J = alg.np_table("join")
+    M = alg.np_table("meet")
+    I = alg.np_table("imp")
+    C = ksa.c(j)
+    Q = ksa.q(j)
+    violations = []
+    note = partial(_note, violations)
+    note("exists1-zero", int(C[alg.zero]) == alg.zero)
+    note("exists2-increasing", _leq_all(alg, ar, C[ar]))
+    note(
+        "exists3-meet",
+        np.array_equal(C[M[ar[:, None], C[None, :]]], M[C[:, None], C[None, :]]),
+    )
+    note(
+        "exists4-imp",
+        np.array_equal(C[I[C[:, None], C[None, :]]], I[C[:, None], C[None, :]]),
+    )
+    note(
+        "exists5-join",
+        np.array_equal(C[J[C[:, None], C[None, :]]], J[C[:, None], C[None, :]]),
+    )
+    note("exists6-idempotent", np.array_equal(C[C], C))
+    note("forall1-one", int(Q[alg.one]) == alg.one)
+    note("forall2-decreasing", _leq_all(alg, Q[ar], ar))
+    lhs = Q[I]
+    rhs = I[Q[:, None], Q[None, :]]
+    note("forall3-imp", bool(np.array_equal(M[lhs, rhs], lhs)))
+    note("forall4-idempotent", np.array_equal(Q[Q], Q))
+    return AxiomReport("heyting-quantifiers", not violations, violations)
+
+
+def verify_kripke(ksa):
+    """`kripke.verify_kripke` over the loop suites, as a list."""
+    reports = [(("derived",), verify_derived_identities(ksa)), (("gpha",), verify_gpha_axioms(ksa))]
+    reports += [(("quantifiers", j), verify_heyting_quantifiers(ksa, j)) for j in range(ksa.alpha)]
+    out = [(suite, report.passed, report.violations) for suite, report in reports]
+    if ksa.with_diagonals:
+        out.append((("diagonals",), *verify_diagonal_equivalence_shadow(ksa)))
+    return out

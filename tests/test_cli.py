@@ -381,9 +381,24 @@ def test_lindenbaum_two_variables_over_luk3_exit_code(tmp_path, capsys, monkeypa
     assert "1173060 candidates over closure budget 1048576" in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(("check", "luk:100000", "--class", "mv"), id="check"),
+    pytest.param(("taut", "p0", "--chains", "godel:100000"), id="taut-chains"),
+    pytest.param(("lindenbaum", "--theory", "theory.json", "--vars", "1"), id="theory-chains"),
+])
+def test_chain_over_budget_exit_code(tmp_path, capsys, monkeypatch, argv):
+    """A chain over the chain budget exits 3 before any table is built."""
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theory.json").write_text(json.dumps({"axioms": [], "chains": ["luk:100000"]}))
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "chain of 100000 elements over budget 1024" in err
+
+
 def _resource_cases():
     from reslat import amalgam, free, kripke, logic, sheaf, spectra
-    from reslat.algebra import ChainSpec
+    from reslat.algebra import ChainSpec, make_chain
     from reslat.budgets import Budget
 
     ba4 = free.free_algebra(free.boolean_variety(), 1).algebra
@@ -402,6 +417,8 @@ def _resource_cases():
          lambda: logic.lindenbaum(
              logic.Theory((), (ChainSpec("lukasiewicz", 3),)), 1, budget=Budget(closure=10)
          )),
+        ("algebra.make_chain", 4,
+         lambda: make_chain(ChainSpec("lukasiewicz", 5), budget=Budget(chain=4))),
     ]
     return [pytest.param(limit, call, id=name) for name, limit, call in cases]
 

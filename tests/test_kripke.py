@@ -29,9 +29,9 @@ def one_world(base=2, alpha=2):
     return KripkeSystem(1, [[True]], {0: tuple(range(base))}, None, alpha)
 
 
-def growing_pair():
+def growing_pair(alpha=1):
     return KripkeSystem(
-        2, [[True, True], [False, True]], {0: (0,), 1: (0, 1)}, None, 1
+        2, [[True, True], [False, True]], {0: (0,), 1: (0, 1)}, None, alpha
     )
 
 
@@ -416,3 +416,128 @@ def test_set_algebra_beyond_64_positions_matches_oracle():
     w = 11
     system = KripkeSystem(w, [[True] * w] * w, {k: tuple(range(6)) for k in range(w)}, None, 1)
     assert_same_build(system, budget=Budget(kripke_assignments=66), with_diagonals=True)
+
+
+# ---- differential: batched suites against the loop-suite oracles --------------------
+
+
+def wrap(ksa, algebra):
+    """A set algebra of the same system around another table set."""
+    return type(ksa)(algebra, ksa.system, ksa.G, ksa.with_diagonals, ksa.positions, ksa.masks)
+
+
+def criterion_7_faults(ksa):
+    """The single-entry faults of criterion 7: every other constant, and
+    t + 1 mod n at each entry of a unary or binary table."""
+    alg = ksa.algebra
+    n = alg.size
+    for name, arity in alg.signature.ops:
+        t = alg.tables[name]
+        if arity == 0:
+            yield from ((name, (), v) for v in range(n) if v != t)
+        elif arity == 1:
+            yield from ((name, (i,), (t[i] + 1) % n) for i in range(n))
+        else:
+            yield from ((name, (i, j), (t[i][j] + 1) % n) for i in range(n) for j in range(n))
+
+
+def assert_same_reports(ksa, faults=()):
+    """verify_kripke equals the oracle on ksa and on each faulted copy."""
+    assert list(verify_kripke(ksa)) == oracles.verify_kripke(ksa)
+    for name, pos, v in faults:
+        broken = wrap(ksa, mutate_table(ksa.algebra, name, pos, v))
+        assert list(verify_kripke(broken)) == oracles.verify_kripke(broken), (name, pos, v)
+
+
+def test_suites_match_oracle_on_random_systems():
+    for seed in range(200):
+        _, ksa = random_kripke(seed, 3, 3, 3)
+        assert list(verify_kripke(ksa)) == oracles.verify_kripke(ksa), seed
+
+
+def test_suites_match_oracle_on_criterion_7_faults():
+    ksa = set_algebra(one_world(), with_diagonals=True)
+    faults = list(criterion_7_faults(ksa))
+    assert len(faults) == 1242
+    assert_same_reports(ksa, faults)
+
+
+def no_swap_group():
+    """The three maps of alpha = 2 without the swap (1, 0): identity and
+    the two constants, which are the replacements [0|1] and [1|0]."""
+    return SemigroupG(2, ((0, 0), (0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "system, G, diagonals",
+    [
+        pytest.param(one_world(), no_swap_group(), True, id="non-full-G"),
+        pytest.param(growing_pair(2), no_swap_group(), False, id="non-full-G-no-diagonals"),
+        pytest.param(one_world(), None, False, id="no-diagonals"),
+        pytest.param(growing_pair(), None, True, id="alpha-1"),
+        pytest.param(one_world(base=3, alpha=1), None, False, id="alpha-1-no-diagonals"),
+    ],
+)
+def test_suites_match_oracle_on_other_shapes(system, G, diagonals):
+    """Shapes the random corpus never builds, with every unary-table fault."""
+    ksa = set_algebra(system, G=G, with_diagonals=diagonals)
+    assert_same_reports(ksa, [f for f in criterion_7_faults(ksa) if len(f[1]) == 1])
+
+
+def test_substitution_fault_witness_past_the_first_batch_row(monkeypatch):
+    """A fault in the last substitution: the first failing s-law pair is
+    not the first row, and with one row per chunk not in the first chunk."""
+    from reslat import kripke
+
+    ksa = set_algebra(one_world(), with_diagonals=True)
+    last = ksa.G.maps[-1]
+    broken = wrap(ksa, mutate_table(ksa.algebra, "s_" + "".join(map(str, last)), (5,), 0))
+    want = oracles.verify_kripke(broken)
+    witness = dict(want[0][2])["3-s-compose"]
+    assert witness != (ksa.G.maps[0], ksa.G.maps[0])
+    assert list(verify_kripke(broken)) == want
+    monkeypatch.setattr(kripke, "_GRID_CHUNK", 1)
+    assert list(verify_kripke(wrap(ksa, broken.algebra))) == want
+
+
+def test_cylindrifier_fault_off_the_image_breaks_exists4():
+    """c_0 changed at an element outside its image: the image the
+    quantifier suite ranges over is the faulted one."""
+    ksa = set_algebra(one_world(), with_diagonals=True)
+    C = ksa.algebra.tables["c_0"]
+    off = next(x for x in range(ksa.algebra.size) if x not in C)
+    broken = wrap(ksa, mutate_table(ksa.algebra, "c_0", (off,), off))
+    report = verify_heyting_quantifiers(broken, 0)
+    assert "exists4-imp" in [aid for aid, _ in report.violations]
+    assert report.violations == oracles.verify_heyting_quantifiers(broken, 0).violations
+
+
+def test_suites_match_oracle_in_small_chunks(monkeypatch):
+    """Chunk boundaries inside every grid and batch give the same reports,
+    also for the faults in a unary table or the last row of a binary one."""
+    from reslat import kripke
+
+    monkeypatch.setattr(kripke, "_GRID_CHUNK", 7)
+    for seed in range(0, 100, 7):
+        _, ksa = random_kripke(seed, 3, 3, 3)
+        assert list(verify_kripke(ksa)) == oracles.verify_kripke(ksa), seed
+    ksa = set_algebra(one_world(), with_diagonals=True)
+    last = ksa.algebra.size - 1
+    assert_same_reports(
+        ksa, [f for f in criterion_7_faults(ksa) if len(f[1]) == 1 or f[1][:1] == (last,)]
+    )
+
+
+def test_reports_do_not_share_witnesses():
+    """A caller changing a reported witness leaves later reports intact."""
+    ksa = set_algebra(one_world(), with_diagonals=True)
+    broken = wrap(ksa, mutate_table(ksa.algebra, "c_0", (3,), ksa.algebra.zero))
+    first = verify_gpha_axioms(broken).violations
+    for _, witness in first:
+        for part in witness if isinstance(witness, tuple) else [witness]:
+            if isinstance(part, list):
+                part.append(99)
+    assert verify_gpha_axioms(wrap(ksa, broken.algebra)).violations == (
+        oracles.verify_gpha_axioms(broken).violations
+    )
+    assert first != oracles.verify_gpha_axioms(broken).violations
