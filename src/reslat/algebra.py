@@ -626,10 +626,9 @@ def check_class_axioms(alg, cls):
 # ---------------------------------------------------------------------------
 
 
-def subalgebra_generate(alg, seed, op_names=None):
+def subalgebra_generate(alg, seed):
     """Sg: least subset containing seed and the constants, closed under ops."""
-    if op_names is None:
-        op_names = alg.signature.names()
+    op_names = alg.signature.names()
     current = set(seed)
     for name in op_names:
         if alg.signature.arity(name) == 0:
@@ -673,54 +672,30 @@ def enumerate_closed(alg, universe, up, const, binary=(), unary=()):
     their values lie in `universe`, as frozensets sorted by bitmask.
 
     When `principal_closed` shows that every such set is principal, those
-    are read off its candidates.  Otherwise a DFS over a linear extension,
-    elements with the fewest elements above (below) them first, so the
-    order constraint is local; the operation closure is tested at the
-    leaves."""
+    are read off its candidates.  Otherwise Ganter's NextClosure lists the
+    fixed points of `generate_closed` in lectic order, larger elements
+    first, which is the bitmask order; it needs no order on the table, so
+    it is complete on every table (B. Ganter, Two basic algorithms in
+    concept analysis, 1984)."""
     masks = principal_closed(alg, universe, up, const, binary, unary)
     if masks is not None:
         return [frozenset(numpy.flatnonzero(m).tolist()) for m in masks]
-    binary = [alg.tables[name] for name in binary]
-    unary = [alg.tables[name] for name in unary]
     uni = sorted(universe)
-    inside = frozenset(uni)
-    leq = alg.leq
-    beyond = {
-        a: frozenset(b for b in uni if b != a and (leq(a, b) if up else leq(b, a)))
-        for a in uni
-    }
-    order = sorted(uni, key=lambda a: (len(beyond[a]), a))
-    out = []
 
-    def closed(chosen):
-        if const not in chosen:
-            return False
-        for a in chosen:
-            for t in binary:
-                row = t[a]
-                for b in chosen:
-                    v = row[b]
-                    if v not in chosen and v in inside:
-                        return False
-            for t in unary:
-                v = t[a]
-                if v not in chosen and v in inside:
-                    return False
-        return True
+    def close(seed):
+        return generate_closed(alg, seed, up, const, binary, unary, uni)
 
-    def rec(i, chosen):
-        if i == len(order):
-            if closed(chosen):
-                out.append(chosen)
-            return
-        e = order[i]
-        rec(i + 1, chosen)
-        if beyond[e] <= chosen:
-            rec(i + 1, chosen | {e})
-
-    rec(0, frozenset())
-    out.sort(key=bitmask)
-    return out
+    out = [close(())]
+    while True:
+        for e in uni:  # the least significant element first
+            if e not in out[-1]:
+                above = {x for x in out[-1] if x > e}
+                nxt = close(above | {e})
+                if {x for x in nxt if x > e} == above:
+                    out.append(nxt)
+                    break
+        else:
+            return out
 
 
 def principal_closed(alg, universe, up, const, binary=(), unary=()):
@@ -784,22 +759,25 @@ def splits(alg, op, members, universe=None):
     return not (inside[t] & out[:, None] & out).any()
 
 
-def generate_closed(alg, seed, up, const, binary=(), unary=()):
-    """Least up-set (up=True) or down-set of `alg` that contains `seed` and
-    `const` and is closed under the binary and unary ops (names)."""
+def generate_closed(alg, seed, up, const, binary=(), unary=(), universe=None):
+    """Least up-set (up=True) or down-set of `universe` (default: every
+    element) that contains `seed` and `const` and is closed under the
+    binary and unary ops (names); values outside `universe` are ignored."""
     binary = [alg.tables[name] for name in binary]
     unary = [alg.tables[name] for name in unary]
     leq = alg.leq
+    uni = range(alg.size) if universe is None else universe
+    inside = set(uni)
     found = set(seed) | {const}
     members = list(found)
     for i, a in enumerate(members):  # the list grows while it is walked
-        new = [b for b in range(alg.size) if (leq(a, b) if up else leq(b, a))]
+        new = [b for b in uni if (leq(a, b) if up else leq(b, a))]
         new += [t[a] for t in unary]
         for t in binary:
             for b in members[: i + 1]:
                 new += (t[a][b], t[b][a])
         for v in new:
-            if v not in found:
+            if v not in found and v in inside:
                 found.add(v)
                 members.append(v)
     return frozenset(found)

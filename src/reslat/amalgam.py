@@ -16,6 +16,7 @@ from .algebra import (
     homomorphisms,
     is_homomorphism,
     lattice_reduct,
+    principal_closed,
     product,
     subalgebra_generate,
 )
@@ -248,17 +249,13 @@ def all_congruences(alg, budget=None, bound=None):
 
 def _filter_congruences(alg):
     """theta_F for every filter F of an integral commutative residuated
-    lattice.  A filter holds the product of its members, which lies below
-    all of them (a*b <= a meet b), so it is the up-set of that element:
-    the filters are the principal up-sets closed under star (1 is the top,
-    so each holds it)."""
-    meet, star, imp = (alg.np_table(name) for name in ("meet", "star", "imp"))
-    above = meet == numpy.arange(alg.size)[:, None]  # above[a, x]: a <= x
+    lattice, whose filters `principal_closed` lists: 1 is the top, so
+    a*b <= a*1 = a passes its gate."""
+    imp = alg.np_table("imp")
     out = []
-    for f in above:
-        if f[star[numpy.ix_(f, f)]].all():
-            related = f[imp] & f[imp.T]
-            out.append(tuple(related.argmax(axis=1).tolist()))  # least related
+    for f in principal_closed(alg, range(alg.size), True, alg.one, ["star"]):
+        related = f[imp] & f[imp.T]
+        out.append(tuple(related.argmax(axis=1).tolist()))  # least related
     return out
 
 

@@ -10,11 +10,13 @@ converse is not claimed.
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from . import budgets
 from .algebra import ChainSpec, core_reduct, make_chain
 from .errors import (
     DomainError,
     InvalidSpecError,
     NoGenericPointError,
+    ResourceError,
 )
 from .free import VarietySpec, atoms, free_algebra
 from .spectra import upset, zariski_sets
@@ -252,7 +254,11 @@ def _size(text, piece):
 
 
 def parse_chain_list(text):
-    """Chain list syntax: 'luk:2..6,godel:3' -> list of ChainSpec."""
+    """Chain list syntax: 'luk:2..6,godel:3' -> list of ChainSpec.
+
+    Raises ResourceError, before a range is expanded, when its largest
+    chain is over the chain budget."""
+    limit = budgets.from_env().chain
     out = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -264,8 +270,10 @@ def parse_chain_list(text):
             raise InvalidSpecError("bad chain %r" % piece)
         lo, dots, hi = num.partition("..")
         lo = _size(lo, piece)
-        for n in (range(lo, _size(hi, piece) + 1) if dots else [lo]):
-            out.append(ChainSpec(kind, n))
+        hi = _size(hi, piece) if dots else lo
+        if hi > limit:
+            raise ResourceError("chain of %d elements over budget %d" % (hi, limit))
+        out.extend(ChainSpec(kind, n) for n in range(lo, hi + 1))
     if not out:
         raise InvalidSpecError("empty chain list")
     return out

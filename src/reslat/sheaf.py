@@ -383,10 +383,8 @@ def regular_ideals_open_sets(alg, sheaf=None, operators=None, budget=None):
     zd, _ = zero_dim(alg, ops)
     zset = set(zd)
     ideals = _kernel_ideals(reduct, range(reduct.size), ops)
-    if reduct.partial_order is None:  # the enumeration may miss ideals: generate each
-        regular = [i for i in ideals if kernel_ideal_generate(reduct, i & zset, ops) == i]
-    else:  # Ig(i & Zd) is the meet of the ideals over i & Zd, so it is i when all hold i
-        regular = [i for i in ideals if all(i <= j for j in ideals if i & zset <= j)]
+    # Ig(i & Zd) is the meet of the ideals over i & Zd, so it is i when all hold i
+    regular = [i for i in ideals if all(i <= j for j in ideals if i & zset <= j)]
     opens = {bitmask(u) for u in sheaf.opens()}
     support = [bitmask(sheaf.support(a)) for a in range(reduct.size)]  # point bitmasks
 

@@ -229,8 +229,10 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     stated.  The backward half of (vi) is order separation and is checked
     over the prime filters of the lattice reduct, the only spectrum that
     separates on chains with nilpotent elements.  Item (iii) reads "Fl(xs)
-    is improper" as "no filter but the whole algebra contains xs" when
-    `meet` orders the algebra.
+    is improper" as "no filter but the whole algebra contains xs".  Item
+    (iv) holds for any family of point sets, as D_M of a set is the
+    complement of an intersection of V_M sets: it checks the point-set
+    code, not the algebra.
 
     Point sets are bool rows over the points and each identity is one
     broadcast.  An identity's witness is its first failure in the order
@@ -259,21 +261,17 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     ]
     failed = [(int((~ok).argmax()), i, aid) for i, (aid, ok) in enumerate(pairs) if not ok.all()]
     violations = [(aid, divmod(k, n)) for k, _, aid in sorted(failed)]
-    if alg.partial_order is not None:
-        closed = enumerate_closed(alg, range(n), True, alg.one, ["star"])
-        filters = _members(alg, [f for f in closed if len(f) < n]).T
+    closed = enumerate_closed(alg, range(n), True, alg.one, ["star"])
+    filters = _members(alg, [f for f in closed if len(f) < n]).T
     cover, union = None, None
     for k in range(1, subset_size + 1):
         subsets = list(combinations(range(n), k))
         at = numpy.array(subsets, dtype=numpy.intp).reshape(-1, k)
         vm_of = vm[at].all(axis=1)  # row j: V_M of the j-th subset
-        if alg.partial_order is None:  # the enumeration may miss filters: generate each
-            improper = numpy.array([len(generate_filter(alg, xs).members) == n for xs in subsets])
-        else:
-            improper = numpy.empty(len(at), dtype=bool)
-            step = max(1, (1 << 22) // max(1, len(filters) * k))  # bounds the broadcast
-            for lo in range(0, len(at), step):
-                improper[lo : lo + step] = ~filters[:, at[lo : lo + step]].all(-1).any(0)
+        improper = numpy.empty(len(at), dtype=bool)
+        step = max(1, (1 << 22) // max(1, len(filters) * k))  # bounds the broadcast
+        for lo in range(0, len(at), step):
+            improper[lo : lo + step] = ~filters[:, at[lo : lo + step]].all(-1).any(0)
         ok = ~vm_of.any(-1) == improper
         if cover is None and not ok.all():
             cover = subsets[int((~ok).argmax())]

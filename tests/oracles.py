@@ -11,8 +11,9 @@ tuple-vector,
 pair-loop `lindenbaum` (with its one-`eval_formula`-per-coordinate
 `_representatives`), and `projection_map`, which recovers a coordinate
 projection of a free algebra by walking its tables.  The last group is
-what principal closed sets replaced: the DFS of `enumerate_closed`, the
-pair loops of `is_prime_filter` and `prime_ideals_of`, the union-find
+what principal closed sets replaced: the DFS of `enumerate_closed`
+(with `closed_sets`, a scan of every subset that stays complete where
+`meet` is not a partial order and the DFS misses sets), the pair loops of `is_prime_filter` and `prime_ideals_of`, the union-find
 stalk congruence and the frozenset `verify_dm_lemma`.  Last come the
 loop bodies of the Kripke suites `verify_derived_identities`,
 `verify_gpha_axioms` and `verify_heyting_quantifiers`, one
@@ -730,6 +731,30 @@ def enumerate_closed(alg, universe, up, const, binary=(), unary=()):
     rec(0, frozenset())
     out.sort(key=bitmask)
     return out
+
+
+def closed_sets(alg, universe, up, const, binary=(), unary=()):
+    """The sets of `enumerate_closed` by testing every subset of the
+    universe against the definition: it holds `const`, holds every element
+    of the universe above (below) a member, and holds every value in the
+    universe of an op on members.  Complete on any table, but 2^|U| rows."""
+    uni = np.array(sorted(universe), dtype=np.intp)
+    m = len(uni)
+    sub = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)  # row: a subset
+    rows = np.zeros((len(sub), alg.size), dtype=bool)
+    rows[:, uni] = sub
+    inside = np.zeros(alg.size, dtype=bool)
+    inside[uni] = True
+    le = alg.np_table("meet") == np.arange(alg.size)[:, None]  # le[a, b]: a <= b
+    step = (le if up else le.T)[np.ix_(uni, uni)]  # step[a, b]: b must follow a
+    ok = rows[:, const] & ~(sub[:, :, None] & step & ~sub[:, None, :]).any(axis=(1, 2))
+    for name in binary:
+        t = alg.np_table(name)[np.ix_(uni, uni)]
+        ok &= ~(sub[:, :, None] & sub[:, None, :] & inside[t] & ~rows[:, t]).any(axis=(1, 2))
+    for name in unary:
+        t = alg.np_table(name)[uni]
+        ok &= ~(sub & inside[t] & ~rows[:, t]).any(axis=1)
+    return [frozenset(uni[s].tolist()) for s in sub[ok]]
 
 
 def is_prime_filter(alg, members):

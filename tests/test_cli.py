@@ -384,6 +384,7 @@ def test_lindenbaum_two_variables_over_luk3_exit_code(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("argv", [
     pytest.param(("check", "luk:100000", "--class", "mv"), id="check"),
     pytest.param(("taut", "p0", "--chains", "godel:100000"), id="taut-chains"),
+    pytest.param(("taut", "p0 -> p0", "--chains", "godel:2..100000"), id="taut-chain-range"),
     pytest.param(("lindenbaum", "--theory", "theory.json", "--vars", "1"), id="theory-chains"),
 ])
 def test_chain_over_budget_exit_code(tmp_path, capsys, monkeypatch, argv):
@@ -419,6 +420,7 @@ def _resource_cases():
          )),
         ("algebra.make_chain", 4,
          lambda: make_chain(ChainSpec("lukasiewicz", 5), budget=Budget(chain=4))),
+        ("logic.parse_chain_list", 1024, lambda: logic.parse_chain_list("godel:2..2000")),
     ]
     return [pytest.param(limit, call, id=name) for name, limit, call in cases]
 

@@ -1,7 +1,9 @@
 """Principal closed sets, bitmask spectra and ideal congruences, each
 against the reference it replaced in tests/oracles.py: the DFS of
 `enumerate_closed`, the loop prime tests, the frozenset
-`verify_dm_lemma` and the union-find stalk congruence."""
+`verify_dm_lemma` and the union-find stalk congruence.  The NextClosure
+fallback of `enumerate_closed` is checked against the DFS on partial
+orders and against a scan of every subset on faulty tables."""
 
 import time
 from itertools import combinations
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from reslat import algebra
 from reslat.algebra import (
     ChainSpec,
     FiniteAlgebra,
@@ -178,7 +181,9 @@ def test_ideal_congruence_falls_back_off_distributive_lattices():
 
 def lemma_oracle(alg, subset_size):
     space = zariski_sets(alg, bound=64)
-    lat = oracles.enumerate_closed(alg, range(alg.size), True, alg.one, ["meet"])
+    # the DFS misses lattice filters where meet is not a partial order
+    scan = oracles.enumerate_closed if alg.partial_order is not None else oracles.closed_sets
+    lat = scan(alg, range(alg.size), True, alg.one, ["meet"])
     lat_primes = [f for f in lat if alg.zero not in f and oracles.is_prime_filter(alg, f)]
     return oracles.verify_dm_lemma(alg, space, lat_primes, subset_size)
 
@@ -194,17 +199,21 @@ def test_dm_lemma_violations_match_oracle_on_faults():
     (order and witnesses) are the oracle's."""
     failing = 0
     for alg in [a for a in SMALL if a.size <= 4]:
-        for name in ("join", "meet", "star"):
-            for a in range(alg.size):
-                for b in range(alg.size):
-                    for v in range(alg.size):
-                        if v == alg.tables[name][a][b]:
-                            continue
-                        faulty = with_entry(alg, name, (a, b), v)
-                        report = verify_dm_lemma(faulty, bound=64)
-                        assert report == lemma_oracle(faulty, 2), (name, a, b, v)
-                        failing += not report.passed
+        for fault, faulty in single_faults(alg):
+            report = verify_dm_lemma(faulty, bound=64)
+            assert report == lemma_oracle(faulty, 2), fault
+            failing += not report.passed
     assert failing
+
+
+def single_faults(alg):
+    """Every algebra that differs from `alg` in one join, meet or star entry."""
+    for name in ("join", "meet", "star"):
+        for a in range(alg.size):
+            for b in range(alg.size):
+                for v in range(alg.size):
+                    if v != alg.tables[name][a][b]:
+                        yield (name, a, b, v), with_entry(alg, name, (a, b), v)
 
 
 def with_table(alg, name, table):
@@ -221,7 +230,7 @@ def with_entry(alg, name, pos, value):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_gate_failing_tables_take_the_dfs(data):
+def test_gate_failing_tables_match_subset_scan(data):
     alg = data.draw(st.sampled_from(SMALL))
     kind = data.draw(st.sampled_from(["non-integral star", "star = join", "corrupted meet"]))
     n = alg.size
@@ -241,7 +250,58 @@ def test_gate_failing_tables_take_the_dfs(data):
     filters = (range(n), True, bad.one, ["star"], [])
     assert principal_closed(bad, *filters) is None
     for problem in problems(bad):
-        assert enumerate_closed(bad, *problem) == oracles.enumerate_closed(bad, *problem)
+        assert enumerate_closed(bad, *problem) == oracles.closed_sets(bad, *problem)
+
+
+def test_next_closure_matches_dfs_on_partial_orders(monkeypatch):
+    monkeypatch.setattr(algebra, "principal_closed", lambda *args: None)  # always fall back
+    for alg in CORPUS + KRIPKE:
+        for problem in problems(alg):
+            assert enumerate_closed(alg, *problem) == oracles.enumerate_closed(alg, *problem)
+        for reduct, nr, outside in nr_problems(alg):
+            ops = _kernel_ops(reduct, outside)
+            for universe in (nr, range(reduct.size)):
+                problem = (universe, False, reduct.zero, *ops)
+                assert enumerate_closed(reduct, *problem) == oracles.enumerate_closed(
+                    reduct, *problem
+                ), (alg.name, outside)
+
+
+def test_enumerate_closed_matches_subset_scan_on_faults():
+    """Every single-entry fault, on the principal path where the gate
+    passes and on NextClosure where it fails, which includes every fault
+    on which the DFS misses a set."""
+    missed = 0
+    for alg in SMALL:
+        for fault, bad in single_faults(alg):
+            for problem in problems(bad):
+                scan = oracles.closed_sets(bad, *problem)
+                assert enumerate_closed(bad, *problem) == scan, (alg.name, fault, problem)
+                missed += oracles.enumerate_closed(bad, *problem) != scan
+    assert missed
+
+
+def test_next_closure_finds_filters_the_dfs_missed():
+    """godel:3 with meet[2][1] = 2 relates 1 and 2 both ways: the DFS
+    found no star filter."""
+    bad = with_entry(CHAINS[0], "meet", (2, 1), 2)
+    problem = (range(3), True, bad.one, ["star"])
+    assert enumerate_closed(bad, *problem) == [frozenset({1, 2}), frozenset({0, 1, 2})]
+    assert oracles.enumerate_closed(bad, *problem) == []
+
+
+def test_benchmark_problems_take_the_principal_path():
+    """The filter, lattice-filter, ideal and Nr_J kernel-ideal problems of
+    every corpus and Kripke algebra pass the gate, so none of them runs
+    NextClosure."""
+    for alg in CORPUS + KRIPKE:
+        for problem in problems(alg):
+            assert principal_closed(alg, *problem) is not None, (alg.name, problem)
+        for reduct, nr, outside in nr_problems(alg):
+            ops = _kernel_ops(reduct, outside)
+            for universe in (nr, range(reduct.size)):
+                problem = (universe, False, reduct.zero, *ops)
+                assert principal_closed(reduct, *problem) is not None, (alg.name, outside)
 
 
 def test_zariski_sets_reach_ba_fr3():
