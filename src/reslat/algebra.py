@@ -544,7 +544,7 @@ _AXIOMS = {
         ),
     ),
 }
-# grid points evaluated at once; an n**3 grid is cut along its first axis
+# grid points evaluated at once, unless one n**2 plane of the grid is more
 _GRID_CHUNK = 1 << 16
 
 
@@ -561,27 +561,24 @@ _SUITES = {
 }
 
 
-def _grid_chunks(n, arity):
-    """The grid of all arity-tuples of elements, in chunks along its first
-    axis: per chunk, one index array per variable, shaped to broadcast."""
-    rows = max(1, _GRID_CHUNK // n ** max(arity - 1, 0))
-    chunks = []
-    for lo in range(0, n if arity else 1, rows):
-        axes = [numpy.arange(n)] * arity
-        if arity:
-            axes[0] = numpy.arange(lo, min(n, lo + rows))
-        chunks.append(
-            {
-                var: axis.reshape([-1 if j == i else 1 for j in range(arity)])
-                for i, (var, axis) in enumerate(zip(_VARIABLES, axes))
-            }
-        )
-    return chunks
+def _grid_chunks(n, names):
+    """All assignments of n elements to `names` in itertools.product order,
+    lazily in chunks of at most max(_GRID_CHUNK, n**2) points, each one broadcast
+    index array per variable: leading variables are fixed until the rest fit."""
+    k, fixed = len(names), 0
+    while k - fixed > 3 and n ** (k - fixed - 1) > _GRID_CHUNK:
+        fixed += 1
+    rows = max(1, _GRID_CHUNK // n ** max(k - fixed - 1, 0))
+    shapes = [[-1 if j == i else 1 for j in range(k)] for i in range(k)]
+    for head in iproduct(range(n), repeat=fixed):
+        for lo in range(0, n if k else 1, rows):
+            spans = [(h, h + 1) for h in head] + [(lo, min(n, lo + rows))] + [(0, n)] * (k - fixed - 1)
+            yield {v: numpy.arange(*span).reshape(sh) for v, span, sh in zip(names, spans, shapes)}
 
 
 def _evaluate(term, env):
-    """Value of a term, broadcast over the variable grids held in env."""
-    if type(term) is str:
+    """Value of a term, broadcast over the variable grids in env; a leaf is any non-tuple."""
+    if type(term) is not tuple:
         return env[term]
     x = _evaluate(term[1], env)
     if len(term) == 2:
@@ -608,7 +605,7 @@ def check_class_axioms(alg, cls):
     violations = []
     for aid, arity, lhs, rhs in _SUITES[cls]:
         if arity not in grids:
-            grids[arity] = _grid_chunks(alg.size, arity)
+            grids[arity] = list(_grid_chunks(alg.size, _VARIABLES[:arity]))
         for grid in grids[arity]:  # C order: the flat grid is product order
             env.update(grid)
             holds = _evaluate(lhs, env) == _evaluate(rhs, env)

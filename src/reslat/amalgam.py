@@ -9,6 +9,8 @@ import numpy
 from . import budgets
 from .algebra import (
     CORE_NAMES,
+    _evaluate,
+    _grid_chunks,
     bitmask,
     check_class_axioms,
     enumerate_closed,
@@ -510,14 +512,12 @@ def discriminator_check(alg, d_table):
 
 
 def is_distributive(alg):
-    for a in range(alg.size):
-        for b in range(alg.size):
-            for c in range(alg.size):
-                if alg.meet(a, alg.join(b, c)) != alg.join(
-                    alg.meet(a, b), alg.meet(a, c)
-                ):
-                    return False
-    return True
+    """meet(a, join(b, c)) = join(meet(a, b), meet(a, c)) on every triple, by the
+    class-axiom evaluator (`check_class_axioms` needs star and imp, which lattice reducts lack)."""
+    lhs, rhs = ("meet", "a", ("join", "b", "c")), ("join", ("meet", "a", "b"), ("meet", "a", "c"))
+    tables = {name: alg.np_table(name) for name in ("meet", "join")}
+    envs = (tables | grid for grid in _grid_chunks(alg.size, ("a", "b", "c")))
+    return all((_evaluate(lhs, env) == _evaluate(rhs, env)).all() for env in envs)
 
 
 def is_relatively_complemented(alg):
@@ -564,15 +564,13 @@ def gratzer_schmidt_check(alg, bound=None, budget=None):
         for j in ideals
     )
     correspondence = injective and surjective and monotone
-    conditions = (
-        is_distributive(lat)
-        and is_relatively_complemented(lat)
-        and lat.zero is not None
-    )
+    distributive = is_distributive(lat)
+    relatively_complemented = is_relatively_complemented(lat)
+    conditions = distributive and relatively_complemented and lat.zero is not None
     return {
         "correspondence": correspondence,
-        "distributive": is_distributive(lat),
-        "relatively_complemented": is_relatively_complemented(lat),
+        "distributive": distributive,
+        "relatively_complemented": relatively_complemented,
         "has_minimum": True,
         "conditions": conditions,
         "biconditional": correspondence == conditions,

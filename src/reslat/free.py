@@ -286,14 +286,8 @@ def decompose(alg, b):
     prod = product([rb, rc])
     rb_idx = {e: i for i, e in enumerate(rb.embedding)}
     rc_idx = {e: i for i, e in enumerate(rc.embedding)}
-    pair_index = {}
-    k = 0
-    for x in range(rb.size):
-        for y in range(rc.size):
-            pair_index[(x, y)] = k
-            k += 1
-    mapping = [
-        pair_index[(rb_idx[alg.meet(x, b)], rc_idx[alg.meet(x, c)])]
+    mapping = [  # `product` lists the pairs lexicographically
+        rb_idx[alg.meet(x, b)] * rc.size + rc_idx[alg.meet(x, c)]
         for x in range(alg.size)
     ]
     if len(set(mapping)) != alg.size or alg.size != prod.size:
@@ -361,17 +355,9 @@ def free_product_decomposition_check(variety, n, budget=None):
     prod = product([fr_n.algebra, fr_n.algebra])
     if prod.size != fr_n1.size:
         return False, None
-    pair_index = {}
-    k = 0
-    for x in range(fr_n.size):
-        for y in range(fr_n.size):
-            pair_index[(x, y)] = k
-            k += 1
-    canonical = {}
-    for i, g in enumerate(fr_n1.generators[:-1]):
-        gi = fr_n.generators[i]
-        canonical[g] = pair_index[(gi, gi)]
-    canonical[fr_n1.generators[-1]] = pair_index[(fr_n.algebra.one, fr_n.algebra.zero)]
+    size = fr_n.size  # `product` lists the pairs lexicographically: (x, y) is x * size + y
+    canonical = {g: gi * size + gi for g, gi in zip(fr_n1.generators[:-1], fr_n.generators)}
+    canonical[fr_n1.generators[-1]] = fr_n.algebra.one * size + fr_n.algebra.zero
     maps = homomorphisms(
         fr_n1.algebra, prod, injective=True, gens=list(fr_n1.generators),
         seed=canonical, limit=1,

@@ -2,16 +2,20 @@
 consequence, Lindenbaum algebras, type spaces and the generic-filter
 engine behind the finite omitting-types machinery.
 
+Formulas run on the term evaluator of `check_class_axioms`, over whole
+valuation grids at once.
+
 Consequence here is semantic over a declared finite chain family.  For a
 BL-sound calculus, provability implies validity on these chains; the
 converse is not claimed.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import lru_cache
+import numpy
 
 from . import budgets
-from .algebra import ChainSpec, core_reduct, make_chain
+from .algebra import ChainSpec, _evaluate, _grid_chunks, core_reduct, make_chain
 from .errors import (
     DomainError,
     InvalidSpecError,
@@ -211,39 +215,85 @@ def expand(f):
 
 
 def variables(f):
-    if isinstance(f, Var):
-        return {f.name}
-    if isinstance(f, Konst):
-        return set()
-    if isinstance(f, Neg):
-        return variables(f.sub)
-    return variables(f.left) | variables(f.right)
+    return {name for name, _ in _compile(f)[1]}
 
 
-def eval_formula(f, chain, valuation):
-    """Evaluate over a chain; derived connectives go through the primitive
-    meet/join tables directly (the expansion route must agree; tested)."""
+# connective -> table, in the order `_representatives` tries candidates
+_TABLES = {"&": "star", "->": "imp", "/\\": "meet", "\\/": "join"}
+
+
+def _term(f, leaves):
+    """The formula as a term of `algebra._evaluate`.  A variable becomes the
+    str leaf "$name" (a Var key hashes in Python, five times slower): no
+    identifier starts with "$", so none collides with a table or a constant."""
+    if isinstance(f, Bin):
+        a, b = _term(f.left, leaves), _term(f.right, leaves)
+        if f.op == "<->":
+            return ("star", ("imp", a, b), ("imp", b, a))
+        if f.op not in _TABLES:
+            raise DomainError("unknown connective %r" % f.op)
+        return (_TABLES[f.op], a, b)
     if isinstance(f, Var):
-        if f.name not in valuation:
-            raise DomainError("unbound variable %r" % f.name)
-        return valuation[f.name]
-    if isinstance(f, Konst):
-        return chain.zero if f.value == 0 else chain.one
+        return leaves.setdefault(f.name, "$" + f.name)
     if isinstance(f, Neg):
-        return chain.imp(eval_formula(f.sub, chain, valuation), chain.zero)
-    a = eval_formula(f.left, chain, valuation)
-    b = eval_formula(f.right, chain, valuation)
-    if f.op == "&":
-        return chain.star(a, b)
-    if f.op == "->":
-        return chain.imp(a, b)
-    if f.op == "/\\":
-        return chain.meet(a, b)
-    if f.op == "\\/":
-        return chain.join(a, b)
-    if f.op == "<->":
-        return chain.star(chain.imp(a, b), chain.imp(b, a))
-    raise DomainError("unknown connective %r" % f.op)
+        return ("imp", _term(f.sub, leaves), "0")
+    return "0" if f.value == 0 else "1"
+
+
+_COMPILED = {}  # id -> (formula, term, leaves); holding the formula keeps its id unique
+
+
+def _compile(f, bound=None):
+    """The term of a formula and its (name, leaf) pairs, cached by object:
+    hashing a frozen formula walks the whole tree, as translating it does.
+    A variable outside `bound`, when given, is a DomainError."""
+    hit = _COMPILED.get(id(f))
+    if hit is None:
+        if len(_COMPILED) >= 64:
+            _COMPILED.clear()
+        leaves = {}
+        hit = _COMPILED[id(f)] = f, _term(f, leaves), tuple(leaves.items())
+    for name, _ in hit[2] if bound is not None else ():
+        if name not in bound:
+            raise DomainError("unbound variable %r" % name)
+    return hit[1:]
+
+
+@lru_cache(maxsize=32)
+def _env(alg, view):
+    """Tables (through `view`) and constants of `alg`, keyed as in terms; shared: copy it."""
+    env = {t: view(alg.np_table(t)) for t in _TABLES.values() if t in alg.tables}
+    return env | {c: alg.tables[t] for c, t in (("0", "zero"), ("1", "one")) if t in alg.tables}
+
+
+def eval_formula(f, alg, valuation):
+    """The value in `alg` at a valuation (name -> element), by the term
+    evaluator of `reslat.algebra`; derived connectives read the meet and
+    join tables directly (the expansion route must agree; tested)."""
+    term, leaves = _compile(f, valuation)
+    env = dict(_env(alg, memoryview))  # a memoryview reads a cell as an int, faster than numpy
+    env.update((leaf, valuation[name]) for name, leaf in leaves)
+    return int(_evaluate(term, env))
+
+
+def valuation_grid(chain, names, axioms=(), formulas=()):
+    """Per chunk of the chain's valuation grid over `names`, lazily in product
+    order: the chunk (leaf -> index array), the mask of the valuations making
+    every axiom 1, at the chunk's shape, and the values of each formula."""
+    axioms, formulas = [[_compile(f, names)[0] for f in fs] for fs in (axioms, formulas)]
+    env = dict(_env(chain, numpy.asarray))
+    for grid in _grid_chunks(chain.size, ["$" + name for name in names]):
+        env.update(grid)
+        mask = numpy.ones(numpy.broadcast(*grid.values()).shape, dtype=bool)
+        for t in axioms:
+            mask &= _evaluate(t, env) == chain.one
+        yield grid, mask, [_evaluate(t, env) for t in formulas]
+
+
+def valuations_at(grid, mask):
+    """The valuations of a chunk where mask holds, as element tuples, lazily in product order."""
+    axes = [g.ravel().tolist() for g in grid.values()]
+    return (tuple(ax[j] for ax, j in zip(axes, row.tolist())) for row in numpy.argwhere(mask))
 
 
 def _size(text, piece):
@@ -300,40 +350,30 @@ class Theory:
         )
 
 
-def _valuations(chain, names):
-    for vals in iproduct(range(chain.size), repeat=len(names)):
-        yield dict(zip(names, vals))
+def _counterexample(specs, axioms, formula):
+    """(True, None), or (False, (chain spec, valuation)) at the first valuation,
+    in chain then product order, where the axioms hold and the formula does
+    not; chains are built one at a time, up to that one."""
+    names = sorted(set().union(variables(formula), *map(variables, axioms)))
+    for spec in specs:
+        chain = make_chain(spec)
+        for grid, mask, (values,) in valuation_grid(chain, names, axioms, [formula]):
+            bad = mask & (values != chain.one)
+            if bad.any():
+                pretty = {k: chain.label(v) for k, v in zip(names, next(valuations_at(grid, bad)))}
+                return False, (str(spec), pretty)
+    return True, None
 
 
 def is_tautology(formula, chain_specs):
     """(True, None) or (False, (chain spec, counter-valuation))."""
-    names = sorted(variables(formula))
-    for spec in chain_specs:
-        chain = make_chain(spec)
-        for val in _valuations(chain, names):
-            if eval_formula(formula, chain, val) != chain.one:
-                pretty = {k: chain.label(v) for k, v in val.items()}
-                return False, (str(spec), pretty)
-    return True, None
+    return _counterexample(chain_specs, (), formula)
 
 
 def consequence(theory, formula):
     """Semantic consequence over the theory's chains: the formula holds in
     every valuation making every axiom fully true."""
-    names = sorted(
-        set().union(variables(formula), *[variables(a) for a in theory.axioms])
-    )
-    for spec in theory.semantics:
-        chain = make_chain(spec)
-        for val in _valuations(chain, names):
-            if any(
-                eval_formula(a, chain, val) != chain.one for a in theory.axioms
-            ):
-                continue
-            if eval_formula(formula, chain, val) != chain.one:
-                pretty = {k: chain.label(v) for k, v in val.items()}
-                return False, (str(spec), pretty)
-    return True, None
+    return _counterexample(theory.semantics, theory.axioms, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +407,10 @@ def lindenbaum(theory, n, budget=None):
     chains = [make_chain(s) for s in theory.semantics]
     names = ["p%d" % i for i in range(n)]
     coords = [
-        (ai, tuple(val.values()))
+        (ai, val)
         for ai, chain in enumerate(chains)
-        for val in _valuations(chain, names)
-        if all(eval_formula(a, chain, val) == chain.one for a in theory.axioms)
+        for grid, mask, _ in valuation_grid(chain, names, theory.axioms)
+        for val in valuations_at(grid, mask)
     ]
     if not coords:
         raise InvalidSpecError("theory has no satisfying valuations on its chains")
@@ -381,10 +421,6 @@ def lindenbaum(theory, n, budget=None):
     every = range(free.size)
     alg, _ = free.algebra.restrict("lindenbaum(n=%d)" % n, every, every, labels=labels)
     return LindenbaumAlgebra(theory, n, alg, free.vectors, reps, list(free.generators))
-
-
-# connective -> table, in the order candidates are tried
-_TABLE_OF = (("&", "star"), ("->", "imp"), ("/\\", "meet"), ("\\/", "join"))
 
 
 def _representatives(alg, generators):
@@ -405,7 +441,7 @@ def _representatives(alg, generators):
             reps[c] = make(*args)
             order.append(c)
 
-    tables = [(op, alg.tables[table]) for op, table in _TABLE_OF]
+    tables = [(op, alg.tables[table]) for op, table in _TABLES.items()]
     imp, zero = alg.tables["imp"], alg.zero
     done = 0
     while done < len(order) and None in reps:

@@ -408,31 +408,17 @@ def pair_complete_extension(tp, record_steps=False):
     return out
 
 
-def _alpha_of(alg):
-    dims = [
-        int(n[2:])
-        for n in alg.signature.names()
-        if n.startswith("c_") and n[2:].isdigit()
-    ]
-    if not dims:
-        raise SignatureError("algebra carries no cylindrifier tables")
-    return sorted(dims)
-
-
-def _replacement_name(alpha_size, j, k):
-    tau = list(range(alpha_size))
-    tau[j] = k
-    return "s_" + "".join(str(t) for t in tau)
-
-
 def pair_saturated(tp, alg=None):
     """Saturation: c_j a in Gamma demands a witness substitution instance.
 
     Returns (True, None) or (False, (a, j)) with the first violation.
     """
+    from .kripke import _tau_name, cylinder_indices, dimension_set, replacement  # avoids a cycle
+
     alg = alg or tp.alg
-    dims = _alpha_of(alg)
-    from .kripke import dimension_set  # local import to avoid a cycle
+    dims = cylinder_indices(alg)
+    if not dims:
+        raise SignatureError("algebra carries no cylindrifier tables")
 
     for a in range(alg.size):
         dims_a = dimension_set(alg, a)
@@ -444,7 +430,7 @@ def pair_saturated(tp, alg=None):
             for k in dims:
                 if k in dims_a:
                     continue
-                name = _replacement_name(len(dims), j, k)
+                name = _tau_name(replacement(len(dims), j, k))
                 if name not in alg.signature:
                     raise SignatureError("missing substitution table %r" % name)
                 if alg.apply(name, a) in tp.gamma:

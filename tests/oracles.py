@@ -7,13 +7,17 @@ pairwise join closure of `amalgam.all_congruences`, and the table loops
 of `amalgam.quotient`, `free.relativize`, `kripke.neat_reduct` and
 `kripke.mutate_table` that `FiniteAlgebra.restrict` replaced.  Two
 more are what the vector closure of `free.free_algebra` replaced: the
-tuple-vector,
-pair-loop `lindenbaum` (with its one-`eval_formula`-per-coordinate
-`_representatives`), and `projection_map`, which recovers a coordinate
-projection of a free algebra by walking its tables.  The last group is
-what principal closed sets replaced: the DFS of `enumerate_closed`
-(with `closed_sets`, a scan of every subset that stays complete where
-`meet` is not a partial order and the DFS misses sets), the pair loops of `is_prime_filter` and `prime_ideals_of`, the union-find
+tuple-vector, pair-loop `lindenbaum` (with its one-`eval_formula`-per-
+coordinate `_representatives`), and `projection_map`, which recovers a
+coordinate projection of a free algebra by walking its tables.  Then
+come the recursive scalar `eval_formula` and the per-valuation
+`is_tautology` and `consequence` over it, which the grid evaluation of
+`reslat.logic` through `algebra._evaluate` replaced; the oracle
+`lindenbaum` evaluates through this copy.  The next group is what
+principal closed sets replaced: the DFS of `enumerate_closed` (with
+`closed_sets`, a scan of every subset that stays complete where `meet`
+is not a partial order and the DFS misses sets), the pair loops of
+`is_prime_filter` and `prime_ideals_of`, the union-find
 stalk congruence and the frozenset `verify_dm_lemma`.  Last come the
 loop bodies of the Kripke suites `verify_derived_identities`,
 `verify_gpha_axioms` and `verify_heyting_quantifiers`, one
@@ -45,7 +49,7 @@ from reslat.kripke import (
     replacement,
     verify_diagonal_equivalence_shadow,
 )
-from reslat.logic import Bin, Konst, Neg, Var, eval_formula
+from reslat.logic import Bin, Konst, Neg, Var, variables
 from reslat.sheaf import _kernel_ops
 from reslat.spectra import generate_filter
 
@@ -517,6 +521,67 @@ def mutate_table(alg, opname, position, new_value):
     return FiniteAlgebra(alg.name + "#fault", alg.size, alg.signature, tables, labels=alg.labels)
 
 
+def eval_formula(f, chain, valuation):
+    """Recursive scalar evaluation, one table lookup per connective."""
+    if isinstance(f, Var):
+        if f.name not in valuation:
+            raise DomainError("unbound variable %r" % f.name)
+        return valuation[f.name]
+    if isinstance(f, Konst):
+        return chain.zero if f.value == 0 else chain.one
+    if isinstance(f, Neg):
+        return chain.imp(eval_formula(f.sub, chain, valuation), chain.zero)
+    a = eval_formula(f.left, chain, valuation)
+    b = eval_formula(f.right, chain, valuation)
+    if f.op == "&":
+        return chain.star(a, b)
+    if f.op == "->":
+        return chain.imp(a, b)
+    if f.op == "/\\":
+        return chain.meet(a, b)
+    if f.op == "\\/":
+        return chain.join(a, b)
+    if f.op == "<->":
+        return chain.star(chain.imp(a, b), chain.imp(b, a))
+    raise DomainError("unknown connective %r" % f.op)
+
+
+def _valuations(chain, names):
+    for vals in iproduct(range(chain.size), repeat=len(names)):
+        yield dict(zip(names, vals))
+
+
+def is_tautology(formula, chain_specs):
+    """(True, None) or (False, (chain spec, counter-valuation)), one
+    `eval_formula` per valuation."""
+    names = sorted(variables(formula))
+    for spec in chain_specs:
+        chain = make_chain(spec)
+        for val in _valuations(chain, names):
+            if eval_formula(formula, chain, val) != chain.one:
+                pretty = {k: chain.label(v) for k, v in val.items()}
+                return False, (str(spec), pretty)
+    return True, None
+
+
+def consequence(theory, formula):
+    """Semantic consequence, one `eval_formula` per axiom and valuation."""
+    names = sorted(
+        set().union(variables(formula), *[variables(a) for a in theory.axioms])
+    )
+    for spec in theory.semantics:
+        chain = make_chain(spec)
+        for val in _valuations(chain, names):
+            if any(
+                eval_formula(a, chain, val) != chain.one for a in theory.axioms
+            ):
+                continue
+            if eval_formula(formula, chain, val) != chain.one:
+                pretty = {k: chain.label(v) for k, v in val.items()}
+                return False, (str(spec), pretty)
+    return True, None
+
+
 class Lindenbaum:
     """What the old `lindenbaum` returned: the algebra, the class value
     vectors, representatives, generator classes and `class_of`."""
@@ -546,8 +611,7 @@ def lindenbaum(theory, n, budget=None):
     names = ["p%d" % i for i in range(n)]
     coords = []
     for chain in chains:
-        for vals in iproduct(range(chain.size), repeat=n):
-            val = dict(zip(names, vals))
+        for val in _valuations(chain, names):
             if all(
                 eval_formula(a, chain, val) == chain.one for a in theory.axioms
             ):

@@ -34,6 +34,7 @@ from reslat.amalgam import (
     ideal_generate,
     ideal_join_characterize,
     interpolant_search,
+    is_distributive,
     is_ideal,
     partition_join,
     principal_congruence,
@@ -520,6 +521,30 @@ def test_discriminator_full_closure_on_kripke():
 
 
 # ---- Gratzer-Schmidt ---------------------------------------------------------------
+
+
+def test_is_distributive_matches_a_triple_loop_on_faulted_lattices():
+    def distributive(alg):
+        n = range(alg.size)
+        return all(
+            alg.meet(a, alg.join(b, c)) == alg.join(alg.meet(a, b), alg.meet(a, c))
+            for a in n for b in n for c in n
+        )
+
+    rng = random.Random(3)
+    seen = set()
+    for alg in corpus_algebras()[:12]:
+        lat = lattice_reduct(alg)
+        seen.add(is_distributive(lat))
+        assert is_distributive(lat) == distributive(lat)
+        for _ in range(6):
+            op = rng.choice(("meet", "join"))
+            x, y, v = (rng.randrange(lat.size) for _ in range(3))
+            faulted = mutate_table(lat, op, (x, y), v)
+            got = is_distributive(faulted)
+            assert got == distributive(faulted)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_gratzer_schmidt_on_boolean_algebras():

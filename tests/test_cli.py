@@ -295,6 +295,14 @@ def test_non_json_theory_file_exit_code(tmp_path, capsys):
         assert str(path) in err
 
 
+def test_theory_axiom_outside_the_variables_exit_code(tmp_path, capsys):
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps({"axioms": ["p0 -> p1"], "chains": ["luk:3"]}))
+    code, _, err = run(capsys, "lindenbaum", "--theory", str(path), "--vars", "1")
+    assert code == 2
+    assert "unbound variable 'p1'" in err and "Traceback" not in err
+
+
 def test_non_json_problem_file_exit_code(tmp_path, capsys):
     path = tmp_path / "problem.json"
     for text in ("{",) + NOT_A_SPEC:

@@ -1,12 +1,17 @@
 """Parser, evaluation, Lindenbaum algebras and the generic-filter engine."""
 
 import random
+from itertools import product as iproduct
+from math import prod
+from types import GeneratorType
 
+import numpy
 import pytest
 
 import oracles
-from reslat import budgets, logic
+from reslat import algebra, budgets, logic
 from reslat.algebra import ChainSpec, check_class_axioms, make_chain, product
+from reslat.corpus import CHAIN_SPECS
 from reslat.errors import DomainError, InvalidSpecError, NoGenericPointError, ResourceError
 from reslat.logic import (
     Bin,
@@ -27,6 +32,7 @@ from reslat.logic import (
     parse,
     parse_chain_list,
     type_space,
+    valuations_at,
     variables,
 )
 from reslat.spectra import zariski_sets
@@ -120,6 +126,16 @@ def test_prelinearity_exhaustive_on_luk3():
 def test_unbound_variable():
     with pytest.raises(DomainError):
         eval_formula(parse("p0"), luk(3), {})
+    for text in ("p0 & q", "~q", "q <-> p0", "1 -> q /\\ r"):
+        for evaluate in (eval_formula, oracles.eval_formula):
+            with pytest.raises(DomainError, match="unbound variable 'q'"):
+                evaluate(parse(text), luk(3), {"p0": 1})
+
+
+def test_unknown_connective():
+    for evaluate in (eval_formula, oracles.eval_formula):
+        with pytest.raises(DomainError, match="unknown connective"):
+            evaluate(Bin("=>", Var("p0"), Konst(1)), luk(3), {"p0": 1})
 
 
 def test_tautology_examples():
@@ -238,15 +254,20 @@ def test_inconsistent_theory_rejected():
 # ---- differential: Lindenbaum on free_algebra against the tuple-closure oracle -------
 
 
-def random_formula(rng, depth, n):
+NAMES = ("p0", "p1", "p2", "p3", "p4")
+
+
+def formula_over(rng, depth, names):
+    """A random formula of depth at most `depth`; constants only when
+    `names` is empty."""
     if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.15:
+        if not names or rng.random() < 0.15:
             return Konst(rng.randint(0, 1))
-        return Var("p%d" % rng.randrange(n))
+        return Var(rng.choice(names))
     if rng.random() < 0.2:
-        return Neg(random_formula(rng, depth - 1, n))
+        return Neg(formula_over(rng, depth - 1, names))
     op = rng.choice(["&", "->", "/\\", "\\/", "<->"])
-    return Bin(op, random_formula(rng, depth - 1, n), random_formula(rng, depth - 1, n))
+    return Bin(op, formula_over(rng, depth - 1, names), formula_over(rng, depth - 1, names))
 
 
 def assert_same_lindenbaum(theory, n, rng):
@@ -265,7 +286,7 @@ def assert_same_lindenbaum(theory, n, rng):
     assert got.vectors.tolist() == [list(v) for v in want.vectors]
     assert got.reps == want.reps
     assert got.generator_classes == want.generator_classes
-    for f in got.reps + [random_formula(rng, 3, n) for _ in range(20)]:
+    for f in got.reps + [formula_over(rng, 3, NAMES[:n]) for _ in range(20)]:
         assert got.class_of(f) == want.class_of(f)
     for lib in (got, want):
         with pytest.raises(DomainError):
@@ -308,7 +329,7 @@ def test_lindenbaum_equals_oracle_on_seeded_theories():
         rng = random.Random(seed)
         n = rng.randint(1, 2)
         chains = tuple(rng.sample(specs, rng.randint(1, 2)))
-        axioms = tuple(random_formula(rng, 2, n) for _ in range(rng.randint(0, 2)))
+        axioms = tuple(formula_over(rng, 2, NAMES[:n]) for _ in range(rng.randint(0, 2)))
         theory = Theory(axioms, chains)
         try:
             size = lindenbaum(theory, n).algebra.size
@@ -326,6 +347,199 @@ def test_lindenbaum_two_variables_over_luk3_stops_at_the_closure_budget():
     theory = Theory((), (L(3),))
     with pytest.raises(ResourceError, match="1173060 candidates over closure budget 1048576"):
         lindenbaum(theory, 2, budget=budgets.Budget())
+
+
+def test_lindenbaum_axiom_outside_its_variables_is_unbound():
+    theory = Theory((parse("p0 -> p1"),), (L(3),))
+    with pytest.raises(DomainError, match="unbound variable 'p1'"):
+        lindenbaum(theory, 1)
+    with pytest.raises(DomainError, match="unbound variable 'p1'"):
+        oracles.lindenbaum(theory, 1)
+
+
+# ---- differential: grid evaluation against the recursive per-valuation oracle -------
+
+# names of tables, axiom variables and constants of the term evaluator
+ODD_NAMES = ("meet", "imp", "a", "c", "one")
+
+
+def seeded_formulas(rng, count, names):
+    """Random formulas of depth at most 5; every third one is a
+    prelinearity instance, which holds on every chain."""
+    out = []
+    for i in range(count):
+        f = formula_over(rng, rng.randint(0, 5), names)
+        if i % 3 == 2:
+            g = formula_over(rng, 2, names)
+            f = Bin("\\/", Bin("->", f, g), Bin("->", g, f))
+        out.append(f)
+    return out
+
+
+def assert_same_values(f, chain, rng, samples=6):
+    names = sorted(variables(f))
+    for _ in range(samples):
+        val = {x: rng.randrange(chain.size) for x in names}
+        got = eval_formula(f, chain, val)
+        assert type(got) is int and got == oracles.eval_formula(f, chain, val)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_tautology_and_values_match_the_oracle_on_the_corpus_chains(k):
+    rng = random.Random(k)
+    verdicts = set()
+    for f in seeded_formulas(rng, 30, NAMES[:k]):
+        want = oracles.is_tautology(f, CHAIN_SPECS)
+        assert is_tautology(f, CHAIN_SPECS) == want
+        verdicts.add(want[0])
+        for spec in CHAIN_SPECS:
+            assert_same_values(f, make_chain(spec), rng)
+    assert verdicts == {True, False}
+
+
+def test_constants_and_table_named_variables_match_the_oracle():
+    rng = random.Random(5)
+    specs = parse_chain_list("luk:2..4,godel:2..4")
+    theory = Theory((parse("a -> c"), parse("one \\/ ~meet")), tuple(specs))
+    formulas = [parse(t) for t in ("0", "1", "~0", "0 -> 1 & 0", "~1 <-> 0",
+                                   "meet & imp -> a \\/ c /\\ one", "c -> one -> c")]
+    for f in formulas + seeded_formulas(rng, 24, ODD_NAMES):
+        assert is_tautology(f, specs) == oracles.is_tautology(f, specs)
+        assert consequence(theory, f) == oracles.consequence(theory, f)
+        for spec in specs:
+            assert_same_values(f, make_chain(spec), rng)
+
+
+def test_values_hold_while_formulas_come_and_go_past_the_term_cache():
+    # each formula is dropped after use, so a later one may take its id;
+    # 3000 of them overflow the cache of compiled terms many times
+    rng = random.Random(17)
+    chain = luk(4)
+    for _ in range(3000):
+        f = formula_over(rng, 3, NAMES[:2])
+        val = {x: rng.randrange(chain.size) for x in variables(f)}
+        assert eval_formula(f, chain, val) == oracles.eval_formula(f, chain, val)
+
+
+# axiom variables, formula variables: disjoint, nested both ways, overlapping
+SPLITS = [
+    (("p0", "p1"), ("p2",)),
+    (("p2",), ("p0", "p1")),
+    (("p0",), ("p0", "p1", "p2")),
+    (("p0", "p1", "p2"), ("p1",)),
+    (("p0", "p1"), ("p1", "p2")),
+    ((), ("p0", "p1")),
+]
+
+
+def seeded_consequences(rng, count):
+    """(theory, formula) pairs over SPLITS; every other formula is the
+    fusion of the axioms joined with a formula in its own variables, a
+    consequence whatever the chains."""
+    specs = [s for s in CHAIN_SPECS if s.size <= 4]
+    for i in range(count):
+        axiom_names, formula_names = SPLITS[i % len(SPLITS)]
+        axioms = tuple(formula_over(rng, 2, axiom_names) for _ in range(rng.randint(1, 2)))
+        f = formula_over(rng, 3, formula_names)
+        if i % 2:
+            f = Bin("\\/", Bin("&", axioms[0], axioms[-1]), f)
+        yield Theory(axioms, tuple(rng.sample(specs, 2))), f
+
+
+def test_consequence_matches_the_oracle_when_axioms_and_formula_differ_in_variables():
+    verdicts = set()
+    for theory, f in seeded_consequences(random.Random(11), 90):
+        want = oracles.consequence(theory, f)
+        assert consequence(theory, f) == want
+        verdicts.add(want[0])
+    assert verdicts == {True, False}
+
+
+def test_first_failures_across_chunk_boundaries(monkeypatch):
+    # 7-point chunks cut every grid of two or more variables, and fix the
+    # leading variables of grids of four and five
+    monkeypatch.setattr(algebra, "_GRID_CHUNK", 7)
+    specs = parse_chain_list("luk:2..5,godel:2..5")
+    late = [  # the first failure lies past the first chunk
+        Neg(Bin("&", Var("p0"), Bin("&", Var("p1"), Var("p2")))),
+        parse("~(p0 /\\ p1 /\\ p2 /\\ p3)"),
+        parse("~(p3 & p4) \\/ ~(p0 /\\ p1) \\/ ~p2"),
+    ]
+    for f in late:
+        ok, (_, counter) = is_tautology(f, specs)
+        assert not ok and set(counter.values()) != {"0"}
+    rng = random.Random(13)
+    for f in late + seeded_formulas(rng, 12, NAMES):
+        assert is_tautology(f, specs) == oracles.is_tautology(f, specs)
+    for theory, f in seeded_consequences(rng, 24):
+        assert consequence(theory, f) == oracles.consequence(theory, f)
+    for axioms, chains, n in [(("p0 <-> p1",), (G(3), L(2)), 2), (("p0 \\/ ~p0",), (L(3), G(4)), 1)]:
+        assert_same_lindenbaum(Theory(tuple(parse(a) for a in axioms), chains), n, rng)
+
+
+@pytest.mark.parametrize("chunk, n, k", [
+    (7, 3, 5), (7, 4, 4), (7, 2, 0), (7, 5, 1), (1 << 16, 20, 5), (1 << 16, 50, 4), (1 << 16, 300, 3),
+])
+def test_grid_chunks_list_the_grid_in_product_order_within_the_bound(monkeypatch, chunk, n, k):
+    monkeypatch.setattr(algebra, "_GRID_CHUNK", chunk)
+    chunks = list(algebra._grid_chunks(n, ["v%d" % i for i in range(k)]))
+    shapes = [numpy.broadcast_shapes(*(g.shape for g in grid.values())) for grid in chunks]
+    assert max(map(prod, shapes)) <= max(chunk, n * n)
+    assert sum(map(prod, shapes)) == n ** k
+    if n ** k <= 1000:
+        points = [p for grid, shape in zip(chunks, shapes)
+                  for p in valuations_at(grid, numpy.ones(shape, dtype=bool))]
+        assert points == list(iproduct(range(n), repeat=k))
+
+
+def test_a_five_variable_formula_runs_in_bounded_chunks(monkeypatch):
+    monkeypatch.setattr(algebra, "_GRID_CHUNK", 7)
+    seen = []
+
+    def spy(n, names):
+        chunks = list(algebra._grid_chunks(n, names))
+        seen.append((n, [prod(numpy.broadcast_shapes(*(g.shape for g in c.values()))) for c in chunks]))
+        return chunks
+
+    monkeypatch.setattr(logic, "_grid_chunks", spy)
+    f = parse("(p0 & p1 & p2 & p3 & p4) -> (p4 /\\ p3 /\\ p2 /\\ p1 /\\ p0)")
+    specs = parse_chain_list("luk:2..4,godel:2..4")
+    assert is_tautology(f, specs) == oracles.is_tautology(f, specs) == (True, None)
+    assert [n for n, _ in seen] == [spec.size for spec in specs]
+    for n, sizes in seen:
+        assert max(sizes) <= max(7, n * n) and sum(sizes) == n ** 5
+
+
+def test_a_range_check_builds_chains_one_at_a_time_and_stops_at_the_first_failure(monkeypatch):
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return make_chain(spec)
+
+    monkeypatch.setattr(logic, "make_chain", counting)
+    specs = parse_chain_list("godel:2..40")
+    ok, (spec, _) = is_tautology(parse("p0 \\/ ~p0"), specs)  # holds on godel:2 only
+    assert not ok and spec == "godel:3" and built == specs[:2]
+
+
+@pytest.mark.parametrize("text, spec", [("p0 & p1 & p2 & p3 & p4", "godel:40"), ("p0 & p1 & p2 & p3 & p4 & p5", "luk:12")])
+def test_a_long_grid_is_walked_lazily_up_to_the_first_failure(monkeypatch, text, spec):
+    # each grid comes in over 20000 chunks; the first one fails
+    monkeypatch.setattr(algebra, "_GRID_CHUNK", 7)
+    pulled = []
+
+    def counting(n, names):
+        chunks = algebra._grid_chunks(n, names)
+        assert isinstance(chunks, GeneratorType)  # not a list of every chunk
+        for chunk in chunks:
+            pulled.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(logic, "_grid_chunks", counting)
+    ok, (_, counter) = is_tautology(parse(text), parse_chain_list(spec))
+    assert not ok and len(pulled) == 1
+    assert list(counter.values()) == [counter["p0"]] * len(counter)
 
 
 # ---- types and generic filters ------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from reslat.algebra import ChainSpec, core_reduct, make_chain, product
-from reslat.errors import DomainError, PreconditionError, ResourceError
+from reslat.errors import DomainError, PreconditionError, ResourceError, SignatureError
 from reslat.spectra import (
     TheoryPair,
     enumerate_filters,
@@ -378,6 +378,11 @@ def test_saturation_fails_on_full_dimension_elements():
     gamma = frozenset(x for x in range(alg.size) if x != alg.zero)
     ok, witness = pair_saturated(TheoryPair(alg, gamma, frozenset([alg.zero])))
     assert not ok and witness is not None
+
+
+def test_saturation_needs_cylindrifier_tables():
+    with pytest.raises(SignatureError, match="no cylindrifier tables"):
+        pair_saturated(TheoryPair(luk(3), frozenset(), frozenset()))
 
 
 def test_saturation_vacuous_on_empty_gamma():
