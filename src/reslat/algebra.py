@@ -95,12 +95,35 @@ def _table_array(t, arity, size, opname):
     return arr
 
 
+def _given_stack(rows, shape):
+    """The writeable int32 array of `shape` whose rows, in order, are the
+    tables `rows`, when a caller built them so; else None.  The stack of
+    an algebra is read-only, so no algebra takes over another's."""
+    base = getattr(rows[0], "base", None) if rows else None
+    if not (
+        isinstance(base, numpy.ndarray)
+        and base.flags.writeable
+        and base.dtype == numpy.int32
+        and base.shape == shape
+        and all(r.base is base and r.strides == base.strides[1:] for r in rows)
+    ):
+        return None
+    start, step = base.ctypes.data, base.strides[0]
+    return base if all(r.ctypes.data == start + i * step for i, r in enumerate(rows)) else None
+
+
 class FiniteAlgebra:
     """Universe 0..size-1 plus one table per signature operation.
 
-    Tables: arity 0 -> int, arity 1 -> tuple of ints,
-    arity 2 -> row-major tuple of tuples.  Values are immutable after
-    construction; all operations on the algebra are pure.
+    Each table is kept twice.  `tables` holds it for scalar reads: arity
+    0 -> int, arity 1 -> tuple of ints, arity 2 -> row-major tuple of
+    tuples.  The bulk kernels read int32 arrays (`np_table`): the binary
+    tables are one (k, size, size) stack, the unary ones one (u, size)
+    stack, and ops given the same table object share one slot of it.  A
+    caller may hand in the tables of an arity as the rows, in slot order,
+    of one writeable int32 stack; the algebra then keeps that stack
+    without a copy.  The stacks are read-only: values are immutable after
+    construction, and all operations on the algebra are pure.
     """
 
     def __init__(self, name, size, signature, tables, labels=None):
@@ -112,6 +135,22 @@ class FiniteAlgebra:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != size:
             raise InvalidSpecError("labels length must equal size")
+        # one slot per distinct table object of arity 1 or 2 in the stack of its arity
+        slot_of, rows = {}, {1: [], 2: []}  # (arity, id of a table) -> slot; the table per slot
+        self._slot = {}
+        for opname, arity in signature.ops:
+            if arity and opname in tables:
+                key = (arity, id(tables[opname]))
+                if key not in slot_of:
+                    slot_of[key] = len(rows[arity])
+                    rows[arity].append(tables[opname])
+                self._slot[opname] = slot_of[key]
+        self._stacks, fill = {}, {}  # fill: the tables are still to be copied into the stack
+        for ar in (1, 2):
+            shape = (len(rows[ar]),) + (size,) * ar
+            given = _given_stack(rows[ar], shape)
+            fill[ar] = given is None
+            self._stacks[ar] = numpy.empty(shape, dtype=numpy.int32) if fill[ar] else given
         # entries share one int object per element instead of one per entry
         elements = numpy.array(range(size), dtype=object)
         self.tables = {}
@@ -119,19 +158,25 @@ class FiniteAlgebra:
         for opname, arity in signature.ops:
             if opname not in tables:
                 raise SignatureError("missing table for %r" % opname)
-            t = tables[opname]
-            arr = _table_array(t, arity, size, opname)
+            arr = _table_array(tables[opname], arity, size, opname)
             if arity == 0:
                 self.tables[opname] = elements[arr]
-            elif arity == 1:
+                self._np[opname] = arr.astype(numpy.int32)
+                continue
+            if arity == 1:
                 self.tables[opname] = tuple(elements[arr].tolist())
             else:
                 self.tables[opname] = tuple([tuple(elements[row].tolist()) for row in arr])
-            if isinstance(t, numpy.ndarray):
-                self._np[opname] = arr.astype(numpy.int32, copy=False)
+            if fill[arity]:
+                self._stacks[arity][self._slot[opname]] = arr
         extra = set(tables) - set(signature.names())
         if extra:
             raise SignatureError("tables without signature entry: %s" % sorted(extra))
+        arity_of = dict(signature.ops)
+        for ar, stack in self._stacks.items():
+            stack.flags.writeable = False
+            views = list(stack)  # ops sharing a slot share the view object too
+            self._np.update((op, views[slot]) for op, slot in self._slot.items() if arity_of[op] == ar)
 
     # ---- basic access -------------------------------------------------
 
@@ -202,9 +247,9 @@ class FiniteAlgebra:
         ]
 
     def np_table(self, name):
-        """Numpy int32 form of a table, cached; used by the bulk verifiers."""
-        if name not in self._np:
-            self._np[name] = numpy.array(self.tables[name], dtype=numpy.int32)
+        """The int32 table of an op, for the bulk kernels: a read-only view
+        of the algebra's stack of binary (unary) tables, or a 0-d array
+        for a constant."""
         return self._np[name]
 
     @cached_property
@@ -402,27 +447,18 @@ def make_chain(spec, budget=None):
     n = spec.size
     den = n - 1
     labels = [str(Fraction(i, den)) for i in range(n)]
-    join = [[max(i, j) for j in range(n)] for i in range(n)]
-    meet = [[min(i, j) for j in range(n)] for i in range(n)]
-    if spec.kind == "lukasiewicz":
-        star = [[max(0, i + j - den) for j in range(n)] for i in range(n)]
-        imp = [[min(den, den - i + j) for j in range(n)] for i in range(n)]
+    i, j = numpy.ogrid[:n, :n]
+    tables = [numpy.maximum(i, j), numpy.minimum(i, j)]  # join, meet
+    if spec.kind == "lukasiewicz":  # star, imp, oplus
+        tables += [numpy.maximum(0, i + j - den), numpy.minimum(den, den - i + j), numpy.minimum(den, i + j)]
     else:
-        star = [[min(i, j) for j in range(n)] for i in range(n)]
-        imp = [[den if i <= j else j for j in range(n)] for i in range(n)]
-    ops = {
-        "join": join,
-        "meet": meet,
-        "star": star,
-        "imp": imp,
-        "zero": 0,
-        "one": den,
-    }
+        tables += [numpy.minimum(i, j), numpy.where(i <= j, den, j)]
+    binary = list(numpy.array(tables, dtype=numpy.int32))  # the algebra takes this stack as it is
+    ops = dict(zip(("join", "meet", "star", "imp", "oplus"), binary), zero=0, one=den)
     sig = list(CORE_OPS)
     if spec.kind == "lukasiewicz":
-        ops["oplus"] = [[min(den, i + j) for j in range(n)] for i in range(n)]
-        ops["odot"] = star
-        ops["neg"] = [den - i for i in range(n)]
+        ops["odot"] = ops["star"]
+        ops["neg"] = den - numpy.arange(n)
         sig += [("oplus", 2), ("odot", 2), ("neg", 1)]
     return FiniteAlgebra(str(spec), n, Signature(tuple(sig)), ops, labels=labels)
 
@@ -623,34 +659,70 @@ def check_class_axioms(alg, cls):
 # ---------------------------------------------------------------------------
 
 
+def _gather(alg, slots, left, right=None):
+    """The tables in `slots` of the unary stack at `left`, shape
+    (slots, left), or of the binary stack at left x right, shape
+    (slots, left, right)."""
+    if right is None:
+        return alg._stacks[1][slots[:, None], left]
+    return alg._stacks[2][slots[:, None, None], left[:, None], right]
+
+
+def _closure(a, members, b=None, images=None):
+    """Sg(members) in `a`, the least set holding `members` and the
+    constants that every op maps into itself, as a bool mask over the
+    universe.
+
+    With a target algebra `b`, member i is sent to images[i] and each
+    constant of `a` to that of `b`, and the map is carried along every op:
+    (mask, image array, defined on the mask), or None when two images meet
+    at one element, so that no homomorphism a -> b extends the map.
+
+    Each round applies every op to the elements new in the last round
+    (the frontier) against every known element, frontier x known and
+    known x frontier, with one gather per arity from the table stacks.
+    The gathers run in frontier-row chunks of at most _GRID_CHUNK entries,
+    or one row when a row is more."""
+    consts = [op for op, ar in a.signature.ops if ar == 0]
+    seed = numpy.array([*members, *map(a.const, consts)], dtype=numpy.intp)
+    inside = numpy.zeros(a.size, dtype=bool)
+    inside[seed] = True
+    image = None
+    if b is not None:
+        want = numpy.array([*images, *map(b.const, consts)], dtype=numpy.int32)
+        image = numpy.zeros(a.size, dtype=numpy.int32)
+        image[seed] = want
+        if (image[seed] != want).any():
+            return None
+    slots = {}  # per arity: the distinct slots of a's stack, and the matching ones of b's
+    for arity in (1, 2):
+        ops = [op for op, ar in a.signature.ops if ar == arity]
+        pairs = sorted({(a._slot[op], b._slot[op] if b else 0) for op in ops})
+        slots[arity] = numpy.array(pairs, dtype=numpy.intp).reshape(-1, 2).T
+    frontier = known = numpy.flatnonzero(inside)
+    while len(frontier):
+        before = inside.copy()
+        rows = max(1, _GRID_CHUNK // max(1, slots[2].shape[1] * len(known)))
+        for lo in range(0, len(frontier), rows):
+            new = frontier[lo : lo + rows]
+            for arity, left, right in ((1, new, None), (2, new, known), (2, known, new)):
+                vals = _gather(a, slots[arity][0], left, right).ravel()
+                fresh = ~inside[vals]
+                inside[vals[fresh]] = True
+                if b is not None:
+                    at = (image[left], None if right is None else image[right])
+                    imgs = _gather(b, slots[arity][1], *at).ravel()
+                    image[vals[fresh]] = imgs[fresh]
+                    if (image[vals] != imgs).any():
+                        return None
+        frontier = numpy.flatnonzero(inside & ~before)
+        known = numpy.flatnonzero(inside)
+    return inside if b is None else (inside, image)
+
+
 def subalgebra_generate(alg, seed):
     """Sg: least subset containing seed and the constants, closed under ops."""
-    op_names = alg.signature.names()
-    current = set(seed)
-    for name in op_names:
-        if alg.signature.arity(name) == 0:
-            current.add(alg.const(name))
-    unary = [alg.tables[n] for n in op_names if alg.signature.arity(n) == 1]
-    binary = [alg.tables[n] for n in op_names if alg.signature.arity(n) == 2]
-    frontier = list(current)
-    known = list(current)
-    while frontier:
-        new = []
-        for e in frontier:
-            for t in unary:
-                v = t[e]
-                if v not in current:
-                    current.add(v)
-                    new.append(v)
-            for t in binary:
-                for x in known:
-                    for v in (t[e][x], t[x][e]):
-                        if v not in current:
-                            current.add(v)
-                            new.append(v)
-        known.extend(new)
-        frontier = new
-    return frozenset(current)
+    return frozenset(numpy.flatnonzero(_closure(alg, seed)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -826,61 +898,6 @@ def product(algs, name=None):
     )
 
 
-def _close_map(a, b, seed, domain):
-    """Extend seed (element -> image) over the subuniverse `domain` of `a`.
-
-    Constants are seeded automatically.  Every op application with args in
-    `domain` is evaluated, so a total result is a verified homomorphism on
-    `domain`.  Returns the map or None on conflict.
-    """
-    m = {}
-    for opname, arity in a.signature.ops:
-        if arity == 0:
-            m[a.const(opname)] = b.const(opname)
-    for k, v in seed.items():
-        if k in m and m[k] != v:
-            return None
-        m[k] = v
-    unary = [(a.tables[n], b.tables[n]) for n, ar in a.signature.ops if ar == 1]
-    binary = [(a.tables[n], b.tables[n]) for n, ar in a.signature.ops if ar == 2]
-    known = [k for k in m if k in domain]
-    m = {k: v for k, v in m.items() if k in domain}
-    frontier = list(known)
-    while frontier:
-        new = []
-        for e in frontier:
-            for ta, tb in unary:
-                v = ta[e]
-                if v not in domain:
-                    continue
-                img = tb[m[e]]
-                if v in m:
-                    if m[v] != img:
-                        return None
-                else:
-                    m[v] = img
-                    new.append(v)
-            for ta, tb in binary:
-                for x in known:
-                    for v, img in (
-                        (ta[e][x], tb[m[e]][m[x]]),
-                        (ta[x][e], tb[m[x]][m[e]]),
-                    ):
-                        if v not in domain:
-                            continue
-                        if v in m:
-                            if m[v] != img:
-                                return None
-                        else:
-                            m[v] = img
-                            new.append(v)
-        known.extend(new)
-        frontier = new
-    # every op application with both args in the domain was evaluated when
-    # the later argument left the frontier, so consistency is already full
-    return m
-
-
 def generating_sequence(alg, hint=None, start=()):
     """A small generating sequence, greedily grown from constants + start."""
     span = subalgebra_generate(alg, list(start))
@@ -910,27 +927,28 @@ def homomorphisms(a, b, injective=False, gens=None, seed=None, limit=None):
     """All homomorphisms a -> b, by generator-image search.
 
     `seed` optionally pins images of some elements.  Results come in a
-    deterministic order (generator images scanned ascending).
+    deterministic order (generator images scanned ascending).  At each
+    level the map pinned so far is closed over Sg of its elements.
     """
     base = list(seed.keys()) if seed else []
     gens = generating_sequence(a, hint=gens, start=base)
-    domains = []
-    for i in range(len(gens) + 1):
-        domains.append(subalgebra_generate(a, base + gens[:i]))
     results = []
 
     def dfs(level, images):
         if limit is not None and len(results) >= limit:
             return
         current = dict(seed) if seed else {}
-        current.update({g: img for g, img in zip(gens[:level], images)})
-        m = _close_map(a, b, current, domains[level])
-        if m is None:
+        current.update(zip(gens[:level], images))
+        closed = _closure(a, current.keys(), b, current.values())
+        if closed is None:
             return
-        if injective and len(set(m.values())) != len(m):
-            return
+        inside, image = closed
+        if injective:
+            used = image[inside]
+            if len(numpy.unique(used)) != len(used):
+                return
         if level == len(gens):
-            results.append(tuple(m[i] for i in range(a.size)))
+            results.append(tuple(image.tolist()))
             return
         for img in range(b.size):
             dfs(level + 1, images + [img])

@@ -45,11 +45,11 @@ from .kripke import (
 )
 from .logic import (
     expand,
+    first_valuation,
     generic_filter,
     is_tautology,
     parse,
     valuation_grid,
-    valuations_at,
 )
 from .sheaf import dual_sheaf, eta_check, regular_ideals_open_sets
 from .spectra import (
@@ -527,7 +527,8 @@ def _random_formula(rng, depth, vars_):
 def _first_difference(chain, f):
     """The first (a, b) in product order where f(p0, p1) != expand(f) on the chain."""
     chunks = valuation_grid(chain, ("p0", "p1"), formulas=(f, expand(f)))
-    return next((p for grid, mask, (x, y) in chunks for p in valuations_at(grid, mask & (x != y))), None)
+    firsts = (first_valuation(grid, mask & (x != y)) for grid, mask, (x, y) in chunks)
+    return next((p for p in firsts if p is not None), None)
 
 
 @_criterion("11 logic frontend: tautologies and derived-connective coherence")

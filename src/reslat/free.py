@@ -71,23 +71,101 @@ class FreeAlgebra:
         }
 
 
-def _row_keys(rows):
-    """One void scalar per row; big-endian, so byte order is the
-    lexicographic order of the (non-negative) rows."""
-    rows = np.ascontiguousarray(rows, dtype=">i4")
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+class _RowKeys:
+    """Rows of element indices packed into integer keys whose order is
+    the lexicographic order of the rows.
+
+    Coordinate c takes a fixed width of max(1, ceil(log2 sizes[c])) bits.
+    The coordinates follow each other from the most significant bit of
+    the first uint64 word down, coordinate 0 first, over
+    ceil(sum of widths / 64) words, so a coordinate may span two words.
+    Key arrays are word-major, (words, keys); decoded rows are
+    coordinate-major, (coordinates, rows).  This class is the only code
+    that knows the encoding."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+        widths = [max(1, (s - 1).bit_length()) for s in sizes]
+        self.words = max(1, -(-sum(widths) // 64))
+        # per coordinate, its pieces: (word, right shift of the value, mask, left shift into the word)
+        self.pieces = []
+        top = 0  # bits before the coordinate, from the top of word 0
+        for w in widths:
+            end, pieces = top + w, []
+            while top < end:
+                word = top // 64
+                stop = min(end, 64 * word + 64)
+                pieces.append((word, end - stop, (1 << (stop - top)) - 1, 64 * word + 64 - stop))
+                top = stop
+            self.pieces.append(pieces)
+
+    def encode(self, rows):
+        rows = np.array(rows, dtype=np.uint64).reshape(-1, len(self.sizes))
+        keys = np.zeros((self.words, len(rows)), dtype=np.uint64)
+        for c, pieces in enumerate(self.pieces):
+            for word, right, mask, left in pieces:
+                keys[word] |= (rows[:, c] >> right & mask) << left
+        return keys
+
+    def decode(self, keys):
+        rows = np.zeros((len(self.sizes), keys.shape[1]), dtype=np.intp)
+        for c, pieces in enumerate(self.pieces):
+            for word, right, mask, left in pieces:
+                rows[c] |= (keys[word] >> left & mask).astype(np.intp) << right
+        return rows
+
+    def shifted(self, tables):
+        """Per coordinate, per piece: the coordinate's table, flattened, with
+        each entry cut to the piece's bits and moved to their place."""
+        return [
+            [(t.ravel().astype(np.uint64) >> right & mask) << left for _, right, mask, left in pieces]
+            for t, pieces in zip(tables, self.pieces)
+        ]
+
+    def apply(self, tables, left, right=None):
+        """The keys of each op's results, for ops given by their `shifted`
+        tables: unary ones at the decoded rows `left`, binary ones at each
+        pair of a row of `left` and a row of `right`, left-major."""
+        count = left.shape[1] * (1 if right is None else right.shape[1])
+        keys = [np.zeros((self.words, count), dtype=np.uint64) for _ in tables]
+        for c, (size, pieces) in enumerate(zip(self.sizes, self.pieces)):
+            at = left[c] if right is None else (left[c][:, None] * size + right[c]).ravel()
+            for out, shifted in zip(keys, tables):
+                for (word, *_), t in zip(pieces, shifted[c]):
+                    out[word] |= t.take(at)
+        return keys
 
 
-def _key_rows(keys):
-    return keys.view(">i4").reshape(len(keys), -1).astype(np.int32)
+def _distinct(keys):
+    """The distinct keys of a key array, in key order."""
+    keys = np.sort(keys, axis=1) if len(keys) == 1 else keys[:, np.lexsort(keys[::-1])]
+    keep = np.ones(keys.shape[1], dtype=bool)
+    keep[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return keys[:, keep]
+
+
+def _search(known, keys):
+    """For each key, the number of keys of the sorted distinct `known` below it."""
+    if len(known) == 1:
+        return np.searchsorted(known[0], keys[0])
+    both = np.concatenate([known, keys], axis=1)
+    is_known = np.arange(both.shape[1]) < known.shape[1]
+    order = np.lexsort((is_known, *both[::-1]))  # a key before the known keys equal to it
+    below = np.empty(len(order), dtype=np.intp)
+    below[order] = np.cumsum(is_known[order]) - is_known[order]
+    return below[known.shape[1] :]
 
 
 def free_algebra(variety, n, coords=None, budget=None):
     """Birkhoff construction: close the projection tuples under the ops.
 
     `coords` lists the (generator-algebra index, valuation) pairs; the
-    default is every valuation, in lexicographic order.  The closure runs
-    vectorized per coordinate; elements end up in canonical (lexicographic
+    default is every valuation, in lexicographic order.  An element is a
+    row of values, one per coordinate, held as a packed integer key
+    (`_RowKeys`) whose order is the lexicographic row order.  Each round
+    applies every op to the new rows against all known ones, gathering
+    each coordinate's shifted table at once for all rows, and keeps the
+    keys not yet known.  Elements end up in canonical (lexicographic
     tuple) order, and `vectors` keeps the element tuples.
     """
     if n < 1:
@@ -105,80 +183,55 @@ def free_algebra(variety, n, coords=None, budget=None):
         )
     gens_of = [variety.generators[ai] for ai, _ in coords]
     sig = variety.signature
-    C = len(coords)
-    ctabs = {
-        opname: [gens_of[c].np_table(opname) for c in range(C)]
-        for opname, ar in sig.ops
-        if ar > 0
-    }
+    packing = _RowKeys([g.size for g in gens_of])
+    ctabs = {op: [g.np_table(op) for g in gens_of] for op, ar in sig.ops if ar > 0}
+    # an op with the same table objects as an earlier one (odot and star of
+    # a Lukasiewicz chain) shares its keys and its result table
+    first = {}
+    alias = {op: first.setdefault(tuple(map(id, ts)), op) for op, ts in ctabs.items()}
+    shifted = {op: packing.shifted(ctabs[op]) for op in first.values()}
+    unary = [op for op, ar in sig.ops if ar == 1 and alias[op] == op]
+    binary = [op for op, ar in sig.ops if ar == 2 and alias[op] == op]
 
-    # result blocks are big-endian int32, ready to be keyed without a copy
-    def apply_unary(opname, block):
-        out = np.empty(block.shape, dtype=">i4")
-        ts = ctabs[opname]
-        for c in range(C):
-            out[:, c] = ts[c][block[:, c]]
-        return out
-
-    def apply_binary(opname, left, right):
-        m1, m2 = len(left), len(right)
-        if m1 * m2 > budget.closure:
+    def apply(ops, left, right=None):
+        if right is not None and left.shape[1] * right.shape[1] > budget.closure:
             raise ResourceError(
                 "free-algebra closure block of %d candidates over closure budget %d"
-                % (m1 * m2, budget.closure)
+                % (left.shape[1] * right.shape[1], budget.closure)
             )
-        out = np.empty((m1 * m2, C), dtype=">i4")
-        ts = ctabs[opname]
-        for c in range(C):
-            out[:, c] = ts[c][left[:, c][:, None], right[:, c][None, :]].reshape(-1)
-        return out
+        return packing.apply([shifted[op] for op in ops], left, right)
 
-    def block_keys(frontier, E):
-        """Sorted keys of each op's result block; one block is alive at a time."""
-        for opname, ar in sig.ops:
-            if ar == 1:
-                yield np.unique(_row_keys(apply_unary(opname, frontier)))
-            elif ar == 2:
-                yield np.unique(_row_keys(apply_binary(opname, frontier, E)))
-                yield np.unique(_row_keys(apply_binary(opname, E, frontier)))
-
-    projections = _row_keys([[v[i] for _, v in coords] for i in range(n)])
+    projections = packing.encode([[v[i] for _, v in coords] for i in range(n)])
     constants = {
-        opname: _row_keys([[g.const(opname) for g in gens_of]])
-        for opname, ar in sig.ops
-        if ar == 0
+        op: packing.encode([g.const(op) for g in gens_of]) for op, ar in sig.ops if ar == 0
     }
-    known = np.unique(np.concatenate([projections, *constants.values()]))
-    frontier = E = _key_rows(known)
+    known = _distinct(np.concatenate([projections, *constants.values()], axis=1))
+    frontier = E = packing.decode(known)
     while True:
-        fresh = [known[:0]]
-        for keys in block_keys(frontier, E):
-            at = np.searchsorted(known, keys).clip(max=len(known) - 1)
-            fresh.append(keys[known[at] != keys])
-        fresh = np.unique(np.concatenate(fresh))
-        if not len(fresh):
+        fresh = [known[:, :0]]
+        for ops, left, right in ((unary, frontier, None), (binary, frontier, E), (binary, E, frontier)):
+            for keys in apply(ops, left, right):  # the blocks of one direction at a time
+                keys = _distinct(keys)
+                at = _search(known, keys).clip(max=known.shape[1] - 1)
+                fresh.append(keys[:, (known[:, at] != keys).any(axis=0)])
+        fresh = _distinct(np.concatenate(fresh, axis=1))
+        if not fresh.shape[1]:
             break
-        known = np.union1d(known, fresh)
-        if len(known) > budget.closure:
+        known = np.insert(known, _search(known, fresh), fresh, axis=1)
+        if known.shape[1] > budget.closure:
             raise ResourceError(
                 "free-algebra closure of %d elements over closure budget %d"
-                % (len(known), budget.closure)
+                % (known.shape[1], budget.closure)
             )
-        frontier, E = _key_rows(fresh), _key_rows(known)
-    size = len(known)
-
-    def index_of(rows):
-        return np.searchsorted(known, _row_keys(rows))
-
-    tables = {}
-    for opname, ar in sig.ops:
-        if ar == 0:
-            tables[opname] = int(np.searchsorted(known, constants[opname])[0])
-        elif ar == 1:
-            tables[opname] = index_of(apply_unary(opname, E))
-        else:
-            tables[opname] = index_of(apply_binary(opname, E, E)).reshape(size, size)
-    generators = np.searchsorted(known, projections).tolist()
+        frontier, E = packing.decode(fresh), packing.decode(known)
+    size = known.shape[1]
+    tables = {op: int(_search(known, keys)[0]) for op, keys in constants.items()}
+    for op, keys in zip(unary, apply(unary, E)):
+        tables[op] = _search(known, keys)
+    for op, keys in zip(binary, apply(binary, E, E)):
+        tables[op] = _search(known, keys).reshape(size, size)
+    tables.update((op, tables[alias[op]]) for op in alias)
+    generators = _search(known, projections).tolist()
     labels = ["e%d" % i for i in range(size)]
     for i in reversed(range(n)):  # the first generator names a shared element
         labels[generators[i]] = "g%d" % i
@@ -189,7 +242,7 @@ def free_algebra(variety, n, coords=None, budget=None):
         tables,
         labels=labels,
     )
-    return FreeAlgebra(alg, generators, coords, variety, E)
+    return FreeAlgebra(alg, generators, coords, variety, np.ascontiguousarray(E.T, dtype=np.int32))
 
 
 def universal_property_holds(free):

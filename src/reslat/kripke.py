@@ -386,12 +386,15 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
     masks = np.array(sorted(sum(parts) for parts in iproduct(*col_choices)), dtype=dtype)
     n = len(masks)
 
-    def index(values):
-        """Element indices of result masks; each must be in the universe."""
+    def index(values, out=None):
+        """Element indices of result masks, in `out` if given; each must be in the universe."""
         idx = np.searchsorted(masks, values)
         if not np.array_equal(masks.take(idx, mode="clip"), values):
             raise InternalError("set-algebra operation left the universe")
-        return idx.astype(np.int32)
+        if out is None:
+            return idx.astype(np.int32)
+        out[...] = idx
+        return out
 
     # future masks and quantifier masks per position
     fut = []
@@ -431,10 +434,12 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
         imp |= hit
     del bad, scratch, hit
     sig = list(CORE_OPS)
+    # the binary tables of the algebra, which takes this stack without a copy
+    binary = np.empty((3, n, n), dtype=np.int32)
     tables = {
-        "join": index(masks[:, None] | masks),
-        "meet": index(masks[:, None] & masks),
-        "imp": index(imp),
+        "join": index(masks[:, None] | masks, binary[0]),
+        "meet": index(masks[:, None] & masks, binary[1]),
+        "imp": index(imp, binary[2]),
         "zero": index(0),
         "one": index(full),
     }
@@ -784,8 +789,7 @@ def random_kripke(seed, max_worlds=3, max_base=3, max_alpha=3, budget=None):
 
 
 def mutate_table(alg, opname, position, new_value):
-    """Copy of the algebra with one table entry replaced (fault injection).
-    Only the changed table is copied; the others are the parent's arrays."""
+    """Copy of the algebra with one table entry replaced (fault injection)."""
     tables = {name: alg.np_table(name) for name in alg.signature.names()}
     tables[opname] = tables[opname].copy()
     tables[opname][position] = new_value

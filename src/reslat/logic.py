@@ -296,6 +296,16 @@ def valuations_at(grid, mask):
     return (tuple(ax[j] for ax, j in zip(axes, row.tolist())) for row in numpy.argwhere(mask))
 
 
+def first_valuation(grid, mask):
+    """The first valuation of a chunk, in product order, where mask holds,
+    as an element tuple, or None; it reads no other point of the mask."""
+    first = mask.argmax()
+    if not mask.flat[first]:
+        return None
+    at = numpy.unravel_index(first, mask.shape)
+    return tuple(g.ravel()[j].item() for g, j in zip(grid.values(), at))
+
+
 def _size(text, piece):
     try:
         return int(text)
@@ -358,10 +368,9 @@ def _counterexample(specs, axioms, formula):
     for spec in specs:
         chain = make_chain(spec)
         for grid, mask, (values,) in valuation_grid(chain, names, axioms, [formula]):
-            bad = mask & (values != chain.one)
-            if bad.any():
-                pretty = {k: chain.label(v) for k, v in zip(names, next(valuations_at(grid, bad)))}
-                return False, (str(spec), pretty)
+            first = first_valuation(grid, mask & (values != chain.one))
+            if first is not None:
+                return False, (str(spec), {k: chain.label(v) for k, v in zip(names, first)})
     return True, None
 
 

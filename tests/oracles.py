@@ -22,6 +22,10 @@ stalk congruence and the frozenset `verify_dm_lemma`.  Last come the
 loop bodies of the Kripke suites `verify_derived_identities`,
 `verify_gpha_axioms` and `verify_heyting_quantifiers`, one
 `np.array_equal` per identity instance, and `verify_kripke` over them.
+The last group is what the closures on integer keys replaced: the
+per-element loops of `subalgebra_generate` and of `homomorphisms` (with
+its per-level domains and the `_close_map` map closure), and
+`free_algebra` over big-endian void row keys.
 Tests compare the library against them on every input they generate.
 """
 
@@ -1159,3 +1163,243 @@ def verify_kripke(ksa):
     if ksa.with_diagonals:
         out.append((("diagonals",), *verify_diagonal_equivalence_shadow(ksa)))
     return out
+
+
+def subalgebra_generate(alg, seed):
+    """Sg by per-element loops over the tuple tables."""
+    op_names = alg.signature.names()
+    current = set(seed)
+    for name in op_names:
+        if alg.signature.arity(name) == 0:
+            current.add(alg.const(name))
+    unary = [alg.tables[n] for n in op_names if alg.signature.arity(n) == 1]
+    binary = [alg.tables[n] for n in op_names if alg.signature.arity(n) == 2]
+    frontier = list(current)
+    known = list(current)
+    while frontier:
+        new = []
+        for e in frontier:
+            for t in unary:
+                v = t[e]
+                if v not in current:
+                    current.add(v)
+                    new.append(v)
+            for t in binary:
+                for x in known:
+                    for v in (t[e][x], t[x][e]):
+                        if v not in current:
+                            current.add(v)
+                            new.append(v)
+        known.extend(new)
+        frontier = new
+    return frozenset(current)
+
+
+def _close_map(a, b, seed, domain):
+    """Extend seed (element -> image) over the subuniverse `domain` of
+    `a`, constants seeded too: the map, or None on conflict."""
+    m = {}
+    for opname, arity in a.signature.ops:
+        if arity == 0:
+            m[a.const(opname)] = b.const(opname)
+    for k, v in seed.items():
+        if k in m and m[k] != v:
+            return None
+        m[k] = v
+    unary = [(a.tables[n], b.tables[n]) for n, ar in a.signature.ops if ar == 1]
+    binary = [(a.tables[n], b.tables[n]) for n, ar in a.signature.ops if ar == 2]
+    known = [k for k in m if k in domain]
+    m = {k: v for k, v in m.items() if k in domain}
+    frontier = list(known)
+    while frontier:
+        new = []
+        for e in frontier:
+            for ta, tb in unary:
+                v = ta[e]
+                if v not in domain:
+                    continue
+                img = tb[m[e]]
+                if v in m:
+                    if m[v] != img:
+                        return None
+                else:
+                    m[v] = img
+                    new.append(v)
+            for ta, tb in binary:
+                for x in known:
+                    for v, img in (
+                        (ta[e][x], tb[m[e]][m[x]]),
+                        (ta[x][e], tb[m[x]][m[e]]),
+                    ):
+                        if v not in domain:
+                            continue
+                        if v in m:
+                            if m[v] != img:
+                                return None
+                        else:
+                            m[v] = img
+                            new.append(v)
+        known.extend(new)
+        frontier = new
+    return m
+
+
+def generating_sequence(alg, hint=None, start=()):
+    """`algebra.generating_sequence` over the loop Sg above."""
+    span = subalgebra_generate(alg, list(start))
+    if len(span) == alg.size:
+        return []
+    if hint is not None:
+        gens = list(hint)
+        if len(subalgebra_generate(alg, list(start) + gens)) == alg.size:
+            return gens
+    gens = []
+    while len(span) < alg.size:
+        best, best_span = None, None
+        for x in range(alg.size):
+            if x in span:
+                continue
+            s = subalgebra_generate(alg, list(span) + [x])
+            if best_span is None or len(s) > len(best_span):
+                best, best_span = x, s
+                if len(s) == alg.size:
+                    break
+        gens.append(best)
+        span = best_span
+    return gens
+
+
+def homomorphisms(a, b, injective=False, gens=None, seed=None, limit=None):
+    """Generator-image search that closes each level's map over the
+    precomputed Sg of the pinned elements."""
+    base = list(seed.keys()) if seed else []
+    gens = generating_sequence(a, hint=gens, start=base)
+    domains = [subalgebra_generate(a, base + gens[:i]) for i in range(len(gens) + 1)]
+    results = []
+
+    def dfs(level, images):
+        if limit is not None and len(results) >= limit:
+            return
+        current = dict(seed) if seed else {}
+        current.update({g: img for g, img in zip(gens[:level], images)})
+        m = _close_map(a, b, current, domains[level])
+        if m is None:
+            return
+        if injective and len(set(m.values())) != len(m):
+            return
+        if level == len(gens):
+            results.append(tuple(m[i] for i in range(a.size)))
+            return
+        for img in range(b.size):
+            dfs(level + 1, images + [img])
+
+    dfs(0, [])
+    return results
+
+
+def _row_keys(rows):
+    """One void scalar per row; big-endian, so byte order is the
+    lexicographic order of the (non-negative) rows."""
+    rows = np.ascontiguousarray(rows, dtype=">i4")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _key_rows(keys):
+    return keys.view(">i4").reshape(len(keys), -1).astype(np.int32)
+
+
+def free_algebra(variety, n, coords=None, budget=None):
+    """The Birkhoff closure over void row keys: every round takes the
+    rows of each op block, keys them, and merges the unseen keys."""
+    from reslat.free import FreeAlgebra
+
+    budget = budget or budgets.from_env()
+    if coords is None:
+        coords = [
+            (ai, v)
+            for ai, g in enumerate(variety.generators)
+            for v in iproduct(range(g.size), repeat=n)
+        ]
+    gens_of = [variety.generators[ai] for ai, _ in coords]
+    sig = variety.signature
+    C = len(coords)
+    ctabs = {
+        opname: [gens_of[c].np_table(opname) for c in range(C)]
+        for opname, ar in sig.ops
+        if ar > 0
+    }
+
+    def apply_unary(opname, block):
+        out = np.empty(block.shape, dtype=">i4")
+        for c in range(C):
+            out[:, c] = ctabs[opname][c][block[:, c]]
+        return out
+
+    def apply_binary(opname, left, right):
+        m1, m2 = len(left), len(right)
+        if m1 * m2 > budget.closure:
+            raise ResourceError(
+                "free-algebra closure block of %d candidates over closure budget %d"
+                % (m1 * m2, budget.closure)
+            )
+        out = np.empty((m1 * m2, C), dtype=">i4")
+        for c in range(C):
+            out[:, c] = ctabs[opname][c][left[:, c][:, None], right[:, c][None, :]].reshape(-1)
+        return out
+
+    def block_keys(frontier, E):
+        for opname, ar in sig.ops:
+            if ar == 1:
+                yield np.unique(_row_keys(apply_unary(opname, frontier)))
+            elif ar == 2:
+                yield np.unique(_row_keys(apply_binary(opname, frontier, E)))
+                yield np.unique(_row_keys(apply_binary(opname, E, frontier)))
+
+    projections = _row_keys([[v[i] for _, v in coords] for i in range(n)])
+    constants = {
+        opname: _row_keys([[g.const(opname) for g in gens_of]])
+        for opname, ar in sig.ops
+        if ar == 0
+    }
+    known = np.unique(np.concatenate([projections, *constants.values()]))
+    frontier = E = _key_rows(known)
+    while True:
+        fresh = [known[:0]]
+        for keys in block_keys(frontier, E):
+            at = np.searchsorted(known, keys).clip(max=len(known) - 1)
+            fresh.append(keys[known[at] != keys])
+        fresh = np.unique(np.concatenate(fresh))
+        if not len(fresh):
+            break
+        known = np.union1d(known, fresh)
+        if len(known) > budget.closure:
+            raise ResourceError(
+                "free-algebra closure of %d elements over closure budget %d"
+                % (len(known), budget.closure)
+            )
+        frontier, E = _key_rows(fresh), _key_rows(known)
+    size = len(known)
+
+    def index_of(rows):
+        return np.searchsorted(known, _row_keys(rows))
+
+    tables = {}
+    for opname, ar in sig.ops:
+        if ar == 0:
+            tables[opname] = int(np.searchsorted(known, constants[opname])[0])
+        elif ar == 1:
+            tables[opname] = index_of(apply_unary(opname, E))
+        else:
+            tables[opname] = index_of(apply_binary(opname, E, E)).reshape(size, size)
+    generators = np.searchsorted(known, projections).tolist()
+    labels = ["e%d" % i for i in range(size)]
+    for i in reversed(range(n)):
+        labels[generators[i]] = "g%d" % i
+    alg = FiniteAlgebra(
+        "Fr_%d(%s)" % (n, "+".join(g.name for g in variety.generators)),
+        size,
+        sig,
+        tables,
+        labels=labels,
+    )
+    return FreeAlgebra(alg, generators, coords, variety, E)
