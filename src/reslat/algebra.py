@@ -115,15 +115,17 @@ def _given_stack(rows, shape):
 class FiniteAlgebra:
     """Universe 0..size-1 plus one table per signature operation.
 
-    Each table is kept twice.  `tables` holds it for scalar reads: arity
-    0 -> int, arity 1 -> tuple of ints, arity 2 -> row-major tuple of
-    tuples.  The bulk kernels read int32 arrays (`np_table`): the binary
-    tables are one (k, size, size) stack, the unary ones one (u, size)
-    stack, and ops given the same table object share one slot of it.  A
-    caller may hand in the tables of an arity as the rows, in slot order,
-    of one writeable int32 stack; the algebra then keeps that stack
-    without a copy.  The stacks are read-only: values are immutable after
-    construction, and all operations on the algebra are pure.
+    Each table is kept once, as int32.  The binary tables are one
+    (k, size, size) stack and the unary ones one (u, size) stack; ops
+    given the same table object share one slot of it.  `tables` maps an
+    op to its read-only view of the stack, and a constant to an int.
+    `cells` maps it to a memoryview over the same buffer, whose reads
+    `[a]` and `[a, b]` give Python ints, and a constant to the same int;
+    the scalar accessors read those.  A caller may hand in the tables of
+    an arity as the rows, in slot order, of one writeable int32 stack;
+    the algebra then keeps that stack without a copy.  The stacks are
+    read-only: values are immutable after construction, and all
+    operations on the algebra are pure.
     """
 
     def __init__(self, name, size, signature, tables, labels=None):
@@ -151,72 +153,63 @@ class FiniteAlgebra:
             given = _given_stack(rows[ar], shape)
             fill[ar] = given is None
             self._stacks[ar] = numpy.empty(shape, dtype=numpy.int32) if fill[ar] else given
-        # entries share one int object per element instead of one per entry
-        elements = numpy.array(range(size), dtype=object)
-        self.tables = {}
-        self._np = {}
+        consts = {}
         for opname, arity in signature.ops:
             if opname not in tables:
                 raise SignatureError("missing table for %r" % opname)
             arr = _table_array(tables[opname], arity, size, opname)
             if arity == 0:
-                self.tables[opname] = elements[arr]
-                self._np[opname] = arr.astype(numpy.int32)
-                continue
-            if arity == 1:
-                self.tables[opname] = tuple(elements[arr].tolist())
-            else:
-                self.tables[opname] = tuple([tuple(elements[row].tolist()) for row in arr])
-            if fill[arity]:
+                consts[opname] = int(arr)
+            elif fill[arity]:
                 self._stacks[arity][self._slot[opname]] = arr
         extra = set(tables) - set(signature.names())
         if extra:
             raise SignatureError("tables without signature entry: %s" % sorted(extra))
-        arity_of = dict(signature.ops)
+        views, cells = {}, {}  # per (arity, slot); ops sharing a slot share these objects
         for ar, stack in self._stacks.items():
             stack.flags.writeable = False
-            views = list(stack)  # ops sharing a slot share the view object too
-            self._np.update((op, views[slot]) for op, slot in self._slot.items() if arity_of[op] == ar)
+            for slot, view in enumerate(stack):
+                views[ar, slot], cells[ar, slot] = view, memoryview(view)
+        self.tables, self.cells = {}, {}
+        for opname, arity in signature.ops:
+            at = (arity, self._slot.get(opname))
+            self.tables[opname] = views[at] if arity else consts[opname]
+            self.cells[opname] = cells[at] if arity else consts[opname]
 
     # ---- basic access -------------------------------------------------
 
     def apply(self, name, *args):
-        t = self.tables[name]
-        ar = self.signature.arity(name)
-        if len(args) != ar:
-            raise SignatureError("op %r expects %d args" % (name, ar))
-        if ar == 0:
-            return t
-        if ar == 1:
-            return t[args[0]]
-        return t[args[0]][args[1]]
+        t = self.cells[name]
+        if len(args) != self.signature.arity(name):
+            raise SignatureError("op %r expects %d args" % (name, self.signature.arity(name)))
+        return t[args] if args else t
 
     def const(self, name):
         return self.apply(name)
 
     @property
     def zero(self):
-        return self.tables["zero"]
+        return self.cells["zero"]
 
     @property
     def one(self):
-        return self.tables["one"]
+        return self.cells["one"]
 
     def join(self, a, b):
-        return self.tables["join"][a][b]
+        return self.cells["join"][a, b]
 
     def meet(self, a, b):
-        return self.tables["meet"][a][b]
+        return self.cells["meet"][a, b]
 
     def star(self, a, b):
-        return self.tables["star"][a][b]
+        return self.cells["star"][a, b]
 
     def imp(self, a, b):
-        return self.tables["imp"][a][b]
+        return self.cells["imp"][a, b]
 
     def leq(self, a, b):
         """Lattice order: a <= b iff meet(a, b) == a."""
-        return self.tables["meet"][a][b] == a
+        return self.cells["meet"][a, b] == a
 
     def label(self, i):
         if self.labels is not None:
@@ -247,10 +240,11 @@ class FiniteAlgebra:
         ]
 
     def np_table(self, name):
-        """The int32 table of an op, for the bulk kernels: a read-only view
-        of the algebra's stack of binary (unary) tables, or a 0-d array
+        """The int32 table of an op, for the bulk kernels: its `tables`
+        entry, a read-only view of the stack of its arity, or a 0-d array
         for a constant."""
-        return self._np[name]
+        t = self.tables[name]
+        return numpy.array(t, dtype=numpy.int32) if type(t) is int else t
 
     @cached_property
     def partial_order(self):
@@ -299,15 +293,7 @@ class FiniteAlgebra:
     # ---- JSON ----------------------------------------------------------
 
     def to_json(self):
-        ops = {}
-        for opname, arity in self.signature.ops:
-            t = self.tables[opname]
-            if arity == 0:
-                ops[opname] = t
-            elif arity == 1:
-                ops[opname] = list(t)
-            else:
-                ops[opname] = [list(r) for r in t]
+        ops = {op: t if type(t) is int else t.tolist() for op, t in self.tables.items()}
         data = {"format": "reslat/1", "name": self.name, "size": self.size, "ops": ops}
         if self.labels is not None:
             data["labels"] = list(self.labels)
@@ -325,6 +311,9 @@ class FiniteAlgebra:
             raise InvalidSpecError("size must be an integer, not %r" % (size,))
         if not isinstance(ops, dict):
             raise InvalidSpecError("ops must be an object mapping names to tables")
+        labels = data.get("labels")
+        if labels is not None and not (isinstance(labels, list) and all(type(x) is str for x in labels)):
+            raise InvalidSpecError("labels must be a list of strings, not %r" % (labels,))
         sig = []
         for name in sorted(ops):
             t = ops[name]
@@ -339,7 +328,7 @@ class FiniteAlgebra:
             size,
             Signature(tuple(sig)),
             ops,
-            labels=data.get("labels"),
+            labels=labels,
         )
 
     @classmethod
@@ -349,11 +338,13 @@ class FiniteAlgebra:
 
 def load_json(path, build):
     """build(data) for the JSON object in the file at path.  A file that is
-    not JSON, holds no object at its top level, or lacks a key that build
-    reads, is an InvalidSpecError naming the path."""
+    not UTF-8 JSON, holds no object at its top level, or lacks a key that
+    build reads, is an InvalidSpecError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidSpecError("%s is not UTF-8 text: %s" % (path, exc)) from None
         except json.JSONDecodeError as exc:
             raise InvalidSpecError("%s is not JSON: %s" % (path, exc)) from None
     if not isinstance(data, dict):
@@ -831,25 +822,36 @@ def splits(alg, op, members, universe=None):
 def generate_closed(alg, seed, up, const, binary=(), unary=(), universe=None):
     """Least up-set (up=True) or down-set of `universe` (default: every
     element) that contains `seed` and `const` and is closed under the
-    binary and unary ops (names); values outside `universe` are ignored."""
-    binary = [alg.tables[name] for name in binary]
-    unary = [alg.tables[name] for name in unary]
-    leq = alg.leq
-    uni = range(alg.size) if universe is None else universe
-    inside = set(uni)
-    found = set(seed) | {const}
-    members = list(found)
-    for i, a in enumerate(members):  # the list grows while it is walked
-        new = [b for b in uni if (leq(a, b) if up else leq(b, a))]
-        new += [t[a] for t in unary]
+    binary and unary ops (names); values outside `universe` are ignored.
+
+    Each round takes the elements new in the last round (the frontier):
+    their up-sets are read off `meet` as meet[a] == a, their down-sets as
+    meet[:, a] == arange(n), and every op is applied to them against
+    every element found, frontier x found and found x frontier."""
+    meet, every = alg.np_table("meet"), numpy.arange(alg.size)
+    binary = [alg.np_table(name) for name in binary]
+    unary = [alg.np_table(name) for name in unary]
+    inside = numpy.zeros(alg.size, dtype=bool)
+    inside[every if universe is None else list(universe)] = True
+    found = numpy.zeros(alg.size, dtype=bool)
+    found[[*seed, const]] = True
+    fresh = known = found.nonzero()[0]
+    while len(fresh):
+        if up:
+            reach = (meet[fresh] == fresh[:, None]).any(axis=0)
+        else:
+            reach = (meet[:, fresh] == every[:, None]).any(axis=1)
+        for t in unary:
+            reach[t[fresh]] = True
         for t in binary:
-            for b in members[: i + 1]:
-                new += (t[a][b], t[b][a])
-        for v in new:
-            if v not in found and v in inside:
-                found.add(v)
-                members.append(v)
-    return frozenset(found)
+            reach[t[fresh[:, None], known]] = True
+            reach[t[known[:, None], fresh]] = True
+        reach &= inside
+        reach &= ~found
+        fresh = reach.nonzero()[0]
+        found[fresh] = True
+        known = found.nonzero()[0]
+    return frozenset(known.tolist())
 
 
 def union_closure(basis):

@@ -60,13 +60,13 @@ def ideal_generate(alg, seed, mode="auto"):
 
 
 def is_ideal(alg, members, mode="auto"):
-    add = alg.tables[_ideal_sum(alg, mode)]
+    add = alg.cells[_ideal_sum(alg, mode)]
     s = set(members)
     if alg.zero not in s:
         return False
     for a in s:
         for b in s:
-            if add[a][b] not in s:
+            if add[a, b] not in s:
                 return False
         for b in range(alg.size):
             if alg.leq(b, a) and b not in s:
@@ -91,13 +91,13 @@ def enumerate_ideals(alg, mode="auto", bound=None, budget=None):
 
 def ideal_join_characterize(alg, m_ideal, n_ideal, mode="auto"):
     """Ig(M u N) = {x : x <= b (+) c for b in M, c in N}, exhaustively."""
-    add = alg.tables[_ideal_sum(alg, mode)]
+    add = alg.cells[_ideal_sum(alg, mode)]
     generated = ideal_generate(alg, m_ideal.members | n_ideal.members, mode).members
     described = frozenset(
         x
         for x in range(alg.size)
         if any(
-            alg.leq(x, add[b][c])
+            alg.leq(x, add[b, c])
             for b in m_ideal.members
             for c in n_ideal.members
         )
@@ -165,22 +165,19 @@ def congruence_closure(alg, pairs, universe=None):
     congruence of that subalgebra, the identity outside it.  Every element
     maps to the least member of its class, so the tuple is canonical."""
     n = alg.size
-    inside = range(n) if universe is None else tuple(universe)
+    inside = slice(None) if universe is None else numpy.array(sorted(universe), dtype=numpy.intp)
     find, union = _union_find(n)
     queue = [p for p in pairs if union(*p)]
-    unary = [alg.tables[nm] for nm, ar in alg.signature.ops if ar == 1]
+    unary = [alg.cells[nm] for nm, ar in alg.signature.ops if ar == 1]
     binary = [alg.tables[nm] for nm, ar in alg.signature.ops if ar == 2]
     while queue:
         x, y = queue.pop()
-        for t in unary:
-            if union(t[x], t[y]):
-                queue.append((t[x], t[y]))
-        for t in binary:
-            for z in inside:
-                if union(t[x][z], t[y][z]):
-                    queue.append((t[x][z], t[y][z]))
-                if union(t[z][x], t[z][y]):
-                    queue.append((t[z][x], t[z][y]))
+        moved = [(t[x], t[y]) for t in unary]
+        for t in binary:  # the images of (x, y) in a row and in a column, where they differ
+            for u, v in ((t[x, inside], t[y, inside]), (t[inside, x], t[inside, y])):
+                differ = u != v
+                moved += zip(u[differ].tolist(), v[differ].tolist())
+        queue += [p for p in moved if union(*p)]
     return tuple(find(x) for x in range(n))
 
 
@@ -390,6 +387,14 @@ class AmalgamProblem:
     max_size: int = 0
 
     def validate(self):
+        for name, images, target in (("m", self.m, self.a), ("n", self.n, self.b)):
+            if len(images) != self.c.size or not all(
+                (type(v) is int or isinstance(v, numpy.integer)) and 0 <= v < target.size
+                for v in images
+            ):
+                raise PreconditionError(
+                    "%s must map the %d elements of C to elements 0..%d" % (name, self.c.size, target.size - 1)
+                )
         if len(set(self.m)) != self.c.size or len(set(self.n)) != self.c.size:
             raise PreconditionError("m and n must be injective")
         if not is_homomorphism(self.c, self.a, list(self.m)):
@@ -472,10 +477,10 @@ def interpolant_search(alg, x1, x2, x, z, tau_bound=None, budget=None):
     for y in common:
         if alg.leq(x, y) and alg.leq(y, z):
             return y, 1
-    add = alg.tables["oplus"] if "oplus" in alg.signature else alg.tables["join"]
+    add = alg.cells["oplus" if "oplus" in alg.signature else "join"]
     zn = z
     for n in range(2, tau_bound + 1):
-        zn = add[zn][z]
+        zn = add[zn, z]
         for y in common:
             if alg.leq(x, y) and alg.leq(y, zn):
                 return y, n
@@ -503,7 +508,7 @@ def discriminator_check(alg, d_table):
             violations.append(("b", x))
             break
     for name in alg.extra_operator_names():
-        t = alg.tables[name]
+        t = alg.cells[name]
         for x in range(alg.size):
             if not alg.leq(t[x], d_table[x]):
                 violations.append(("c", (name, x)))

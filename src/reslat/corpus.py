@@ -8,6 +8,7 @@ The same code backs `reslat corpus run` and tests/test_acceptance.py.
 import random
 import time
 from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -318,27 +319,15 @@ def criterion_7():
     alg = ksa.algebra
     injected = 0
     for name, ar in alg.signature.ops:
-        t = alg.tables[name]
+        t = alg.cells[name]
         if ar == 0:
-            for v in range(alg.size):
-                if v == t:
-                    continue
-                injected += 1
-                if not detect_fault(ksa, mutate_table(alg, name, (), v)):
-                    return False, ("fault-missed", name, (), v)
-        elif ar == 1:
-            for i in range(alg.size):
-                v = (t[i] + 1) % alg.size
-                injected += 1
-                if not detect_fault(ksa, mutate_table(alg, name, (i,), v)):
-                    return False, ("fault-missed", name, (i,), v)
+            faults = [((), v) for v in range(alg.size) if v != t]
         else:
-            for i in range(alg.size):
-                for j in range(alg.size):
-                    v = (t[i][j] + 1) % alg.size
-                    injected += 1
-                    if not detect_fault(ksa, mutate_table(alg, name, (i, j), v)):
-                        return False, ("fault-missed", name, (i, j), v)
+            faults = [(pos, (t[pos] + 1) % alg.size) for pos in iproduct(range(alg.size), repeat=ar)]
+        for pos, v in faults:
+            injected += 1
+            if not detect_fault(ksa, mutate_table(alg, name, pos, v)):
+                return False, ("fault-missed", name, pos, v)
     return True, "100 systems pass all suites; %d injected faults all detected" % injected
 
 

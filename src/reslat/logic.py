@@ -11,7 +11,6 @@ converse is not claimed.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import numpy
 
 from . import budgets
@@ -223,9 +222,10 @@ _TABLES = {"&": "star", "->": "imp", "/\\": "meet", "\\/": "join"}
 
 
 def _term(f, leaves):
-    """The formula as a term of `algebra._evaluate`.  A variable becomes the
-    str leaf "$name" (a Var key hashes in Python, five times slower): no
-    identifier starts with "$", so none collides with a table or a constant."""
+    """The formula as a term of `algebra._evaluate` over an algebra's
+    `tables` or `cells`: a constant is the leaf "zero" or "one", and a
+    variable the str leaf "$name" (a Var key hashes in Python, five times
+    slower): no identifier starts with "$", so none collides with an op."""
     if isinstance(f, Bin):
         a, b = _term(f.left, leaves), _term(f.right, leaves)
         if f.op == "<->":
@@ -236,8 +236,8 @@ def _term(f, leaves):
     if isinstance(f, Var):
         return leaves.setdefault(f.name, "$" + f.name)
     if isinstance(f, Neg):
-        return ("imp", _term(f.sub, leaves), "0")
-    return "0" if f.value == 0 else "1"
+        return ("imp", _term(f.sub, leaves), "zero")
+    return "zero" if f.value == 0 else "one"
 
 
 _COMPILED = {}  # id -> (formula, term, leaves); holding the formula keeps its id unique
@@ -259,19 +259,12 @@ def _compile(f, bound=None):
     return hit[1:]
 
 
-@lru_cache(maxsize=32)
-def _env(alg, view):
-    """Tables (through `view`) and constants of `alg`, keyed as in terms; shared: copy it."""
-    env = {t: view(alg.np_table(t)) for t in _TABLES.values() if t in alg.tables}
-    return env | {c: alg.tables[t] for c, t in (("0", "zero"), ("1", "one")) if t in alg.tables}
-
-
 def eval_formula(f, alg, valuation):
     """The value in `alg` at a valuation (name -> element), by the term
     evaluator of `reslat.algebra`; derived connectives read the meet and
     join tables directly (the expansion route must agree; tested)."""
     term, leaves = _compile(f, valuation)
-    env = dict(_env(alg, memoryview))  # a memoryview reads a cell as an int, faster than numpy
+    env = dict(alg.cells)  # a memoryview reads a cell as an int, faster than numpy
     env.update((leaf, valuation[name]) for name, leaf in leaves)
     return int(_evaluate(term, env))
 
@@ -281,7 +274,7 @@ def valuation_grid(chain, names, axioms=(), formulas=()):
     order: the chunk (leaf -> index array), the mask of the valuations making
     every axiom 1, at the chunk's shape, and the values of each formula."""
     axioms, formulas = [[_compile(f, names)[0] for f in fs] for fs in (axioms, formulas)]
-    env = dict(_env(chain, numpy.asarray))
+    env = dict(chain.tables)
     for grid in _grid_chunks(chain.size, ["$" + name for name in names]):
         env.update(grid)
         mask = numpy.ones(numpy.broadcast(*grid.values()).shape, dtype=bool)
@@ -450,19 +443,19 @@ def _representatives(alg, generators):
             reps[c] = make(*args)
             order.append(c)
 
-    tables = [(op, alg.tables[table]) for op, table in _TABLES.items()]
-    imp, zero = alg.tables["imp"], alg.zero
+    tables = [(op, alg.cells[table]) for op, table in _TABLES.items()]
+    imp, zero = alg.cells["imp"], alg.zero
     done = 0
     while done < len(order) and None in reps:
         frontier, done = order[done:], len(order)
         have = [k for k, r in enumerate(reps) if r is not None]
         for k in frontier:
             f = reps[k]
-            name(imp[k][zero], Neg, f)
+            name(imp[k, zero], Neg, f)
             for j in have:
                 for op, t in tables:
-                    name(t[k][j], Bin, op, f, reps[j])
-                    name(t[j][k], Bin, op, reps[j], f)
+                    name(t[k, j], Bin, op, f, reps[j])
+                    name(t[j, k], Bin, op, reps[j], f)
     return reps
 
 

@@ -13,6 +13,8 @@ closed-set helpers of `reslat.algebra` (`enumerate_closed`,
 
 from dataclasses import dataclass
 
+import numpy
+
 from . import budgets
 from .algebra import (
     FiniteAlgebra,
@@ -30,6 +32,7 @@ from .amalgam import (
     quotient,
 )
 from .errors import DomainError, ResourceError
+from .free import _RowKeys, _search
 
 
 def default_operators(alg):
@@ -57,15 +60,16 @@ def zero_dim(alg, operators=None):
     """
     ops = default_operators(alg) if operators is None else list(operators)
     zd = [x for x in range(alg.size) if all(alg.apply(f, x) == x for f in ops)]
-    zset = set(zd)
+    inside = numpy.zeros(alg.size, dtype=bool)
+    inside[zd] = True
+    at = numpy.array(zd, dtype=numpy.intp)
     for name in ("join", "meet", "imp"):
         if name not in alg.signature:
             continue
-        t = alg.tables[name]
-        for x in zd:
-            for y in zd:
-                if t[x][y] not in zset:
-                    return tuple(zd), (name, (x, y))
+        out = ~inside[alg.np_table(name)[numpy.ix_(at, at)]]
+        if out.any():
+            x, y = numpy.unravel_index(out.argmax(), out.shape)
+            return tuple(zd), (name, (zd[x], zd[y]))
     return tuple(zd), None
 
 
@@ -219,38 +223,33 @@ def sections(sheaf, budget=None):
 
 
 def section_algebra(sheaf, secs=None, budget=None):
-    """Pointwise operations on the continuous sections."""
+    """Pointwise operations on the continuous sections `secs` (default:
+    all of them), which are sorted and distinct, as `sections` returns
+    them.  Sections are packed into `free._RowKeys` keys, so a section's
+    key order is its index; each op is applied to the keys at once over
+    the stalks' tables.  The first op, in signature order, with a value
+    that is not a section is a DomainError."""
     secs = secs if secs is not None else sections(sheaf, budget=budget)
+    if not secs:  # then no constant has a section as its value
+        first = next(name for name, ar in sheaf.alg.signature.ops if ar == 0)
+        raise DomainError("sections not closed under constant %r" % first)
     index = {s: i for i, s in enumerate(secs)}
-    sig = sheaf.alg.signature
+    keys = _RowKeys([q.size for q in sheaf.stalks])
+    known = keys.encode(secs)
+    rows = keys.decode(known)
     tables = {}
-    for name, ar in sig.ops:
-        stalk_tabs = [q.tables[name] for q in sheaf.stalks]
+    for name, ar in sheaf.alg.signature.ops:
         if ar == 0:
-            v = tuple(q.const(name) for q in sheaf.stalks)
-            if v not in index:
-                raise DomainError("sections not closed under constant %r" % name)
-            tables[name] = index[v]
-        elif ar == 1:
-            col = []
-            for s in secs:
-                v = tuple(stalk_tabs[i][s[i]] for i in range(len(s)))
-                if v not in index:
-                    raise DomainError("sections not closed under %r" % name)
-                col.append(index[v])
-            tables[name] = col
+            found = keys.encode([q.const(name) for q in sheaf.stalks])
         else:
-            rows = []
-            for s in secs:
-                row = []
-                for t2 in secs:
-                    v = tuple(stalk_tabs[i][s[i]][t2[i]] for i in range(len(s)))
-                    if v not in index:
-                        raise DomainError("sections not closed under %r" % name)
-                    row.append(index[v])
-                rows.append(row)
-            tables[name] = rows
-    return FiniteAlgebra("Gamma(%s)" % sheaf.alg.name, len(secs), sig, tables), index
+            shifted = keys.shifted([q.np_table(name) for q in sheaf.stalks])
+            found = keys.apply([shifted], rows, None if ar == 1 else rows)[0]
+        at = _search(known, found)
+        if not (at < len(secs)).all() or (known[:, at] != found).any():
+            kind = "constant " if ar == 0 else ""
+            raise DomainError("sections not closed under %s%r" % (kind, name))
+        tables[name] = int(at[0]) if ar == 0 else at.reshape((len(secs),) * ar)
+    return FiniteAlgebra("Gamma(%s)" % sheaf.alg.name, len(secs), sheaf.alg.signature, tables), index
 
 
 def eta_check(alg, sheaf=None, budget=None):

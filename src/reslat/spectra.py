@@ -356,16 +356,16 @@ class TheoryPair:
 
 
 def _meet_all(alg, xs):
-    acc = alg.one
+    acc, meet = alg.one, alg.cells["meet"]
     for x in xs:
-        acc = alg.meet(acc, x)
+        acc = meet[acc, x]
     return acc
 
 
 def _join_all(alg, xs):
-    acc = alg.zero
+    acc, join = alg.zero, alg.cells["join"]
     for x in xs:
-        acc = alg.join(acc, x)
+        acc = join[acc, x]
     return acc
 
 

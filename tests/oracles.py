@@ -25,7 +25,12 @@ loop bodies of the Kripke suites `verify_derived_identities`,
 The last group is what the closures on integer keys replaced: the
 per-element loops of `subalgebra_generate` and of `homomorphisms` (with
 its per-level domains and the `_close_map` map closure), and
-`free_algebra` over big-endian void row keys.
+`free_algebra` over big-endian void row keys.  Last of all come the
+scalar loops that array reads of the table stacks replaced: the
+`alg.leq` walk of `generate_closed`, the per-entry union-find of
+`amalgam.congruence_closure` and the tuple lookups of
+`sheaf.section_algebra`.  `table` hands every loop here the nested-list
+form of a table.
 Tests compare the library against them on every input they generate.
 """
 
@@ -37,7 +42,7 @@ import numpy as np
 
 from reslat import budgets
 from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, make_chain
-from reslat.amalgam import congruence_blocks, congruence_closure, principal_congruence
+from reslat.amalgam import _union_find, congruence_blocks, principal_congruence
 from reslat.errors import (
     ClosureError,
     DomainError,
@@ -56,6 +61,18 @@ from reslat.kripke import (
 from reslat.logic import Bin, Konst, Neg, Var, variables
 from reslat.sheaf import _kernel_ops
 from reslat.spectra import generate_filter
+
+
+def table(alg, name):
+    """The table of an op as nested lists of ints, a constant as an int:
+    the tuple-style reference the loops below read entry by entry."""
+    t = alg.tables[name]
+    return t if type(t) is int else t.tolist()
+
+
+def table_lists(alg):
+    """Every table of `alg` by `table`, keyed by op, for `==` comparisons."""
+    return {name: table(alg, name) for name in alg.tables}
 
 
 def set_algebra_tables(system, G=None, with_diagonals=False, budget=None):
@@ -214,16 +231,16 @@ def set_algebra_tables(system, G=None, with_diagonals=False, budget=None):
 def _derived_mv_ops(alg):
     n = alg.size
     if "neg" in alg.signature:
-        neg = alg.tables["neg"]
+        neg = table(alg, "neg")
     else:
         z = alg.zero
         neg = tuple(alg.imp(a, z) for a in range(n))
     if "odot" in alg.signature:
-        odot = alg.tables["odot"]
+        odot = table(alg, "odot")
     else:
-        odot = alg.tables["star"]
+        odot = table(alg, "star")
     if "oplus" in alg.signature:
-        oplus = alg.tables["oplus"]
+        oplus = table(alg, "oplus")
     else:
         oplus = tuple(
             tuple(neg[odot[neg[a]][neg[b]]] for b in range(n)) for a in range(n)
@@ -340,12 +357,12 @@ def product(algs, name=None):
         if arity == 0:
             tables[opname] = index[tuple(a.const(opname) for a in algs)]
         elif arity == 1:
-            ts = [a.tables[opname] for a in algs]
+            ts = [table(a, opname) for a in algs]
             tables[opname] = [
                 index[tuple(t[e[i]] for i, t in enumerate(ts))] for e in elems
             ]
         else:
-            ts = [a.tables[opname] for a in algs]
+            ts = [table(a, opname) for a in algs]
             tables[opname] = [
                 [
                     index[tuple(t[x[i]][y[i]] for i, t in enumerate(ts))]
@@ -403,10 +420,10 @@ def quotient(alg, theta, name=None):
         if ar == 0:
             tables[opname] = index[alg.const(opname)]
         elif ar == 1:
-            t = alg.tables[opname]
+            t = table(alg, opname)
             tables[opname] = [index[t[b[0]]] for b in blocks]
         else:
-            t = alg.tables[opname]
+            t = table(alg, opname)
             tables[opname] = [
                 [index[t[b[0]][c[0]]] for c in blocks] for b in blocks
             ]
@@ -426,10 +443,10 @@ def relativize(alg, b):
         if ar == 0:
             tables[opname] = index[alg.meet(alg.const(opname), b)]
         elif ar == 1:
-            t = alg.tables[opname]
+            t = table(alg, opname)
             tables[opname] = [index[alg.meet(t[x], b)] for x in sub]
         else:
-            t = alg.tables[opname]
+            t = table(alg, opname)
             tables[opname] = [
                 [index[alg.meet(t[x][y], b)] for y in sub] for x in sub
             ]
@@ -475,7 +492,7 @@ def neat_reduct(alg, J):
                 return None, (name, ())
             tables[name] = index[v]
         elif ar == 1:
-            t = alg.tables[name]
+            t = table(alg, name)
             col = []
             for x in sub:
                 if t[x] not in index:
@@ -483,7 +500,7 @@ def neat_reduct(alg, J):
                 col.append(index[t[x]])
             tables[name] = col
         else:
-            t = alg.tables[name]
+            t = table(alg, name)
             rows = []
             for x in sub:
                 row = []
@@ -508,7 +525,7 @@ def mutate_table(alg, opname, position, new_value):
     """Copy of the algebra with one entry replaced, every table rebuilt."""
     tables = {}
     for name, ar in alg.signature.ops:
-        t = alg.tables[name]
+        t = table(alg, name)
         if name != opname:
             tables[name] = t
             continue
@@ -734,14 +751,14 @@ def projection_map(free, coord):
         changed = False
         for opname, ar in sig.ops:
             if ar == 1:
-                t, tg = alg.tables[opname], g.tables[opname]
+                t, tg = table(alg, opname), table(g, opname)
                 for x in list(val):
                     y = t[x]
                     if y not in val:
                         val[y] = tg[val[x]]
                         changed = True
             elif ar == 2:
-                t, tg = alg.tables[opname], g.tables[opname]
+                t, tg = table(alg, opname), table(g, opname)
                 for x in list(val):
                     for y in list(val):
                         z = t[x][y]
@@ -758,8 +775,8 @@ def bitmask(members):
 def enumerate_closed(alg, universe, up, const, binary=(), unary=()):
     """Every closed up-set (down-set) of the universe by a DFS over a
     linear extension, with the operation closure tested at the leaves."""
-    binary = [alg.tables[name] for name in binary]
-    unary = [alg.tables[name] for name in unary]
+    binary = [table(alg, name) for name in binary]
+    unary = [table(alg, name) for name in unary]
     uni = sorted(universe)
     inside = frozenset(uni)
     leq = alg.leq
@@ -1172,8 +1189,8 @@ def subalgebra_generate(alg, seed):
     for name in op_names:
         if alg.signature.arity(name) == 0:
             current.add(alg.const(name))
-    unary = [alg.tables[n] for n in op_names if alg.signature.arity(n) == 1]
-    binary = [alg.tables[n] for n in op_names if alg.signature.arity(n) == 2]
+    unary = [table(alg, n) for n in op_names if alg.signature.arity(n) == 1]
+    binary = [table(alg, n) for n in op_names if alg.signature.arity(n) == 2]
     frontier = list(current)
     known = list(current)
     while frontier:
@@ -1206,8 +1223,8 @@ def _close_map(a, b, seed, domain):
         if k in m and m[k] != v:
             return None
         m[k] = v
-    unary = [(a.tables[n], b.tables[n]) for n, ar in a.signature.ops if ar == 1]
-    binary = [(a.tables[n], b.tables[n]) for n, ar in a.signature.ops if ar == 2]
+    unary = [(table(a, n), table(b, n)) for n, ar in a.signature.ops if ar == 1]
+    binary = [(table(a, n), table(b, n)) for n, ar in a.signature.ops if ar == 2]
     known = [k for k in m if k in domain]
     m = {k: v for k, v in m.items() if k in domain}
     frontier = list(known)
@@ -1403,3 +1420,83 @@ def free_algebra(variety, n, coords=None, budget=None):
         labels=labels,
     )
     return FreeAlgebra(alg, generators, coords, variety, E)
+
+
+def generate_closed(alg, seed, up, const, binary=(), unary=(), universe=None):
+    """The least closed up-set (down-set) by walking the whole universe
+    through `alg.leq` for every member added."""
+    binary = [table(alg, name) for name in binary]
+    unary = [table(alg, name) for name in unary]
+    leq = alg.leq
+    uni = range(alg.size) if universe is None else universe
+    inside = set(uni)
+    found = set(seed) | {const}
+    members = list(found)
+    for i, a in enumerate(members):
+        new = [b for b in uni if (leq(a, b) if up else leq(b, a))]
+        new += [t[a] for t in unary]
+        for t in binary:
+            for b in members[: i + 1]:
+                new += (t[a][b], t[b][a])
+        for v in new:
+            if v not in found and v in inside:
+                found.add(v)
+                members.append(v)
+    return frozenset(found)
+
+
+def congruence_closure(alg, pairs, universe=None):
+    """The least congruence holding `pairs`, by union-find with one union
+    per table entry of each merged pair, least member as the root."""
+    n = alg.size
+    inside = range(n) if universe is None else tuple(universe)
+    find, union = _union_find(n)
+    queue = [p for p in pairs if union(*p)]
+    unary = [table(alg, nm) for nm, ar in alg.signature.ops if ar == 1]
+    binary = [table(alg, nm) for nm, ar in alg.signature.ops if ar == 2]
+    while queue:
+        x, y = queue.pop()
+        for t in unary:
+            if union(t[x], t[y]):
+                queue.append((t[x], t[y]))
+        for t in binary:
+            for z in inside:
+                if union(t[x][z], t[y][z]):
+                    queue.append((t[x][z], t[y][z]))
+                if union(t[z][x], t[z][y]):
+                    queue.append((t[z][x], t[z][y]))
+    return tuple(find(x) for x in range(n))
+
+
+def section_algebra(sheaf, secs):
+    """Gamma of a dual sheaf: every op applied section by section through
+    the stalks' tables, each value looked up by its tuple."""
+    index = {s: i for i, s in enumerate(secs)}
+    tables = {}
+    for name, ar in sheaf.alg.signature.ops:
+        stalk_tabs = [table(q, name) for q in sheaf.stalks]
+        if ar == 0:
+            v = tuple(stalk_tabs)
+            if v not in index:
+                raise DomainError("sections not closed under constant %r" % name)
+            tables[name] = index[v]
+        elif ar == 1:
+            col = []
+            for s in secs:
+                v = tuple(stalk_tabs[i][s[i]] for i in range(len(s)))
+                if v not in index:
+                    raise DomainError("sections not closed under %r" % name)
+                col.append(index[v])
+            tables[name] = col
+        else:
+            rows = []
+            for s in secs:
+                row = []
+                for t2 in secs:
+                    v = tuple(stalk_tabs[i][s[i]][t2[i]] for i in range(len(s)))
+                    if v not in index:
+                        raise DomainError("sections not closed under %r" % name)
+                    row.append(index[v])
+                rows.append(row)
+            tables[name] = rows
+    return FiniteAlgebra("Gamma(%s)" % sheaf.alg.name, len(secs), sheaf.alg.signature, tables), index

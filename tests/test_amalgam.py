@@ -281,6 +281,32 @@ def test_congruence_closure_respects_ops():
     assert len(set(theta)) == 1
 
 
+def test_congruence_closure_matches_union_find_oracle():
+    """The row and column closure against one union per table entry:
+    seeded random pairs on the corpus algebras, on copies of them with one
+    unary or binary entry changed (so that no table need be commutative or
+    derived from the others) and on DL Fr_3, on the whole algebra and on
+    the subalgebra generated by one element."""
+    rng = random.Random(12)
+    algs = corpus_algebras()
+    faulted = []
+    for alg in algs:
+        for arity in {ar for _, ar in alg.signature.ops} - {0}:
+            name = rng.choice([nm for nm, ar in alg.signature.ops if ar == arity])
+            pos = tuple(rng.randrange(alg.size) for _ in range(arity))
+            faulted.append(mutate_table(alg, name, pos, rng.randrange(alg.size)))
+    for alg in algs + faulted + [free_algebra(distributive_lattice_variety(), 3).algebra]:
+        for k in (1, 1, 2, 3):
+            pairs = [(rng.randrange(alg.size), rng.randrange(alg.size)) for _ in range(k)]
+            got = congruence_closure(alg, pairs)
+            assert got == oracles.congruence_closure(alg, pairs), (alg.name, pairs)
+            assert all(type(x) is int for x in got)
+        sub = sorted(subalgebra_generate(alg, [rng.randrange(alg.size)]))
+        pairs = [(rng.choice(sub), rng.choice(sub)) for _ in range(2)]
+        want = oracles.congruence_closure(alg, pairs, universe=sub)
+        assert congruence_closure(alg, pairs, universe=sub) == want, (alg.name, sub, pairs)
+
+
 def equivalences(elements):
     """Every equivalence relation on `elements`, as element -> block label."""
     if not elements:

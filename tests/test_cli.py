@@ -227,8 +227,13 @@ def luk3_json(**changes):
         luk3_json(size=3.0),
         luk3_json(size=0),
         luk3_json(ops=[]),
+        luk3_json(labels=5),
+        luk3_json(labels=[1, [2], "1"]),
     ],
-    ids=["top-level-list", "size-string", "size-bool", "size-float", "size-zero", "ops-list"],
+    ids=[
+        "top-level-list", "size-string", "size-bool", "size-float", "size-zero", "ops-list",
+        "labels-int", "labels-not-strings",
+    ],
 )
 def test_malformed_algebra_file_exit_code(tmp_path, capsys, data):
     path = tmp_path / "alg.json"
@@ -236,6 +241,41 @@ def test_malformed_algebra_file_exit_code(tmp_path, capsys, data):
     code, _, err = run(capsys, "check", str(path), "--class", "mv")
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check {} --class mv",
+        "spectrum {}",
+        "lindenbaum --theory {} --vars 1",
+        "amalgamate --problem {}",
+        "omit --alg luk:3 --inside 1 --types {}",
+    ],
+)
+def test_non_utf8_file_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, *argv.format(path).split())
+    assert code == 2
+    assert err.startswith("error: %s is not UTF-8" % path)
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [([0, 9], [0, 3]), ([0, 3], [-1, 3]), ([0, 3], [0]), ([0, "3"], [0, 3]), ([0, True], [0, 3])],
+    ids=["m-above", "n-negative", "n-short", "m-string", "m-bool"],
+)
+def test_amalgam_map_outside_the_universe_exit_code(tmp_path, capsys, m, n):
+    from reslat.algebra import ChainSpec, make_chain, product
+
+    l2 = make_chain(ChainSpec("lukasiewicz", 2))
+    ba4 = product([l2, l2], name="ba4")
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"A": ba4.to_json(), "B": ba4.to_json(), "C": l2.to_json(), "m": m, "n": n}))
+    code, _, err = run(capsys, "amalgamate", "--problem", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "elements of C" in err
 
 
 def test_interp_on_dumped_fr3(tmp_path, capsys):
@@ -460,16 +500,24 @@ def test_float_table_entry_exit_code(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+GOLDEN_CASES = [
+    ("kripke", "kripke verify --random 20 --seed 0 --max-worlds 3 --max-base 3 --alpha 3", 0),
+    ("sheaf", "sheaf luk:3 --eta --regularity", 0),
+    ("free", "free --variety ba --gens 2 --atoms --decompose-check", 0),
+    ("check-luk3-mv", "check luk:3 --class mv", 0),
+    ("check-godel3-mv", "check godel:3 --class mv", 1),
+    ("taut-prelinearity", "taut (p0->p1)\\/(p1->p0) --chains luk:2..6,godel:2..6", 0),
+    ("taut-excluded-middle", "taut p0\\/~p0 --chains luk:3", 1),
+    ("spectrum-godel4", "spectrum godel:4 --verify-lemma", 0),
+]
+
+
 @pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("kripke", "kripke verify --random 20 --seed 0 --max-worlds 3 --max-base 3 --alpha 3"),
-        ("sheaf", "sheaf luk:3 --eta --regularity"),
-        ("free", "free --variety ba --gens 2 --atoms --decompose-check"),
-    ],
+    "name, argv, exit_code", GOLDEN_CASES, ids=["%s-%s" % case[:2] for case in GOLDEN_CASES]
 )
-def test_golden_json_output(capsys, name, argv):
-    """The --json bytes of these verbs are pinned to the files in golden/."""
+def test_golden_json_output(capsys, name, argv, exit_code):
+    """The --json bytes and exit codes of these verbs, the README examples
+    among them, are pinned to the files in golden/."""
     code, out, _ = run(capsys, "--json", *argv.split())
-    assert code == 0
+    assert code == exit_code
     assert out == (GOLDEN / (name + ".json")).read_text()

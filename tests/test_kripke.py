@@ -83,7 +83,7 @@ def test_single_assignment_universe():
     ksa = set_algebra(KripkeSystem(1, [[True]], {0: (0,)}, None, 1))
     alg = ksa.algebra
     assert alg.size == 2
-    assert alg.tables["c_0"] == tuple(range(2))  # sup over a single assignment
+    assert alg.tables["c_0"].tolist() == list(range(2))  # sup over a single assignment
 
 
 def test_four_assignment_instance():
@@ -145,7 +145,7 @@ def test_relativized_assignments_supported_when_closed():
 
 def test_star_equals_meet():
     ksa = set_algebra(one_world())
-    assert ksa.algebra.tables["star"] == ksa.algebra.tables["meet"]
+    assert ksa.algebra.tables["star"].tolist() == ksa.algebra.tables["meet"].tolist()
     assert check_class_axioms(ksa.algebra, "heyting").passed
 
 
@@ -193,7 +193,7 @@ def test_substitution_homomorphism_family():
     ksa = set_algebra(one_world(), with_diagonals=True)
     alg = ksa.algebra
     ident = tuple(range(ksa.alpha))
-    assert alg.tables["s_01"] == tuple(range(alg.size))
+    assert alg.tables["s_01"].tolist() == list(range(alg.size))
     for sigma in ksa.G:
         for tau in ksa.G:
             for x in range(alg.size):
@@ -368,13 +368,8 @@ def assert_same_build(system, budget=None, **kw):
     alg = ksa.algebra
     assert alg.signature.ops == sig
     assert ksa.masks == masks
-    for name, arity in sig:
-        expected = tables[name]
-        if arity == 1:
-            expected = tuple(expected)
-        elif arity == 2:
-            expected = tuple(map(tuple, expected))
-        assert alg.tables[name] == expected, name
+    for name, _ in sig:
+        assert oracles.table(alg, name) == tables[name], name
 
 
 def test_set_algebra_matches_oracle_on_random_systems():

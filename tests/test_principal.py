@@ -20,6 +20,7 @@ from reslat.algebra import (
     Signature,
     core_reduct,
     enumerate_closed,
+    generate_closed,
     lattice_reduct,
     make_chain,
     principal_closed,
@@ -49,7 +50,7 @@ def kripke_algebras():
     for s in range(200):
         _, ksa = random_kripke(s, 2, 2, 2)
         alg = ksa.algebra
-        key = (alg.size, alg.signature.ops, tuple(alg.tables.values()))
+        key = (alg.size, alg.signature.ops, repr(oracles.table_lists(alg)))
         if alg.size <= 16 and key not in seen:
             seen.add(key)
             out.append(alg)
@@ -228,9 +229,8 @@ def with_entry(alg, name, pos, value):
     return with_table(alg, name, table)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_gate_failing_tables_match_subset_scan(data):
+def gate_failing(data):
+    """One of SMALL with a table that fails the principal-set gate."""
     alg = data.draw(st.sampled_from(SMALL))
     kind = data.draw(st.sampled_from(["non-integral star", "star = join", "corrupted meet"]))
     n = alg.size
@@ -247,10 +247,35 @@ def test_gate_failing_tables_match_subset_scan(data):
         else:
             bad = with_entry(alg, "meet", (b, a), b)
         assert bad.partial_order is None
+    return bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gate_failing_tables_match_subset_scan(data):
+    bad = gate_failing(data)
+    n = bad.size
     filters = (range(n), True, bad.one, ["star"], [])
     assert principal_closed(bad, *filters) is None
     for problem in problems(bad):
         assert enumerate_closed(bad, *problem) == oracles.closed_sets(bad, *problem)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generate_closed_matches_leq_walk_on_gate_failing_tables(data):
+    """The least closed set over every seed of at most one element and
+    one larger seed, in the whole universe and in all but element 0, with
+    `neg` as a unary op where there is one."""
+    bad = gate_failing(data)
+    n = bad.size
+    unary = [u for u in ("neg",) if u in bad.signature]
+    for _, up, const, binary, _ in problems(bad):
+        for universe in (None, range(1, n)):
+            for seed in [()] + [(x,) for x in range(n)] + [tuple(range(0, n, 3))]:
+                for ops in ((binary, []), (binary, unary)):
+                    args = (bad, seed, up, const, *ops, universe)
+                    assert generate_closed(*args) == oracles.generate_closed(*args), args[1:]
 
 
 def test_next_closure_matches_dfs_on_partial_orders(monkeypatch):

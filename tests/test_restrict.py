@@ -23,7 +23,7 @@ def assert_same(got, want):
 
 def assert_reduct(got, alg, names):
     assert got.signature.names() == list(names)
-    assert got.tables == {k: alg.tables[k] for k in names}
+    assert oracles.table_lists(got) == {k: oracles.table(alg, k) for k in names}
     assert (got.size, got.labels) == (alg.size, alg.labels)
 
 
@@ -44,7 +44,7 @@ def test_restrict_keeps_parent_order_and_maps_entries():
     got, witness = alg.restrict("evens", [0, 2, 4], index, ["meet", "one"])
     assert witness is None
     assert got.signature.ops == (("meet", 2), ("one", 0))
-    assert got.tables["meet"] == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+    assert got.tables["meet"].tolist() == [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
     assert got.one == 2
 
 

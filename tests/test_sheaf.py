@@ -2,7 +2,11 @@
 
 from itertools import combinations
 
+import pytest
+
+import oracles
 from reslat.algebra import (
+    CORE_OPS,
     ChainSpec,
     FiniteAlgebra,
     Signature,
@@ -12,6 +16,8 @@ from reslat.algebra import (
     make_chain,
     product,
 )
+from reslat.corpus import corpus_algebras
+from reslat.errors import DomainError
 from reslat.kripke import KripkeSystem, dimension_set, set_algebra
 from reslat.sheaf import (
     _kernel_ideals,
@@ -21,6 +27,7 @@ from reslat.sheaf import (
     regular_ideals_open_sets,
     regularity,
     report,
+    section_algebra,
     sections,
     sheaf_reduct,
     strongly_regular_equiv_check,
@@ -83,6 +90,23 @@ def test_zd_of_coordinate_closure_product():
     pc = coordinate_closure_product([ba4(), ba4()])
     zd, witness = zero_dim(pc)
     assert witness is None and len(zd) == 4
+
+
+def test_zd_witness_is_the_first_entry_outside_in_row_order():
+    """An operator fixing 0, 1/3 and 1 of luk:4: join and meet keep those
+    fixed points, and imp(1/3, 0) = 2/3 is the first value outside."""
+    alg = luk(4)
+    ops = {name: alg.tables[name] for name in alg.signature.names()} | {"f": [0, 1, 3, 3]}
+    with_f = FiniteAlgebra("luk:4+f", 4, Signature(alg.signature.ops + (("f", 1),)), ops)
+    zd, witness = zero_dim(with_f)
+    assert zd == (0, 1, 3)
+    assert witness == ("imp", (1, 0))
+    first = next(
+        (name, (x, y))
+        for name in ("join", "meet", "imp") for x in zd for y in zd
+        if with_f.apply(name, x, y) not in zd
+    )
+    assert witness == first and all(type(v) is int for v in witness[1])
 
 
 # ---- dual sheaves --------------------------------------------------------------
@@ -270,3 +294,38 @@ def test_report_shape():
     assert rep["section_count"] == 4
     assert len(rep["base_points"]) == 2
     assert rep["stalk_sizes"] == [2, 2]
+
+
+def gamma_outcome(build, sheaf, secs):
+    """Tables and index of Gamma over `secs`, or the DomainError's message."""
+    try:
+        gamma, index = build(sheaf, secs)
+    except DomainError as exc:
+        return str(exc)
+    return gamma.name, gamma.size, oracles.table_lists(gamma), index
+
+
+@pytest.mark.parametrize("alg", corpus_algebras(), ids=lambda a: a.name)
+def test_section_algebra_matches_oracle_on_corpus(alg):
+    """Gamma on packed section keys against the tuple-lookup loop: on all
+    sections, and on sorted parts of them that some op leaves, where the
+    first such op in signature order names the error."""
+    sheaf = dual_sheaf(alg)
+    secs = sections(sheaf)
+    errors = 0
+    for part in (secs, secs[::2], secs[1:], secs[:-1]):
+        got = gamma_outcome(section_algebra, sheaf, part)
+        assert got == gamma_outcome(oracles.section_algebra, sheaf, part)
+        errors += type(got) is str
+    assert type(gamma_outcome(section_algebra, sheaf, secs)) is tuple
+    assert errors or len(secs) == 1
+
+
+def test_section_algebra_without_points_matches_oracle():
+    """The one-element algebra has no prime ideal, so its sheaf has no
+    point and no section."""
+    ops = {"join": [[0]], "meet": [[0]], "star": [[0]], "imp": [[0]], "zero": 0, "one": 0}
+    sheaf = dual_sheaf(FiniteAlgebra("trivial", 1, Signature(CORE_OPS), ops))
+    assert sheaf.points == [] and sections(sheaf) == []
+    got = gamma_outcome(section_algebra, sheaf, [])
+    assert got == gamma_outcome(oracles.section_algebra, sheaf, []) == "sections not closed under constant 'zero'"
