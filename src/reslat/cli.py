@@ -33,6 +33,14 @@ def _emit(args, payload, human):
         print(human)
 
 
+def _fail(args, code, prefix, exc):
+    """Report an error on stderr, and in --json mode as a report on stdout."""
+    print("%s: %s" % (prefix, exc), file=sys.stderr)
+    if args.json:
+        _emit(args, {"error": str(exc)}, None)
+    return code
+
+
 def _element_env(alg):
     env = {}
     for i in range(alg.size):
@@ -212,18 +220,17 @@ def cmd_amalgamate(args):
 
 
 def cmd_kripke(args):
-    from .kripke import random_kripke, verify_kripke
+    from .kripke import KripkeSystem, random_kripke, set_algebra, verify_kripke
 
     if args.action != "verify":
         raise ReslatError("unknown kripke action %r" % args.action)
 
-    def verify_one(seed):
+    def verify_one(ksa, tag):
         out = []
-        _, ksa = random_kripke(seed, args.max_worlds, args.max_base, args.alpha)
         for suite, passed, detail in verify_kripke(ksa):
             if passed:
                 continue
-            entry = {"seed": seed, "suite": "-".join(map(str, suite))}
+            entry = {**tag, "suite": "-".join(map(str, suite))}
             if suite[0] in ("derived", "gpha"):
                 entry["violations"] = detail[:3]
             elif suite[0] == "diagonals":
@@ -231,12 +238,24 @@ def cmd_kripke(args):
             out.append(entry)
         return out
 
-    failures = [item for i in range(args.random) for item in verify_one(args.seed + i)]
-    payload = {"systems": args.random, "failures": failures}
+    if args.system is not None:
+        system = KripkeSystem.load(args.system)
+        count = 1
+        failures = verify_one(set_algebra(system, with_diagonals=True), {})
+    else:
+        count = args.random
+        failures = [
+            item
+            for seed in range(args.seed, args.seed + count)
+            for item in verify_one(
+                random_kripke(seed, args.max_worlds, args.max_base, args.alpha)[1], {"seed": seed}
+            )
+        ]
+    payload = {"systems": count, "failures": failures}
     _emit(
         args,
         payload,
-        "%d systems verified, %d failures" % (args.random, len(failures)),
+        "%d systems verified, %d failures" % (count, len(failures)),
     )
     return EXIT_PASS if not failures else EXIT_COUNTER
 
@@ -391,7 +410,9 @@ def build_parser():
 
     p = sub.add_parser("kripke", help="Kripke set algebra verification")
     p.add_argument("action", choices=["verify"])
-    p.add_argument("--random", type=_count(0), default=10)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--random", type=_count(0), default=10, help="seeded random systems")
+    source.add_argument("--system", help="a Kripke-system JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-worlds", type=_count(1), default=3)
     p.add_argument("--max-base", type=_count(1), default=3)
@@ -426,14 +447,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except ResourceError as exc:
-        print("resource bound: %s" % exc, file=sys.stderr)
-        return EXIT_RESOURCE
-    except ReslatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(args, EXIT_RESOURCE, "resource bound", exc)
+    except (ReslatError, FileNotFoundError) as exc:
+        return _fail(args, EXIT_USAGE, "error", exc)
 
 
 if __name__ == "__main__":

@@ -99,25 +99,55 @@ class KripkeSystem:
 
     @classmethod
     def from_json(cls, data):
-        worlds = data["worlds"]
-        w = len(worlds)
-        base = {int(k): v for k, v in data["base"].items()}
+        """The system of a JSON object; a value of the wrong type or shape
+        is an InvalidSpecError."""
+        worlds, leq, alpha = data["worlds"], data["leq"], data["alpha"]
+        if not isinstance(worlds, list):
+            raise InvalidSpecError('"worlds" must be a list')
+        if not (isinstance(leq, list) and all(
+            isinstance(row, list) and all(isinstance(x, bool) for x in row) for row in leq
+        )):
+            raise InvalidSpecError('"leq" must be a matrix of booleans')
+        if not _is_int(alpha):
+            raise InvalidSpecError('"alpha" must be an integer')
+        keys = {str(k) for k in range(len(worlds))}
+
+        def per_world(name, what, entry_ok):
+            value = data[name]
+            if not (isinstance(value, dict) and set(value) == keys and all(
+                isinstance(v, list) and all(entry_ok(x) for x in v) for v in value.values()
+            )):
+                raise InvalidSpecError(
+                    '"%s" must map every world index to a list of %s' % (name, what)
+                )
+            return {int(k): v for k, v in value.items()}
+
+        base = per_world("base", "integers", _is_int)
         assignments = None
-        if "assignments" in data and data["assignments"] is not None:
-            assignments = {
-                int(k): [tuple(a) for a in v] for k, v in data["assignments"].items()
-            }
-        return cls(
-            w,
-            data["leq"],
-            base,
-            assignments,
-            data["alpha"],
-        )
+        if data.get("assignments") is not None:
+            assignments = per_world(
+                "assignments",
+                "integer lists",
+                lambda a: isinstance(a, list) and all(map(_is_int, a)),
+            )
+        else:
+            # the full function spaces are listed on construction: refuse
+            # them over the budget before they are built
+            total = sum(len(b) ** min(alpha, 64) for b in base.values())
+            limit = budgets.from_env().kripke_assignments
+            if total > limit:
+                raise ResourceError(
+                    "total assignment count of at least %d over budget %d" % (total, limit)
+                )
+        return cls(len(worlds), leq, base, assignments, alpha)
 
     @classmethod
     def load(cls, path):
         return load_json(path, cls.from_json)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def all_maps(alpha):
@@ -168,6 +198,32 @@ class SemigroupG:
 
     def __iter__(self):
         return iter(self.maps)
+
+    @cached_property
+    def generators(self):
+        """A generating set of the non-identity maps, in sorted order: every
+        map but the identity is a composite of generators.  Greedy and
+        deterministic: the candidates are taken by decreasing rank (the
+        permutations first), then in sorted order, and one is kept only if
+        the composites of those kept so far do not give it.  For the full
+        semigroup this yields permutations generating S_alpha and one map
+        of rank alpha - 1, which together generate T_alpha (Howie,
+        *Fundamentals of Semigroup Theory*, 1995, section 1.9)."""
+        ident = tuple(range(self.alpha))
+        kept, closed = [], set()
+        for tau in sorted(self.maps, key=lambda m: (-len(set(m)), m)):
+            if tau == ident or tau in closed:
+                continue
+            kept.append(tau)
+            # words containing tau: tau itself and x o tau for the old
+            # composites x, then right multiples by every generator
+            frontier = [tau, *(compose(x, tau) for x in closed)]
+            while frontier:
+                x = frontier.pop()
+                if x not in closed:
+                    closed.add(x)
+                    frontier.extend(compose(x, g) for g in kept)
+        return tuple(sorted(kept))
 
     @cached_property
     def identities(self):
@@ -386,8 +442,21 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
     masks = np.array(sorted(sum(parts) for parts in iproduct(*col_choices)), dtype=dtype)
     n = len(masks)
 
+    # A dense lookup from mask to index (-1 outside the universe) is never
+    # larger than one of the n x n tables built below when full < n * n.
+    lookup = None
+    if full < n * n:
+        lookup = np.full(full + 1, -1, dtype=np.int32)
+        lookup[masks] = np.arange(n, dtype=np.int32)
+
     def index(values, out=None):
         """Element indices of result masks, in `out` if given; each must be in the universe."""
+        if lookup is not None:
+            # every mask is at most full; mode "clip" writes to out unbuffered
+            idx = lookup.take(values, out=out, mode="clip")
+            if (idx < 0).any():
+                raise InternalError("set-algebra operation left the universe")
+            return idx
         idx = np.searchsorted(masks, values)
         if not np.array_equal(masks.take(idx, mode="clip"), values):
             raise InternalError("set-algebra operation left the universe")
@@ -606,7 +675,14 @@ def verify_derived_identities(ksa):
 
     Groups 3-9 are identities between composites of unary maps, evaluated
     as one batch; the failures are noted in the loop order of the
-    instances, so each witness is the first failing instance."""
+    instances, so each witness is the first failing instance.
+
+    When every s-law holds, 2-endo-join/meet/imp are checked on
+    G.generators only: then s_id is the identity and s_(sigma o tau) =
+    s_sigma s_tau as tables, every other map of G is a composite of
+    generators, and a composite of endomorphisms is an endomorphism.  If
+    an s-law or a generator fails, every map is checked, so the
+    violations and their witnesses are those of the loop over G."""
     alg = ksa.algebra
     ar = np.arange(alg.size)
     violations = []
@@ -620,10 +696,20 @@ def verify_derived_identities(ksa):
         for j in range(ksa.alpha):
             Cj = ksa.c(j)
             note("1-commute[%d,%d]" % (i, j), np.array_equal(C.take(Cj), Cj.take(C)), (i, j))
-    for tau, S in zip(ksa.G, ksa.unary[1:]):
-        for name in ("join", "meet", "imp"):
-            T = alg.np_table(name)
-            note("2-endo-%s[%s]" % (name, tau), _commutes(S, T, None, None, S, S), tau)
+    binary = [alg.np_table(name) for name in ("join", "meet", "imp")]
+    substitutions = list(zip(ksa.G, ksa.unary[1:]))
+
+    def endo(S):
+        return (_commutes(S, T, None, None, S, S) for T in binary)
+
+    gens = set(ksa.G.generators)
+    shortcut = ksa.s_laws.all() and all(
+        all(endo(S)) for tau, S in substitutions if tau in gens
+    )
+    for tau, S in substitutions:
+        if not shortcut:
+            for name, ok in zip(("join", "meet", "imp"), endo(S)):
+                note("2-endo-%s[%s]" % (name, tau), ok, tau)
         note("2-endo-zero[%s]" % (tau,), S[alg.zero] == alg.zero, tau)
     _note_composites(note, ksa, "derived")
     return AxiomReport("kripke-derived", not violations, violations)

@@ -1068,12 +1068,13 @@ def verify_gpha_axioms(ksa):
     violations = []
     note = partial(_note, violations)
     ident = tuple(range(alpha))
-    note("gpha1-s-id", np.array_equal(ksa.s(ident), ar), ident)
+    S = {tau: ksa.s(tau) for tau in ksa.G}
+    note("gpha1-s-id", np.array_equal(S[ident], ar), ident)
     for sigma in ksa.G:
         for tau in ksa.G:
             note(
                 "gpha2-compose",
-                np.array_equal(ksa.s(sigma)[ksa.s(tau)], ksa.s(compose(sigma, tau))),
+                np.array_equal(S[sigma][S[tau]], S[compose(sigma, tau)]),
                 (sigma, tau),
             )
     cblk = {J: _compose_block(ksa, "c", J) for J in subsets}
@@ -1097,12 +1098,12 @@ def verify_gpha_axioms(ksa):
                 if all(sigma[t] == tau[t] for t in range(alpha) if t not in J):
                     note(
                         "gpha5-c",
-                        np.array_equal(ksa.s(sigma)[cblk[J]], ksa.s(tau)[cblk[J]]),
+                        np.array_equal(S[sigma][cblk[J]], S[tau][cblk[J]]),
                         (sigma, tau, sorted(J)),
                     )
                     note(
                         "gpha5-q",
-                        np.array_equal(ksa.s(sigma)[qblk[J]], ksa.s(tau)[qblk[J]]),
+                        np.array_equal(S[sigma][qblk[J]], S[tau][qblk[J]]),
                         (sigma, tau, sorted(J)),
                     )
         for sigma in ksa.G:
@@ -1110,12 +1111,12 @@ def verify_gpha_axioms(ksa):
             if len(set(sigma[t] for t in pre)) == len(pre):
                 note(
                     "gpha6-c",
-                    np.array_equal(cblk[J][ksa.s(sigma)], ksa.s(sigma)[cblk[pre]]),
+                    np.array_equal(cblk[J][S[sigma]], S[sigma][cblk[pre]]),
                     (sigma, sorted(J)),
                 )
                 note(
                     "gpha6-q",
-                    np.array_equal(qblk[J][ksa.s(sigma)], ksa.s(sigma)[qblk[pre]]),
+                    np.array_equal(qblk[J][S[sigma]], S[sigma][qblk[pre]]),
                     (sigma, sorted(J)),
                 )
     if ksa.with_diagonals:
@@ -1127,7 +1128,7 @@ def verify_gpha_axioms(ksa):
                 for tau in ksa.G:
                     note(
                         "gphae2-s-d",
-                        int(ksa.s(tau)[dkl]) == ksa.d(tau[k], tau[l]),
+                        int(S[tau][dkl]) == ksa.d(tau[k], tau[l]),
                         (tau, k, l),
                     )
                 Skl = ksa.s(replacement(alpha, k, l))

@@ -298,6 +298,98 @@ def test_resource_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        ("check nosuch.json --class mv", 2, "error: "),
+        ("spectrum godel:4", 3, "resource bound: "),
+    ],
+)
+def test_json_error_on_stdout(capsys, monkeypatch, argv, code, prefix):
+    """In --json mode an error is also a versioned report on stdout; the
+    exit code and the stderr line are those of the plain mode."""
+    monkeypatch.setenv("RESLAT_BUDGET", "spectrum=2")
+    plain = run(capsys, *argv.split())
+    got, out, err = run(capsys, "--json", *argv.split())
+    assert got == plain[0] == code
+    assert err == plain[2] and err.startswith(prefix)
+    assert plain[1] == ""
+    assert out == json.dumps(
+        {"error": err[len(prefix):].rstrip("\n"), "format": "reslat/1"}, indent=2, sort_keys=True
+    ) + "\n"
+
+
+def kripke_system_json(**changes):
+    from reslat.kripke import random_kripke
+
+    system, _ = random_kripke(3, 2, 2, 2)
+    return {**system.to_json(), **changes}
+
+
+def test_kripke_system_file(tmp_path, capsys):
+    """--system reports on the system in the file as --random does on the
+    random system it was dumped from, without the seed."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(kripke_system_json()))
+    code, out, _ = run(capsys, "--json", "kripke", "verify", "--system", str(path))
+    assert code == 0
+    assert json.loads(out) == {"systems": 1, "failures": [], "format": "reslat/1"}
+    random = "--json kripke verify --random 1 --seed 3 --max-worlds 2 --max-base 2 --alpha 2"
+    assert run(capsys, *random.split())[:2] == (code, out)
+    code, out, _ = run(capsys, "kripke", "verify", "--system", str(path))
+    assert (code, out) == (0, "1 systems verified, 0 failures\n")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        kripke_system_json(worlds=2),
+        kripke_system_json(leq=[[1]]),
+        kripke_system_json(leq=[[True, False]]),
+        kripke_system_json(alpha="2"),
+        kripke_system_json(alpha=True),
+        kripke_system_json(alpha=0),
+        kripke_system_json(base=[[0]]),
+        kripke_system_json(base={"7": [0]}),
+        kripke_system_json(base={"0": ["a"]}),
+        kripke_system_json(assignments={"0": [0]}),
+        kripke_system_json(assignments={"0": [[0, 0, 0]]}),
+        {k: v for k, v in kripke_system_json().items() if k != "alpha"},
+    ],
+    ids=[
+        "top-level-list", "worlds-int", "leq-int", "leq-not-square", "alpha-string",
+        "alpha-bool", "alpha-zero", "base-list", "base-unknown-world", "base-string",
+        "assignment-int", "assignment-too-long", "no-alpha",
+    ],
+)
+def test_malformed_kripke_system_file_exit_code(tmp_path, capsys, data):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "kripke", "verify", "--system", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("alpha", [3, 10**6])
+def test_kripke_system_file_over_budget_exit_code(tmp_path, capsys, monkeypatch, alpha):
+    """27 assignments, or a function space too large to list, over the
+    default budget of 16."""
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    path = tmp_path / "system.json"
+    data = {"worlds": [0], "leq": [[True]], "base": {"0": [0, 1, 2]}, "alpha": alpha}
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "kripke", "verify", "--system", str(path))
+    assert code == 3
+    assert err.startswith("resource bound: ") and "over budget 16" in err
+
+
+def test_kripke_system_and_random_exclude_each_other(tmp_path, capsys):
+    code, _, err = run(capsys, "kripke", "verify", "--random", "1", "--system", "s.json")
+    assert code == 2
+    assert "not allowed with" in err
+
+
 def test_determinism(capsys):
     a = run(capsys, "--json", "spectrum", "godel:4")
     b = run(capsys, "--json", "spectrum", "godel:4")
@@ -498,10 +590,14 @@ def test_float_table_entry_exit_code(tmp_path, capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 
 
 GOLDEN_CASES = [
     ("kripke", "kripke verify --random 20 --seed 0 --max-worlds 3 --max-base 3 --alpha 3", 0),
+    # assignments over the edges of the path 0-1-2: not a full function
+    # space, and the cylindrifiers do not commute
+    ("kripke-system-path", "kripke verify --system {data}/kripke-path.json", 1),
     ("sheaf", "sheaf luk:3 --eta --regularity", 0),
     ("free", "free --variety ba --gens 2 --atoms --decompose-check", 0),
     ("check-luk3-mv", "check luk:3 --class mv", 0),
@@ -518,6 +614,6 @@ GOLDEN_CASES = [
 def test_golden_json_output(capsys, name, argv, exit_code):
     """The --json bytes and exit codes of these verbs, the README examples
     among them, are pinned to the files in golden/."""
-    code, out, _ = run(capsys, "--json", *argv.split())
+    code, out, _ = run(capsys, "--json", *(arg.format(data=DATA) for arg in argv.split()))
     assert code == exit_code
     assert out == (GOLDEN / (name + ".json")).read_text()

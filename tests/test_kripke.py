@@ -67,6 +67,46 @@ def test_json_round_trip():
     assert back.to_json() == system.to_json()
 
 
+def semigroups_over_alpha_2():
+    """Every SemigroupG over alpha = 2: the three maps every G holds, with
+    or without the swap (1, 0), which gives SemigroupG.full(2)."""
+    found = []
+    for extra in ((), ((1, 0),)):
+        try:
+            found.append(SemigroupG(2, ((0, 0), (0, 1), (1, 1)) + extra))
+        except InvalidSpecError:
+            pass
+    return found
+
+
+def generated(maps):
+    """The closure of maps under compose."""
+    closed, frontier = set(), list(maps)
+    while frontier:
+        x = frontier.pop()
+        if x not in closed:
+            closed.add(x)
+            frontier += [compose(x, y) for y in closed] + [compose(y, x) for y in closed]
+    return closed
+
+
+@pytest.mark.parametrize(
+    "G",
+    [SemigroupG.full(1), SemigroupG.full(3), *semigroups_over_alpha_2()],
+    ids=lambda G: "alpha-%d-%d-maps" % (G.alpha, len(G.maps)),
+)
+def test_generators_with_the_identity_generate_G(G):
+    ident = tuple(range(G.alpha))
+    assert ident not in G.generators
+    assert list(G.generators) == sorted(G.generators)
+    assert generated(G.generators + (ident,)) == set(G.maps)
+
+
+def test_generators_of_the_full_semigroup():
+    assert SemigroupG.full(2).generators == ((0, 0), (1, 0))
+    assert SemigroupG.full(3).generators == ((0, 0, 1), (0, 2, 1), (1, 0, 2))
+
+
 def test_semigroup_must_contain_replacements():
     with pytest.raises(InvalidSpecError):
         SemigroupG(2, ((0, 1),))
@@ -386,6 +426,9 @@ def test_set_algebra_matches_oracle_on_hand_built_systems():
         KripkeSystem(
             1, [[True]], {0: (0, 1, 2)}, {0: [(0, 0), (0, 1), (1, 0), (1, 1)]}, 2
         ),
+        # 12 positions and 16 elements: 2**12 > 16**2, so the result masks
+        # are looked up by search, not in a dense table
+        KripkeSystem(3, [[True] * 3] * 3, {k: (0, 1) for k in range(3)}, None, 2),
     ):
         for diagonals in (False, True):
             assert_same_build(system, with_diagonals=diagonals)
@@ -477,6 +520,27 @@ def test_suites_match_oracle_on_other_shapes(system, G, diagonals):
     """Shapes the random corpus never builds, with every unary-table fault."""
     ksa = set_algebra(system, G=G, with_diagonals=diagonals)
     assert_same_reports(ksa, [f for f in criterion_7_faults(ksa) if len(f[1]) == 1])
+
+
+def test_suites_match_oracle_on_alpha_3_faults():
+    """Four elements and 27 substitution tables, of which three are the
+    generators the 2-endo identities are checked on when the s-laws hold:
+    one fault in each other substitution, and every entry of join, meet
+    and imp."""
+    system = KripkeSystem(1, [[True]], {0: (0, 1)}, {0: [(0, 0, 0), (1, 1, 1)]}, 3)
+    ksa = set_algebra(system, with_diagonals=True)
+    alg = ksa.algebra
+    n = alg.size
+    assert (n, len(ksa.G.maps)) == (4, 27)
+    assert ksa.G.generators == ((0, 0, 1), (0, 2, 1), (1, 0, 2))
+    faults = []
+    for t, tau in enumerate(ksa.G.maps):
+        if tau not in ksa.G.generators:
+            name = "s_" + "".join(map(str, tau))
+            faults.append((name, (t % n,), (alg.tables[name][t % n] + 1) % n))
+    faults += [f for f in criterion_7_faults(ksa) if f[0] in ("join", "meet", "imp")]
+    assert len(faults) == 24 + 3 * n * n
+    assert_same_reports(ksa, faults)
 
 
 def test_substitution_fault_witness_past_the_first_batch_row(monkeypatch):
