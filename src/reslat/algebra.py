@@ -7,6 +7,7 @@ point enters the core anywhere.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -359,7 +360,13 @@ def load_json(path, build):
 # t-norm chains
 # ---------------------------------------------------------------------------
 
-CHAIN_KINDS = ("lukasiewicz", "godel")
+# The one kind-name table: each chain kind and the short name it prints
+# as; chain names may spell a kind either way, in any case.
+_SHORT_NAMES = {"lukasiewicz": "luk", "godel": "godel"}
+CHAIN_KINDS = tuple(_SHORT_NAMES)
+_KIND_OF = {name: kind for kind, short in _SHORT_NAMES.items() for name in (kind, short)}
+# [builtin:]KIND:N, or the range [builtin:]KIND:N..M
+_CHAIN_NAME = re.compile(r"(?:builtin:)?(?i:(%s)):([0-9]+)(?:\.\.([0-9]+))?" % "|".join(_KIND_OF))
 
 
 @dataclass(frozen=True)
@@ -374,39 +381,51 @@ class ChainSpec:
             raise InvalidSpecError("chain size must be >= 2")
 
     def __str__(self):
-        short = "luk" if self.kind == "lukasiewicz" else "godel"
-        return "%s:%d" % (short, self.size)
+        return "%s:%d" % (_SHORT_NAMES[self.kind], self.size)
 
 
-def _check_unit(x):
-    if not (0 <= x <= 1):
-        raise DomainError("value %s outside [0,1]" % x)
+def chain_closed_form(kind, i, j, den, lo=min, hi=max):
+    """star, imp and (Lukasiewicz only) oplus of i/den and j/den, as
+    numerators over den: the Lukasiewicz and Godel t-norms and residua
+    (Hajek 1998, ch. 2).  i and j are ints, or numpy index grids with
+    lo=numpy.minimum and hi=numpy.maximum."""
+    if kind == "lukasiewicz":
+        return hi(0, i + j - den), lo(den, den - i + j), lo(den, i + j)
+    return lo(i, j), hi(j, den * (i <= j))
+
+
+def _unit_points(x, y):
+    x, y = Fraction(x), Fraction(y)
+    for v in (x, y):
+        if not 0 <= v.numerator <= v.denominator:
+            raise DomainError("value %s outside [0,1]" % v)
+    return x, y
+
+
+def _closed_form_at(kind, x, y, op):
+    """Operation op (0 star, 1 imp) of chain_closed_form at Fractions x, y,
+    read over their common denominator."""
+    den = x.denominator * y.denominator
+    i, j = x.numerator * y.denominator, y.numerator * x.denominator
+    return Fraction(chain_closed_form(kind, i, j, den)[op], den)
 
 
 def tnorm_eval(kind, x, y):
     """Exact value of the named t-norm at rational points of [0,1]."""
-    x, y = Fraction(x), Fraction(y)
-    _check_unit(x)
-    _check_unit(y)
-    if kind == "lukasiewicz":
-        return max(Fraction(0), x + y - 1)
-    if kind == "godel":
-        return min(x, y)
+    x, y = _unit_points(x, y)
     if kind == "product":
         return x * y
-    raise DomainError("unknown t-norm kind %r" % kind)
+    if kind not in CHAIN_KINDS:
+        raise DomainError("unknown t-norm kind %r" % kind)
+    return _closed_form_at(kind, x, y, 0)
 
 
 def residuum_closed_form(kind, x, y):
     """Closed-form residuum max{z : x*z <= y} for the two chain t-norms."""
-    x, y = Fraction(x), Fraction(y)
-    _check_unit(x)
-    _check_unit(y)
-    if kind == "lukasiewicz":
-        return min(Fraction(1), 1 - x + y)
-    if kind == "godel":
-        return Fraction(1) if x <= y else y
-    raise DomainError("no grid-closed residuum for kind %r" % kind)
+    x, y = _unit_points(x, y)
+    if kind not in CHAIN_KINDS:
+        raise DomainError("no grid-closed residuum for kind %r" % kind)
+    return _closed_form_at(kind, x, y, 1)
 
 
 def residuum_oracle(star_table, x, y):
@@ -423,6 +442,13 @@ def residuum_oracle(star_table, x, y):
     raise InternalError("no residuum witness; star(x, 0) > y should be impossible")
 
 
+def _check_chain_budget(size, budget=None):
+    """Raise ResourceError when a chain of `size` elements is over the chain budget."""
+    limit = (budget or budgets.from_env()).chain
+    if size > limit:
+        raise ResourceError("chain of %d elements over budget %d" % (size, limit))
+
+
 @lru_cache(maxsize=32)
 def make_chain(spec, budget=None):
     """Chain algebra on {0, 1/(n-1), ..., 1} for the given t-norm kind.
@@ -432,18 +458,13 @@ def make_chain(spec, budget=None):
     every caller can share one chain per spec."""
     if not isinstance(spec, ChainSpec):
         spec = ChainSpec(*spec)
-    limit = (budget or budgets.from_env()).chain
-    if spec.size > limit:
-        raise ResourceError("chain of %d elements over budget %d" % (spec.size, limit))
+    _check_chain_budget(spec.size, budget)
     n = spec.size
     den = n - 1
     labels = [str(Fraction(i, den)) for i in range(n)]
     i, j = numpy.ogrid[:n, :n]
     tables = [numpy.maximum(i, j), numpy.minimum(i, j)]  # join, meet
-    if spec.kind == "lukasiewicz":  # star, imp, oplus
-        tables += [numpy.maximum(0, i + j - den), numpy.minimum(den, den - i + j), numpy.minimum(den, i + j)]
-    else:
-        tables += [numpy.minimum(i, j), numpy.where(i <= j, den, j)]
+    tables += chain_closed_form(spec.kind, i, j, den, numpy.minimum, numpy.maximum)
     binary = list(numpy.array(tables, dtype=numpy.int32))  # the algebra takes this stack as it is
     ops = dict(zip(("join", "meet", "star", "imp", "oplus"), binary), zero=0, one=den)
     sig = list(CORE_OPS)
@@ -454,26 +475,33 @@ def make_chain(spec, budget=None):
     return FiniteAlgebra(str(spec), n, Signature(tuple(sig)), ops, labels=labels)
 
 
+def parse_chain_name(text, ranges=False):
+    """The ChainSpecs a chain name stands for: [builtin:]KIND:N, and with
+    `ranges` also [builtin:]KIND:N..M (none when M < N).  KIND is luk,
+    lukasiewicz or godel, in any case; N and M are decimal digits.
+
+    Raises InvalidSpecError on any other text, and ResourceError, before a
+    range is expanded, when its largest chain is over the chain budget."""
+    text = text.strip()
+    m = _CHAIN_NAME.fullmatch(text)
+    if m is None or (m[3] is not None and not ranges):
+        raise InvalidSpecError("bad chain %r" % text)
+    lo = int(m[2])
+    hi = lo if m[3] is None else int(m[3])
+    _check_chain_budget(hi)
+    return [ChainSpec(_KIND_OF[m[1].lower()], n) for n in range(lo, hi + 1)]
+
+
 def parse_builtin(text):
-    """Builtin algebra syntax: luk:N, godel:N, optionally builtin: prefixed."""
-    t = text.strip()
-    if t.startswith("builtin:"):
-        t = t[len("builtin:") :]
-    kind, _, num = t.partition(":")
-    kind = {"luk": "lukasiewicz", "lukasiewicz": "lukasiewicz", "godel": "godel"}.get(
-        kind.lower()
-    )
-    if kind is None or not num.isdigit():
-        raise InvalidSpecError("bad builtin algebra %r" % text)
-    return make_chain(ChainSpec(kind, int(num)))
+    """The chain algebra named [builtin:]KIND:N."""
+    (spec,) = parse_chain_name(text)
+    return make_chain(spec)
 
 
 def load_algebra(ref):
     """Load an algebra from a builtin chain name or a JSON file path."""
-    try:
+    if _CHAIN_NAME.fullmatch(ref.strip()):
         return parse_builtin(ref)
-    except InvalidSpecError:
-        pass
     return FiniteAlgebra.load(ref)
 
 
@@ -972,22 +1000,26 @@ def iso_check(a, b, gens=None):
     return m
 
 
-def is_homomorphism(a, b, mapping):
-    """Verify a full element map a -> b against every table."""
+def first_hom_failure(a, b, mapping):
+    """None when the full element map a -> b respects every table, else the
+    first failing (op, args), in signature order and then row order."""
     m = numpy.asarray(mapping, dtype=numpy.int32)
     for opname, arity in a.signature.ops:
         if arity == 0:
-            if mapping[a.const(opname)] != b.const(opname):
-                return False
-        elif arity == 1:
-            ta, tb = a.np_table(opname), b.np_table(opname)
-            if not numpy.array_equal(m[ta], tb[m]):
-                return False
-        else:
-            ta, tb = a.np_table(opname), b.np_table(opname)
-            if not numpy.array_equal(m[ta], tb[m[:, None], m[None, :]]):
-                return False
-    return True
+            if m[a.const(opname)] != b.const(opname):
+                return (opname, ())
+            continue
+        tb = b.np_table(opname)
+        got = m[a.np_table(opname)]
+        want = tb[m] if arity == 1 else tb[m[:, None], m[None, :]]
+        if not numpy.array_equal(got, want):
+            return (opname, tuple(numpy.argwhere(got != want)[0].tolist()))
+    return None
+
+
+def is_homomorphism(a, b, mapping):
+    """Verify a full element map a -> b against every table."""
+    return first_hom_failure(a, b, mapping) is None
 
 
 def complement(alg, x):

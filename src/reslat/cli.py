@@ -309,12 +309,7 @@ def cmd_omit(args):
     from .spectra import zariski_sets
 
     space = zariski_sets(alg, bound=args.bound)
-    avoid = []
-    for fam in families:
-        pts = set(range(len(space.max_points)))
-        for el in fam:
-            pts &= space.VM(el)
-        avoid.append([space.max_points[i] for i in sorted(pts)])
+    avoid = [[space.max_points[i] for i in sorted(space.VM_set(fam))] for fam in families]
     try:
         flt = generic_filter(alg, inside, avoid, bound=args.bound)
     except NoGenericPointError as exc:
@@ -404,7 +399,8 @@ def build_parser():
 
     p = sub.add_parser("amalgamate", help="amalgam search from a problem file")
     p.add_argument("--problem", required=True)
-    p.add_argument("--max-size", type=_count(1), default=64)
+    p.add_argument("--max-size", type=_count(1), default=None,
+                   help="largest amalgam; default the amalgam_size budget")
     p.add_argument("--super", dest="super_check", action="store_true")
     p.set_defaults(fn=cmd_amalgamate)
 

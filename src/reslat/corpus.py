@@ -153,22 +153,23 @@ def criterion_1():
 @_criterion("2 residuum closed form == brute-force oracle, grids 1/2..1/64")
 def criterion_2():
     for k in range(2, 65):
+        i, l = np.ogrid[: k + 1, : k + 1]
         for kind in ("lukasiewicz", "godel"):
-            for i in range(k + 1):
-                for j in range(k + 1):
-                    # independent oracle: descending scan on the 1/k grid
-                    found = None
-                    for l in range(k, -1, -1):
-                        if kind == "lukasiewicz":
-                            val = max(0, i + l - k)
-                        else:
-                            val = min(i, l)
-                        if val <= j:
-                            found = l
-                            break
-                    closed = residuum_closed_form(kind, Fraction(i, k), Fraction(j, k))
-                    if closed != Fraction(found, k):
-                        return False, (kind, k, i, j, str(closed), found)
+            # independent oracle on the 1/k grid: the t-norm star[i, l], and
+            # imp[i, j], the first l with star[i, l] <= j in a descending scan
+            star = np.maximum(0, i + l - k) if kind == "lukasiewicz" else np.minimum(i, l)
+            below = star[:, None, ::-1] <= np.arange(k + 1)[:, None]
+            imp = k - below.argmax(axis=2)
+            chain = make_chain(ChainSpec(kind, k + 1))
+            for name, want in (("star", star), ("imp", imp)):
+                bad = np.argwhere(chain.np_table(name) != want)
+                if len(bad):
+                    x, y = bad[0].tolist()
+                    return False, (kind, k, name, x, y, chain.apply(name, x, y), int(want[x, y]))
+            for (x, y), z in zip(iproduct(range(k + 1), repeat=2), imp.ravel().tolist()):
+                closed = residuum_closed_form(kind, Fraction(x, k), Fraction(y, k))
+                if closed != Fraction(z, k):
+                    return False, (kind, k, x, y, str(closed), z)
     return True, "exact equality on all grids"
 
 

@@ -11,6 +11,7 @@ from . import budgets
 from .algebra import (
     FiniteAlgebra,
     complement,
+    first_hom_failure,
     homomorphisms,
     is_homomorphism,
     iso_check,
@@ -345,29 +346,10 @@ def decompose(alg, b):
     ]
     if len(set(mapping)) != alg.size or alg.size != prod.size:
         return None, (rb, rc, mapping)
-    if not is_homomorphism(alg, prod, mapping):
-        bad = _first_hom_failure(alg, prod, mapping)
+    bad = first_hom_failure(alg, prod, mapping)
+    if bad is not None:
         return None, (rb, rc, bad)
     return (rb, rc, mapping), None
-
-
-def _first_hom_failure(a, b, mapping):
-    for opname, ar in a.signature.ops:
-        if ar == 0:
-            if mapping[a.const(opname)] != b.const(opname):
-                return (opname, ())
-        elif ar == 1:
-            for x in range(a.size):
-                if mapping[a.apply(opname, x)] != b.apply(opname, mapping[x]):
-                    return (opname, (x,))
-        else:
-            for x in range(a.size):
-                for y in range(a.size):
-                    if mapping[a.apply(opname, x, y)] != b.apply(
-                        opname, mapping[x], mapping[y]
-                    ):
-                        return (opname, (x, y))
-    return None
 
 
 # ---------------------------------------------------------------------------

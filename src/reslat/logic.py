@@ -13,13 +13,11 @@ converse is not claimed.
 from dataclasses import dataclass
 import numpy
 
-from . import budgets
-from .algebra import ChainSpec, _evaluate, _grid_chunks, core_reduct, make_chain
+from .algebra import _evaluate, _grid_chunks, core_reduct, make_chain, parse_chain_name
 from .errors import (
     DomainError,
     InvalidSpecError,
     NoGenericPointError,
-    ResourceError,
 )
 from .free import VarietySpec, atoms, free_algebra
 from .spectra import upset, zariski_sets
@@ -299,34 +297,11 @@ def first_valuation(grid, mask):
     return tuple(g.ravel()[j].item() for g, j in zip(grid.values(), at))
 
 
-def _size(text, piece):
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidSpecError("bad chain size %r in %r" % (text, piece)) from None
-
-
 def parse_chain_list(text):
-    """Chain list syntax: 'luk:2..6,godel:3' -> list of ChainSpec.
-
-    Raises ResourceError, before a range is expanded, when its largest
-    chain is over the chain budget."""
-    limit = budgets.from_env().chain
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        kind, _, num = piece.partition(":")
-        kind = {"luk": "lukasiewicz", "godel": "godel"}.get(kind.lower())
-        if kind is None:
-            raise InvalidSpecError("bad chain %r" % piece)
-        lo, dots, hi = num.partition("..")
-        lo = _size(lo, piece)
-        hi = _size(hi, piece) if dots else lo
-        if hi > limit:
-            raise ResourceError("chain of %d elements over budget %d" % (hi, limit))
-        out.extend(ChainSpec(kind, n) for n in range(lo, hi + 1))
+    """Chain list syntax: 'luk:2..6,godel:3' -> list of ChainSpec, each
+    piece a chain name or range as `algebra.parse_chain_name` reads it."""
+    pieces = [piece for piece in text.split(",") if piece.strip()]
+    out = [spec for piece in pieces for spec in parse_chain_name(piece, ranges=True)]
     if not out:
         raise InvalidSpecError("empty chain list")
     return out

@@ -3,7 +3,7 @@
 They are the per-entry loops the vectorized table core replaced: the
 mask-loop table builder of `kripke.set_algebra`, the per-tuple checker
 of `algebra.check_class_axioms`, the tuple-keyed `algebra.product`, the
-pairwise join closure of `amalgam.all_congruences`, and the table loops
+join closure of `amalgam.all_congruences`, and the table loops
 of `amalgam.quotient`, `free.relativize`, `kripke.neat_reduct` and
 `kripke.mutate_table` that `FiniteAlgebra.restrict` replaced.  Two
 more are what the vector closure of `free.free_algebra` replaced: the
@@ -24,8 +24,10 @@ loop bodies of the Kripke suites `verify_derived_identities`,
 `np.array_equal` per identity instance, and `verify_kripke` over them.
 The last group is what the closures on integer keys replaced: the
 per-element loops of `subalgebra_generate` and of `homomorphisms` (with
-its per-level domains and the `_close_map` map closure), and
-`free_algebra` over big-endian void row keys.  Last of all come the
+its per-level domains and the `_close_map` map closure), the entry
+loop of `first_hom_failure` that the table comparison of
+`algebra.first_hom_failure` replaced, and `free_algebra` over
+big-endian void row keys.  Last of all come the
 scalar loops that array reads of the table stacks replaced: the
 `alg.leq` walk of `generate_closed`, the per-entry union-find of
 `amalgam.congruence_closure` and the tuple lookups of
@@ -381,8 +383,9 @@ def product(algs, name=None):
 
 
 def all_congruences(alg, budget=None, bound=None):
-    """Principal congruences closed under join, each join a congruence
-    closure of the union of two congruences."""
+    """Principal congruences closed under joins with principal ones, each
+    join a congruence closure of the union of two congruences; every
+    congruence of a finite algebra is a join of principal ones."""
     budget = budget or budgets.from_env()
     bound = bound if bound is not None else max(budget.spectrum, 20)
     if alg.size > bound:
@@ -394,11 +397,11 @@ def all_congruences(alg, budget=None, bound=None):
         for y in range(x + 1, n):
             principals.add(principal_congruence(alg, x, y))
     known = {identity} | principals
-    frontier = list(known)
+    frontier = list(principals)
     while frontier:
         new = []
         for a in frontier:
-            for b in list(known):
+            for b in principals:
                 pairs = [(i, a[i]) for i in range(n)] + [(i, b[i]) for i in range(n)]
                 j = congruence_closure(alg, pairs)
                 if j not in known:
@@ -1313,6 +1316,26 @@ def homomorphisms(a, b, injective=False, gens=None, seed=None, limit=None):
 
     dfs(0, [])
     return results
+
+
+def first_hom_failure(a, b, mapping):
+    """First (op, args), in signature order and then row order, where the
+    map a -> b fails an operation, or None: a loop over every entry."""
+    for opname, ar in a.signature.ops:
+        ta, tb = table(a, opname), table(b, opname)
+        if ar == 0:
+            if mapping[ta] != tb:
+                return (opname, ())
+        elif ar == 1:
+            for x in range(a.size):
+                if mapping[ta[x]] != tb[mapping[x]]:
+                    return (opname, (x,))
+        else:
+            for x in range(a.size):
+                for y in range(a.size):
+                    if mapping[ta[x][y]] != tb[mapping[x]][mapping[y]]:
+                        return (opname, (x, y))
+    return None
 
 
 def _row_keys(rows):

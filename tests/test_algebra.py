@@ -1,9 +1,12 @@
 """Chains, t-norms, residua, axiom suites and structural operations."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from reslat.algebra import (
     check_class_axioms,
     complement,
     core_reduct,
+    first_hom_failure,
     homomorphisms,
     is_homomorphism,
     iso_check,
@@ -168,6 +172,29 @@ def test_closed_form_equals_oracle_on_shared_grids():
                     ) == Fraction(z, k)
 
 
+# sha256 over the to_json() of make_chain for both kinds at sizes 2..200 and
+# 1024, as _chain_digest reads it, taken when make_chain still wrote its
+# tables with formulas of its own
+CHAIN_DIGEST = "2300d2789a1358c34953b44c4723bea198eaa90227a476fe25b65d98437f9649"
+
+
+def _chain_digest(specs):
+    h = hashlib.sha256()
+    for spec in specs:
+        data = make_chain(spec).to_json()
+        ops = data.pop("ops")
+        h.update(json.dumps(data, sort_keys=True).encode())
+        for name in sorted(ops):
+            h.update(name.encode())
+            h.update(numpy.asarray(ops[name], dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_make_chain_tables_are_unchanged():
+    sizes = [*range(2, 201), 1024]
+    assert _chain_digest(ChainSpec(kind, n) for kind in CHAIN_KINDS for n in sizes) == CHAIN_DIGEST
+
+
 def test_product_tnorm_has_no_grid_closed_form():
     # no nontrivial finite grid is closed under x*y, so only the oracle
     # route supports the product t-norm
@@ -304,6 +331,42 @@ def test_homomorphism_search_matches_brute_force():
     # in particular 0->0, 1/2->0, 1->1 fails oplus and is not a hom
     assert (0, 0, 1) not in brute
     assert not is_homomorphism(l3, l2, [0, 0, 1])
+
+
+def _corpus_hom_triples():
+    """(a, b, map) with map a homomorphism: the identity of every corpus
+    algebra, every homomorphism between corpus chains of one signature,
+    and the isomorphism Fr_2 -> Fr_1 x Fr_1 of criterion 3."""
+    from reslat import corpus
+    from reslat.free import boolean_variety, free_product_decomposition_check
+
+    out = [(a, a, list(range(a.size))) for a in corpus.corpus_algebras()]
+    chains = corpus.corpus_chains()
+    for a, b in iproduct(chains, repeat=2):
+        if a.signature == b.signature:
+            out += [(a, b, list(m)) for m in homomorphisms(a, b)]
+    fr1, fr2 = corpus.corpus_free(1).algebra, corpus.corpus_free(2).algebra
+    out.append((fr2, product([fr1, fr1]), free_product_decomposition_check(boolean_variety(), 1)[1]))
+    return out
+
+
+def test_first_hom_failure_matches_oracle_on_corpus_pairs():
+    """One table entry of the source or the target changed, at a seeded
+    position, for every op of every corpus pair."""
+    rng = random.Random(0)
+    failures = 0
+    for a, b, m in _corpus_hom_triples():
+        assert first_hom_failure(a, b, m) is None and is_homomorphism(a, b, m)
+        for (opname, arity), side in iproduct(a.signature.ops, (0, 1)):
+            alg = (a, b)[side]
+            position = tuple(rng.randrange(alg.size) for _ in range(arity))
+            fault = oracles.mutate_table(alg, opname, position, rng.randrange(alg.size))
+            pair = (fault, b) if side == 0 else (a, fault)
+            want = oracles.first_hom_failure(*pair, m)
+            assert first_hom_failure(*pair, m) == want, (a.name, b.name, opname, side)
+            assert is_homomorphism(*pair, m) == (want is None)
+            failures += want is not None
+    assert failures > 1000
 
 
 def test_hom_search_small_oracle_various():

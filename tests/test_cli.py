@@ -143,7 +143,8 @@ def test_interp_verb(tmp_path, capsys):
     assert "interpolant" in out
 
 
-def test_amalgamate_verb(tmp_path, capsys):
+def _ba4_problem(tmp_path):
+    """Two four-element Boolean algebras over the two-element chain."""
     from reslat.algebra import ChainSpec, make_chain, product
 
     l2 = make_chain(ChainSpec("lukasiewicz", 2))
@@ -158,10 +159,29 @@ def test_amalgamate_verb(tmp_path, capsys):
     }
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
+    return path
+
+
+def test_amalgamate_verb(tmp_path, capsys):
+    path = _ba4_problem(tmp_path)
     code, out, _ = run(capsys, "--json", "amalgamate", "--problem", str(path), "--max-size", "16")
     assert code == 0
     data = json.loads(out)
     assert data["amalgam_size"] >= 2
+
+
+def test_amalgamate_reads_the_amalgam_budget(tmp_path, capsys, monkeypatch):
+    """Without --max-size the amalgam_size budget bounds the search; the
+    smallest amalgam here has four elements."""
+    path = _ba4_problem(tmp_path)
+    monkeypatch.setenv("RESLAT_BUDGET", "amalgam_size=2")
+    code, out, _ = run(capsys, "amalgamate", "--problem", str(path))
+    assert code == 1
+    assert "none within bound" in out
+    monkeypatch.setenv("RESLAT_BUDGET", "amalgam_size=4")
+    code, out, _ = run(capsys, "amalgamate", "--problem", str(path))
+    assert code == 0
+    assert "|D| = 4" in out
 
 
 def test_omit_verb(tmp_path, capsys):
@@ -535,6 +555,42 @@ def test_chain_over_budget_exit_code(tmp_path, capsys, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "chain of 100000 elements over budget 1024" in err
+
+
+@pytest.mark.parametrize("name", ["luk:+3", "luk:", "luk:1", "prod:3", "luk: 3", "luk:\u0663"])
+def test_bad_chain_name_exit_code(capsys, name):
+    """check and taut read one chain-name grammar: text that is no chain
+    name, or names a chain of fewer than two elements, exits 2 from both."""
+    for argv in (("check", name, "--class", "mv"), ("taut", "p0", "--chains", name)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_chain_too_small_is_reported_as_such(capsys):
+    for argv in (("check", "luk:1", "--class", "mv"), ("taut", "p0", "--chains", "luk:1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: chain size must be >= 2\n"
+
+
+def test_check_refuses_a_chain_range(capsys):
+    code, _, err = run(capsys, "check", "luk:2..4", "--class", "mv")
+    assert code == 2
+    assert err == "error: bad chain 'luk:2..4'\n"
+
+
+@pytest.mark.parametrize("name", [
+    "luk:3", "lukasiewicz:3", "LUK:3", "builtin:Lukasiewicz:3", "godel:3", "builtin:godel:3", "GoDeL:03"
+])
+def test_chain_names_read_alike_by_check_and_taut(capsys, name):
+    """Every chain name check accepts, taut accepts too, for the same chain."""
+    code, out, _ = run(capsys, "--json", "check", name, "--class", "mv")
+    assert code in (0, 1)
+    chain = json.loads(out)["algebra"]
+    code, out, _ = run(capsys, "--json", "taut", "p0 \\/ ~p0", "--chains", name)
+    assert code == 1
+    assert json.loads(out)["counterexample"]["chain"] == chain
 
 
 def _resource_cases():

@@ -100,6 +100,25 @@ def test_chain_list_parsing():
         parse_chain_list("prod:3")
 
 
+@pytest.mark.parametrize("name, kind, size", [
+    ("luk:3", "lukasiewicz", 3),
+    ("LUK:3", "lukasiewicz", 3),
+    ("lukasiewicz:3", "lukasiewicz", 3),
+    ("Lukasiewicz:3", "lukasiewicz", 3),
+    ("builtin:luk:3", "lukasiewicz", 3),
+    ("builtin:LUKASIEWICZ:3", "lukasiewicz", 3),
+    ("godel:4", "godel", 4),
+    ("GODEL:4", "godel", 4),
+    ("builtin:godel:4", "godel", 4),
+    (" godel:04 ", "godel", 4),
+])
+def test_chain_names_read_alike_by_both_parsers(name, kind, size):
+    spec = ChainSpec(kind, size)
+    assert algebra.parse_builtin(name) is make_chain(spec)
+    assert parse_chain_list(name) == [spec]
+    assert parse_chain_list(str(spec)) == [spec]
+
+
 # ---- evaluation ------------------------------------------------------------------
 
 
