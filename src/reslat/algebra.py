@@ -209,8 +209,8 @@ class FiniteAlgebra:
         return self.cells["imp"][a, b]
 
     def leq(self, a, b):
-        """Lattice order: a <= b iff meet(a, b) == a."""
-        return self.cells["meet"][a, b] == a
+        """Lattice order: whether a <= b, read from `order`."""
+        return bool(self.order[a, b])
 
     def label(self, i):
         if self.labels is not None:
@@ -248,12 +248,20 @@ class FiniteAlgebra:
         return numpy.array(t, dtype=numpy.int32) if type(t) is int else t
 
     @cached_property
+    def order(self):
+        """The lattice order as a read-only bool matrix: a <= b iff
+        meet(a, b) == a, at [a, b].  Every order question reads it.  It is
+        defined on every table, faulty ones included, where it need not
+        be a partial order (see `partial_order`)."""
+        le = self.tables["meet"] == numpy.arange(self.size)[:, None]
+        le.flags.writeable = False
+        return le
+
+    @cached_property
     def partial_order(self):
-        """`leq` as a bool matrix (a <= b at [a, b]), or None when `meet`
-        does not define a partial order: a table read from a file need
-        not be a lattice."""
-        n = self.size
-        le = self.np_table("meet") == numpy.arange(n)[:, None]
+        """`order`, or None when it is not a partial order: a table read
+        from a file need not be a lattice."""
+        le, n = self.order, self.size
         if not le.diagonal().all() or (le & le.T).sum() != n:
             return None
         step = max(1, (1 << 22) // (n * n))  # bounds the n^3 test's memory
@@ -449,16 +457,22 @@ def _check_chain_budget(size, budget=None):
         raise ResourceError("chain of %d elements over budget %d" % (size, limit))
 
 
-@lru_cache(maxsize=32)
 def make_chain(spec, budget=None):
     """Chain algebra on {0, 1/(n-1), ..., 1} for the given t-norm kind.
 
-    Raises ResourceError, before any table is built, over the chain
-    budget.  Memoized: algebras are never changed after construction, so
-    every caller can share one chain per spec."""
+    Raises ResourceError over the chain budget, before any table is
+    built, and also when a chain of that size was built before.
+    Memoized: algebras are never changed after construction, so every
+    caller can share one chain per spec."""
     if not isinstance(spec, ChainSpec):
         spec = ChainSpec(*spec)
     _check_chain_budget(spec.size, budget)
+    return _chain(spec)
+
+
+@lru_cache(maxsize=32)
+def _chain(spec):
+    """The chain algebra of a ChainSpec, built once per spec."""
     n = spec.size
     den = n - 1
     labels = [str(Fraction(i, den)) for i in range(n)]
@@ -638,10 +652,7 @@ def _evaluate(term, env):
     x = _evaluate(term[1], env)
     if len(term) == 2:
         return env[term[0]][x]
-    y = _evaluate(term[2], env)
-    if term[0] == "<=":
-        return env["meet"][x, y] == x
-    return env[term[0]][x, y]
+    return env[term[0]][x, _evaluate(term[2], env)]
 
 
 def check_class_axioms(alg, cls):
@@ -653,7 +664,7 @@ def check_class_axioms(alg, cls):
     if cls not in _SUITES:
         raise DomainError("unknown algebra class %r" % cls)
     env = {name: alg.np_table(name) for name in ("join", "meet", "star", "imp")}
-    env.update({"0": alg.zero, "1": alg.one})
+    env.update({"<=": alg.order, "0": alg.zero, "1": alg.one})
     if cls == "mv":
         env.update(zip(("oplus", "odot", "neg"), _derived_mv_ops(alg)))
     grids = {}
@@ -853,22 +864,19 @@ def generate_closed(alg, seed, up, const, binary=(), unary=(), universe=None):
     binary and unary ops (names); values outside `universe` are ignored.
 
     Each round takes the elements new in the last round (the frontier):
-    their up-sets are read off `meet` as meet[a] == a, their down-sets as
-    meet[:, a] == arange(n), and every op is applied to them against
-    every element found, frontier x found and found x frontier."""
-    meet, every = alg.np_table("meet"), numpy.arange(alg.size)
+    their up-sets are rows of `order`, their down-sets columns, and every
+    op is applied to them against every element found, frontier x found
+    and found x frontier."""
+    order = alg.order
     binary = [alg.np_table(name) for name in binary]
     unary = [alg.np_table(name) for name in unary]
     inside = numpy.zeros(alg.size, dtype=bool)
-    inside[every if universe is None else list(universe)] = True
+    inside[slice(None) if universe is None else list(universe)] = True
     found = numpy.zeros(alg.size, dtype=bool)
     found[[*seed, const]] = True
     fresh = known = found.nonzero()[0]
     while len(fresh):
-        if up:
-            reach = (meet[fresh] == fresh[:, None]).any(axis=0)
-        else:
-            reach = (meet[:, fresh] == every[:, None]).any(axis=1)
+        reach = order[fresh].any(axis=0) if up else order[:, fresh].any(axis=1)
         for t in unary:
             reach[t[fresh]] = True
         for t in binary:

@@ -60,18 +60,9 @@ def ideal_generate(alg, seed, mode="auto"):
 
 
 def is_ideal(alg, members, mode="auto"):
-    add = alg.cells[_ideal_sum(alg, mode)]
-    s = set(members)
-    if alg.zero not in s:
-        return False
-    for a in s:
-        for b in s:
-            if add[a, b] not in s:
-                return False
-        for b in range(alg.size):
-            if alg.leq(b, a) and b not in s:
-                return False
-    return True
+    """Whether `members` holds 0 and is its own `ideal_generate`."""
+    s = frozenset(members)
+    return alg.zero in s and generate_closed(alg, s, False, alg.zero, [_ideal_sum(alg, mode)]) == s
 
 
 def enumerate_ideals(alg, mode="auto", bound=None, budget=None):
@@ -91,18 +82,11 @@ def enumerate_ideals(alg, mode="auto", bound=None, budget=None):
 
 def ideal_join_characterize(alg, m_ideal, n_ideal, mode="auto"):
     """Ig(M u N) = {x : x <= b (+) c for b in M, c in N}, exhaustively."""
-    add = alg.cells[_ideal_sum(alg, mode)]
+    add = alg.np_table(_ideal_sum(alg, mode))
     generated = ideal_generate(alg, m_ideal.members | n_ideal.members, mode).members
-    described = frozenset(
-        x
-        for x in range(alg.size)
-        if any(
-            alg.leq(x, add[b, c])
-            for b in m_ideal.members
-            for c in n_ideal.members
-        )
-    )
-    return generated == described
+    sums = add[numpy.ix_(sorted(m_ideal.members), sorted(n_ideal.members))].ravel()
+    described = numpy.flatnonzero(alg.order[:, sums].any(axis=1))
+    return generated == frozenset(described.tolist())
 
 
 def ideal_extension(alg, b_subuniverse, m_ideal, n_ideal, mode="auto",
@@ -215,7 +199,8 @@ def all_congruences(alg, budget=None, bound=None):
     and y when x->y and y->x lie in F.  Each congruence of the algebra is
     one of its reduct's, so the theta_F that respect every table are all
     of them.  Any other algebra closes its principal congruences under
-    join."""
+    join: every congruence of a finite algebra is a join of principal
+    ones, so each new congruence is joined with the principal ones only."""
     budget = budget or budgets.from_env()
     bound = bound if bound is not None else max(budget.spectrum, 20)
     if alg.size > bound:
@@ -228,16 +213,13 @@ def all_congruences(alg, budget=None, bound=None):
         return sorted(t for t in _filter_congruences(alg) if _respects(alg, t))
     n = alg.size
     identity = tuple(range(n))
-    principals = set()
-    for x in range(n):
-        for y in range(x + 1, n):
-            principals.add(principal_congruence(alg, x, y))
+    principals = {principal_congruence(alg, x, y) for x in range(n) for y in range(x + 1, n)}
     known = {identity} | principals
     frontier = list(known)
     while frontier:
         new = []
         for a in frontier:
-            for b in list(known):
+            for b in principals:
                 j = partition_join(a, b)
                 if j not in known:
                     known.add(j)
@@ -439,17 +421,11 @@ def amalgamate(problem, require_super=False, budget=None):
 def superamalgam_check(problem, d, k, h):
     """Order reflection: k(a) <= h(b) forces a C-interpolant t with
     a <= m(t) and n(t) <= b; checked over all |A| x |B| pairs."""
-    a_alg, b_alg, c_alg = problem.a, problem.b, problem.c
-    for x in range(a_alg.size):
-        for y in range(b_alg.size):
-            if not d.leq(k[x], h[y]):
-                continue
-            if not any(
-                a_alg.leq(x, problem.m[t]) and b_alg.leq(problem.n[t], y)
-                for t in range(c_alg.size)
-            ):
-                return False
-    return True
+    k, h = numpy.asarray(k), numpy.asarray(h)
+    related = d.order[k[:, None], h]  # [x, y]: k(x) <= h(y)
+    # [x, y]: some t with x <= m(t) and n(t) <= y, a boolean matrix product
+    interpolated = problem.a.order[:, list(problem.m)] @ problem.b.order[list(problem.n)]
+    return not (related & ~interpolated).any()
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +449,16 @@ def interpolant_search(alg, x1, x2, x, z, tau_bound=None, budget=None):
         raise PreconditionError("z must lie in Sg(X2)")
     if not alg.leq(x, z):
         raise PreconditionError("need x <= z")
-    common = sorted(subalgebra_generate(alg, set(x1) & set(x2)))
-    for y in common:
-        if alg.leq(x, y) and alg.leq(y, z):
-            return y, 1
+    common = numpy.array(sorted(subalgebra_generate(alg, set(x1) & set(x2))), dtype=numpy.intp)
+    above_x = common[alg.order[x, common]]
     add = alg.cells["oplus" if "oplus" in alg.signature else "join"]
-    zn = z
-    for n in range(2, tau_bound + 1):
-        zn = add[zn, z]
-        for y in common:
-            if alg.leq(x, y) and alg.leq(y, zn):
-                return y, n
+    powers = [z]  # z and its n-fold sums, n <= tau_bound
+    for _ in range(2, tau_bound + 1):
+        powers.append(add[powers[-1], z])
+    for n, zn in enumerate(powers, 1):
+        between = above_x[alg.order[above_x, zn]]
+        if len(between):
+            return int(between[0]), n
     return None
 
 
@@ -498,21 +473,16 @@ def discriminator_check(alg, d_table):
     extra operator f.  Returns (bool, violations)."""
     if len(d_table) != alg.size:
         raise DomainError("d table has wrong length")
+    d = numpy.asarray(d_table, dtype=numpy.intp)
+    # per schema: its operator, if any, and at x the element that must lie below d(x)
+    schemata = [("a", None, numpy.arange(alg.size)), ("b", None, d[d])]
+    schemata += [("c", name, alg.np_table(name)) for name in alg.extra_operator_names()]
     violations = []
-    for x in range(alg.size):
-        if not alg.leq(x, d_table[x]):
-            violations.append(("a", x))
-            break
-    for x in range(alg.size):
-        if not alg.leq(d_table[d_table[x]], d_table[x]):
-            violations.append(("b", x))
-            break
-    for name in alg.extra_operator_names():
-        t = alg.cells[name]
-        for x in range(alg.size):
-            if not alg.leq(t[x], d_table[x]):
-                violations.append(("c", (name, x)))
-                break
+    for schema, name, below in schemata:
+        bad = numpy.flatnonzero(~alg.order[below, d])
+        if len(bad):
+            x = int(bad[0])
+            violations.append((schema, x if name is None else (name, x)))
     return not violations, violations
 
 
@@ -526,23 +496,19 @@ def is_distributive(alg):
 
 
 def is_relatively_complemented(alg):
-    """Every interval [c, d] is complemented."""
-    n = alg.size
-    for c in range(n):
-        for d in range(n):
-            if not alg.leq(c, d):
-                continue
-            for a in range(n):
-                if not (alg.leq(c, a) and alg.leq(a, d)):
-                    continue
-                if not any(
-                    alg.leq(c, b)
-                    and alg.leq(b, d)
-                    and alg.join(a, b) == d
-                    and alg.meet(a, b) == c
-                    for b in range(n)
-                ):
-                    return False
+    """Every interval [c, d] is complemented: each a in it has a b in it
+    with a join b = d and a meet b = c.  Per c, each pair (a, b) with
+    c <= b, a meet b = c and b <= a join b makes b a complement of a in
+    [c, a join b]."""
+    le, every = alg.order, numpy.arange(alg.size)
+    join, meet = alg.np_table("join"), alg.np_table("meet")
+    for c in range(alg.size):
+        a, b = numpy.nonzero(le[c] & (meet == c) & le[every, join])
+        complemented = numpy.zeros_like(le)  # [a, d]
+        complemented[a, join[a, b]] = True
+        inside = le[c][:, None] & le[c] & le  # [a, d]: c <= a <= d and c <= d
+        if (inside & ~complemented).any():
+            return False
     return True
 
 

@@ -413,11 +413,9 @@ def criterion_9():
     sg2 = subalgebra_generate(alg, [g1, g2])
     common = subalgebra_generate(alg, [g1])
     checked = 0
-    for x in range(alg.size):
-        if x not in sg1:
-            continue
-        for z in range(alg.size):
-            if z not in sg2 or not alg.leq(x, z):
+    for x in sorted(sg1):
+        for z in np.flatnonzero(alg.order[x]).tolist():
+            if z not in sg2:
                 continue
             found = interpolant_search(alg, [g0, g1], [g1, g2], x, z)
             if found is None or found[0] not in common or found[1] != 1:

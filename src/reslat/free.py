@@ -279,25 +279,24 @@ def universal_property_holds(free):
 
 def atoms(alg):
     """Minimal nonzero elements of the derived lattice order."""
-    out = []
-    for a in range(alg.size):
-        if a == alg.zero:
-            continue
-        if all(
-            b == alg.zero or b == a or not alg.leq(b, a) for b in range(alg.size)
-        ):
-            out.append(a)
-    return out
+    below = alg.order & ~np.eye(alg.size, dtype=bool)  # [b, a]: b <= a, b != a
+    below[alg.zero] = False
+    minimal = ~below.any(axis=0)
+    minimal[alg.zero] = False
+    return np.flatnonzero(minimal).tolist()
+
+
+def uncovered(alg, bottoms):
+    """The nonzero elements above none of `bottoms`, ascending."""
+    covered = alg.order[list(bottoms)].any(axis=0)
+    covered[alg.zero] = True
+    return np.flatnonzero(~covered).tolist()
+
 
 def is_atomic(alg):
-    """(True, None) or (False, witness): a nonzero element with no atom below."""
-    ats = atoms(alg)
-    for a in range(alg.size):
-        if a == alg.zero:
-            continue
-        if not any(alg.leq(x, a) for x in ats):
-            return False, a
-    return True, None
+    """(True, None) or (False, witness): the first nonzero element with no atom below."""
+    bare = uncovered(alg, atoms(alg))
+    return (False, bare[0]) if bare else (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ def is_atomic(alg):
 def relativize(alg, b):
     """Rl_b: universe {x : x <= b}, every op relativized by meeting with b."""
     meet_b = alg.np_table("meet")[:, b]
-    sub = np.flatnonzero(meet_b == np.arange(alg.size))
+    sub = np.flatnonzero(alg.order[:, b])
     position = np.zeros(alg.size, dtype=np.int32)
     position[sub] = np.arange(len(sub))
     name = "Rl_%s(%s)" % (alg.label(b), alg.name)
@@ -321,13 +320,14 @@ def hereditary_closed(alg, b, op_names=None):
     """b is hereditary closed when every operator fixes everything below b."""
     if op_names is None:
         op_names = alg.extra_operator_names()
-    for x in range(alg.size):
-        if not alg.leq(x, b):
-            continue
-        for name in op_names:
-            if alg.apply(name, x) != x:
-                return False, (x, name)
-    return True, None
+    below = np.flatnonzero(alg.order[:, b])
+    moved = np.array([alg.np_table(name)[below] != below for name in op_names], dtype=bool)
+    moved = moved.reshape(len(op_names), len(below))  # [op, x]: op(x) != x
+    bare = np.flatnonzero(moved.any(axis=0))
+    if not len(bare):
+        return True, None
+    x = bare[0]
+    return False, (int(below[x]), op_names[moved[:, x].argmax()])
 
 
 def decompose(alg, b):

@@ -19,7 +19,7 @@ from .errors import (
     InvalidSpecError,
     NoGenericPointError,
 )
-from .free import VarietySpec, atoms, free_algebra
+from .free import VarietySpec, atoms, free_algebra, is_atomic, uncovered
 from .spectra import upset, zariski_sets
 
 # ---------------------------------------------------------------------------
@@ -513,21 +513,12 @@ def isolated_dense_check(alg, space=None, tags=None, bound=None, budget=None):
         dm = space.DM(a)
         if dm and not (dm & principal):
             return False, ("basic-open", a)
-    complete = [
-        c
-        for c in range(alg.size)
-        if c != alg.zero
-        and all(
-            b == alg.zero or not alg.leq(b, c) or alg.leq(c, b)
-            for b in range(alg.size)
-        )
-    ]
-    for a in range(alg.size):
-        if a == alg.zero:
-            continue
-        if not any(alg.leq(c, a) for c in complete):
-            return False, ("completeness", a)
-    return True, None
+    strictly_below = alg.order & ~alg.order.T  # [b, c]: b < c
+    strictly_below[alg.zero] = False
+    complete = ~strictly_below.any(axis=0)  # nothing nonzero lies strictly below c
+    complete[alg.zero] = False
+    bare = uncovered(alg, numpy.flatnonzero(complete))
+    return (False, ("completeness", bare[0])) if bare else (True, None)
 
 
 def join_of_atoms_is_one(alg):
@@ -537,13 +528,9 @@ def join_of_atoms_is_one(alg):
     Holds in complemented algebras; the underlying argument needs
     b ^ -b = 0 and fails on chains, so callers should expect
     False there."""
-    ats = atoms(alg)
+    if not is_atomic(alg)[0]:
+        return True
     acc = alg.zero
-    for a in ats:
+    for a in atoms(alg):
         acc = alg.join(acc, a)
-    covers = all(
-        any(alg.leq(x, b) for x in ats)
-        for b in range(alg.size)
-        if b != alg.zero
-    )
-    return (not covers) or acc == alg.one
+    return acc == alg.one

@@ -51,17 +51,9 @@ class Filter:
 
 
 def is_filter(alg, members):
-    s = set(members)
-    if not s or alg.one not in s:
-        return False
-    for a in s:
-        for b in s:
-            if alg.star(a, b) not in s:
-                return False
-        for b in range(alg.size):
-            if alg.leq(a, b) and b not in s:
-                return False
-    return True
+    """Whether `members` holds 1 and is its own `generate_filter`."""
+    s = frozenset(members)
+    return alg.one in s and generate_closed(alg, s, True, alg.one, ["star"]) == s
 
 
 def generate_filter(alg, seed):
@@ -246,7 +238,7 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     dm = ~vm
     vl = _members(alg, lat_primes)
     join, meet, star = (alg.np_table(name) for name in ("join", "meet", "star"))
-    leq = meet == numpy.arange(n)[:, None]
+    leq = alg.order
 
     def spills(x):  # [a, b]: row a of x has a point outside row b
         return (x[:, None] & ~x[None]).any(-1)
@@ -442,4 +434,4 @@ def pair_saturated(tp, alg=None):
 
 
 def upset(alg, a):
-    return frozenset(b for b in range(alg.size) if alg.leq(a, b))
+    return frozenset(numpy.flatnonzero(alg.order[a]).tolist())

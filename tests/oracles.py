@@ -31,8 +31,13 @@ big-endian void row keys.  Last of all come the
 scalar loops that array reads of the table stacks replaced: the
 `alg.leq` walk of `generate_closed`, the per-entry union-find of
 `amalgam.congruence_closure` and the tuple lookups of
-`sheaf.section_algebra`.  `table` hands every loop here the nested-list
-form of a table.
+`sheaf.section_algebra`.  Then the per-pair `alg.leq` loops that row
+and column reads of `FiniteAlgebra.order` replaced: `is_filter`,
+`is_ideal`, `ideal_join_characterize`, `superamalgam_check`,
+`interpolant_search`, `discriminator_check`, `is_relatively_complemented`,
+`atoms`, `is_atomic`, `hereditary_closed`, `isolated_dense_check`,
+`join_of_atoms_is_one` and `upset`.  `table` hands every loop here the
+nested-list form of a table.
 Tests compare the library against them on every input they generate.
 """
 
@@ -44,11 +49,18 @@ import numpy as np
 
 from reslat import budgets
 from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, make_chain
-from reslat.amalgam import _union_find, congruence_blocks, principal_congruence
+from reslat.amalgam import (
+    _ideal_sum,
+    _union_find,
+    congruence_blocks,
+    ideal_generate,
+    principal_congruence,
+)
 from reslat.errors import (
     ClosureError,
     DomainError,
     InvalidSpecError,
+    PreconditionError,
     ResourceError,
     SignatureError,
 )
@@ -60,7 +72,7 @@ from reslat.kripke import (
     replacement,
     verify_diagonal_equivalence_shadow,
 )
-from reslat.logic import Bin, Konst, Neg, Var, variables
+from reslat.logic import Bin, Konst, Neg, Var, type_space, variables
 from reslat.sheaf import _kernel_ops
 from reslat.spectra import generate_filter
 
@@ -1524,3 +1536,227 @@ def section_algebra(sheaf, secs):
                 rows.append(row)
             tables[name] = rows
     return FiniteAlgebra("Gamma(%s)" % sheaf.alg.name, len(secs), sheaf.alg.signature, tables), index
+
+
+# ---- the per-pair order loops that FiniteAlgebra.order replaced ----
+
+
+def is_ideal(alg, members, mode="auto"):
+    add = alg.cells[_ideal_sum(alg, mode)]
+    s = set(members)
+    if alg.zero not in s:
+        return False
+    for a in s:
+        for b in s:
+            if add[a, b] not in s:
+                return False
+        for b in range(alg.size):
+            if alg.leq(b, a) and b not in s:
+                return False
+    return True
+
+
+def ideal_join_characterize(alg, m_ideal, n_ideal, mode="auto"):
+    """Ig(M u N) = {x : x <= b (+) c for b in M, c in N}, exhaustively."""
+    add = alg.cells[_ideal_sum(alg, mode)]
+    generated = ideal_generate(alg, m_ideal.members | n_ideal.members, mode).members
+    described = frozenset(
+        x
+        for x in range(alg.size)
+        if any(
+            alg.leq(x, add[b, c])
+            for b in m_ideal.members
+            for c in n_ideal.members
+        )
+    )
+    return generated == described
+
+
+def superamalgam_check(problem, d, k, h):
+    """Order reflection: k(a) <= h(b) forces a C-interpolant t with
+    a <= m(t) and n(t) <= b; checked over all |A| x |B| pairs."""
+    a_alg, b_alg, c_alg = problem.a, problem.b, problem.c
+    for x in range(a_alg.size):
+        for y in range(b_alg.size):
+            if not d.leq(k[x], h[y]):
+                continue
+            if not any(
+                a_alg.leq(x, problem.m[t]) and b_alg.leq(problem.n[t], y)
+                for t in range(c_alg.size)
+            ):
+                return False
+    return True
+
+
+def interpolant_search(alg, x1, x2, x, z, tau_bound=None, budget=None):
+    """y in Sg(X1 cap X2) with x <= y <= z; when the identity-term phase is
+    empty, retry against n-fold oplus powers of z (n <= tau_bound).
+
+    Returns (y, n) with n = 1 for the identity-term case, or None.
+    """
+    budget = budget or budgets.from_env()
+    tau_bound = tau_bound or budget.tau_power
+    sg1 = subalgebra_generate(alg, x1)
+    sg2 = subalgebra_generate(alg, x2)
+    if x not in sg1:
+        raise PreconditionError("x must lie in Sg(X1)")
+    if z not in sg2:
+        raise PreconditionError("z must lie in Sg(X2)")
+    if not alg.leq(x, z):
+        raise PreconditionError("need x <= z")
+    common = sorted(subalgebra_generate(alg, set(x1) & set(x2)))
+    for y in common:
+        if alg.leq(x, y) and alg.leq(y, z):
+            return y, 1
+    add = alg.cells["oplus" if "oplus" in alg.signature else "join"]
+    zn = z
+    for n in range(2, tau_bound + 1):
+        zn = add[zn, z]
+        for y in common:
+            if alg.leq(x, y) and alg.leq(y, zn):
+                return y, n
+    return None
+
+
+def discriminator_check(alg, d_table):
+    """The three schemata for a unary discriminator-style term:
+    (a) x <= d(x); (b) d(d(x)) <= d(x); (c) f(x) <= d(x) for every
+    extra operator f.  Returns (bool, violations)."""
+    if len(d_table) != alg.size:
+        raise DomainError("d table has wrong length")
+    violations = []
+    for x in range(alg.size):
+        if not alg.leq(x, d_table[x]):
+            violations.append(("a", x))
+            break
+    for x in range(alg.size):
+        if not alg.leq(d_table[d_table[x]], d_table[x]):
+            violations.append(("b", x))
+            break
+    for name in alg.extra_operator_names():
+        t = alg.cells[name]
+        for x in range(alg.size):
+            if not alg.leq(t[x], d_table[x]):
+                violations.append(("c", (name, x)))
+                break
+    return not violations, violations
+
+
+def is_relatively_complemented(alg):
+    """Every interval [c, d] is complemented."""
+    n = alg.size
+    for c in range(n):
+        for d in range(n):
+            if not alg.leq(c, d):
+                continue
+            for a in range(n):
+                if not (alg.leq(c, a) and alg.leq(a, d)):
+                    continue
+                if not any(
+                    alg.leq(c, b)
+                    and alg.leq(b, d)
+                    and alg.join(a, b) == d
+                    and alg.meet(a, b) == c
+                    for b in range(n)
+                ):
+                    return False
+    return True
+
+
+def is_filter(alg, members):
+    s = set(members)
+    if not s or alg.one not in s:
+        return False
+    for a in s:
+        for b in s:
+            if alg.star(a, b) not in s:
+                return False
+        for b in range(alg.size):
+            if alg.leq(a, b) and b not in s:
+                return False
+    return True
+
+
+def atoms(alg):
+    """Minimal nonzero elements of the derived lattice order."""
+    out = []
+    for a in range(alg.size):
+        if a == alg.zero:
+            continue
+        if all(
+            b == alg.zero or b == a or not alg.leq(b, a) for b in range(alg.size)
+        ):
+            out.append(a)
+    return out
+
+def is_atomic(alg):
+    """(True, None) or (False, witness): a nonzero element with no atom below."""
+    ats = atoms(alg)
+    for a in range(alg.size):
+        if a == alg.zero:
+            continue
+        if not any(alg.leq(x, a) for x in ats):
+            return False, a
+    return True, None
+
+
+def hereditary_closed(alg, b, op_names=None):
+    """b is hereditary closed when every operator fixes everything below b."""
+    if op_names is None:
+        op_names = alg.extra_operator_names()
+    for x in range(alg.size):
+        if not alg.leq(x, b):
+            continue
+        for name in op_names:
+            if alg.apply(name, x) != x:
+                return False, (x, name)
+    return True, None
+
+
+def isolated_dense_check(alg, space=None, tags=None, bound=None, budget=None):
+    """Isolated (principal) points are dense: every nonempty basic open
+    D_M(a) contains a principal point; cross-checked through completeness:
+    every nonzero element dominates a complete (atom-like) element."""
+    if space is None or tags is None:
+        space, tags = type_space(alg, bound=bound, budget=budget)
+    principal = {i for i, t in enumerate(tags) if t}
+    for a in range(alg.size):
+        dm = space.DM(a)
+        if dm and not (dm & principal):
+            return False, ("basic-open", a)
+    complete = [
+        c
+        for c in range(alg.size)
+        if c != alg.zero
+        and all(
+            b == alg.zero or not alg.leq(b, c) or alg.leq(c, b)
+            for b in range(alg.size)
+        )
+    ]
+    for a in range(alg.size):
+        if a == alg.zero:
+            continue
+        if not any(alg.leq(c, a) for c in complete):
+            return False, ("completeness", a)
+    return True, None
+
+
+def join_of_atoms_is_one(alg):
+    """Dense-set join shadow, instantiated with X = the atoms: when some
+    atom sits below every nonzero element, their join is 1.
+
+    Holds in complemented algebras; the underlying argument needs
+    b ^ -b = 0 and fails on chains, so callers should expect
+    False there."""
+    ats = atoms(alg)
+    acc = alg.zero
+    for a in ats:
+        acc = alg.join(acc, a)
+    covers = all(
+        any(alg.leq(x, b) for x in ats)
+        for b in range(alg.size)
+        if b != alg.zero
+    )
+    return (not covers) or acc == alg.one
+def upset(alg, a):
+    return frozenset(b for b in range(alg.size) if alg.leq(a, b))

@@ -34,7 +34,7 @@ from reslat.algebra import (
     subalgebra_generate,
     tnorm_eval,
 )
-from reslat.errors import DomainError, InvalidSpecError, SignatureError
+from reslat.errors import DomainError, InvalidSpecError, ResourceError, SignatureError
 
 
 def luk(n):
@@ -306,6 +306,14 @@ def test_make_chain_is_memoized():
     spec = ChainSpec("lukasiewicz", 5)
     assert make_chain(spec) is make_chain(spec)
     assert make_chain(spec) is not make_chain(ChainSpec("godel", 5))
+
+
+def test_make_chain_checks_the_budget_on_a_cached_chain(monkeypatch):
+    spec = ChainSpec("lukasiewicz", 5)
+    make_chain(spec)
+    monkeypatch.setenv("RESLAT_BUDGET", "chain=4")
+    with pytest.raises(ResourceError, match="chain of 5 elements over budget 4"):
+        make_chain(spec)
 
 
 def test_iso_product_vs_free_boolean():

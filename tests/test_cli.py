@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,19 @@ def test_kripke_system_file_over_budget_exit_code(tmp_path, capsys, monkeypatch,
     code, _, err = run(capsys, "kripke", "verify", "--system", str(path))
     assert code == 3
     assert err.startswith("resource bound: ") and "over budget 16" in err
+
+
+def test_kripke_system_file_semigroup_over_budget_exit_code(tmp_path, capsys, monkeypatch):
+    """One world and one assignment, but alpha = 5: G = T_5 needs 5^10
+    composite checks, over the closure budget."""
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"worlds": [0], "leq": [[True]], "base": {"0": [0]}, "alpha": 5}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "kripke", "verify", "--system", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert err.startswith("resource bound: ") and "9765625" in err and "1048576" in err
 
 
 def test_kripke_system_and_random_exclude_each_other(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from reslat import kripke
 from reslat.algebra import check_class_axioms
 from reslat.budgets import Budget
 from reslat.errors import ClosureError, InvalidSpecError, ResourceError
@@ -343,6 +344,31 @@ def test_neat_reduct_witness_for_open_candidate_set(opname):
 
 
 # ---- random systems -----------------------------------------------------------------
+
+
+def test_set_algebra_refuses_a_semigroup_over_the_closure_budget(monkeypatch):
+    """T_5 needs 5^10 composite checks, over 2^20: refused before G is
+    built.  T_4 needs 4^8 and is built."""
+    monkeypatch.setattr(SemigroupG, "full", None)  # calling it would raise TypeError
+    one_world = KripkeSystem(1, [[True]], {0: (0,)}, None, 5)
+    with pytest.raises(ResourceError, match="9765625 composite checks, over closure budget 1048576"):
+        set_algebra(one_world, budget=Budget())
+    monkeypatch.undo()
+    assert set_algebra(KripkeSystem(1, [[True]], {0: (0,)}, None, 4), budget=Budget()).G.alpha == 4
+
+
+def test_random_kripke_redraws_over_the_semigroup_budget(monkeypatch):
+    """Seed 1 draws alpha = 5 first; set_algebra refuses it and the next
+    draw is kept."""
+    drawn = []
+
+    def spy(system, *args, **kw):
+        drawn.append(system.alpha)
+        return set_algebra(system, *args, **kw)
+
+    monkeypatch.setattr(kripke, "set_algebra", spy)
+    system, _ = random_kripke(1, 1, 1, 5, budget=Budget())
+    assert drawn == [5, 1] and system.alpha == 1
 
 
 def test_random_system_reproducible():

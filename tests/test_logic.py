@@ -175,7 +175,7 @@ def test_tautology_verdicts_same_on_fresh_chains(monkeypatch):
     formulas = [parse(t) for t in texts]
     cached = [is_tautology(f, specs) for f in formulas]
     assert cached == [is_tautology(f, specs) for f in formulas]
-    monkeypatch.setattr(logic, "make_chain", make_chain.__wrapped__)
+    monkeypatch.setattr(algebra, "_chain", algebra._chain.__wrapped__)
     assert cached == [is_tautology(f, specs) for f in formulas]
 
 

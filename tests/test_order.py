@@ -1,0 +1,232 @@
+"""`FiniteAlgebra.order` and the row and column reads of it that replaced
+the per-pair `alg.leq` loops, each against its loop in tests/oracles.py:
+same value and same first witness, on the corpus algebras, on Kripke set
+algebras (which carry extra operators) and on single-entry faults of
+both made by `kripke.mutate_table`."""
+
+import random
+
+import pytest
+
+import oracles
+from reslat.algebra import ChainSpec, make_chain
+from reslat.amalgam import (
+    AmalgamProblem,
+    discriminator_check,
+    ideal_generate,
+    ideal_join_characterize,
+    interpolant_search,
+    is_ideal,
+    is_relatively_complemented,
+    superamalgam_check,
+)
+from reslat.corpus import corpus_algebras
+from reslat.free import atoms, hereditary_closed, is_atomic
+from reslat.kripke import mutate_table, random_kripke
+from reslat.logic import isolated_dense_check, join_of_atoms_is_one, type_space
+from reslat.spectra import generate_filter, is_filter, upset
+
+
+def single_faults(algs, per_op=4, seed=0):
+    """Per algebra and per op of join, meet and star, `per_op` copies with
+    one random entry set to another value."""
+    rng = random.Random(seed)
+    out = []
+    for alg in algs:
+        n = alg.size
+        for op in ("join", "meet", "star"):
+            for _ in range(per_op):
+                a, b = rng.randrange(n), rng.randrange(n)
+                value = rng.choice([v for v in range(n) if v != alg.tables[op][a, b]])
+                out.append(mutate_table(alg, op, (a, b), value))
+    return out
+
+
+def cycle():
+    """godel:4 with meet(3, 1) = 3 and meet(1, 3) = 0: 1 < 2 < 3 < 1, so
+    no nonzero element dominates a complete one."""
+    chain = make_chain(ChainSpec("godel", 4))
+    return mutate_table(mutate_table(chain, "meet", (3, 1), 3), "meet", (1, 3), 0)
+
+
+CORPUS = corpus_algebras()
+KRIPKE = [random_kripke(s, 2, 2, 2)[1].algebra for s in (1, 5, 6, 8, 11)]
+FAMILIES = {
+    "corpus": CORPUS,
+    "kripke": KRIPKE,
+    "faulty": single_faults([a for a in CORPUS if a.size <= 9] + KRIPKE) + [cycle()],
+}
+
+
+def outcome(f, *args, **kw):
+    """f's value, or the type of the error it raises."""
+    try:
+        return f(*args, **kw)
+    except Exception as exc:  # the preconditions of faulty tables
+        return type(exc)
+
+
+def test_faulty_family_breaks_the_order():
+    """Some faults leave `order` no partial order, and some reach a check."""
+    faulty = FAMILIES["faulty"]
+    assert any(alg.partial_order is None for alg in faulty)
+    assert not all(join_of_atoms_is_one(alg) for alg in faulty)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_order_is_the_meet_definition(family):
+    for alg in FAMILIES[family]:
+        meet = oracles.table(alg, "meet")
+        want = [[meet[a][b] == a for b in range(alg.size)] for a in range(alg.size)]
+        assert alg.order.tolist() == want, alg.name
+        leq = [[alg.leq(a, b) for b in range(alg.size)] for a in range(alg.size)]
+        assert leq == want and all(type(v) is bool for row in leq for v in row), alg.name
+        assert not alg.order.flags.writeable
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_upsets_and_atoms_match_loops(family):
+    for alg in FAMILIES[family]:
+        assert [upset(alg, a) for a in range(alg.size)] == [
+            oracles.upset(alg, a) for a in range(alg.size)
+        ], alg.name
+        assert atoms(alg) == oracles.atoms(alg), alg.name
+        assert is_atomic(alg) == oracles.is_atomic(alg), alg.name
+        assert join_of_atoms_is_one(alg) == oracles.join_of_atoms_is_one(alg), alg.name
+
+
+def candidate_sets(alg, rng):
+    """Principal up- and down-sets, generated filters and ideals, and each
+    of them with one element added or removed."""
+    out = []
+    for x in range(alg.size):
+        down = {b for b in range(alg.size) if alg.leq(b, x)}
+        for s in (oracles.upset(alg, x), down, generate_filter(alg, [x]).members,
+                  ideal_generate(alg, [x]).members):
+            out += [frozenset(s), frozenset(s) ^ {rng.randrange(alg.size)}]
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_is_filter_and_is_ideal_match_loops(family):
+    rng = random.Random(1)
+    for alg in FAMILIES[family]:
+        for s in candidate_sets(alg, rng):
+            assert is_filter(alg, s) == oracles.is_filter(alg, s), (alg.name, s)
+            for mode in ("auto", "lattice"):
+                assert is_ideal(alg, s, mode) == oracles.is_ideal(alg, s, mode), (alg.name, s)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ideal_join_characterize_matches_loop(family):
+    rng = random.Random(2)
+    for alg in FAMILIES[family]:
+        ideals = [ideal_generate(alg, [x]) for x in rng.sample(range(alg.size), min(alg.size, 5))]
+        for m in ideals:
+            for n in ideals:
+                assert ideal_join_characterize(alg, m, n) == oracles.ideal_join_characterize(
+                    alg, m, n
+                ), alg.name
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_superamalgam_check_matches_loop(family):
+    """A = B = D = the algebra; the check reads only the orders, the maps
+    and |C|, so C is any chain of the size of the maps m and n."""
+    rng = random.Random(3)
+    for alg in FAMILIES[family]:
+        n, every = alg.size, tuple(range(alg.size))
+        bounds = (alg.zero, alg.one)
+        spread, spread2 = (tuple(rng.randrange(n) for _ in range(3)) for _ in range(2))
+        for m, images in ((every, every), (bounds, bounds), (spread, spread2)):
+            c = make_chain(ChainSpec("godel", len(m)))
+            problem = AmalgamProblem(alg, alg, c, m, images)
+            shuffled = rng.sample(every, n)
+            for k, h in ((every, every), (every, shuffled), (shuffled, every)):
+                assert superamalgam_check(problem, alg, k, h) == oracles.superamalgam_check(
+                    problem, alg, k, h
+                ), alg.name
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_interpolant_search_matches_loop(family):
+    """Both phases: with X1 = {a}, X2 = {b} the common part is Sg of the
+    constants, so most pairs need a power of z."""
+    rng = random.Random(4)
+    powers = 0
+    for alg in FAMILIES[family]:
+        a, b, c = (rng.randrange(alg.size) for _ in range(3))
+        for x1, x2 in (([a, b], [b, c]), ([a], [b])):
+            sg1 = sorted(oracles.subalgebra_generate(alg, x1))
+            sg2 = sorted(oracles.subalgebra_generate(alg, x2))
+            pairs = [(x, z) for x in sg1 for z in sg2]
+            ordered = [(x, z) for x, z in pairs if alg.leq(x, z)]  # the rest fail x <= z
+            chosen = rng.sample(ordered, min(len(ordered), 6)) + rng.sample(pairs, min(len(pairs), 2))
+            for x, z in chosen:
+                for tau in (None, 2):
+                    got = outcome(interpolant_search, alg, x1, x2, x, z, tau)
+                    assert got == outcome(oracles.interpolant_search, alg, x1, x2, x, z, tau), (
+                        alg.name, x1, x2, x, z, tau
+                    )
+                    powers += isinstance(got, tuple) and got[1] > 1
+    assert family == "kripke" or powers
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_discriminator_check_matches_loop(family):
+    rng = random.Random(5)
+    for alg in FAMILIES[family]:
+        n = alg.size
+        tables = [tuple(range(n)), (alg.zero,) * n, (alg.one,) * n]
+        tables += [tuple(alg.tables[u].tolist()) for u in alg.signature.names()
+                   if alg.signature.arity(u) == 1]
+        tables += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(2)]
+        for d in tables:
+            assert discriminator_check(alg, d) == oracles.discriminator_check(alg, d), (
+                alg.name, d
+            )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_is_relatively_complemented_matches_loop(family):
+    for alg in FAMILIES[family]:
+        assert is_relatively_complemented(alg) == oracles.is_relatively_complemented(alg), alg.name
+
+
+def test_is_relatively_complemented_on_boolean_and_chains():
+    """Boolean algebras are relatively complemented; a chain of three or
+    more elements is not."""
+    by_name = {alg.name: alg for alg in CORPUS}
+    assert is_relatively_complemented(by_name["Fr_2(luk:2)"])
+    assert is_relatively_complemented(by_name["luk:2"])
+    assert not is_relatively_complemented(by_name["godel:3"])
+    # meet(0, 2) = 1 gives 0 <= 1 <= 2 but not 0 <= 2: no interval [0, 2]
+    # is asked for, and every other interval of the chain is complemented
+    fault = mutate_table(by_name["luk:3"], "meet", (0, 2), 1)
+    assert is_relatively_complemented(fault) and oracles.is_relatively_complemented(fault)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_hereditary_closed_matches_loop(family):
+    for alg in FAMILIES[family]:
+        names = [None] + [[u] for u in ("neg",) if u in alg.signature]
+        names += [alg.extra_operator_names()[::-1]] if alg.extra_operator_names() else []
+        for b in range(alg.size):
+            for ops in names:
+                assert hereditary_closed(alg, b, ops) == oracles.hereditary_closed(alg, b, ops), (
+                    alg.name, b, ops
+                )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_isolated_dense_check_matches_loop(family):
+    """With every point tagged principal the basic-open part passes, so
+    the completeness part runs, and fails on some faults."""
+    incomplete = 0
+    for alg in FAMILIES[family]:
+        space, tags = type_space(alg, bound=64)
+        for marks in (tags, [True] * len(tags)):
+            got = isolated_dense_check(alg, space, marks)
+            assert got == oracles.isolated_dense_check(alg, space, marks), alg.name
+            incomplete += got[1] is not None and got[1][0] == "completeness"
+    assert family != "faulty" or incomplete
