@@ -69,10 +69,10 @@ class Signature:
 
 
 def _table_array(t, arity, size, opname):
-    """The table as an integer array, after one shape and one range check.
+    """The table as an integer array, after one shape check.
 
     Entries must be integers (Python or numpy); floats and booleans are
-    rejected, not truncated."""
+    rejected, not truncated.  Their range is checked by the caller."""
     try:
         arr = numpy.asarray(t)
     except ValueError:  # ragged rows
@@ -88,12 +88,20 @@ def _table_array(t, arity, size, opname):
         and bool in set(map(type, chain.from_iterable(t) if arity == 2 else t))
     ):
         raise SignatureError("table %r holds non-integer entries" % opname)
-    bad = (arr < 0) | (arr >= size)
-    if bad.any():
-        raise SignatureError(
-            "table %r contains non-element %r" % (opname, arr[bad].flat[0].item())
-        )
     return arr
+
+
+def _non_element(opname, value):
+    return SignatureError("table %r contains non-element %r" % (opname, value))
+
+
+def _check_elements(checked, size):
+    """Raise for the first (op, table) of `checked` with an entry outside
+    0..size-1."""
+    for opname, arr in checked:
+        bad = (arr < 0) | (arr >= size)
+        if bad.any():
+            raise _non_element(opname, arr[bad].flat[0].item())
 
 
 def _given_stack(rows, shape):
@@ -154,15 +162,32 @@ class FiniteAlgebra:
             given = _given_stack(rows[ar], shape)
             fill[ar] = given is None
             self._stacks[ar] = numpy.empty(shape, dtype=numpy.int32) if fill[ar] else given
-        consts = {}
+        # Shapes and entry types are checked per op, entry ranges once per
+        # stack; an error first checks the ranges of the ops before it, so the
+        # first faulty op in signature order is named.  A table wider than
+        # int32, whose entries the stack could wrap into range, is checked alone.
+        checked, consts = [], {}  # (op, array) per binary or unary op, in signature order
         for opname, arity in signature.ops:
-            if opname not in tables:
-                raise SignatureError("missing table for %r" % opname)
-            arr = _table_array(tables[opname], arity, size, opname)
-            if arity == 0:
-                consts[opname] = int(arr)
-            elif fill[arity]:
+            try:
+                if opname not in tables:
+                    raise SignatureError("missing table for %r" % opname)
+                arr = _table_array(tables[opname], arity, size, opname)
+                if arity == 0:
+                    consts[opname] = int(arr)
+                    if not 0 <= consts[opname] < size:
+                        raise _non_element(opname, consts[opname])
+                    continue
+                if not numpy.can_cast(arr.dtype, numpy.int32):
+                    _check_elements([(opname, arr)], size)
+            except SignatureError:
+                _check_elements(checked, size)
+                raise
+            checked.append((opname, arr))
+            if fill[arity]:
                 self._stacks[arity][self._slot[opname]] = arr
+        # as uint32 a negative entry is at least 2**31
+        if any(stack.view(numpy.uint32).max(initial=0) >= size for stack in self._stacks.values()):
+            _check_elements(checked, size)
         extra = set(tables) - set(signature.names())
         if extra:
             raise SignatureError("tables without signature entry: %s" % sorted(extra))
@@ -332,6 +357,13 @@ class FiniteAlgebra:
                 sig.append((name, 2))
             else:
                 sig.append((name, 1))
+        arity = dict(sig)
+        for name, want in CORE_OPS:
+            if name not in arity:
+                raise InvalidSpecError("algebra lacks required op %r" % name)
+            if arity[name] != want:
+                kind = "a binary table" if want else "a constant"
+                raise InvalidSpecError("required op %r must be %s" % (name, kind))
         return cls(
             data.get("name", "algebra"),
             size,
@@ -658,6 +690,14 @@ def _evaluate(term, env):
 def check_class_axioms(alg, cls):
     """Exhaustively evaluate a class axiom suite; first witness per axiom,
     the first failing tuple in itertools.product order."""
+    violations = list(_axiom_failures(alg, cls))
+    return AxiomReport(cls, not violations, violations)
+
+
+def _axiom_failures(alg, cls):
+    """(axiom id, first witness) of each failing axiom of the suite, lazily
+    in suite order, so a caller that needs only a verdict stops at the
+    first failure."""
     for name in ("join", "meet", "star", "imp"):
         if name not in alg.signature:
             raise SignatureError("class check needs core op %r" % name)
@@ -668,7 +708,6 @@ def check_class_axioms(alg, cls):
     if cls == "mv":
         env.update(zip(("oplus", "odot", "neg"), _derived_mv_ops(alg)))
     grids = {}
-    violations = []
     for aid, arity, lhs, rhs in _SUITES[cls]:
         if arity not in grids:
             grids[arity] = list(_grid_chunks(alg.size, _VARIABLES[:arity]))
@@ -678,10 +717,8 @@ def check_class_axioms(alg, cls):
             first = holds.argmin()
             if not holds.flat[first]:
                 at = numpy.unravel_index(first, holds.shape)
-                witness = tuple(grid[v].ravel()[k].item() for v, k in zip(_VARIABLES, at))
-                violations.append((aid, witness))
+                yield aid, tuple(grid[v].ravel()[k].item() for v, k in zip(_VARIABLES, at))
                 break
-    return AxiomReport(cls, not violations, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +1020,7 @@ def homomorphisms(a, b, injective=False, gens=None, seed=None, limit=None):
         inside, image = closed
         if injective:
             used = image[inside]
-            if len(numpy.unique(used)) != len(used):
+            if numpy.bincount(used, minlength=1).max() > 1:  # two elements share an image
                 return
         if level == len(gens):
             results.append(tuple(image.tolist()))

@@ -9,10 +9,10 @@ import numpy
 from . import budgets
 from .algebra import (
     CORE_NAMES,
+    _axiom_failures,
     _evaluate,
     _grid_chunks,
     bitmask,
-    check_class_axioms,
     enumerate_closed,
     generate_closed,
     homomorphisms,
@@ -207,9 +207,9 @@ def all_congruences(alg, budget=None, bound=None):
         raise ResourceError(
             "congruence lattice of %r (size %d) over bound %d" % (alg.name, alg.size, bound)
         )
-    if all(name in alg.signature for name in CORE_NAMES) and check_class_axioms(
-        alg, "residuated-lattice"
-    ).passed:
+    if all(name in alg.signature for name in CORE_NAMES) and (
+        next(_axiom_failures(alg, "residuated-lattice"), None) is None
+    ):
         return sorted(t for t in _filter_congruences(alg) if _respects(alg, t))
     n = alg.size
     identity = tuple(range(n))

@@ -101,7 +101,8 @@ class _RowKeys:
             self.pieces.append(pieces)
 
     def encode(self, rows):
-        rows = np.array(rows, dtype=np.uint64).reshape(-1, len(self.sizes))
+        """The keys of `rows`, a list of rows or one row."""
+        rows = np.array(rows, dtype=np.uint64, ndmin=2)
         keys = np.zeros((self.words, len(rows)), dtype=np.uint64)
         for c, pieces in enumerate(self.pieces):
             for word, right, mask, left in pieces:

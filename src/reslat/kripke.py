@@ -18,7 +18,15 @@ from itertools import product as iproduct
 import numpy as np
 
 from . import budgets
-from .algebra import _GRID_CHUNK, CORE_OPS, AxiomReport, FiniteAlgebra, Signature, load_json
+from .algebra import (
+    _GRID_CHUNK,
+    CORE_OPS,
+    AxiomReport,
+    FiniteAlgebra,
+    Signature,
+    _axiom_failures,
+    load_json,
+)
 from .errors import (
     ClosureError,
     InternalError,
@@ -497,29 +505,31 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
             cyl[p][j] = cm
             qm[p][j] = qmask
 
-    # Each result mask is assembled bit by bit from the highest position
-    # down: shift left, then OR in the bit of the next position.
+    # The binary tables, built in blocks of rows of at most _GRID_CHUNK
+    # entries, each indexed straight into the stack the algebra takes
+    # without a copy.  An imp mask is assembled bit by bit from the highest
+    # position down: shift left, then OR in the bit of the next position.
     outside = ~masks
-    bad = masks[:, None] & outside  # f & ~g for every pair (f, g)
-    imp = np.zeros_like(bad)
-    scratch = np.empty_like(bad)
-    hit = np.empty(bad.shape, dtype=bool)
-    for p in reversed(range(npos)):
-        imp <<= 1
-        np.equal(np.bitwise_and(bad, fut[p], out=scratch), 0, out=hit)
-        imp |= hit
-    del bad, scratch, hit
-    sig = list(CORE_OPS)
-    # the binary tables of the algebra, which takes this stack without a copy
     binary = np.empty((3, n, n), dtype=np.int32)
+    step = max(1, _GRID_CHUNK // n)
+    for lo in range(0, n, step):
+        rows, f = slice(lo, lo + step), masks[lo : lo + step, None]
+        index(f | masks, binary[0, rows])
+        index(f & masks, binary[1, rows])
+        bad = f & outside  # f & ~g
+        imp = np.zeros_like(bad)
+        for p in reversed(range(npos)):
+            imp <<= 1
+            imp |= (bad & fut[p]) == 0
+        index(imp, binary[2, rows])
+    sig = list(CORE_OPS)
     tables = {
-        "join": index(masks[:, None] | masks, binary[0]),
-        "meet": index(masks[:, None] & masks, binary[1]),
-        "imp": index(imp, binary[2]),
+        "join": binary[0],
+        "meet": binary[1],
+        "imp": binary[2],
         "zero": index(0),
         "one": index(full),
     }
-    del imp
     tables["star"] = tables["meet"]
     for j in range(system.alpha):
         c = np.zeros_like(masks)
@@ -756,7 +766,9 @@ def verify_heyting_quantifiers(ksa, j):
     ar = np.arange(n)
     J, M, I = (alg.np_table(name) for name in ("join", "meet", "imp"))
     C, Q = ksa.c(j), ksa.q(j)
-    R = np.unique(C)
+    in_image = np.zeros(n, dtype=bool)
+    in_image[C] = True
+    R = np.flatnonzero(in_image)
     violations = []
     note = partial(_note, violations)
 
@@ -884,12 +896,12 @@ def mutate_table(alg, opname, position, new_value):
 
 
 def detect_fault(ksa, faulted_algebra):
-    """True when some verification suite rejects the corrupted algebra."""
-    from .algebra import check_class_axioms
-
+    """True when some verification suite rejects the corrupted algebra:
+    the Heyting axioms, read up to their first failure, then the Kripke
+    suites, up to the first that fails."""
+    if next(_axiom_failures(faulted_algebra, "heyting"), None) is not None:
+        return True
     wrapped = KripkeSetAlgebra(
         faulted_algebra, ksa.system, ksa.G, ksa.with_diagonals, ksa.positions, ksa.masks
     )
-    if not check_class_axioms(faulted_algebra, "heyting").passed:
-        return True
     return not all(passed for _, passed, _ in verify_kripke(wrapped))

@@ -173,12 +173,11 @@ def sections(sheaf, budget=None):
 
     Search branches over principal germs (each choice pins the whole
     minimal neighbourhood of a point), which keeps the walk close to the
-    actual section count instead of the raw product of stalk sizes."""
+    actual section count instead of the raw product of stalk sizes.
+    Without points the one section is the empty tuple."""
     budget = budget or budgets.from_env()
     alg = sheaf.alg
     npts = len(sheaf.points)
-    if npts == 0:
-        return []
     # minimal basic neighbourhood of each point: meet of {b in Nr : b not in x}
     min_nbhd = []
     for i, x in enumerate(sheaf.points):

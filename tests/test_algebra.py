@@ -15,9 +15,11 @@ import oracles
 from reslat.algebra import (
     ALGEBRA_CLASSES,
     CHAIN_KINDS,
+    CORE_OPS,
     ChainSpec,
     FiniteAlgebra,
     Signature,
+    _axiom_failures,
     check_class_axioms,
     complement,
     core_reduct,
@@ -510,6 +512,106 @@ def test_chunked_grid_matches_per_tuple_oracle(monkeypatch):
         alg = FiniteAlgebra.from_json(data)
         for cls in ALGEBRA_CLASSES:
             assert check_class_axioms(alg, cls) == oracles.check_class_axioms(alg, cls)
+
+
+@pytest.mark.parametrize("family", ["corpus", "kripke", "faulty"])
+def test_first_axiom_failure_is_the_reports_first(family):
+    """The lazy failures stop at the first; it is the report's first
+    violation, on the 67 corpus algebras, Kripke set algebras and single
+    faults of both (tests/test_order.py), for every class."""
+    from test_order import FAMILIES
+
+    for alg in FAMILIES[family]:
+        for cls in ALGEBRA_CLASSES:
+            violations = check_class_axioms(alg, cls).violations
+            assert next(_axiom_failures(alg, cls), None) == (violations[0] if violations else None)
+
+
+def luk3_tables(**changes):
+    """luk:3's tables as int32 arrays, each change being an (args...,
+    value) entry, which makes the table int64 when the value needs it, a
+    whole table, or None for no table."""
+    tables = {op: t if type(t) is int else t.copy() for op, t in luk(3).tables.items()}
+    for op, change in changes.items():
+        if type(change) is tuple:
+            *args, value = change
+            if not -(2**31) <= value < 2**31:
+                tables[op] = tables[op].astype(numpy.int64)
+            tables[op][tuple(args)] = value
+        elif change is None:
+            del tables[op]
+        else:
+            tables[op] = change
+    return tables
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"join": (0, 1, 5), "star": [[0]]}, "table 'join' contains non-element 5"),
+        ({"meet": (2, 2, -1), "imp": None}, "table 'meet' contains non-element -1"),
+        ({"star": (1, 0, 3), "zero": 7}, "table 'star' contains non-element 3"),
+        ({"meet": (0, 0, 4), "neg": [0, 1.5, 2]}, "table 'meet' contains non-element 4"),
+        ({"zero": 7, "one": 9}, "table 'zero' contains non-element 7"),
+        ({"one": -2, "neg": (1, 3)}, "table 'one' contains non-element -2"),
+        ({"neg": (2, 3), "blink": [0]}, "table 'neg' contains non-element 3"),
+        ({"join": [[0]], "meet": (0, 0, 5)}, "table 'join' has shape (1, 1), expected (3, 3)"),
+        ({"imp": (0, 0, 2**32 + 1)}, "table 'imp' contains non-element 4294967297"),
+        ({"star": (0, 0, 2**32), "join": (1, 1, 3)}, "table 'join' contains non-element 3"),
+        ({"join": (0, 0, 2**32), "star": (1, 1, 3)}, "table 'join' contains non-element 4294967296"),
+        ({"oplus": (1, 1, 2**31)}, "table 'oplus' contains non-element 2147483648"),
+        ({"meet": [[0, 0, 0], [0, 1, 1], [0, 1, 7]]}, "table 'meet' contains non-element 7"),
+        ({"imp": None}, "missing table for 'imp'"),
+        ({"blink": [0]}, "tables without signature entry: ['blink']"),
+    ],
+    ids=[
+        "range-before-shape", "range-before-missing", "range-before-constant",
+        "range-before-entry-type", "first-constant", "constant-before-unary",
+        "unary-before-extra", "shape-before-range", "wider-than-int32", "narrow-before-wide",
+        "wide-before-narrow", "int32-overflow", "list-table", "missing", "extra",
+    ],
+)
+def test_table_errors_name_the_first_faulty_op(changes, message):
+    """Element ranges are checked once per stack, but the error is the
+    first in signature order (join, meet, star, imp, zero, one, then
+    luk:3's oplus, odot and neg), whatever its kind, with its first
+    offending entry; entries past int32 are not wrapped into range."""
+    with pytest.raises(SignatureError) as got:
+        FiniteAlgebra("bad", 3, luk(3).signature, luk3_tables(**changes))
+    assert str(got.value) == message
+
+
+def test_int32_stack_entries_are_range_checked():
+    """Tables handed in as rows of an int32 stack, kept without a copy,
+    are range-checked on that stack."""
+    stack = numpy.zeros((4, 3, 3), dtype=numpy.int32)
+    stack[2, 1, 0] = -1
+    tables = dict(zip(("join", "meet", "star", "imp"), stack), zero=0, one=2)
+    with pytest.raises(SignatureError, match="table 'star' contains non-element -1"):
+        FiniteAlgebra("bad", 3, Signature(CORE_OPS), tables)
+    stack[2, 1, 0] = 0
+    assert FiniteAlgebra("ok", 3, Signature(CORE_OPS), tables)._stacks[2] is stack
+
+
+@pytest.mark.parametrize(
+    "op, table, message",
+    [
+        ("star", None, "algebra lacks required op 'star'"),
+        ("meet", None, "algebra lacks required op 'meet'"),
+        ("one", None, "algebra lacks required op 'one'"),
+        ("imp", [0, 1, 2], "required op 'imp' must be a binary table"),
+        ("zero", [0], "required op 'zero' must be a constant"),
+    ],
+)
+def test_json_algebra_needs_the_six_core_ops(op, table, message):
+    data = luk(3).to_json()
+    if table is None:
+        del data["ops"][op]
+    else:
+        data["ops"][op] = table
+    with pytest.raises(InvalidSpecError) as got:
+        FiniteAlgebra.from_json(data)
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("bad", [1.7, True, 1.0])

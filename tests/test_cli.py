@@ -265,6 +265,44 @@ def test_malformed_algebra_file_exit_code(tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize(
+    "op, table",
+    [("star", None), ("meet", None), ("zero", None), ("star", [0, 1, 2]), ("one", [2])],
+    ids=["no-star", "no-meet", "no-zero", "unary-star", "listed-one"],
+)
+@pytest.mark.parametrize(
+    "argv", ["spectrum {} --verify-lemma", "free --variety {} --gens 1", "check {} --class mv"]
+)
+def test_algebra_file_without_a_core_op_exit_code(tmp_path, capsys, op, table, argv):
+    """An algebra file must give join, meet, star and imp as binary tables
+    and zero and one as constants; else every verb exits 2, with the error
+    also on stdout in --json mode, and no traceback."""
+    data = luk3_json()
+    if table is None:
+        del data["ops"][op]
+    else:
+        data["ops"][op] = table
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, *flags, *argv.format(path).split())
+        assert code == 2
+        assert err.startswith("error: ") and repr(op) in err and "Traceback" not in err
+        if flags:
+            assert json.loads(out)["error"] == err[len("error: ") :].strip()
+
+
+def test_sheaf_of_the_one_element_algebra(tmp_path, capsys):
+    """No point, one section (the empty tuple), and eta an isomorphism."""
+    ops = {"join": [[0]], "meet": [[0]], "star": [[0]], "imp": [[0]], "zero": 0, "one": 0}
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"size": 1, "ops": ops}))
+    code, out, _ = run(capsys, "--json", "sheaf", str(path), "--eta")
+    report = json.loads(out)
+    assert code == 0
+    assert (report["base_points"], report["section_count"], report["eta_isomorphism"]) == ([], 1, True)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "check {} --class mv",

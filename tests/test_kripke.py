@@ -1,5 +1,10 @@
 """Kripke systems, their set algebras and the equational suites."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import oracles
@@ -474,12 +479,33 @@ def test_set_algebra_matches_oracle_on_errors():
     )
 
 
-def test_set_algebra_beyond_64_positions_matches_oracle():
-    # 11 mutually accessible worlds sharing 6 assignments: 66 positions,
-    # more than a 64-bit mask holds, but only 2**6 elements
+def beyond_64_positions():
+    """11 mutually accessible worlds sharing 6 assignments: 66 positions,
+    more than a 64-bit mask holds, but only 2**6 elements."""
     w = 11
-    system = KripkeSystem(w, [[True] * w] * w, {k: tuple(range(6)) for k in range(w)}, None, 1)
-    assert_same_build(system, budget=Budget(kripke_assignments=66), with_diagonals=True)
+    return KripkeSystem(w, [[True] * w] * w, {k: tuple(range(6)) for k in range(w)}, None, 1)
+
+
+def test_set_algebra_beyond_64_positions_matches_oracle():
+    assert_same_build(beyond_64_positions(), budget=Budget(kripke_assignments=66), with_diagonals=True)
+
+
+@pytest.mark.parametrize("chunk", [7, 100, 250])
+def test_set_algebra_matches_oracle_in_ragged_row_blocks(monkeypatch, chunk):
+    """The binary tables are built in blocks of max(1, _GRID_CHUNK // n)
+    rows.  Blocks of one row, and blocks that leave a shorter last one,
+    give the oracle's tables: with masks looked up in the dense table
+    (16 to 81 elements), and searched (12 positions and 16 elements, and
+    66 positions held as Python ints)."""
+    monkeypatch.setattr(kripke, "_GRID_CHUNK", chunk)
+    searched = KripkeSystem(3, [[True] * 3] * 3, {k: (0, 1) for k in range(3)}, None, 2)
+    cases = [(one_world(), None), (searched, None), (beyond_64_positions(), Budget(kripke_assignments=66))]
+    cases += [(random_kripke(seed, 3, 3, 3)[0], None) for seed in (0, 10, 11, 12)]
+    sizes = []
+    for system, budget in cases:
+        assert_same_build(system, budget=budget, with_diagonals=True)
+        sizes.append(set_algebra(system, budget=budget).algebra.size)
+    assert chunk < min(sizes) or any(n % max(1, chunk // n) for n in sizes)
 
 
 # ---- differential: batched suites against the loop-suite oracles --------------------
@@ -611,6 +637,42 @@ def test_suites_match_oracle_in_small_chunks(monkeypatch):
     assert_same_reports(
         ksa, [f for f in criterion_7_faults(ksa) if len(f[1]) == 1 or f[1][:1] == (last,)]
     )
+
+
+def test_detect_fault_equals_the_full_reports_on_criterion_7_faults():
+    """detect_fault stops at the first failing Heyting axiom, then at the
+    first failing Kripke suite; its verdict on each of the 1,242 faults,
+    and on the unfaulted algebra, is that of the full class report and
+    every suite."""
+    ksa = set_algebra(one_world(), with_diagonals=True)
+    cases = [ksa.algebra] + [mutate_table(ksa.algebra, *f) for f in criterion_7_faults(ksa)]
+    assert len(cases) == 1243
+    for alg in cases:
+        full = not check_class_axioms(alg, "heyting").passed or not all(
+            passed for _, passed, _ in verify_kripke(wrap(ksa, alg))
+        )
+        assert detect_fault(ksa, alg) is full
+    assert not detect_fault(ksa, ksa.algebra)
+
+
+def test_checks_do_not_import_numpy_ma():
+    """numpy.unique imports numpy.ma on its first call, about 10 ms, so the
+    Kripke suites and the isomorphism search use no numpy.unique: run in a
+    fresh interpreter, they leave numpy.ma unimported."""
+    code = "; ".join(
+        (
+            "import sys",
+            "from reslat import algebra, kripke",
+            "_, ksa = kripke.random_kripke(0)",
+            "assert all(passed for _, passed, _ in kripke.verify_kripke(ksa))",
+            "ba4 = algebra.product([algebra.make_chain(algebra.ChainSpec('lukasiewicz', 2))] * 2)",
+            "assert algebra.iso_check(ba4, ba4) == (0, 1, 2, 3)",
+            "print('numpy.ma' in sys.modules)",
+        )
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kripke.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def test_reports_do_not_share_witnesses():

@@ -323,9 +323,14 @@ def test_section_algebra_matches_oracle_on_corpus(alg):
 
 def test_section_algebra_without_points_matches_oracle():
     """The one-element algebra has no prime ideal, so its sheaf has no
-    point and no section."""
+    point, and one section: the empty tuple, the one element of the empty
+    product.  Gamma is the one-element algebra, and eta an isomorphism."""
     ops = {"join": [[0]], "meet": [[0]], "star": [[0]], "imp": [[0]], "zero": 0, "one": 0}
-    sheaf = dual_sheaf(FiniteAlgebra("trivial", 1, Signature(CORE_OPS), ops))
-    assert sheaf.points == [] and sections(sheaf) == []
-    got = gamma_outcome(section_algebra, sheaf, [])
-    assert got == gamma_outcome(oracles.section_algebra, sheaf, []) == "sections not closed under constant 'zero'"
+    alg = FiniteAlgebra("trivial", 1, Signature(CORE_OPS), ops)
+    sheaf = dual_sheaf(alg)
+    assert sheaf.points == [] and sections(sheaf) == [()]
+    got = gamma_outcome(section_algebra, sheaf, [()])
+    want = ("Gamma(%s)" % sheaf.alg.name, 1, {"join": [[0]], "meet": [[0]], "zero": 0, "one": 0}, {(): 0})
+    assert got == gamma_outcome(oracles.section_algebra, sheaf, [()]) == want
+    assert gamma_outcome(section_algebra, sheaf, []) == "sections not closed under constant 'zero'"
+    assert eta_check(alg, sheaf) == (True, {"sections": 1, "mapping": [0]})
