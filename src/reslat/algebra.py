@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InternalError,
     InvalidSpecError,
+    ReslatError,
     ResourceError,
     SignatureError,
 )
@@ -380,7 +381,8 @@ class FiniteAlgebra:
 def load_json(path, build):
     """build(data) for the JSON object in the file at path.  A file that is
     not UTF-8 JSON, holds no object at its top level, or lacks a key that
-    build reads, is an InvalidSpecError naming the path."""
+    build reads, is an InvalidSpecError naming the path; any other package
+    error of build keeps its class and gets the path before its message."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -394,6 +396,9 @@ def load_json(path, build):
         return build(data)
     except KeyError as exc:
         raise InvalidSpecError("%s lacks key %s" % (path, exc)) from None
+    except ReslatError as exc:
+        exc.args = ("%s: %s" % (path, exc),)
+        raise
 
 
 # ---------------------------------------------------------------------------

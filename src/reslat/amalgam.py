@@ -12,7 +12,6 @@ from .algebra import (
     _axiom_failures,
     _evaluate,
     _grid_chunks,
-    bitmask,
     enumerate_closed,
     generate_closed,
     homomorphisms,
@@ -22,94 +21,71 @@ from .algebra import (
     product,
     subalgebra_generate,
 )
-from .errors import (
-    DomainError,
-    PreconditionError,
-    ResourceError,
-)
+from .errors import DomainError, PreconditionError
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """0-containing, downward closed, closed under oplus (else join)."""
-
-    alg: object
-    members: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-
-    def __contains__(self, x):
-        return x in self.members
-
-    def bitmask(self):
-        return bitmask(self.members)
+def _additive(alg):
+    """The additive op of an ideal: oplus where the algebra has it, else join."""
+    return "oplus" if "oplus" in alg.signature else "join"
 
 
-def _ideal_sum(alg, mode):
-    """Name of the additive op of an ideal."""
-    if mode == "auto":
-        return "oplus" if "oplus" in alg.signature else "join"
-    return "join" if mode == "lattice" else mode
+def _ideal_ops(alg, operators):
+    """The `generate_closed` arguments after the seed or universe for the
+    ideals closed also under the declared operators the algebra carries."""
+    return False, alg.zero, [_additive(alg)], [f for f in operators if f in alg.signature]
 
 
-def ideal_generate(alg, seed, mode="auto"):
-    """Ig: least 0-containing downward set closed under the additive op."""
-    add = _ideal_sum(alg, mode)
-    return Ideal(alg, generate_closed(alg, seed, False, alg.zero, [add]))
+def ideal_generate(alg, seed, operators=()):
+    """Ig: the least ideal over the seed, a frozenset: 0-containing,
+    downward closed, closed under the additive op and the operators."""
+    return generate_closed(alg, seed, *_ideal_ops(alg, operators))
 
 
-def is_ideal(alg, members, mode="auto"):
-    """Whether `members` holds 0 and is its own `ideal_generate`."""
-    s = frozenset(members)
-    return alg.zero in s and generate_closed(alg, s, False, alg.zero, [_ideal_sum(alg, mode)]) == s
+def enumerate_ideals(alg, operators=(), universe=None, bound=None, budget=None):
+    """Every ideal closed also under the operators, as frozensets sorted by
+    bitmask: of the whole algebra, or the kernel ideals of a `universe`,
+    down-sets within it, closed wherever the values stay inside.
 
-
-def enumerate_ideals(alg, mode="auto", bound=None, budget=None):
-    """All ideals: additively closed down-sets containing 0."""
+    The whole algebra is gated up front: one larger than `bound` (default
+    `Budget.spectrum`) is a ResourceError.  A universe, as the sheaf
+    passes, is listed at any size when its ideals are all principal; its
+    NextClosure fallback, up to 2^(n-1) sets, is refused over the bound."""
     budget = budget or budgets.from_env()
-    bound = bound if bound is not None else budget.spectrum
-    if alg.size > bound:
-        raise ResourceError(
-            "ideal enumeration on %r (size %d) over bound %d" % (alg.name, alg.size, bound)
-        )
-    add = _ideal_sum(alg, mode)
-    return [
-        Ideal(alg, s)
-        for s in enumerate_closed(alg, range(alg.size), False, alg.zero, [add])
-    ]
+    closure = _ideal_ops(alg, operators)
+    masks = None if universe is None else principal_closed(alg, universe, *closure)
+    if masks is not None:
+        return [frozenset(numpy.flatnonzero(m).tolist()) for m in masks]
+    universe = range(alg.size) if universe is None else universe
+    what = "ideal enumeration on %r" % alg.name
+    budgets.check_size(what, len(universe), bound, budget.spectrum)
+    return enumerate_closed(alg, universe, *closure)
 
 
-def ideal_join_characterize(alg, m_ideal, n_ideal, mode="auto"):
+def ideal_join_characterize(alg, m_ideal, n_ideal):
     """Ig(M u N) = {x : x <= b (+) c for b in M, c in N}, exhaustively."""
-    add = alg.np_table(_ideal_sum(alg, mode))
-    generated = ideal_generate(alg, m_ideal.members | n_ideal.members, mode).members
-    sums = add[numpy.ix_(sorted(m_ideal.members), sorted(n_ideal.members))].ravel()
+    add = alg.np_table(_additive(alg))
+    sums = add[numpy.ix_(sorted(m_ideal), sorted(n_ideal))].ravel()
     described = numpy.flatnonzero(alg.order[:, sums].any(axis=1))
-    return generated == frozenset(described.tolist())
+    return ideal_generate(alg, m_ideal | n_ideal) == frozenset(described.tolist())
 
 
-def ideal_extension(alg, b_subuniverse, m_ideal, n_ideal, mode="auto",
-                    want_maximal=False, bound=None, budget=None):
+def ideal_extension(alg, b_subuniverse, m_ideal, n_ideal, want_maximal=False, bound=None,
+                    budget=None):
     """A witness N' with N <= N' and N' cap B = M, searched over the ideal
     lattice; None when no witness exists (a counterexample to the lemma)."""
     b_set = frozenset(b_subuniverse)
-    if not (frozenset(n_ideal.members) & b_set <= m_ideal.members):
+    if not n_ideal & b_set <= m_ideal:
         raise PreconditionError("need N cap B <= M")
-    if not m_ideal.members <= b_set:
+    if not m_ideal <= b_set:
         raise PreconditionError("M must be an ideal of B")
-    every = enumerate_ideals(alg, mode, bound=bound, budget=budget)
-    candidates = [
-        i
-        for i in every
-        if n_ideal.members <= i.members and i.members & b_set == m_ideal.members
-    ]
+    every = enumerate_ideals(alg, bound=bound, budget=budget)
+    candidates = [i for i in every if n_ideal <= i and i & b_set == m_ideal]
     if not candidates:
         return None
     if want_maximal:
-        proper = [i.members for i in every if len(i.members) < alg.size]
+        proper = [i for i in every if len(i) < alg.size]
         maximal = {m for m in proper if not any(m < p for p in proper)}
-        best = [i for i in candidates if i.members in maximal]
+        best = [i for i in candidates if i in maximal]
         return best[0] if best else None
     return candidates[0]
 
@@ -202,11 +178,8 @@ def all_congruences(alg, budget=None, bound=None):
     join: every congruence of a finite algebra is a join of principal
     ones, so each new congruence is joined with the principal ones only."""
     budget = budget or budgets.from_env()
-    bound = bound if bound is not None else max(budget.spectrum, 20)
-    if alg.size > bound:
-        raise ResourceError(
-            "congruence lattice of %r (size %d) over bound %d" % (alg.name, alg.size, bound)
-        )
+    what = "congruence lattice of %r" % alg.name
+    budgets.check_size(what, alg.size, bound, max(budget.spectrum, 20))
     if all(name in alg.signature for name in CORE_NAMES) and (
         next(_axiom_failures(alg, "residuated-lattice"), None) is None
     ):
@@ -451,7 +424,7 @@ def interpolant_search(alg, x1, x2, x, z, tau_bound=None, budget=None):
         raise PreconditionError("need x <= z")
     common = numpy.array(sorted(subalgebra_generate(alg, set(x1) & set(x2))), dtype=numpy.intp)
     above_x = common[alg.order[x, common]]
-    add = alg.cells["oplus" if "oplus" in alg.signature else "join"]
+    add = alg.cells[_additive(alg)]
     powers = [z]  # z and its n-fold sums, n <= tau_bound
     for _ in range(2, tau_bound + 1):
         powers.append(add[powers[-1], z])
@@ -521,18 +494,13 @@ def gratzer_schmidt_check(alg, bound=None, budget=None):
     """
     budget = budget or budgets.from_env()
     lat = lattice_reduct(alg)
-    ideals = enumerate_ideals(lat, mode="lattice", bound=bound, budget=budget)
-    congruences = all_congruences(lat, budget=budget, bound=bound or max(budget.spectrum, 20))
-    mapping = {}
-    for ideal in ideals:
-        mapping[ideal.members] = ideal_congruence(lat, ideal.members)
+    ideals = enumerate_ideals(lat, bound=bound, budget=budget)
+    congruences = all_congruences(lat, budget=budget, bound=bound)
+    mapping = {ideal: ideal_congruence(lat, ideal) for ideal in ideals}
     injective = len(set(mapping.values())) == len(mapping)
     surjective = set(mapping.values()) == set(congruences)
     monotone = all(
-        (i.members <= j.members)
-        == partition_leq(mapping[i.members], mapping[j.members])
-        for i in ideals
-        for j in ideals
+        (i <= j) == partition_leq(mapping[i], mapping[j]) for i in ideals for j in ideals
     )
     correspondence = injective and surjective and monotone
     distributive = is_distributive(lat)

@@ -8,7 +8,7 @@ comma list of ``name=value`` pairs, e.g. ``RESLAT_BUDGET=spectrum=40,closure=209
 import os
 from dataclasses import dataclass, replace
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, ResourceError
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,14 @@ class Budget:
 
     def scaled(self, **kw):
         return replace(self, **kw)
+
+
+def check_size(what, size, bound, default):
+    """The size gate of the exhaustive enumerations: the caller's bound,
+    else the budget default; a larger size is a ResourceError stating both."""
+    limit = default if bound is None else bound
+    if size > limit:
+        raise ResourceError("%s (size %d) over bound %d" % (what, size, limit))
 
 
 def from_env(base=None):

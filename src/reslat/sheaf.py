@@ -3,12 +3,11 @@ base space of prime ideals, stalks as point-quotients, germ-continuous
 sections, the eta isomorphism, regularity classes, and the regular-ideals /
 open-sets correspondence.
 
-Ideals here are congruence-kernel style: downward closed and closed under
-oplus when present, under the declared operators always (the notion whose
-primes carry the duality).  They are enumerated and generated by the
-closed-set helpers of `reslat.algebra` (`enumerate_closed`,
-`generate_closed`, `union_closure`); congruences come from
-`reslat.amalgam`.
+Ideals here are congruence-kernel style: the ideals of `reslat.amalgam`
+(downward closed, closed under oplus when present, else join), closed
+also under the declared operators, the notion whose primes carry the
+duality.  `amalgam.enumerate_ideals` lists them and `ideal_generate`
+generates them; congruences come from `reslat.amalgam` too.
 """
 
 from dataclasses import dataclass
@@ -16,17 +15,12 @@ from dataclasses import dataclass
 import numpy
 
 from . import budgets
-from .algebra import (
-    FiniteAlgebra,
-    bitmask,
-    enumerate_closed,
-    generate_closed,
-    splits,
-    union_closure,
-)
+from .algebra import FiniteAlgebra, bitmask, splits, union_closure
 from .amalgam import (
     all_congruences,
+    enumerate_ideals,
     ideal_congruence,
+    ideal_generate,
     is_relatively_complemented,
     partition_leq,
     quotient,
@@ -73,35 +67,12 @@ def zero_dim(alg, operators=None):
     return tuple(zd), None
 
 
-# ---------------------------------------------------------------------------
-# kernel-style ideals of a designated subuniverse
-# ---------------------------------------------------------------------------
-
-
-def _kernel_ideals(alg, subuniverse, operators):
-    """All subsets of `subuniverse` that are 0-containing, downward closed
-    (within the subuniverse), oplus-closed when present, operator-closed."""
-    return enumerate_closed(alg, subuniverse, False, alg.zero, *_kernel_ops(alg, operators))
-
-
-def _kernel_ops(alg, operators):
-    """(binary, unary) closure ops of a kernel ideal: oplus (else join)
-    and the operators present in the signature."""
-    add = "oplus" if "oplus" in alg.signature else "join"
-    return [add], [f for f in operators if f in alg.signature]
-
-
-def kernel_ideal_generate(alg, seed, operators=None):
-    ops = default_operators(alg) if operators is None else list(operators)
-    return generate_closed(alg, seed, False, alg.zero, *_kernel_ops(alg, ops))
-
-
-def prime_ideals_of(alg, subuniverse, operators):
+def prime_ideals_of(alg, subuniverse, operators, budget=None):
     """Kernel ideals of the subuniverse that are proper and meet-prime."""
     size = len(set(subuniverse))
     return [
         ideal
-        for ideal in _kernel_ideals(alg, subuniverse, operators)
+        for ideal in enumerate_ideals(alg, operators, subuniverse, budget=budget)
         if len(ideal) < size and splits(alg, "meet", ideal, subuniverse)
     ]
 
@@ -157,7 +128,7 @@ def dual_sheaf(alg, J=frozenset(), operators=None, budget=None):
         for x in range(alg.size)
         if all(alg.apply(f, x) == x for f in outside)
     )
-    points = prime_ideals_of(reduct, nr, outside)
+    points = prime_ideals_of(reduct, nr, outside, budget)
     stalks, projections = [], []
     for x in points:
         q, proj = quotient(reduct, ideal_congruence(reduct, x), name="stalk")
@@ -292,13 +263,21 @@ def regularity(alg, operators=None, budget=None):
     'Prime ideal in A' is primality inside the kernel-ideal family
     (J cap K <= I forces J <= I or K <= I): the meet-splitting reading
     fails for operator algebras where two operator-free elements can meet
-    to zero, and would falsify strongly-regular => regular."""
+    to zero, and would falsify strongly-regular => regular.  That scan
+    takes |proper| * |ideals|^2 pairs; more than `Budget.closure` of them
+    is a ResourceError before it starts."""
+    budget = budget or budgets.from_env()
     ops = default_operators(alg) if operators is None else list(operators)
     reduct = sheaf_reduct(alg, ops)
     zd, _ = zero_dim(alg, ops)
-    primes = prime_ideals_of(reduct, zd, ops)
-    all_ideals = _kernel_ideals(reduct, range(reduct.size), ops)
+    primes = prime_ideals_of(reduct, zd, ops, budget)
+    all_ideals = enumerate_ideals(reduct, ops, range(reduct.size), budget=budget)
     proper = [i for i in all_ideals if len(i) < reduct.size]
+    pairs = len(proper) * len(all_ideals) ** 2
+    if pairs > budget.closure:
+        raise ResourceError(
+            "regularity scan of %d ideal pairs over closure budget %d" % (pairs, budget.closure)
+        )
     maximal_ideals = {i for i in proper if not any(i < j for j in proper)}
     prime_family = set()
     for ideal in proper:
@@ -319,7 +298,7 @@ def regularity(alg, operators=None, budget=None):
     strongly = True
     cong_strongly = True
     for x in primes:
-        ig = kernel_ideal_generate(reduct, x, ops)
+        ig = ideal_generate(reduct, x, ops)
         if ig not in prime_family:
             regular = False
         if ig not in maximal_ideals:
@@ -349,8 +328,8 @@ def strongly_regular_equiv_check(alg, operators=None, budget=None):
     zset = set(zd)
     cond2 = True
     for a in range(alg.size):
-        ig = kernel_ideal_generate(reduct, [a], ops)
-        if not any(kernel_ideal_generate(reduct, [z], ops) == ig for z in zset):
+        ig = ideal_generate(reduct, [a], ops)
+        if not any(ideal_generate(reduct, [z], ops) == ig for z in zset):
             cond2 = False
             break
     sheaf = dual_sheaf(alg, operators=ops, budget=budget)
@@ -380,7 +359,7 @@ def regular_ideals_open_sets(alg, sheaf=None, operators=None, budget=None):
     reduct = sheaf.alg
     zd, _ = zero_dim(alg, ops)
     zset = set(zd)
-    ideals = _kernel_ideals(reduct, range(reduct.size), ops)
+    ideals = enumerate_ideals(reduct, ops, range(reduct.size), budget=budget)
     # Ig(i & Zd) is the meet of the ideals over i & Zd, so it is i when all hold i
     regular = [i for i in ideals if all(i <= j for j in ideals if i & zset <= j)]
     opens = {bitmask(u) for u in sheaf.opens()}

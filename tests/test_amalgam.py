@@ -22,7 +22,6 @@ from reslat.algebra import (
 from reslat.amalgam import (
     AmalgamProblem,
     CongruencePair,
-    Ideal,
     all_congruences,
     amalgamate,
     congruence_closure,
@@ -35,7 +34,6 @@ from reslat.amalgam import (
     ideal_join_characterize,
     interpolant_search,
     is_distributive,
-    is_ideal,
     partition_join,
     principal_congruence,
     principal_congruence_on,
@@ -68,25 +66,25 @@ def ba4():
 
 def test_ig_of_zero():
     for alg in (luk(3), godel(4), ba4()):
-        assert ideal_generate(alg, [alg.zero]).members == {alg.zero}
+        assert ideal_generate(alg, [alg.zero]) == {alg.zero}
 
 
 def test_ig_of_half_in_luk3_is_everything():
     # 1/2 (+) 1/2 = 1, so the oplus closure swallows the algebra
-    assert ideal_generate(luk(3), [1]).members == {0, 1, 2}
+    assert ideal_generate(luk(3), [1]) == {0, 1, 2}
 
 
 def test_ig_of_half_in_godel3_is_downset():
-    assert ideal_generate(godel(3), [1]).members == {0, 1}
+    assert ideal_generate(godel(3), [1]) == {0, 1}
 
 
 def test_ideal_enumeration_matches_brute_force():
     for alg in (luk(3), godel(4), ba4()):
-        fast = [i.members for i in enumerate_ideals(alg)]
+        fast = enumerate_ideals(alg)
         brute = []
         for r in range(1, alg.size + 1):
             for members in combinations(range(alg.size), r):
-                if is_ideal(alg, members):
+                if ideal_generate(alg, members) == set(members):
                     brute.append(frozenset(members))
         brute.sort(key=lambda s: sum(1 << i for i in s))
         assert fast == brute
@@ -94,7 +92,7 @@ def test_ideal_enumeration_matches_brute_force():
         for r in range(3):
             for seed in combinations(range(alg.size), r):
                 least = frozenset.intersection(*[s for s in brute if s >= set(seed)])
-                assert ideal_generate(alg, seed).members == least, (alg.name, seed)
+                assert ideal_generate(alg, seed) == least, (alg.name, seed)
 
 
 def test_join_characterization_exhaustive_on_ba():
@@ -128,27 +126,27 @@ def test_ideal_filter_order_duality():
     )
     for seed in ([1], [2], [1, 3]):
         dual_filter = generate_filter(dual, seed).members
-        ideal = ideal_generate(alg, seed, mode="join").members
+        ideal = ideal_generate(lattice_reduct(alg), seed)
         assert dual_filter == ideal
 
 
 def test_ideal_extension_base_case():
     alg = ba4()
     b_sub = sorted(subalgebra_generate(alg, [alg.element_index("(0,1)")]))
-    m = Ideal(alg, frozenset([alg.zero, alg.element_index("(0,1)")]))
-    n = Ideal(alg, frozenset([alg.zero]))
+    m = frozenset([alg.zero, alg.element_index("(0,1)")])
+    n = frozenset([alg.zero])
     found = ideal_extension(alg, b_sub, m, n)
     assert found is not None
-    assert found.members & frozenset(b_sub) == m.members
+    assert found & frozenset(b_sub) == m
 
 
 def test_ideal_extension_trivial_m():
     alg = ba4()
     b_sub = sorted(subalgebra_generate(alg, []))
-    m = Ideal(alg, frozenset([alg.zero]))
-    n = Ideal(alg, frozenset([alg.zero]))
+    m = frozenset([alg.zero])
+    n = frozenset([alg.zero])
     found = ideal_extension(alg, b_sub, m, n)
-    assert found is not None and found.members >= n.members
+    assert found is not None and found >= n
 
 
 def test_ideal_extension_maximal():
@@ -157,12 +155,12 @@ def test_ideal_extension_maximal():
     small = sorted(subalgebra_generate(alg, [fr.generators[0]]))
     # maximal ideal of the 4-element subalgebra: everything under ~g0
     neg = alg.imp(fr.generators[0], alg.zero)
-    m = Ideal(alg, frozenset([alg.zero, neg]))
-    n = Ideal(alg, frozenset([alg.zero]))
+    m = frozenset([alg.zero, neg])
+    n = frozenset([alg.zero])
     found = ideal_extension(alg, small, m, n, want_maximal=True, bound=16)
     assert found is not None
-    proper = [i.members for i in enumerate_ideals(alg, bound=16) if len(i.members) < alg.size]
-    assert not any(found.members < p for p in proper)
+    proper = [i for i in enumerate_ideals(alg, bound=16) if len(i) < alg.size]
+    assert not any(found < p for p in proper)
 
 
 # ---- congruences ------------------------------------------------------------------

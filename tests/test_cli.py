@@ -291,6 +291,53 @@ def test_algebra_file_without_a_core_op_exit_code(tmp_path, capsys, op, table, a
             assert json.loads(out)["error"] == err[len("error: ") :].strip()
 
 
+def test_algebra_file_errors_name_their_file(tmp_path, capsys):
+    """With two algebra files, the error names the faulty one, keeps its
+    class and exits 2."""
+    from reslat.algebra import FiniteAlgebra
+    from reslat.errors import SignatureError
+
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(luk3_json()))
+    data = luk3_json()
+    del data["ops"]["star"]
+    bad.write_text(json.dumps(data))
+    for files in ((good, bad), (bad, good)):
+        variety = ",".join(str(f) for f in files)
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *flags, "free", "--variety", variety, "--gens", "1")
+            assert code == 2
+            assert err == "error: %s: algebra lacks required op 'star'\n" % bad
+            if flags:
+                assert json.loads(out)["error"] == err[len("error: ") :].strip()
+    data = luk3_json()
+    data["ops"]["meet"][2][2] = 7
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SignatureError) as exc:
+        FiniteAlgebra.load(str(bad))
+    assert str(exc.value) == "%s: table 'meet' contains non-element 7" % bad
+
+
+@pytest.mark.parametrize("n", [9, 14, 30])
+def test_sheaf_of_all_zero_tables_exit_code(tmp_path, capsys, monkeypatch, n):
+    """join, meet, star and imp all 0: the order is no partial order, so
+    every subset of the nonzero elements with 0 is an ideal.  At 9
+    elements the 256 ideals are listed and the regularity scan of
+    255 * 256^2 pairs is refused; from 14 elements on, NextClosure over
+    more than the spectrum budget is refused.  Both exit 3 at once."""
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    zeros = [[0] * n for _ in range(n)]
+    ops = {"join": zeros, "meet": zeros, "star": zeros, "imp": zeros, "zero": 0, "one": n - 1}
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps({"size": n, "ops": ops}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "sheaf", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    limit = "16711680 ideal pairs over closure budget 1048576" if n == 9 else "(size %d) over bound 12" % n
+    assert err.startswith("resource bound: ") and limit in err
+
+
 def test_sheaf_of_the_one_element_algebra(tmp_path, capsys):
     """No point, one section (the empty tuple), and eta an isomorphism."""
     ops = {"join": [[0]], "meet": [[0]], "star": [[0]], "imp": [[0]], "zero": 0, "one": 0}

@@ -9,14 +9,13 @@ import random
 import pytest
 
 import oracles
-from reslat.algebra import ChainSpec, make_chain
+from reslat.algebra import ChainSpec, lattice_reduct, make_chain
 from reslat.amalgam import (
     AmalgamProblem,
     discriminator_check,
     ideal_generate,
     ideal_join_characterize,
     interpolant_search,
-    is_ideal,
     is_relatively_complemented,
     superamalgam_check,
 )
@@ -24,7 +23,7 @@ from reslat.corpus import corpus_algebras
 from reslat.free import atoms, hereditary_closed, is_atomic
 from reslat.kripke import mutate_table, random_kripke
 from reslat.logic import isolated_dense_check, join_of_atoms_is_one, type_space
-from reslat.spectra import generate_filter, is_filter, upset
+from reslat.spectra import generate_filter, upset
 
 
 def single_faults(algs, per_op=4, seed=0):
@@ -102,19 +101,22 @@ def candidate_sets(alg, rng):
     for x in range(alg.size):
         down = {b for b in range(alg.size) if alg.leq(b, x)}
         for s in (oracles.upset(alg, x), down, generate_filter(alg, [x]).members,
-                  ideal_generate(alg, [x]).members):
+                  ideal_generate(alg, [x])):
             out += [frozenset(s), frozenset(s) ^ {rng.randrange(alg.size)}]
     return out
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_is_filter_and_is_ideal_match_loops(family):
+    """A set is a filter (an ideal) iff it is its own generated filter
+    (ideal); the lattice ideals are those of the lattice reduct."""
     rng = random.Random(1)
     for alg in FAMILIES[family]:
+        lattice = lattice_reduct(alg)
         for s in candidate_sets(alg, rng):
-            assert is_filter(alg, s) == oracles.is_filter(alg, s), (alg.name, s)
-            for mode in ("auto", "lattice"):
-                assert is_ideal(alg, s, mode) == oracles.is_ideal(alg, s, mode), (alg.name, s)
+            assert (generate_filter(alg, s).members == s) == oracles.is_filter(alg, s), (alg.name, s)
+            for a in (alg, lattice):
+                assert (ideal_generate(a, s) == s) == oracles.is_ideal(a, s), (a.name, s)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

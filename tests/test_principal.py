@@ -26,15 +26,12 @@ from reslat.algebra import (
     principal_closed,
     product,
 )
-from reslat.amalgam import ideal_congruence
+from reslat.amalgam import enumerate_ideals, ideal_congruence, ideal_generate
 from reslat.corpus import corpus_algebras
 from reslat.free import boolean_variety, free_algebra
 from reslat.kripke import random_kripke
 from reslat.sheaf import (
-    _kernel_ideals,
-    _kernel_ops,
     default_operators,
-    kernel_ideal_generate,
     prime_ideals_of,
     regular_ideals_open_sets,
     sheaf_reduct,
@@ -82,6 +79,12 @@ def problems(alg):
     return out
 
 
+def kernel_ops(alg, operators):
+    """(binary, unary) closure ops of a kernel ideal: oplus (else join) and
+    the operators."""
+    return [oracles.additive(alg)], list(operators)
+
+
 def nr_problems(alg):
     """The kernel-ideal problems of `dual_sheaf` on Nr_J, for every J."""
     dims = sorted(int(n[2:]) for n in alg.signature.names() if n.startswith("c_"))
@@ -112,14 +115,14 @@ def test_enumerate_closed_matches_dfs(family):
 def test_kernel_ideals_over_nr_match_dfs():
     for alg in CORPUS + KRIPKE:
         for reduct, nr, outside in nr_problems(alg):
-            ideals = _kernel_ideals(reduct, nr, outside)
-            ops = _kernel_ops(reduct, outside)
+            ideals = enumerate_ideals(reduct, outside, nr)
+            ops = kernel_ops(reduct, outside)
             assert ideals == oracles.enumerate_closed(reduct, nr, False, reduct.zero, *ops)
             assert prime_ideals_of(reduct, nr, outside) == oracles.prime_ideals_of(
                 reduct, nr, outside
             )
             every = range(reduct.size)
-            ideals = _kernel_ideals(reduct, every, outside)
+            ideals = enumerate_ideals(reduct, outside, every)
             assert ideals == oracles.enumerate_closed(reduct, every, False, reduct.zero, *ops)
             for ideal in ideals:
                 assert ideal_congruence(reduct, ideal) == oracles.stalk_congruence(reduct, ideal)
@@ -127,14 +130,14 @@ def test_kernel_ideals_over_nr_match_dfs():
 
 def test_regular_ideals_match_generated_ideals():
     """Regular ideals (Ig(I & Zd) = I) read off the enumeration agree with
-    one `kernel_ideal_generate` per DFS ideal."""
+    one `ideal_generate` per DFS ideal."""
     for alg in CORPUS + KRIPKE:
         ops = default_operators(alg)
         reduct = sheaf_reduct(alg, ops)
         zd = set(zero_dim(alg, ops)[0])
         ideals = oracles.enumerate_closed(reduct, range(reduct.size), False, reduct.zero,
-                                          *_kernel_ops(reduct, ops))
-        regular = [i for i in ideals if kernel_ideal_generate(reduct, i & zd, ops) == i]
+                                          *kernel_ops(reduct, ops))
+        regular = [i for i in ideals if ideal_generate(reduct, i & zd, ops) == i]
         report = regular_ideals_open_sets(alg, operators=ops)
         assert report["regular_ideals"] == len(regular), alg.name
 
@@ -284,7 +287,7 @@ def test_next_closure_matches_dfs_on_partial_orders(monkeypatch):
         for problem in problems(alg):
             assert enumerate_closed(alg, *problem) == oracles.enumerate_closed(alg, *problem)
         for reduct, nr, outside in nr_problems(alg):
-            ops = _kernel_ops(reduct, outside)
+            ops = kernel_ops(reduct, outside)
             for universe in (nr, range(reduct.size)):
                 problem = (universe, False, reduct.zero, *ops)
                 assert enumerate_closed(reduct, *problem) == oracles.enumerate_closed(
@@ -323,7 +326,7 @@ def test_benchmark_problems_take_the_principal_path():
         for problem in problems(alg):
             assert principal_closed(alg, *problem) is not None, (alg.name, problem)
         for reduct, nr, outside in nr_problems(alg):
-            ops = _kernel_ops(reduct, outside)
+            ops = kernel_ops(reduct, outside)
             for universe in (nr, range(reduct.size)):
                 problem = (universe, False, reduct.zero, *ops)
                 assert principal_closed(reduct, *problem) is not None, (alg.name, outside)

@@ -16,14 +16,14 @@ from reslat.algebra import (
     make_chain,
     product,
 )
+from reslat.amalgam import enumerate_ideals, ideal_generate
+from reslat.budgets import Budget
 from reslat.corpus import corpus_algebras
-from reslat.errors import DomainError
+from reslat.errors import DomainError, ResourceError
 from reslat.kripke import KripkeSystem, dimension_set, set_algebra
 from reslat.sheaf import (
-    _kernel_ideals,
     dual_sheaf,
     eta_check,
-    kernel_ideal_generate,
     regular_ideals_open_sets,
     regularity,
     report,
@@ -232,6 +232,40 @@ def test_regular_ideals_on_chain():
         assert rep["isomorphism"], (alg.name, rep)
 
 
+def all_zero(n):
+    """join, meet, star and imp all 0: only 0 lies below anything, so
+    every set of elements holding 0 is a kernel ideal."""
+    zeros = [[0] * n for _ in range(n)]
+    tables = {"join": zeros, "meet": zeros, "star": zeros, "imp": zeros, "zero": 0, "one": n - 1}
+    return FiniteAlgebra("zeros", n, Signature(CORE_OPS), tables)
+
+
+def test_kernel_ideal_next_closure_is_gated_by_the_bound():
+    """A universe is listed at any size on the principal path; its
+    NextClosure fallback runs up to the bound (default the spectrum
+    budget) and is refused beyond it."""
+    alg = all_zero(9)
+    assert len(enumerate_ideals(alg, (), range(9))) == 256
+    with pytest.raises(ResourceError, match=r"\(size 9\) over bound 8"):
+        enumerate_ideals(alg, (), range(9), bound=8)
+    with pytest.raises(ResourceError, match=r"\(size 13\) over bound 12"):
+        enumerate_ideals(all_zero(13), (), range(13), budget=Budget())
+    big = product([core_reduct(luk(6))] * 2)  # 36 elements, every ideal principal
+    assert len(enumerate_ideals(big, (), range(36), budget=Budget())) == 36
+
+
+def test_regularity_scan_is_gated_by_the_closure_budget():
+    """godel:5 has 5 ideals, 4 proper: 4 * 5^2 = 100 pairs.  luk:6 x luk:6
+    has 36, 35 proper: 45,360 pairs, the most of any corpus algebra, far
+    inside the default budget."""
+    assert regularity(godel(5), budget=Budget(closure=100)) == regularity(godel(5))
+    with pytest.raises(ResourceError, match="100 ideal pairs over closure budget 99"):
+        regularity(godel(5), budget=Budget(closure=99))
+    big = product([core_reduct(luk(6))] * 2)
+    with pytest.raises(ResourceError, match="45360 ideal pairs over closure budget 45359"):
+        regularity(big, budget=Budget(closure=45359))
+
+
 def test_regular_ideals_on_kripke():
     system = KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2)
     ksa = set_algebra(system, with_diagonals=True)
@@ -245,7 +279,7 @@ def test_kernel_ideal_generation_respects_operators():
     atom = next(
         x for x in range(pc.size) if x != pc.zero and pc.apply("c_0", x) != x
     )
-    ideal = kernel_ideal_generate(reduct, [atom], ["c_0"])
+    ideal = ideal_generate(reduct, [atom], ["c_0"])
     assert pc.apply("c_0", atom) in ideal
 
 
@@ -277,7 +311,7 @@ def test_kernel_ideals_match_brute_force():
     # and a subset the operations leave, where closure is only checked inside
     lower = range(pc.size // 2)
     for sub in (zd, lower):
-        assert _kernel_ideals(pc, sub, ["c_0"]) == brute_force_kernel_ideals(pc, sub, ["c_0"])
+        assert enumerate_ideals(pc, ["c_0"], sub) == brute_force_kernel_ideals(pc, sub, ["c_0"])
     # generation: the least kernel ideal over each seed
     small = sheaf_reduct(coordinate_closure_product([luk(2), luk(3)]))
     for alg, ops in ((luk(3), []), (godel(4), []), (ba4(), []), (small, ["c_0"])):
@@ -285,7 +319,7 @@ def test_kernel_ideals_match_brute_force():
         for r in range(3):
             for seed in combinations(range(alg.size), r):
                 least = frozenset.intersection(*[s for s in every if s >= set(seed)])
-                assert kernel_ideal_generate(alg, seed, ops) == least, (alg.name, seed)
+                assert ideal_generate(alg, seed, ops) == least, (alg.name, seed)
 
 
 def test_report_shape():
