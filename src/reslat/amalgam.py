@@ -12,6 +12,7 @@ from .algebra import (
     _axiom_failures,
     _evaluate,
     _grid_chunks,
+    _take_grid,
     enumerate_closed,
     generate_closed,
     homomorphisms,
@@ -64,7 +65,7 @@ def enumerate_ideals(alg, operators=(), universe=None, bound=None, budget=None):
 def ideal_join_characterize(alg, m_ideal, n_ideal):
     """Ig(M u N) = {x : x <= b (+) c for b in M, c in N}, exhaustively."""
     add = alg.np_table(_additive(alg))
-    sums = add[numpy.ix_(sorted(m_ideal), sorted(n_ideal))].ravel()
+    sums = add.take(sorted(m_ideal), 0).take(sorted(n_ideal), 1).ravel()
     described = numpy.flatnonzero(alg.order[:, sums].any(axis=1))
     return ideal_generate(alg, m_ideal | n_ideal) == frozenset(described.tolist())
 
@@ -208,7 +209,7 @@ def _filter_congruences(alg):
     imp = alg.np_table("imp")
     out = []
     for f in principal_closed(alg, range(alg.size), True, alg.one, ["star"]):
-        related = f[imp] & f[imp.T]
+        related = f.take(imp) & f.take(imp.T)
         out.append(tuple(related.argmax(axis=1).tolist()))  # least related
     return out
 
@@ -216,12 +217,11 @@ def _filter_congruences(alg):
 def _respects(alg, theta):
     """Whether the canonical tuple theta is compatible with every table:
     an op's value class depends only on its arguments' classes."""
-    r = numpy.asarray(theta)
+    r = numpy.asarray(theta, dtype=numpy.int32)
     for name, arity in alg.signature.ops:
         if arity:
             t = alg.np_table(name)
-            at_classes = t[r] if arity == 1 else t[r[:, None], r[None, :]]
-            if not numpy.array_equal(r[t], r[at_classes]):
+            if not numpy.array_equal(r.take(t), r.take(_take_grid(t, r))):
                 return False
     return True
 
@@ -395,7 +395,7 @@ def superamalgam_check(problem, d, k, h):
     """Order reflection: k(a) <= h(b) forces a C-interpolant t with
     a <= m(t) and n(t) <= b; checked over all |A| x |B| pairs."""
     k, h = numpy.asarray(k), numpy.asarray(h)
-    related = d.order[k[:, None], h]  # [x, y]: k(x) <= h(y)
+    related = d.order.take(k, 0).take(h, 1)  # [x, y]: k(x) <= h(y)
     # [x, y]: some t with x <= m(t) and n(t) <= y, a boolean matrix product
     interpolated = problem.a.order[:, list(problem.m)] @ problem.b.order[list(problem.n)]
     return not (related & ~interpolated).any()

@@ -264,7 +264,11 @@ def cmd_sheaf(args):
     from .sheaf import report
 
     alg = load_algebra(args.algebra)
-    payload = report(alg)
+    try:
+        payload = report(alg, with_eta=args.eta, with_regularity=args.regularity)
+    except ResourceError as exc:  # name the input, not only the reduct the bound met
+        exc.args = ("%s: %s" % (args.algebra, exc),)
+        raise
     lines = [
         "%s: %d base points, stalks %s, %d sections"
         % (

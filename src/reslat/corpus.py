@@ -225,18 +225,18 @@ def _join_meet_residuals_empty(alg, space, parts=3):
     J = alg.np_table("join")
     M = alg.np_table("meet")
     # pairs
-    join_res = vm[J] & ~(vm[:, None] | vm[None, :])
-    meet_res = (vm[:, None] & vm[None, :]) & ~vm[M]
+    join_res = vm.take(J) & ~(vm[:, None] | vm[None, :])
+    meet_res = (vm[:, None] & vm[None, :]) & ~vm.take(M)
     if join_res.any() or meet_res.any():
         return False
     if parts >= 3:
         for a1 in range(n):
-            j2 = J[a1][J]  # join(a1, join(a2, a3))
-            res = vm[j2] & ~(vm[a1] | vm[:, None] | vm[None, :])
+            j2 = J[a1].take(J)  # join(a1, join(a2, a3))
+            res = vm.take(j2) & ~(vm[a1] | vm[:, None] | vm[None, :])
             if res.any():
                 return False
-            m2 = M[a1][M]
-            res = (vm[a1] & vm[:, None] & vm[None, :]) & ~vm[m2]
+            m2 = M[a1].take(M)
+            res = (vm[a1] & vm[:, None] & vm[None, :]) & ~vm.take(m2)
             if res.any():
                 return False
     return True

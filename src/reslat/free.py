@@ -186,12 +186,17 @@ def free_algebra(variety, n, coords=None, budget=None):
     gens_of = [variety.generators[ai] for ai, _ in coords]
     sig = variety.signature
     packing = _RowKeys([g.size for g in gens_of])
-    ctabs = {op: [g.np_table(op) for g in gens_of] for op, ar in sig.ops if ar > 0}
-    # an op with the same table objects as an earlier one (odot and star of
-    # a Lukasiewicz chain) shares its keys and its result table
+    # an op whose arity and tables, in every variety generator, equal an
+    # earlier op's (oplus and join, odot, star and meet on luk:2) shares
+    # its keys and its result table; the arity keeps a unary table apart
+    # from a binary one with the same entries on a one-element generator
     first = {}
-    alias = {op: first.setdefault(tuple(map(id, ts)), op) for op, ts in ctabs.items()}
-    shifted = {op: packing.shifted(ctabs[op]) for op in first.values()}
+    alias = {
+        op: first.setdefault((ar, *(g.np_table(op).tobytes() for g in variety.generators)), op)
+        for op, ar in sig.ops
+        if ar > 0
+    }
+    shifted = {op: packing.shifted([g.np_table(op) for g in gens_of]) for op in first.values()}
     unary = [op for op, ar in sig.ops if ar == 1 and alias[op] == op]
     binary = [op for op, ar in sig.ops if ar == 2 and alias[op] == op]
 
@@ -312,7 +317,7 @@ def relativize(alg, b):
     position = np.zeros(alg.size, dtype=np.int32)
     position[sub] = np.arange(len(sub))
     name = "Rl_%s(%s)" % (alg.label(b), alg.name)
-    out, _ = alg.restrict(name, sub, position[meet_b], labels=[alg.label(x) for x in sub.tolist()])
+    out, _ = alg.restrict(name, sub, position.take(meet_b), labels=[alg.label(x) for x in sub.tolist()])
     out.embedding = tuple(sub.tolist())  # position i holds original element sub[i]
     return out
 
@@ -322,7 +327,7 @@ def hereditary_closed(alg, b, op_names=None):
     if op_names is None:
         op_names = alg.extra_operator_names()
     below = np.flatnonzero(alg.order[:, b])
-    moved = np.array([alg.np_table(name)[below] != below for name in op_names], dtype=bool)
+    moved = np.array([alg.np_table(name).take(below) != below for name in op_names], dtype=bool)
     moved = moved.reshape(len(op_names), len(below))  # [op, x]: op(x) != x
     bare = np.flatnonzero(moved.any(axis=0))
     if not len(bare):

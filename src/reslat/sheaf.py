@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy
 
 from . import budgets
-from .algebra import FiniteAlgebra, bitmask, splits, union_closure
+from .algebra import FiniteAlgebra, _take_grid, bitmask, splits, union_closure
 from .amalgam import (
     all_congruences,
     enumerate_ideals,
@@ -60,7 +60,7 @@ def zero_dim(alg, operators=None):
     for name in ("join", "meet", "imp"):
         if name not in alg.signature:
             continue
-        out = ~inside[alg.np_table(name)[numpy.ix_(at, at)]]
+        out = ~inside.take(_take_grid(alg.np_table(name), at))
         if out.any():
             x, y = numpy.unravel_index(out.argmax(), out.shape)
             return tuple(zd), (name, (zd[x], zd[y]))
@@ -402,19 +402,20 @@ def regular_ideals_open_sets(alg, sheaf=None, operators=None, budget=None):
     }
 
 
-def report(alg, operators=None, budget=None):
-    """Sheaf report: base points, stalk sizes, section count, eta verdict,
-    regularity triple."""
+def report(alg, operators=None, budget=None, with_eta=True, with_regularity=True):
+    """Sheaf report: base points, stalk sizes and section count, plus the
+    eta verdict `with_eta` and the regularity triple `with_regularity`.
+    A part that is not asked for is neither computed nor reported."""
     ops = default_operators(alg) if operators is None else list(operators)
     sheaf = dual_sheaf(alg, operators=ops, budget=budget)
-    secs = sections(sheaf, budget=budget)
-    eta_ok, _ = eta_check(alg, sheaf, budget=budget)
-    reg = regularity(alg, ops, budget=budget)
-    return {
+    out = {
         "format": "reslat/1",
         "base_points": [sorted(p) for p in sheaf.points],
         "stalk_sizes": [q.size for q in sheaf.stalks],
-        "section_count": len(secs),
-        "eta_isomorphism": eta_ok,
-        "regularity": reg,
+        "section_count": len(sections(sheaf, budget=budget)),
     }
+    if with_eta:
+        out["eta_isomorphism"] = eta_check(alg, sheaf, budget=budget)[0]
+    if with_regularity:
+        out["regularity"] = regularity(alg, ops, budget=budget)
+    return out

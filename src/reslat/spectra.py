@@ -220,10 +220,10 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     vl = _members(alg, lat_primes)
     join, meet, star = (alg.np_table(name) for name in ("join", "meet", "star"))
     pairs = [
-        ("i-dm-join", ((dm[:, None] & dm[None]) == dm[join]).all(-1)),
-        ("ii-dm-meet", ((dm[:, None] | dm[None]) == dm[meet]).all(-1)
-         & (dm[meet] == dm[star]).all(-1)),
-        ("v-vm-meet", ((vm[:, None] & vm[None]) == vm[meet]).all(-1)),
+        ("i-dm-join", ((dm[:, None] & dm[None]) == dm.take(join, 0)).all(-1)),
+        ("ii-dm-meet", ((dm[:, None] | dm[None]) == dm.take(meet, 0)).all(-1)
+         & (dm.take(meet, 0) == dm.take(star, 0)).all(-1)),
+        ("v-vm-meet", ((vm[:, None] & vm[None]) == vm.take(meet, 0)).all(-1)),
         # [a, b]: a <= b iff no lattice prime holds a but not b
         ("vi-separation-iff", alg.order == ~(vl[:, None] & ~vl[None]).any(-1)),
     ]

@@ -322,20 +322,42 @@ def test_algebra_file_errors_name_their_file(tmp_path, capsys):
 def test_sheaf_of_all_zero_tables_exit_code(tmp_path, capsys, monkeypatch, n):
     """join, meet, star and imp all 0: the order is no partial order, so
     every subset of the nonzero elements with 0 is an ideal.  At 9
-    elements the 256 ideals are listed and the regularity scan of
-    255 * 256^2 pairs is refused; from 14 elements on, NextClosure over
-    more than the spectrum budget is refused.  Both exit 3 at once."""
+    elements the 256 ideals are listed and, under --regularity, the
+    regularity scan of 255 * 256^2 pairs is refused; from 14 elements
+    on, NextClosure over more than the spectrum budget is refused while
+    the sheaf is built.  Both exit 3 at once."""
     monkeypatch.delenv("RESLAT_BUDGET", raising=False)
     zeros = [[0] * n for _ in range(n)]
     ops = {"join": zeros, "meet": zeros, "star": zeros, "imp": zeros, "zero": 0, "one": n - 1}
     path = tmp_path / "zeros.json"
     path.write_text(json.dumps({"size": n, "ops": ops}))
+    flags = ["--regularity"] if n == 9 else []
     start = time.perf_counter()
-    code, _, err = run(capsys, "sheaf", str(path))
+    code, _, err = run(capsys, "sheaf", str(path), *flags)
     assert time.perf_counter() - start < 1
     assert code == 3
     limit = "16711680 ideal pairs over closure budget 1048576" if n == 9 else "(size %d) over bound 12" % n
     assert err.startswith("resource bound: ") and limit in err
+
+
+def test_sheaf_runs_only_the_parts_its_flags_ask_for(tmp_path, capsys, monkeypatch):
+    """luk:6 x luk:6, a corpus algebra of 36 elements: the sheaf report
+    passes on its own, and only --regularity meets the congruence bound,
+    whose message names the file."""
+    from reslat.algebra import ChainSpec, core_reduct, make_chain, product
+
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    luk6 = core_reduct(make_chain(ChainSpec("lukasiewicz", 6)))
+    path = tmp_path / "luk6-squared.json"
+    path.write_text(product([luk6, luk6]).dumps())
+    code, out, _ = run(capsys, "--json", "sheaf", str(path), "--eta")
+    report = json.loads(out)
+    assert code == 0
+    assert (report["section_count"], report["eta_isomorphism"]) == (36, True)
+    assert "regularity" not in report
+    code, _, err = run(capsys, "sheaf", str(path), "--regularity")
+    assert code == 3
+    assert err.startswith("resource bound: %s: congruence lattice of " % path)
 
 
 def test_sheaf_of_the_one_element_algebra(tmp_path, capsys):

@@ -1,18 +1,27 @@
 """Free algebras, atoms, relativization and the decomposition theorems."""
 
+import random
 from itertools import product as iproduct
 
+import numpy
 import pytest
 
 import oracles
 from reslat.algebra import (
     ChainSpec,
+    FiniteAlgebra,
+    complement,
     core_reduct,
+    first_hom_failure,
+    generating_sequence,
+    homomorphisms,
     is_homomorphism,
+    iso_check,
     make_chain,
     product,
     subalgebra_generate,
 )
+from reslat.amalgam import ideal_congruence, ideal_generate, quotient
 from reslat.errors import NotComplementedError, PreconditionError, ResourceError
 from reslat.free import (
     FreeAlgebra,
@@ -126,6 +135,14 @@ def _cores(kind, *sizes):
     return VarietySpec(tuple(core_reduct(make_chain(ChainSpec(kind, k))) for k in sizes))
 
 
+def _trivial_mv():
+    """The one-element MV algebra: its unary neg holds the same bytes as
+    each of its binary tables, so only the arity tells them apart."""
+    sig = make_chain(ChainSpec("lukasiewicz", 2)).signature
+    tables = {op: [0] if ar == 1 else [[0]] if ar == 2 else 0 for op, ar in sig.ops}
+    return VarietySpec((FiniteAlgebra("mv1", 1, sig, tables),))
+
+
 CLOSURE_CASES = [
     pytest.param(boolean_variety, n, id="ba-%d" % n) for n in (1, 2, 3)
 ] + [
@@ -137,6 +154,7 @@ CLOSURE_CASES = [
     pytest.param(lambda: _cores("lukasiewicz", 4), 1, id="core-luk:4-1"),
     pytest.param(lambda: _cores("lukasiewicz", 2, 3, 4), 1, id="core-luk:2..4-1"),
     pytest.param(lambda: _cores("godel", 3), 2, id="core-godel:3-2"),
+    pytest.param(_trivial_mv, 2, id="trivial-mv-2"),
 ]
 
 
@@ -407,3 +425,88 @@ def test_build_report_shape():
     assert rep["atom_count"] == 2
     assert rep["universal_property"] is True
     assert len(rep["coordinates"]) == 2
+
+
+def test_ops_with_equal_tables_share_one_slot():
+    """On luk:2, oplus is join and odot and star are meet, as tables of
+    equal values: Fr_3(BA) builds and keeps one table for each."""
+    alg = free_algebra(boolean_variety(), 3).algebra
+    assert alg._stacks[2].shape == (3, 256, 256)
+    assert alg._stacks[1].shape == (1, 256)
+    slot = alg._slot
+    assert slot["oplus"] == slot["join"] and slot["odot"] == slot["star"] == slot["meet"]
+    assert len({slot["join"], slot["meet"], slot["imp"]}) == 3
+
+
+def _twin(alg):
+    """The algebra again, with every table a distinct copy, so that no two
+    ops share a slot."""
+    tables = {op: t if type(t) is int else numpy.array(t) for op, t in alg.tables.items()}
+    return FiniteAlgebra(alg.name, alg.size, alg.signature, tables, labels=alg.labels)
+
+
+def _shared_ops(alg):
+    """The ops of arity 1 or 2 whose slot holds another op too."""
+    ops = [(op, ar) for op, ar in alg.signature.ops if ar]
+    return [op for op, ar in ops if sum(alg._slot[o] == alg._slot[op] and a == ar for o, a in ops) > 1]
+
+
+TWIN_CASES = [
+    pytest.param(lambda: free_algebra(boolean_variety(), 2).algebra, id="ba-fr2"),
+    pytest.param(lambda: free_algebra(boolean_variety(), 3).algebra, id="ba-fr3"),
+    pytest.param(lambda: product([make_chain(ChainSpec("lukasiewicz", 2))] * 2), id="luk:2^2"),
+    pytest.param(lambda: product([make_chain(ChainSpec("lukasiewicz", 2))] * 3), id="luk:2^3"),
+]
+
+
+@pytest.mark.parametrize("build", TWIN_CASES)
+def test_shared_slots_give_what_distinct_tables_give(build):
+    """An algebra whose ops share slots, and its twin whose tables are all
+    distinct copies, give equal products, relativizations, quotients,
+    homomorphisms, isomorphisms and first homomorphism failures, also
+    after one entry of a shared op changes."""
+    alg = build()
+    twin = _twin(alg)
+    assert _shared_ops(alg) and not _shared_ops(twin)
+    assert oracles.table_lists(twin) == oracles.table_lists(alg)
+
+    def same(f):
+        got = f(alg)
+        assert f(twin) == got
+        return got
+
+    def product_of(*factors):
+        p = product(list(factors))
+        return oracles.table_lists(p), p.labels
+
+    if alg.size <= 16:
+        assert product_of(alg, twin) == same(lambda x: product_of(x, x))
+    rng = random.Random(18)
+    for b in rng.sample(range(alg.size), min(alg.size, 6)):
+        same(lambda x: (oracles.table_lists(relativize(x, b)), relativize(x, b).embedding))
+        c = complement(alg, b)
+        same(lambda x: product_of(relativize(x, b), relativize(x, c)))  # of alg.size elements
+        theta = same(lambda x: ideal_congruence(x, ideal_generate(x, [b])))
+        same(lambda x: (oracles.table_lists(quotient(x, theta)[0]), quotient(x, theta)[1]))
+    luk2 = make_chain(ChainSpec("lukasiewicz", 2))
+    gens = generating_sequence(alg)
+    assert len(same(lambda x: homomorphisms(x, luk2, gens=gens))) == len(atoms(alg))
+    homs = same(lambda x: homomorphisms(x, x, gens=gens, limit=4))
+    assert homomorphisms(alg, twin, gens=gens, limit=4) == homs
+    m = same(lambda x: iso_check(x, x, gens=gens))
+    assert m is not None and iso_check(alg, twin, gens=gens) == iso_check(twin, alg, gens=gens) == m
+    identity = list(range(alg.size))
+    for op in _shared_ops(alg):
+        ar = alg.signature.arity(op)
+        for _ in range(2):
+            position = tuple(rng.randrange(alg.size) for _ in range(ar))
+            value = (alg.apply(op, *position) + 1 + rng.randrange(alg.size - 1)) % alg.size
+            fault = mutate_table(alg, op, position, value)
+            for pair in ((fault, alg), (alg, fault)):
+                want = oracles.first_hom_failure(*pair, identity)
+                assert want is not None
+                assert first_hom_failure(*pair, identity) == want, (op, position)
+                twins = tuple(map(_twin, pair))
+                assert first_hom_failure(*twins, identity) == want, (op, position)
+                if alg.size <= 16:
+                    assert product_of(*pair) == product_of(*twins), (op, position)
