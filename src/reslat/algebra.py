@@ -248,6 +248,20 @@ class FiniteAlgebra:
         """Lattice order: whether a <= b, read from `order`."""
         return bool(self.order[a, b])
 
+    def meet_all(self, xs):
+        """The meet of xs, folded left to right from 1 (the empty meet)."""
+        acc, meet = self.one, self.cells["meet"]
+        for x in xs:
+            acc = meet[acc, x]
+        return acc
+
+    def join_all(self, xs):
+        """The join of xs, folded left to right from 0 (the empty join)."""
+        acc, join = self.zero, self.cells["join"]
+        for x in xs:
+            acc = join[acc, x]
+        return acc
+
     def label(self, i):
         if self.labels is not None:
             return self.labels[i]
@@ -275,6 +289,12 @@ class FiniteAlgebra:
             for n, ar in self.signature.ops
             if ar == 1 and n not in STRUCTURAL_NAMES
         ]
+
+    def moved(self, ops):
+        """Bool matrix whose entry [i, x] says whether the unary op ops[i]
+        moves x; x is a fixed point of every op where its column is False."""
+        tables = numpy.array([self.np_table(name) for name in ops], dtype=numpy.int32)
+        return tables.reshape(-1, self.size) != numpy.arange(self.size)
 
     def np_table(self, name):
         """The int32 table of an op, for the bulk kernels: its `tables`

@@ -152,10 +152,7 @@ def ideal_congruence(alg, ideal):
     answer; otherwise the pairs are closed with `congruence_closure`."""
     n, zero = alg.size, alg.zero
     join = alg.np_table("join")
-    m = zero
-    for a in ideal:
-        m = join[m, a]
-    key = join[:, m]
+    key = join[:, alg.join_all(ideal)]
     if (join[:, zero] == numpy.arange(n)).all() and (key[list(ideal)] == key[zero]).all():
         _, first, inverse = numpy.unique(key, return_index=True, return_inverse=True)
         theta = tuple(first[inverse].tolist())  # least member of each class
@@ -443,10 +440,13 @@ def interpolant_search(alg, x1, x2, x, z, tau_bound=None, budget=None):
 def discriminator_check(alg, d_table):
     """The three schemata for a unary discriminator-style term:
     (a) x <= d(x); (b) d(d(x)) <= d(x); (c) f(x) <= d(x) for every
-    extra operator f.  Returns (bool, violations)."""
+    extra operator f.  Returns (bool, violations).  A table of the wrong
+    length, or with an entry that is no element, is a DomainError."""
     if len(d_table) != alg.size:
         raise DomainError("d table has wrong length")
     d = numpy.asarray(d_table, dtype=numpy.intp)
+    if ((d < 0) | (d >= alg.size)).any():
+        raise DomainError("d table entries must be elements 0..%d" % (alg.size - 1))
     # per schema: its operator, if any, and at x the element that must lie below d(x)
     schemata = [("a", None, numpy.arange(alg.size)), ("b", None, d[d])]
     schemata += [("c", name, alg.np_table(name)) for name in alg.extra_operator_names()]
@@ -489,8 +489,9 @@ def gratzer_schmidt_check(alg, bound=None, budget=None):
     """Ideal/congruence correspondence on the bounded-lattice reduct.
 
     Computes both lattices, tests the canonical map I |-> Co(I) for being
-    an order isomorphism, independently tests distributivity + relative
-    complementation + minimum, and asserts the biconditional.
+    an order isomorphism, independently tests distributivity and relative
+    complementation (a finite lattice always has a minimum), and asserts
+    the biconditional.
     """
     budget = budget or budgets.from_env()
     lat = lattice_reduct(alg)
@@ -505,12 +506,11 @@ def gratzer_schmidt_check(alg, bound=None, budget=None):
     correspondence = injective and surjective and monotone
     distributive = is_distributive(lat)
     relatively_complemented = is_relatively_complemented(lat)
-    conditions = distributive and relatively_complemented and lat.zero is not None
+    conditions = distributive and relatively_complemented
     return {
         "correspondence": correspondence,
         "distributive": distributive,
         "relatively_complemented": relatively_complemented,
-        "has_minimum": True,
         "conditions": conditions,
         "biconditional": correspondence == conditions,
     }

@@ -14,6 +14,8 @@ import numpy as np
 
 from .algebra import (
     ChainSpec,
+    FiniteAlgebra,
+    Signature,
     check_class_axioms,
     core_reduct,
     is_homomorphism,
@@ -25,6 +27,10 @@ from .algebra import (
 from .amalgam import (
     CongruencePair,
     cp_extend,
+    discriminator_check,
+    enumerate_ideals,
+    gratzer_schmidt_check,
+    ideal_join_characterize,
     interpolant_search,
     principal_congruence_on,
 )
@@ -35,11 +41,13 @@ from .free import (
     boolean_variety,
     free_algebra,
     free_product_decomposition_check,
+    is_freely_generated_by,
 )
 from .kripke import (
     KripkeSystem,
     detect_fault,
     mutate_table,
+    neat_reduct,
     random_kripke,
     set_algebra,
     verify_kripke,
@@ -49,12 +57,15 @@ from .logic import (
     first_valuation,
     generic_filter,
     is_tautology,
+    isolated_dense_check,
+    join_of_atoms_is_one,
     parse,
     valuation_grid,
 )
-from .sheaf import dual_sheaf, eta_check, regular_ideals_open_sets
+from .sheaf import dual_sheaf, eta_check, regular_ideals_open_sets, strongly_regular_equiv_check
 from .spectra import (
     hausdorff_witness,
+    nowhere_dense_check,
     verify_dm_lemma,
     zariski_sets,
 )
@@ -183,8 +194,9 @@ def criterion_3():
     for n, size, natoms in ((1, 4, 2), (2, 16, 4), (3, 256, 8)):
         fr = corpus_free(n)
         got_atoms = len(atoms(fr.algebra))
-        details["Fr_%d" % n] = (fr.size, got_atoms)
-        ok &= fr.size == size and got_atoms == natoms
+        freely = is_freely_generated_by(fr, fr.generators)
+        details["Fr_%d" % n] = (fr.size, got_atoms, freely)
+        ok &= fr.size == size and got_atoms == natoms and freely
     ba = boolean_variety()
     for n in (1, 2):
         iso_ok, mapping = free_product_decomposition_check(ba, n)
@@ -215,33 +227,6 @@ def criterion_4():
 # 5 -------------------------------------------------------------------------
 
 
-def _join_meet_residuals_empty(alg, space, parts=3):
-    """Theorem d(ii) shadow, fully vectorized: the residual set of every
-    join (meet) decomposition with <= `parts` parts is empty."""
-    n = alg.size
-    vm = np.array(
-        [sum(1 << i for i in space.VM(a)) for a in range(n)], dtype=np.int64
-    )
-    J = alg.np_table("join")
-    M = alg.np_table("meet")
-    # pairs
-    join_res = vm.take(J) & ~(vm[:, None] | vm[None, :])
-    meet_res = (vm[:, None] & vm[None, :]) & ~vm.take(M)
-    if join_res.any() or meet_res.any():
-        return False
-    if parts >= 3:
-        for a1 in range(n):
-            j2 = J[a1].take(J)  # join(a1, join(a2, a3))
-            res = vm.take(j2) & ~(vm[a1] | vm[:, None] | vm[None, :])
-            if res.any():
-                return False
-            m2 = M[a1].take(M)
-            res = (vm[a1] & vm[:, None] & vm[None, :]) & ~vm.take(m2)
-            if res.any():
-                return False
-    return True
-
-
 @_criterion("5 spectra laws on the corpus")
 def criterion_5():
     details = []
@@ -262,9 +247,10 @@ def criterion_5():
                 except Exception as exc:  # genuine failure, report it
                     ok = False
                     details.append((alg.name, "hausdorff", i, j, str(exc)))
-        if not _join_meet_residuals_empty(alg, space):
+        empty, witness = nowhere_dense_check(alg, space)
+        if not empty:
             ok = False
-            details.append((alg.name, "residual-not-empty"))
+            details.append((alg.name, "residual-not-empty", witness))
     return ok, details or "dm lemma + hausdorff witnesses + empty residuals on %d algebras" % len(
         corpus_algebras()
     )
@@ -309,11 +295,22 @@ def criterion_6():
 
 @_criterion("7 Kripke equational theory, 100 seeded systems + fault injection")
 def criterion_7():
+    reducts = 0
     for seed in range(100):
         _, ksa = random_kripke(seed, 3, 3, 3)
         for suite, passed, _ in verify_kripke(ksa):
             if not passed:
                 return False, (suite[0], seed) + suite[1:]
+        for mask in range(1 << ksa.alpha):
+            J = [j for j in range(ksa.alpha) if mask >> j & 1]
+            reduct, witness = neat_reduct(ksa.algebra, J)
+            if reduct is None:
+                return False, ("neat-reduct-not-closed", seed, J, witness)
+            reducts += 1
+        c_every = ksa.unary[len(ksa.G.maps) + (1 << ksa.alpha)]  # the last c row: c_(J), J every index
+        held, violations = discriminator_check(ksa.algebra, c_every)
+        if not held:
+            return False, ("not-a-discriminator", seed, violations[0])
     # exhaustive single-entry fault injection on the canonical instance
     system = KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2)
     ksa = set_algebra(system, with_diagonals=True)
@@ -329,32 +326,27 @@ def criterion_7():
             injected += 1
             if not detect_fault(ksa, mutate_table(alg, name, pos, v)):
                 return False, ("fault-missed", name, pos, v)
-    return True, "100 systems pass all suites; %d injected faults all detected" % injected
+    return True, (
+        "100 systems pass all suites, their %d neat reducts are closed and c over every index "
+        "meets the discriminator schemata; %d injected faults all detected" % (reducts, injected)
+    )
 
 
 # 8 -------------------------------------------------------------------------
 
 
 def _coordinate_closure_product(algs):
-    """Product with one extra operator closing each coordinate (0 or top)."""
-    from .algebra import FiniteAlgebra, Signature
+    """Product with one extra operator closing each coordinate (0 or top).
 
+    Element e of `product` has coordinate e // stride % size in a factor
+    of that size, stride being the product of the later factors' sizes."""
     prod = product(algs)
-    strides = []
-    n = 1
-    for a in reversed(algs):
-        strides.insert(0, n)
-        n *= a.size
-    table = []
-    for e in range(prod.size):
-        closed = 0
-        for i, a in enumerate(algs):
-            c = (e // strides[i]) % a.size
-            closed += (0 if c == a.zero else a.one) * strides[i]
-        table.append(closed)
+    e, stride, closed = np.arange(prod.size), prod.size, 0
+    for a in algs:
+        stride //= a.size
+        closed = closed + np.where(e // stride % a.size == a.zero, 0, a.one) * stride
     sig = Signature(prod.signature.ops + (("c_0", 1),))
-    tables = dict(prod.tables)
-    tables["c_0"] = table
+    tables = dict(prod.tables, c_0=closed)
     return FiniteAlgebra(
         prod.name + "+closure", prod.size, sig, tables, labels=prod.labels
     )
@@ -546,6 +538,39 @@ def criterion_11():
     return True, "prelinearity, luk:3 counter-valuation, coherence (per-connective + 2000 seeded depth-4 formulas)"
 
 
+# 12 ------------------------------------------------------------------------
+
+
+@_criterion("12 type density, Gratzer-Schmidt, strong regularity, ideal joins, atom joins")
+def criterion_12():
+    algs, details, complemented, pairs, boolean = corpus_algebras(), [], 0, 0, 0
+    for alg in algs:
+        dense, witness = isolated_dense_check(alg, bound=64)
+        if not dense:
+            details.append((alg.name, "isolated-not-dense", witness))
+        if alg.size <= 20 and not gratzer_schmidt_check(alg, bound=20)["biconditional"]:
+            details.append((alg.name, "gratzer-schmidt"))
+        regular = strongly_regular_equiv_check(alg)
+        complemented += "skipped" not in regular
+        if not regular.get("equivalent", True):
+            details.append((alg.name, "strong-regularity", regular))
+        ideals = enumerate_ideals(alg, bound=64)
+        pairs += len(ideals) ** 2
+        bad = [(sorted(m), sorted(n)) for m in ideals for n in ideals if not ideal_join_characterize(alg, m, n)]
+        if bad:
+            details.append((alg.name, "ideal-join", bad[0]))
+        is_boolean = check_class_axioms(alg, "boolean").passed
+        boolean += is_boolean
+        if join_of_atoms_is_one(alg) != is_boolean:
+            details.append((alg.name, "join-of-atoms", is_boolean))
+    return not details, details or (
+        "on %d algebras: isolated types dense; Gratzer-Schmidt biconditional on the %d of <= 20 "
+        "elements; strong regularity's three forms agree on the %d relatively complemented; "
+        "Ig(M u N) described on %d ideal pairs; atoms join to 1 exactly on the %d Boolean"
+        % (len(algs), sum(a.size <= 20 for a in algs), complemented, pairs, boolean)
+    )
+
+
 ALL_CRITERIA = [
     criterion_1,
     criterion_2,
@@ -558,6 +583,7 @@ ALL_CRITERIA = [
     criterion_9,
     criterion_10,
     criterion_11,
+    criterion_12,
 ]
 
 

@@ -292,17 +292,12 @@ def atoms(alg):
     return np.flatnonzero(minimal).tolist()
 
 
-def uncovered(alg, bottoms):
-    """The nonzero elements above none of `bottoms`, ascending."""
-    covered = alg.order[list(bottoms)].any(axis=0)
-    covered[alg.zero] = True
-    return np.flatnonzero(~covered).tolist()
-
-
 def is_atomic(alg):
     """(True, None) or (False, witness): the first nonzero element with no atom below."""
-    bare = uncovered(alg, atoms(alg))
-    return (False, bare[0]) if bare else (True, None)
+    covered = alg.order[atoms(alg)].any(axis=0)
+    covered[alg.zero] = True
+    bare = np.flatnonzero(~covered)
+    return (False, int(bare[0])) if len(bare) else (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +318,14 @@ def relativize(alg, b):
 
 
 def hereditary_closed(alg, b, op_names=None):
-    """b is hereditary closed when every operator fixes everything below b."""
+    """b is hereditary closed when every operator fixes everything below b.
+
+    Returns (True, None), or (False, (x, op)) for the first x below b that
+    an operator moves and the first op, in `op_names` order, moving it."""
     if op_names is None:
         op_names = alg.extra_operator_names()
     below = np.flatnonzero(alg.order[:, b])
-    moved = np.array([alg.np_table(name).take(below) != below for name in op_names], dtype=bool)
-    moved = moved.reshape(len(op_names), len(below))  # [op, x]: op(x) != x
+    moved = alg.moved(op_names)[:, below]  # [op, i]: op moves below[i]
     bare = np.flatnonzero(moved.any(axis=0))
     if not len(bare):
         return True, None
@@ -363,24 +360,17 @@ def decompose(alg, b):
 # ---------------------------------------------------------------------------
 
 
-def is_freely_generated_by(free, ys, variety=None):
-    """Y freely generates iff Y generates and every valuation of Y into a
-    variety generator extends to a homomorphism (uniqueness is automatic
-    once Y generates)."""
-    variety = variety or free.variety
-    alg = free.algebra
+def is_freely_generated_by(free, ys):
+    """Y freely generates Fr_n iff |Y| = n, Y generates, and the free
+    generators have the universal property: the map g_i |-> y_i then
+    extends to an endomorphism, onto because Y generates, so bijective on
+    a finite algebra, an automorphism that carries the universal property
+    of the g_i over to the y_i.  A list of the wrong length is refused."""
     ys = list(ys)
     if len(ys) != len(free.generators):
         raise PreconditionError("|Y| must match the free generator count")
-    if len(subalgebra_generate(alg, ys)) != alg.size:
-        return False
-    for g in variety.generators:
-        for v in iproduct(range(g.size), repeat=len(ys)):
-            seed = dict(zip(ys, v))
-            found = homomorphisms(alg, g, seed=seed, limit=1)
-            if not found:
-                return False
-    return True
+    alg = free.algebra
+    return len(subalgebra_generate(alg, ys)) == alg.size and universal_property_holds(free)
 
 
 def free_product_decomposition_check(variety, n, budget=None):

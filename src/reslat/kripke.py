@@ -598,7 +598,8 @@ def neat_reduct(alg, J):
     not closed under the J-indexed operations.
     """
     J = frozenset(J)
-    sub = [x for x in range(alg.size) if dimension_set(alg, x) <= J]
+    outside = ["c_%d" % j for j in cylinder_indices(alg) if j not in J]
+    sub = np.flatnonzero(~alg.moved(outside).any(axis=0)).tolist()  # Delta x inside J
     index = np.full(alg.size, -1, dtype=np.int32)
     index[sub] = np.arange(len(sub))
     keep = []

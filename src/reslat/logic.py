@@ -19,7 +19,7 @@ from .errors import (
     InvalidSpecError,
     NoGenericPointError,
 )
-from .free import VarietySpec, atoms, free_algebra, is_atomic, uncovered
+from .free import VarietySpec, atoms, free_algebra, is_atomic
 from .spectra import upset, zariski_sets
 
 # ---------------------------------------------------------------------------
@@ -441,10 +441,7 @@ def _representatives(alg, generators):
 
 def non_principal_certify(alg, elements):
     """Certificate: the finite meet of the listed elements is 0."""
-    acc = alg.one
-    for x in elements:
-        acc = alg.meet(acc, x)
-    return acc == alg.zero
+    return alg.meet_all(elements) == alg.zero
 
 
 def generic_filter(alg, inside, avoid=(), verify_nowhere_dense=False,
@@ -493,19 +490,14 @@ def type_space(alg, bound=None, budget=None):
     """Maximal filters as a spectrum, each tagged with principality
     (generated by a single element)."""
     space = zariski_sets(alg, bound=bound, budget=budget)
-    tags = []
-    for f in space.max_points:
-        m = alg.one
-        for x in f.members:
-            m = alg.meet(m, x)
-        tags.append(f.members == upset(alg, m))
+    tags = [f.members == upset(alg, alg.meet_all(f.members)) for f in space.max_points]
     return space, tags
 
 
 def isolated_dense_check(alg, space=None, tags=None, bound=None, budget=None):
     """Isolated (principal) points are dense: every nonempty basic open
-    D_M(a) contains a principal point; cross-checked through completeness:
-    every nonzero element dominates a complete (atom-like) element."""
+    D_M(a) contains a principal point.  Returns (True, None), or
+    (False, ("basic-open", a)) for the first a whose D_M(a) holds none."""
     if space is None or tags is None:
         space, tags = type_space(alg, bound=bound, budget=budget)
     principal = {i for i, t in enumerate(tags) if t}
@@ -513,12 +505,7 @@ def isolated_dense_check(alg, space=None, tags=None, bound=None, budget=None):
         dm = space.DM(a)
         if dm and not (dm & principal):
             return False, ("basic-open", a)
-    strictly_below = alg.order & ~alg.order.T  # [b, c]: b < c
-    strictly_below[alg.zero] = False
-    complete = ~strictly_below.any(axis=0)  # nothing nonzero lies strictly below c
-    complete[alg.zero] = False
-    bare = uncovered(alg, numpy.flatnonzero(complete))
-    return (False, ("completeness", bare[0])) if bare else (True, None)
+    return True, None
 
 
 def join_of_atoms_is_one(alg):
@@ -528,9 +515,4 @@ def join_of_atoms_is_one(alg):
     Holds in complemented algebras; the underlying argument needs
     b ^ -b = 0 and fails on chains, so callers should expect
     False there."""
-    if not is_atomic(alg)[0]:
-        return True
-    acc = alg.zero
-    for a in atoms(alg):
-        acc = alg.join(acc, a)
-    return acc == alg.one
+    return not is_atomic(alg)[0] or alg.join_all(atoms(alg)) == alg.one

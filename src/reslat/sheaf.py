@@ -53,10 +53,9 @@ def zero_dim(alg, operators=None):
     offending (op, args).
     """
     ops = default_operators(alg) if operators is None else list(operators)
-    zd = [x for x in range(alg.size) if all(alg.apply(f, x) == x for f in ops)]
-    inside = numpy.zeros(alg.size, dtype=bool)
-    inside[zd] = True
-    at = numpy.array(zd, dtype=numpy.intp)
+    inside = ~alg.moved(ops).any(axis=0)
+    at = numpy.flatnonzero(inside)
+    zd = at.tolist()
     for name in ("join", "meet", "imp"):
         if name not in alg.signature:
             continue
@@ -123,11 +122,7 @@ def dual_sheaf(alg, J=frozenset(), operators=None, budget=None):
             continue
         outside.append(f)
     reduct = sheaf_reduct(alg, outside)
-    nr = tuple(
-        x
-        for x in range(alg.size)
-        if all(alg.apply(f, x) == x for f in outside)
-    )
+    nr = tuple(numpy.flatnonzero(~alg.moved(outside).any(axis=0)).tolist())
     points = prime_ideals_of(reduct, nr, outside, budget)
     stalks, projections = [], []
     for x in points:
@@ -151,11 +146,8 @@ def sections(sheaf, budget=None):
     npts = len(sheaf.points)
     # minimal basic neighbourhood of each point: meet of {b in Nr : b not in x}
     min_nbhd = []
-    for i, x in enumerate(sheaf.points):
-        outside = [b for b in sheaf.nr_universe if b not in x]
-        acc = alg.one
-        for b in outside:
-            acc = alg.meet(acc, b)
+    for x in sheaf.points:
+        acc = alg.meet_all(b for b in sheaf.nr_universe if b not in x)
         min_nbhd.append(tuple(sorted(sheaf.basic_open(acc))))
     principal = [sheaf.section_of(a) for a in range(alg.size)]
     germs = [
@@ -324,14 +316,8 @@ def strongly_regular_equiv_check(alg, operators=None, budget=None):
     reduct = sheaf_reduct(alg, ops)
     reg = regularity(alg, ops, budget=budget)
     cond1 = reg["strongly_regular"]
-    zd, _ = zero_dim(alg, ops)
-    zset = set(zd)
-    cond2 = True
-    for a in range(alg.size):
-        ig = ideal_generate(reduct, [a], ops)
-        if not any(ideal_generate(reduct, [z], ops) == ig for z in zset):
-            cond2 = False
-            break
+    zd_ideals = {ideal_generate(reduct, [z], ops) for z in zero_dim(alg, ops)[0]}
+    cond2 = all(ideal_generate(reduct, [a], ops) in zd_ideals for a in range(alg.size))
     sheaf = dual_sheaf(alg, operators=ops, budget=budget)
     cond3 = all(
         q.size == 1 or len(all_congruences(q, budget=budget)) == 2
@@ -357,8 +343,7 @@ def regular_ideals_open_sets(alg, sheaf=None, operators=None, budget=None):
     ops = default_operators(alg) if operators is None else list(operators)
     sheaf = sheaf or dual_sheaf(alg, operators=ops, budget=budget)
     reduct = sheaf.alg
-    zd, _ = zero_dim(alg, ops)
-    zset = set(zd)
+    zset = set(zero_dim(alg, ops)[0])
     ideals = enumerate_ideals(reduct, ops, range(reduct.size), budget=budget)
     # Ig(i & Zd) is the meet of the ideals over i & Zd, so it is i when all hold i
     regular = [i for i in ideals if all(i <= j for j in ideals if i & zset <= j)]

@@ -244,30 +244,29 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     return AxiomReport("dm-lemma", not violations, violations)
 
 
-def nowhere_dense_check(alg, a, parts, mode="join", space=None, budget=None):
-    """Residual set of a finite join/meet decomposition, and its
-    nowhere-density in the generated Max topology (not assumed discrete)."""
-    if mode not in ("join", "meet"):
-        raise DomainError("mode must be join or meet")
+def nowhere_dense_check(alg, space=None, budget=None):
+    """Theorem d(ii): the residual set of every finite join or meet
+    decomposition is nowhere dense in Max.  The residual of a = p1 v ... v pk
+    is V_M(a) minus every V_M(pi); that of a = p1 ^ ... ^ pk is the
+    intersection of the V_M(pi) minus V_M(a).
+
+    On a finite Hausdorff Max, which criterion 5 checks pair by pair, a
+    nowhere-dense set is empty, so emptiness is the test.  Two parts are
+    enough: a k-part residual lies inside the union of the 2-part residuals
+    of its steps (as p1 v ... v pk = p1 v (p2 v ... v pk)), on any tables.
+    Returns (True, None), or (False, (mode, (p1, p2))) for the first
+    nonempty residual, join before meet, pairs in lexicographic order."""
     sp = space or zariski_sets(alg, budget=budget)
-    fold = alg.join if mode == "join" else alg.meet
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = fold(acc, p)
-    if acc != a:
-        raise PreconditionError(
-            "%s of parts is %s, not %s" % (mode, alg.label(acc), alg.label(a))
-        )
-    if mode == "join":
-        residual = sp.VM(a)
-        for p in parts:
-            residual -= sp.VM(p)
-    else:
-        residual = frozenset(range(len(sp.max_points)))
-        for p in parts:
-            residual &= sp.VM(p)
-        residual -= sp.VM(a)
-    return sp.nowhere_dense(residual), residual
+    vm = _members(alg, [f.members for f in sp.max_points])  # row a: V_M(a)
+    residuals = (
+        ("join", vm.take(alg.np_table("join"), 0) & ~(vm[:, None] | vm[None])),
+        ("meet", vm[:, None] & vm[None] & ~vm.take(alg.np_table("meet"), 0)),
+    )
+    for mode, residual in residuals:
+        bad = residual.any(-1)
+        if bad.any():
+            return False, (mode, divmod(int(bad.argmax()), alg.size))
+    return True, None
 
 
 def hausdorff_witness(alg, m_filter, n_filter, space=None):
@@ -310,20 +309,6 @@ class TheoryPair:
         return self.gamma | self.delta == frozenset(range(self.alg.size))
 
 
-def _meet_all(alg, xs):
-    acc, meet = alg.one, alg.cells["meet"]
-    for x in xs:
-        acc = meet[acc, x]
-    return acc
-
-
-def _join_all(alg, xs):
-    acc, join = alg.zero, alg.cells["join"]
-    for x in xs:
-        acc = join[acc, x]
-    return acc
-
-
 def pair_consistent(tp):
     """No finite meet of Gamma lies below a finite join of Delta.
 
@@ -331,7 +316,7 @@ def pair_consistent(tp):
     (empty meet = 1, empty join = 0) equivalent to the subset scan.
     """
     alg = tp.alg
-    return not alg.leq(_meet_all(alg, sorted(tp.gamma)), _join_all(alg, sorted(tp.delta)))
+    return not alg.leq(alg.meet_all(sorted(tp.gamma)), alg.join_all(sorted(tp.delta)))
 
 
 def pair_complete_extension(tp, record_steps=False):

@@ -37,7 +37,12 @@ and column reads of `FiniteAlgebra.order` replaced: `is_filter` and
 `ideal_generate`), `ideal_join_characterize`, `superamalgam_check`,
 `interpolant_search`, `discriminator_check`, `is_relatively_complemented`,
 `atoms`, `is_atomic`, `hereditary_closed`, `isolated_dense_check`,
-`join_of_atoms_is_one` and `upset`.  `table` hands every loop here the
+`join_of_atoms_is_one` and `upset`.  Last come two checks that a
+shorter argument replaced: `is_freely_generated_by`, one homomorphism
+search per valuation, where the universal property of the free
+generators now answers, and `nowhere_dense_check` over every
+decomposition of 2 and 3 parts, which the pair check of
+`spectra.nowhere_dense_check` covers.  `table` hands every loop here the
 nested-list form of a table.
 Tests compare the library against them on every input they generate.
 """
@@ -1717,8 +1722,7 @@ def hereditary_closed(alg, b, op_names=None):
 
 def isolated_dense_check(alg, space=None, tags=None, bound=None, budget=None):
     """Isolated (principal) points are dense: every nonempty basic open
-    D_M(a) contains a principal point; cross-checked through completeness:
-    every nonzero element dominates a complete (atom-like) element."""
+    D_M(a) contains a principal point."""
     if space is None or tags is None:
         space, tags = type_space(alg, bound=bound, budget=budget)
     principal = {i for i, t in enumerate(tags) if t}
@@ -1726,20 +1730,41 @@ def isolated_dense_check(alg, space=None, tags=None, bound=None, budget=None):
         dm = space.DM(a)
         if dm and not (dm & principal):
             return False, ("basic-open", a)
-    complete = [
-        c
-        for c in range(alg.size)
-        if c != alg.zero
-        and all(
-            b == alg.zero or not alg.leq(b, c) or alg.leq(c, b)
-            for b in range(alg.size)
-        )
-    ]
-    for a in range(alg.size):
-        if a == alg.zero:
-            continue
-        if not any(alg.leq(c, a) for c in complete):
-            return False, ("completeness", a)
+    return True, None
+
+
+def is_freely_generated_by(free, ys):
+    """Y freely generates iff Y generates and every valuation of Y into a
+    variety generator extends to a homomorphism, found by search."""
+    alg = free.algebra
+    if len(ys) != len(free.generators):
+        raise PreconditionError("|Y| must match the free generator count")
+    if len(subalgebra_generate(alg, ys)) != alg.size:
+        return False
+    return all(
+        homomorphisms(alg, g, seed=dict(zip(ys, v)), limit=1)
+        for g in free.variety.generators
+        for v in iproduct(range(g.size), repeat=len(ys))
+    )
+
+
+def nowhere_dense_check(alg, space):
+    """The residual set of every join and meet decomposition of 2 and 3
+    parts, p1 v (p2 v p3) and p1 ^ (p2 ^ p3), is empty.  The first failure
+    by part count, then join before meet, then parts in lexicographic order."""
+    everything = frozenset(range(len(space.max_points)))
+    for k in (2, 3):
+        for mode, fold in (("join", alg.join), ("meet", alg.meet)):
+            for parts in iproduct(range(alg.size), repeat=k):
+                a = parts[-1]
+                for p in reversed(parts[:-1]):
+                    a = fold(p, a)
+                if mode == "join":
+                    residual = space.VM(a) - frozenset().union(*map(space.VM, parts))
+                else:
+                    residual = everything.intersection(*map(space.VM, parts)) - space.VM(a)
+                if residual:
+                    return False, (mode, parts)
     return True, None
 
 

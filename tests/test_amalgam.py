@@ -42,7 +42,7 @@ from reslat.amalgam import (
     superamalgam_check,
 )
 from reslat.corpus import corpus_algebras
-from reslat.errors import PreconditionError
+from reslat.errors import DomainError, PreconditionError
 from reslat.free import boolean_variety, distributive_lattice_variety, free_algebra
 from reslat.kripke import mutate_table, random_kripke
 from reslat.spectra import generate_filter
@@ -542,6 +542,14 @@ def test_discriminator_full_closure_on_kripke():
     d = [alg.apply("c_0", alg.apply("c_1", x)) for x in range(alg.size)]
     ok, violations = discriminator_check(alg, tuple(d))
     assert ok, violations
+
+
+@pytest.mark.parametrize("d", [[-1, -1, -1], [3, 3, 3], [0, 1, 3], [-4, 2, 2], [1, 2]])
+def test_discriminator_rejects_a_table_of_non_elements(d):
+    """An entry outside 0..n-1 is refused like a table of the wrong length:
+    -1 would wrap to the top element and pass, 3 would index past the end."""
+    with pytest.raises(DomainError):
+        discriminator_check(godel(3), d)
 
 
 # ---- Gratzer-Schmidt ---------------------------------------------------------------

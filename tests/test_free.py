@@ -267,6 +267,30 @@ def test_fr2_definitional_check_on_pair():
     assert is_freely_generated_by(fr, [alg.imp(g0, alg.zero), g1])
 
 
+FREE_GENERATION_CASES = [
+    pytest.param(boolean_variety, n, id="ba-%d" % n) for n in (1, 2)
+] + [
+    pytest.param(distributive_lattice_variety, n, id="dl-%d" % n) for n in (1, 2)
+] + [
+    pytest.param(lambda kind=kind: VarietySpec((make_chain(ChainSpec(kind, 3)),)), 1, id="%s:3-1" % kind)
+    for kind in ("lukasiewicz", "godel")
+]
+
+
+@pytest.mark.parametrize("variety, n", FREE_GENERATION_CASES)
+def test_free_generation_matches_the_valuation_search(variety, n):
+    """On every list Y of n elements, |Y| = n plus Sg(Y) = Fr_n plus the
+    universal property of the free generators gives what a homomorphism
+    search per valuation of Y gives."""
+    fr = free_algebra(variety(), n)
+    verdicts = set()
+    for ys in iproduct(range(fr.size), repeat=n):
+        got = is_freely_generated_by(fr, ys)
+        assert got == bool(oracles.is_freely_generated_by(fr, ys)), ys
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_wrong_cardinality_rejected():
     fr = free_algebra(boolean_variety(), 2)
     with pytest.raises(PreconditionError):

@@ -2,28 +2,36 @@
 the per-pair `alg.leq` loops, each against its loop in tests/oracles.py:
 same value and same first witness, on the corpus algebras, on Kripke set
 algebras (which carry extra operators) and on single-entry faults of
-both made by `kripke.mutate_table`."""
+both made by `kripke.mutate_table`.  On the same families, the guard
+that no checker the corpus runs is blind: each one's corpus verdict
+fails on at least one fault."""
 
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import oracles
-from reslat.algebra import ChainSpec, lattice_reduct, make_chain
+from reslat.algebra import ChainSpec, check_class_axioms, lattice_reduct, make_chain
 from reslat.amalgam import (
     AmalgamProblem,
     discriminator_check,
+    enumerate_ideals,
+    gratzer_schmidt_check,
     ideal_generate,
     ideal_join_characterize,
     interpolant_search,
     is_relatively_complemented,
     superamalgam_check,
 )
-from reslat.corpus import corpus_algebras
-from reslat.free import atoms, hereditary_closed, is_atomic
-from reslat.kripke import mutate_table, random_kripke
+from reslat.budgets import Budget
+from reslat.corpus import corpus_algebras, corpus_free
+from reslat.free import FreeAlgebra, atoms, hereditary_closed, is_atomic, is_freely_generated_by
+from reslat.kripke import cylinder_indices, mutate_table, neat_reduct, random_kripke
 from reslat.logic import isolated_dense_check, join_of_atoms_is_one, type_space
-from reslat.spectra import generate_filter, upset
+from reslat.sheaf import strongly_regular_equiv_check
+from reslat.spectra import generate_filter, nowhere_dense_check, upset, zariski_sets
 
 
 def single_faults(algs, per_op=4, seed=0):
@@ -222,13 +230,77 @@ def test_hereditary_closed_matches_loop(family):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_isolated_dense_check_matches_loop(family):
-    """With every point tagged principal the basic-open part passes, so
-    the completeness part runs, and fails on some faults."""
-    incomplete = 0
+    """With every point tagged principal the check passes; with the tags
+    of `type_space` it fails on some faults."""
+    sparse = 0
     for alg in FAMILIES[family]:
         space, tags = type_space(alg, bound=64)
         for marks in (tags, [True] * len(tags)):
             got = isolated_dense_check(alg, space, marks)
             assert got == oracles.isolated_dense_check(alg, space, marks), alg.name
-            incomplete += got[1] is not None and got[1][0] == "completeness"
-    assert family != "faulty" or incomplete
+        sparse += not isolated_dense_check(alg, space, tags)[0]
+    assert sparse if family == "faulty" else not sparse
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_nowhere_dense_check_matches_loop(family):
+    """The pair check finds what a scan of every decomposition of 2 and 3
+    parts finds, first failure included: no 3-part residual is nonempty
+    while the 2-part ones are empty."""
+    for alg in FAMILIES[family]:
+        space = zariski_sets(alg, bound=64)
+        assert nowhere_dense_check(alg, space) == oracles.nowhere_dense_check(alg, space), alg.name
+
+
+def every_c(alg):
+    """c_(J) for J every index, c_0 applied first: the last c row of
+    `KripkeSetAlgebra.unary`."""
+    d = np.arange(alg.size)
+    for j in cylinder_indices(alg):
+        d = alg.np_table("c_%d" % j).take(d)
+    return d
+
+
+def ideal_joins_described(alg):
+    ideals = enumerate_ideals(alg, bound=64)
+    return all(ideal_join_characterize(alg, m, n) for m in ideals for n in ideals)
+
+
+FREE_1 = corpus_free(1)
+
+# per checker the corpus runs, whether its corpus verdict holds on an algebra
+CORPUS_VERDICTS = {
+    "nowhere_dense_check": lambda alg: nowhere_dense_check(alg, zariski_sets(alg, bound=64))[0],
+    "is_freely_generated_by": lambda alg: not alg.name.startswith(FREE_1.algebra.name) or (
+        is_freely_generated_by(
+            FreeAlgebra(alg, FREE_1.generators, FREE_1.coords, FREE_1.variety, FREE_1.vectors),
+            FREE_1.generators,
+        )
+    ),
+    "isolated_dense_check": lambda alg: isolated_dense_check(alg, *type_space(alg, bound=64))[0],
+    "gratzer_schmidt_check": lambda alg: alg.size > 20
+    or gratzer_schmidt_check(alg, bound=20)["biconditional"],
+    "strongly_regular_equiv_check": lambda alg: strongly_regular_equiv_check(
+        alg, budget=Budget(spectrum=32)
+    ).get("equivalent", True),
+    "ideal_join_characterize": ideal_joins_described,
+    "join_of_atoms_is_one": lambda alg: join_of_atoms_is_one(alg)
+    == check_class_axioms(alg, "boolean").passed,
+    "neat_reduct": lambda alg: all(
+        neat_reduct(alg, J)[0] is not None
+        for k in range(len(cylinder_indices(alg)) + 1)
+        for J in combinations(cylinder_indices(alg), k)
+    ),
+    "discriminator_check": lambda alg: not cylinder_indices(alg)
+    or discriminator_check(alg, every_c(alg))[0],
+}
+
+
+@pytest.mark.parametrize("checker", sorted(CORPUS_VERDICTS))
+def test_every_corpus_checker_can_fail(checker):
+    """No checker the corpus runs is blind to the algebra: its corpus
+    verdict holds on the Kripke family and fails on at least one fault
+    of the faulty family."""
+    verdict = CORPUS_VERDICTS[checker]
+    assert all(verdict(alg) for alg in FAMILIES["kripke"])
+    assert any(outcome(verdict, alg) is False for alg in FAMILIES["faulty"])

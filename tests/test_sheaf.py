@@ -18,7 +18,7 @@ from reslat.algebra import (
 )
 from reslat.amalgam import enumerate_ideals, ideal_generate
 from reslat.budgets import Budget
-from reslat.corpus import corpus_algebras
+from reslat.corpus import _coordinate_closure_product, corpus_algebras
 from reslat.errors import DomainError, ResourceError
 from reslat.kripke import KripkeSystem, dimension_set, set_algebra
 from reslat.sheaf import (
@@ -90,6 +90,15 @@ def test_zd_of_coordinate_closure_product():
     pc = coordinate_closure_product([ba4(), ba4()])
     zd, witness = zero_dim(pc)
     assert witness is None and len(zd) == 4
+
+
+def test_corpus_coordinate_closure_product_matches_the_stride_loop():
+    """The corpus builds c_0 from `product`'s element order; the loop
+    above builds it entry by entry from the strides."""
+    for algs in ([luk(2), ba4()], [godel(3), godel(4)], [ba4(), ba4()], [luk(2), luk(4), luk(3)]):
+        got, want = _coordinate_closure_product(algs), coordinate_closure_product(algs)
+        assert (got.size, got.signature) == (want.size, want.signature)
+        assert got.tables["c_0"].tolist() == want.tables["c_0"].tolist()
 
 
 def test_zd_witness_is_the_first_entry_outside_in_row_order():

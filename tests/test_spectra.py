@@ -246,28 +246,32 @@ def test_basic_opens_cover_and_separate():
 
 
 def test_join_residual_empty():
-    alg = ba4()
-    a1, a2 = 1, 2
-    ok, residual = nowhere_dense_check(alg, alg.join(a1, a2), [a1, a2], "join")
-    assert ok and residual == frozenset()
+    """Every 2-part join and meet residual is empty on chains and BA4; a
+    join fault read against the healthy space leaves V_M(join(0, 0)) = Max
+    outside both parts."""
+    for alg in (ba4(), godel(4), luk(5)):
+        assert nowhere_dense_check(alg) == (True, None)
+    faulty = mutate_table(ba4(), "join", (0, 0), 3)
+    assert nowhere_dense_check(faulty, zariski_sets(ba4())) == (False, ("join", (0, 0)))
 
 
 def test_meet_residual_empty():
-    alg = ba4()
-    ok, residual = nowhere_dense_check(alg, alg.meet(1, 2), [1, 2], "meet")
-    assert ok and residual == frozenset()
+    """With joins intact the meet residuals are read: meet(3, 3) = 0 leaves
+    V_M(3) & V_M(3) = Max outside V_M(0), and no earlier pair changed."""
+    faulty = mutate_table(ba4(), "meet", (3, 3), 0)
+    assert nowhere_dense_check(faulty, zariski_sets(ba4())) == (False, ("meet", (3, 3)))
 
 
 def test_trivial_single_part():
+    """A one-part decomposition a = a is the pair (a, a) of an idempotent
+    join or meet, whose residual V_M(a) - V_M(a) is empty.  join(1, 1) = 0
+    lowers the join, which leaves the residual empty; meet(1, 1) = 0 leaves
+    V_M(1) outside V_M(0) and is found at (1, 1)."""
     alg = godel(3)
-    ok, residual = nowhere_dense_check(alg, alg.one, [alg.one], "join")
-    assert ok and residual == frozenset()
-
-
-def test_not_a_join_error():
-    alg = ba4()
-    with pytest.raises(PreconditionError):
-        nowhere_dense_check(alg, alg.one, [alg.zero], "join")
+    faulty = mutate_table(alg, "join", (alg.one, alg.one), alg.zero)
+    assert nowhere_dense_check(faulty, zariski_sets(alg)) == (True, None)
+    faulty = mutate_table(alg, "meet", (alg.one, alg.one), alg.zero)
+    assert nowhere_dense_check(faulty, zariski_sets(alg)) == (False, ("meet", (alg.one, alg.one)))
 
 
 def test_max_topology_is_discrete():
