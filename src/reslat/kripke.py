@@ -480,30 +480,25 @@ def set_algebra(system, G=None, with_diagonals=False, budget=None):
         out[...] = idx
         return out
 
-    # future masks and quantifier masks per position
-    fut = []
+    # future masks and quantifier masks per position, each read off the
+    # positions whose assignment agrees with its own (off index j for c_j, q_j)
+    def groups(key):
+        out = {}
+        for p, (l, v) in enumerate(positions):
+            out.setdefault(key(v), []).append((l, p))
+        return out
+
+    same = groups(tuple)
+    fut = [sum(1 << p2 for l, p2 in same[v] if system.leq[k][l]) for k, v in positions]
     cyl = [[0] * system.alpha for _ in range(npos)]
     qm = [[0] * system.alpha for _ in range(npos)]
-    for p, (k, v) in enumerate(positions):
-        fmask = 0
-        for p2, (l, v2) in enumerate(positions):
-            if v2 == v and system.leq[k][l]:
-                fmask |= 1 << p2
-        fut.append(fmask)
-        for j in range(system.alpha):
-            cm = 0
-            qmask = 0
-            for p2, (l, v2) in enumerate(positions):
-                agree = all(v2[i] == v[i] for i in range(system.alpha) if i != j)
-                if not agree:
-                    continue
-                if l == k:
-                    cm |= 1 << p2
-                if system.leq[k][l]:
-                    # inf over future worlds and their (larger) V_l
-                    qmask |= 1 << p2
-            cyl[p][j] = cm
-            qm[p][j] = qmask
+    for j in range(system.alpha):
+        agree = groups(lambda v: v[:j] + v[j + 1 :])
+        for p, (k, v) in enumerate(positions):
+            group = agree[v[:j] + v[j + 1 :]]
+            cyl[p][j] = sum(1 << p2 for l, p2 in group if l == k)
+            # inf over future worlds and their (larger) V_l
+            qm[p][j] = sum(1 << p2 for l, p2 in group if system.leq[k][l])
 
     # The binary tables, built in blocks of rows of at most _GRID_CHUNK
     # entries, each indexed straight into the stack the algebra takes

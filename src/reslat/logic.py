@@ -3,16 +3,20 @@ consequence, Lindenbaum algebras, type spaces and the generic-filter
 engine behind the finite omitting-types machinery.
 
 Formulas run on the term evaluator of `check_class_axioms`, over whole
-valuation grids at once.
+valuation grids at once, each compiled once so that every distinct
+subformula is evaluated once.
 
 Consequence here is semantic over a declared finite chain family.  For a
 BL-sound calculus, provability implies validity on these chains; the
 converse is not claimed.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 import numpy
 
+from . import budgets
 from .algebra import _evaluate, _grid_chunks, core_reduct, make_chain, parse_chain_name
 from .errors import (
     DomainError,
@@ -212,73 +216,115 @@ def expand(f):
 
 
 def variables(f):
-    return {name for name, _ in _compile(f)[1]}
+    return {name for name, _ in _compile(f)[2]}
 
 
 # connective -> table, in the order `_representatives` tries candidates
 _TABLES = {"&": "star", "->": "imp", "/\\": "meet", "\\/": "join"}
 
 
-def _term(f, leaves):
+def _term(f, leaves, memo, nodes):
     """The formula as a term of `algebra._evaluate` over an algebra's
     `tables` or `cells`: a constant is the leaf "zero" or "one", and a
     variable the str leaf "$name" (a Var key hashes in Python, five times
-    slower): no identifier starts with "$", so none collides with an op."""
+    slower): no identifier starts with "$", so none collides with an op.
+
+    The term is a DAG: `memo` translates each formula object once, by id,
+    as `expand` shares them, and `nodes` interns each op node by its op and
+    the ids of its arguments, so equal subformulas built apart are one node
+    too.  `nodes` lists every op node after the nodes it reads."""
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit
     if isinstance(f, Bin):
-        a, b = _term(f.left, leaves), _term(f.right, leaves)
+        a, b = _term(f.left, leaves, memo, nodes), _term(f.right, leaves, memo, nodes)
         if f.op == "<->":
-            return ("star", ("imp", a, b), ("imp", b, a))
-        if f.op not in _TABLES:
+            term = _node(nodes, "star", _node(nodes, "imp", a, b), _node(nodes, "imp", b, a))
+        elif f.op in _TABLES:
+            term = _node(nodes, _TABLES[f.op], a, b)
+        else:
             raise DomainError("unknown connective %r" % f.op)
-        return (_TABLES[f.op], a, b)
-    if isinstance(f, Var):
-        return leaves.setdefault(f.name, "$" + f.name)
-    if isinstance(f, Neg):
-        return ("imp", _term(f.sub, leaves), "zero")
-    return "zero" if f.value == 0 else "one"
+    elif isinstance(f, Var):
+        term = leaves.setdefault(f.name, "$" + f.name)
+    elif isinstance(f, Neg):
+        term = _node(nodes, "imp", _term(f.sub, leaves, memo, nodes), "zero")
+    else:
+        term = "zero" if f.value == 0 else "one"
+    memo[id(f)] = term
+    return term
 
 
-_COMPILED = {}  # id -> (formula, term, leaves); holding the formula keeps its id unique
+def _node(nodes, op, a, b):
+    return nodes.setdefault((op, id(a), id(b)), (op, a, b))
+
+
+_COMPILED = {}  # id -> (formula, bindings, root, leaves); holding the formula keeps its id unique
+_KEYS = count()  # binding keys, never reused, so formulas sharing an env never share one
 
 
 def _compile(f, bound=None):
-    """The term of a formula and its (name, leaf) pairs, cached by object:
-    hashing a frozen formula walks the whole tree, as translating it does.
+    """(bindings, root, leaves) of a formula, cached by object: hashing a
+    frozen formula walks the whole tree, as translating it does.
+
+    Each op node of the term DAG read twice or more is a binding
+    (key, term), listed after the bindings its term reads; later bindings
+    and the root read it as the leaf key "#k", and no op name or "$name"
+    leaf starts with "#".
+    Evaluating the bindings into the env in order, then the root, reads
+    each distinct subterm once.  `leaves` are the (name, leaf) pairs.
     A variable outside `bound`, when given, is a DomainError."""
     hit = _COMPILED.get(id(f))
     if hit is None:
         if len(_COMPILED) >= 64:
             _COMPILED.clear()
-        leaves = {}
-        hit = _COMPILED[id(f)] = f, _term(f, leaves), tuple(leaves.items())
-    for name, _ in hit[2] if bound is not None else ():
+        leaves, nodes = {}, {}
+        root = _term(f, leaves, {}, nodes)
+        uses = Counter([id(x) for _, a, b in nodes.values() for x in (a, b)])
+        bindings, done = [], {}
+        for t in nodes.values():
+            op, a, b = t
+            term = (op, done.get(id(a), a), done.get(id(b), b))
+            if uses[id(t)] > 1:
+                bindings.append(("#%d" % next(_KEYS), term))
+                term = bindings[-1][0]
+            done[id(t)] = term
+        hit = f, tuple(bindings), done.get(id(root), root), tuple(leaves.items())
+        _COMPILED[id(f)] = hit
+    for name, _ in hit[3] if bound is not None else ():
         if name not in bound:
             raise DomainError("unbound variable %r" % name)
     return hit[1:]
+
+
+def _value(bindings, root, env):
+    """The root's value in env, after each binding's value is set in env under its key."""
+    for key, term in bindings:
+        env[key] = _evaluate(term, env)
+    return _evaluate(root, env)
 
 
 def eval_formula(f, alg, valuation):
     """The value in `alg` at a valuation (name -> element), by the term
     evaluator of `reslat.algebra`; derived connectives read the meet and
     join tables directly (the expansion route must agree; tested)."""
-    term, leaves = _compile(f, valuation)
+    bindings, root, leaves = _compile(f, valuation)
     env = dict(alg.cells)  # a memoryview reads a cell as an int, faster than numpy
     env.update((leaf, valuation[name]) for name, leaf in leaves)
-    return int(_evaluate(term, env))
+    return int(_value(bindings, root, env))
 
 
 def valuation_grid(chain, names, axioms=(), formulas=()):
     """Per chunk of the chain's valuation grid over `names`, lazily in product
     order: the chunk (leaf -> index array), the mask of the valuations making
     every axiom 1, at the chunk's shape, and the values of each formula."""
-    axioms, formulas = [[_compile(f, names)[0] for f in fs] for fs in (axioms, formulas)]
+    axioms, formulas = [[_compile(f, names)[:2] for f in fs] for fs in (axioms, formulas)]
     env = dict(chain.tables)
     for grid in _grid_chunks(chain.size, ["$" + name for name in names]):
         env.update(grid)
         mask = numpy.ones(numpy.broadcast(*grid.values()).shape, dtype=bool)
         for t in axioms:
-            mask &= _evaluate(t, env) == chain.one
-        yield grid, mask, [_evaluate(t, env) for t in formulas]
+            mask &= _value(*t, env) == chain.one
+        yield grid, mask, [_value(*t, env) for t in formulas]
 
 
 def valuations_at(grid, mask):
@@ -331,10 +377,12 @@ class Theory:
 def _counterexample(specs, axioms, formula):
     """(True, None), or (False, (chain spec, valuation)) at the first valuation,
     in chain then product order, where the axioms hold and the formula does
-    not; chains are built one at a time, up to that one."""
+    not; chains are built one at a time, up to that one, under the budget
+    read once."""
     names = sorted(set().union(variables(formula), *map(variables, axioms)))
+    budget = budgets.from_env()
     for spec in specs:
-        chain = make_chain(spec)
+        chain = make_chain(spec, budget)
         for grid, mask, (values,) in valuation_grid(chain, names, axioms, [formula]):
             first = first_valuation(grid, mask & (values != chain.one))
             if first is not None:

@@ -782,6 +782,8 @@ GOLDEN_CASES = [
     ("taut-prelinearity", "taut (p0->p1)\\/(p1->p0) --chains luk:2..6,godel:2..6", 0),
     ("taut-excluded-middle", "taut p0\\/~p0 --chains luk:3", 1),
     ("spectrum-godel4", "spectrum godel:4 --verify-lemma", 0),
+    # excluded middle on the Goedel chains of 2..4 elements
+    ("lindenbaum-godel-em", "lindenbaum --theory {data}/theory-godel-em.json --vars 2", 0),
 ]
 
 

@@ -368,6 +368,16 @@ def test_lindenbaum_two_variables_over_luk3_stops_at_the_closure_budget():
         lindenbaum(theory, 2, budget=budgets.Budget())
 
 
+def test_counterexample_search_reads_the_budget_once_and_stops_at_the_first_failing_chain(monkeypatch):
+    specs = parse_chain_list("luk:2..3,luk:5,godel:2..3")
+    reads = []
+    monkeypatch.setattr(budgets, "from_env", lambda: reads.append(1) or budgets.Budget(chain=4))
+    assert is_tautology(parse("p0 \\/ ~p0"), specs) == (False, ("luk:3", {"p0": "1/2"}))
+    with pytest.raises(ResourceError, match="chain of 5 elements over budget 4"):
+        is_tautology(parse("p0 -> p0"), specs)
+    assert reads == [1, 1]
+
+
 def test_lindenbaum_axiom_outside_its_variables_is_unbound():
     theory = Theory((parse("p0 -> p1"),), (L(3),))
     with pytest.raises(DomainError, match="unbound variable 'p1'"):
@@ -427,6 +437,93 @@ def test_constants_and_table_named_variables_match_the_oracle():
         assert consequence(theory, f) == oracles.consequence(theory, f)
         for spec in specs:
             assert_same_values(f, make_chain(spec), rng)
+
+
+def nested_disjunction(k, first=()):
+    """The left-nested disjunction of the formulas in `first`, then of
+    p0, p1, p2, p0, ... up to k connectives."""
+    parts = list(first) + [Var(NAMES[i % 3]) for i in range(k + 1 - len(first))]
+    f = parts[0]
+    for g in parts[1:]:
+        f = Bin("\\/", f, g)
+    return f
+
+
+def distinct_subformulas(f):
+    """How many distinct subformulas f has, visiting each object once."""
+    numbers, memo = {}, {}
+
+    def number(g):
+        if id(g) not in memo:
+            if isinstance(g, Bin):
+                key = (g.op, number(g.left), number(g.right))
+            elif isinstance(g, Neg):
+                key = ("~", number(g.sub))
+            else:
+                key = g
+            memo[id(g)] = numbers.setdefault(key, len(numbers))
+        return memo[id(g)]
+
+    number(f)
+    return len(numbers)
+
+
+def op_nodes(term):
+    return 1 + sum(map(op_nodes, term[1:])) if type(term) is tuple else 0
+
+
+def leaf_reads(term, key):
+    return sum(leaf_reads(t, key) for t in term[1:]) if type(term) is tuple else term == key
+
+
+PRELINEARITY = (parse("p0 -> p1"), parse("p1 -> p0"))
+
+
+@pytest.mark.parametrize("first", [(), PRELINEARITY], ids=["fails", "holds"])
+def test_expanded_deep_disjunctions_match_the_oracle_on_the_unexpanded_formula(first):
+    # the expansion is a tree of about 1.5e15 nodes over 169 objects
+    f = nested_disjunction(24, first)
+    g = expand(f)
+    specs = parse_chain_list("luk:3,godel:4")
+    assert is_tautology(g, specs) == oracles.is_tautology(f, specs)
+    for spec in specs:
+        chain = make_chain(spec)
+        for values in iproduct(range(chain.size), repeat=3):
+            val = dict(zip(NAMES, values))
+            assert eval_formula(g, chain, val) == oracles.eval_formula(f, chain, val)
+
+
+def test_compiled_terms_read_each_distinct_subformula_at_most_once():
+    rng = random.Random(23)
+    formulas = [expand(nested_disjunction(k)) for k in (1, 6, 24)]
+    formulas += [expand(f) for f in seeded_formulas(rng, 60, NAMES[:3])]
+    for g in formulas:
+        bindings, root, _ = logic._compile(g)
+        terms = [t for _, t in bindings] + [root]
+        assert sum(map(op_nodes, terms)) <= distinct_subformulas(g)
+        for i, (key, _) in enumerate(bindings):  # each binding is read twice or more, later
+            assert sum(leaf_reads(t, key) for t in terms[i + 1:]) >= 2
+            assert sum(leaf_reads(t, key) for t in terms[:i + 1]) == 0
+
+
+def test_equal_subformulas_parsed_apart_are_one_binding():
+    bindings, root, _ = logic._compile(parse("(p -> q) & (p -> q)"))
+    assert bindings == ((bindings[0][0], ("imp", "$p", "$q")),)
+    assert root == ("star", bindings[0][0], bindings[0][0])
+
+
+def test_biconditional_with_both_implications_shared_matches_the_oracle():
+    f = parse("(p0 <-> p1) & ((p0 -> p1) \\/ (p1 -> p0))")
+    assert len(logic._compile(f)[0]) == 2
+    specs = parse_chain_list("luk:2..5,godel:2..5")
+    theory = Theory((parse("(p0 -> p1) <-> (p1 -> p0)"),), tuple(specs))
+    assert is_tautology(f, specs) == oracles.is_tautology(f, specs)
+    assert consequence(theory, f) == oracles.consequence(theory, f)
+    for spec in specs:
+        chain = make_chain(spec)
+        for a, b in iproduct(range(chain.size), repeat=2):
+            val = {"p0": a, "p1": b}
+            assert eval_formula(f, chain, val) == oracles.eval_formula(f, chain, val)
 
 
 def test_values_hold_while_formulas_come_and_go_past_the_term_cache():
@@ -532,9 +629,9 @@ def test_a_five_variable_formula_runs_in_bounded_chunks(monkeypatch):
 def test_a_range_check_builds_chains_one_at_a_time_and_stops_at_the_first_failure(monkeypatch):
     built = []
 
-    def counting(spec):
+    def counting(spec, budget):
         built.append(spec)
-        return make_chain(spec)
+        return make_chain(spec, budget)
 
     monkeypatch.setattr(logic, "make_chain", counting)
     specs = parse_chain_list("godel:2..40")
