@@ -9,7 +9,6 @@ from .algebra import (
     load_algebra,
     make_chain,
     residuum_closed_form,
-    residuum_oracle,
     subalgebra_generate,
     tnorm_eval,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "pair_complete_extension",
     "pair_consistent",
     "residuum_closed_form",
-    "residuum_oracle",
     "subalgebra_generate",
     "tnorm_eval",
     "zariski_sets",

@@ -20,7 +20,6 @@ import numpy
 from . import budgets
 from .errors import (
     DomainError,
-    InternalError,
     InvalidSpecError,
     ReslatError,
     ResourceError,
@@ -504,20 +503,6 @@ def residuum_closed_form(kind, x, y):
     if kind not in CHAIN_KINDS:
         raise DomainError("no grid-closed residuum for kind %r" % kind)
     return _closed_form_at(kind, x, y, 1)
-
-
-def residuum_oracle(star_table, x, y):
-    """Largest z with star(x, z) <= y, by descending scan of a chain table.
-
-    This is the independent oracle for residuum_closed_form and for the imp
-    tables of loaded algebras: elements are chain indices, order is index
-    order, and star_table must be monotone in both arguments.
-    """
-    n = len(star_table)
-    for z in range(n - 1, -1, -1):
-        if star_table[x][z] <= y:
-            return z
-    raise InternalError("no residuum witness; star(x, 0) > y should be impossible")
 
 
 def _check_chain_budget(size, budget=None):

@@ -70,27 +70,6 @@ def ideal_join_characterize(alg, m_ideal, n_ideal):
     return ideal_generate(alg, m_ideal | n_ideal) == frozenset(described.tolist())
 
 
-def ideal_extension(alg, b_subuniverse, m_ideal, n_ideal, want_maximal=False, bound=None,
-                    budget=None):
-    """A witness N' with N <= N' and N' cap B = M, searched over the ideal
-    lattice; None when no witness exists (a counterexample to the lemma)."""
-    b_set = frozenset(b_subuniverse)
-    if not n_ideal & b_set <= m_ideal:
-        raise PreconditionError("need N cap B <= M")
-    if not m_ideal <= b_set:
-        raise PreconditionError("M must be an ideal of B")
-    every = enumerate_ideals(alg, bound=bound, budget=budget)
-    candidates = [i for i in every if n_ideal <= i and i & b_set == m_ideal]
-    if not candidates:
-        return None
-    if want_maximal:
-        proper = [i for i in every if len(i) < alg.size]
-        maximal = {m for m in proper if not any(m < p for p in proper)}
-        best = [i for i in candidates if i in maximal]
-        return best[0] if best else None
-    return candidates[0]
-
-
 # ---------------------------------------------------------------------------
 # congruences as partitions
 # ---------------------------------------------------------------------------
@@ -403,14 +382,13 @@ def superamalgam_check(problem, d, k, h):
 # ---------------------------------------------------------------------------
 
 
-def interpolant_search(alg, x1, x2, x, z, tau_bound=None, budget=None):
+def interpolant_search(alg, x1, x2, x, z, budget=None):
     """y in Sg(X1 cap X2) with x <= y <= z; when the identity-term phase is
-    empty, retry against n-fold oplus powers of z (n <= tau_bound).
+    empty, retry against n-fold oplus powers of z (n <= Budget.tau_power).
 
     Returns (y, n) with n = 1 for the identity-term case, or None.
     """
-    budget = budget or budgets.from_env()
-    tau_bound = tau_bound or budget.tau_power
+    tau_power = (budget or budgets.from_env()).tau_power
     sg1 = subalgebra_generate(alg, x1)
     sg2 = subalgebra_generate(alg, x2)
     if x not in sg1:
@@ -422,8 +400,8 @@ def interpolant_search(alg, x1, x2, x, z, tau_bound=None, budget=None):
     common = numpy.array(sorted(subalgebra_generate(alg, set(x1) & set(x2))), dtype=numpy.intp)
     above_x = common[alg.order[x, common]]
     add = alg.cells[_additive(alg)]
-    powers = [z]  # z and its n-fold sums, n <= tau_bound
-    for _ in range(2, tau_bound + 1):
+    powers = [z]  # z and its n-fold sums, n <= tau_power
+    for _ in range(2, tau_power + 1):
         powers.append(add[powers[-1], z])
     for n, zn in enumerate(powers, 1):
         between = above_x[alg.order[above_x, zn]]

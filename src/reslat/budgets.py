@@ -42,9 +42,9 @@ def check_size(what, size, bound, default):
         raise ResourceError("%s (size %d) over bound %d" % (what, size, limit))
 
 
-def from_env(base=None):
-    """Budget from RESLAT_BUDGET, falling back to `base` or the defaults."""
-    budget = base or Budget()
+def from_env():
+    """Budget from RESLAT_BUDGET, falling back to the defaults."""
+    budget = Budget()
     raw = os.environ.get("RESLAT_BUDGET", "").strip()
     if not raw:
         return budget

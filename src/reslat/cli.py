@@ -2,11 +2,13 @@
 
 Exit codes: 0 pass / witness found; 1 counterexample or nothing found
 (with a machine-checkable witness in the report); 2 usage errors;
-3 resource bound exceeded.
+3 resource bound exceeded; 141 (128 + SIGPIPE) when the reader closed
+stdout before the report was written.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import check_class_axioms, load_algebra, load_json
@@ -22,6 +24,7 @@ EXIT_PASS = 0
 EXIT_COUNTER = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(args, payload, human):
@@ -445,11 +448,19 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except ResourceError as exc:
-        return _fail(args, EXIT_RESOURCE, "resource bound", exc)
-    except (ReslatError, FileNotFoundError) as exc:
-        return _fail(args, EXIT_USAGE, "error", exc)
+        try:
+            code = args.fn(args)
+        except ResourceError as exc:
+            code = _fail(args, EXIT_RESOURCE, "resource bound", exc)
+        except (ReslatError, FileNotFoundError) as exc:
+            code = _fail(args, EXIT_USAGE, "error", exc)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the "Note on SIGPIPE" of the signal module: what is left in the
+        # buffer goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -523,15 +523,15 @@ def criterion_11():
         return False, ("excluded-middle", witness)
     # coherence: the per-connective identities make coherence compositional
     # for formulas of every depth; spot-check with seeded deep formulas too
+    rng = random.Random(7)
+    formulas = [_random_formula(rng, 4, ["p0", "p1"]) for _ in range(2000)]
     for spec in (ChainSpec("lukasiewicz", 3), ChainSpec("godel", 3)):
         chain = make_chain(spec)
         at = {t: _first_difference(chain, parse(t)) for t in ("p0 /\\ p1", "p0 \\/ p1", "~p0", "p0 <-> p1")}
         text = min(filter(at.get, at), key=at.get, default=None)  # the first (a, b), then connective
         if text:
             return False, ("connective", str(spec), text, *at[text])
-        rng = random.Random(7)
-        for _ in range(2000):
-            f = _random_formula(rng, 4, ["p0", "p1"])
+        for f in formulas:
             at = _first_difference(chain, f)
             if at is not None:
                 return False, ("formula", str(spec), str(f), *at)

@@ -317,22 +317,6 @@ def relativize(alg, b):
     return out
 
 
-def hereditary_closed(alg, b, op_names=None):
-    """b is hereditary closed when every operator fixes everything below b.
-
-    Returns (True, None), or (False, (x, op)) for the first x below b that
-    an operator moves and the first op, in `op_names` order, moving it."""
-    if op_names is None:
-        op_names = alg.extra_operator_names()
-    below = np.flatnonzero(alg.order[:, b])
-    moved = alg.moved(op_names)[:, below]  # [op, i]: op moves below[i]
-    bare = np.flatnonzero(moved.any(axis=0))
-    if not len(bare):
-        return True, None
-    x = bare[0]
-    return False, (int(below[x]), op_names[moved[:, x].argmax()])
-
-
 def decompose(alg, b):
     """A ~ Rl_b x Rl_-b through x |-> (x ^ b, x ^ -b); verified exactly."""
     c = complement(alg, b)

@@ -366,17 +366,6 @@ class KripkeSetAlgebra:
             fam[k][v] = (mask >> p) & 1
         return fam
 
-    def is_monotone_family(self, fam):
-        sysm = self.system
-        for k in range(sysm.world_count()):
-            for l in range(sysm.world_count()):
-                if not sysm.leq[k][l]:
-                    continue
-                for v in sysm.assignments[k]:
-                    if fam[k][v] > fam[l][v]:
-                        return False
-        return True
-
 
 def set_algebra(system, G=None, with_diagonals=False, budget=None):
     """Build the set algebra of a Kripke system; see module docstring.
@@ -575,15 +564,6 @@ def cylinder_indices(alg):
         for n in alg.signature.names()
         if n.startswith("c_") and n[2:].isdigit()
     )
-
-
-def dimension_set(alg, x):
-    """Delta x = indices whose cylindrifier moves x."""
-    out = set()
-    for j in cylinder_indices(alg):
-        if alg.apply("c_%d" % j, x) != x:
-            out.add(j)
-    return frozenset(out)
 
 
 def neat_reduct(alg, J):

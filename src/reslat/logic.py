@@ -422,10 +422,6 @@ class LindenbaumAlgebra:
         self.reps = reps  # class index -> representative formula
         self.generator_classes = generator_classes  # class of p0..p_{n-1}
 
-    def class_of(self, formula):
-        names = ("p%d" % i for i in range(self.n))
-        return eval_formula(formula, self.algebra, dict(zip(names, self.generator_classes)))
-
 
 def lindenbaum(theory, n, budget=None):
     """The Lindenbaum algebra of the theory over the variables p0..p{n-1}."""
@@ -492,15 +488,12 @@ def non_principal_certify(alg, elements):
     return alg.meet_all(elements) == alg.zero
 
 
-def generic_filter(alg, inside, avoid=(), verify_nowhere_dense=False,
-                   bound=None, budget=None):
+def generic_filter(alg, inside, avoid=(), bound=None, budget=None):
     """Least maximal filter containing `inside` and avoiding every listed
     point set.
 
     `avoid` entries are collections of maximal filters (Filter objects or
-    member frozensets).  With verify_nowhere_dense=True each avoid set is
-    first checked nowhere dense in the finite Max topology (in a finite
-    Hausdorff space this forces emptiness)."""
+    member frozensets)."""
     if inside == alg.zero:
         raise DomainError("inside element must be nonzero")
     space = zariski_sets(alg, bound=bound, budget=budget)
@@ -514,10 +507,6 @@ def generic_filter(alg, inside, avoid=(), verify_nowhere_dense=False,
                 if g.members == members:
                     pts.add(i)
         avoid_sets.append(frozenset(pts))
-    if verify_nowhere_dense:
-        for i, pts in enumerate(avoid_sets):
-            if not space.nowhere_dense(pts):
-                raise DomainError("avoid set %d is not nowhere dense" % i)
     banned = frozenset().union(*avoid_sets) if avoid_sets else frozenset()
     admissible = [
         i
@@ -542,12 +531,12 @@ def type_space(alg, bound=None, budget=None):
     return space, tags
 
 
-def isolated_dense_check(alg, space=None, tags=None, bound=None, budget=None):
+def isolated_dense_check(alg, bound=None, budget=None):
     """Isolated (principal) points are dense: every nonempty basic open
-    D_M(a) contains a principal point.  Returns (True, None), or
-    (False, ("basic-open", a)) for the first a whose D_M(a) holds none."""
-    if space is None or tags is None:
-        space, tags = type_space(alg, bound=bound, budget=budget)
+    D_M(a) of the type space contains a principal point.  Returns
+    (True, None), or (False, ("basic-open", a)) for the first a whose D_M(a)
+    holds none."""
+    space, tags = type_space(alg, bound=bound, budget=budget)
     principal = {i for i, t in enumerate(tags) if t}
     for a in range(alg.size):
         dm = space.DM(a)

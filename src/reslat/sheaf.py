@@ -85,10 +85,9 @@ def prime_ideals_of(alg, subuniverse, operators, budget=None):
 class DualSheaf:
     alg: object  # the lattice-with-operators reduct the duality acts on
     source: object  # the algebra the sheaf was requested for
-    J: frozenset
     operators: tuple
-    nr_universe: tuple  # elements of Nr_J inside alg
-    points: list  # prime ideals of Nr_J (frozensets of alg elements)
+    zd: tuple  # Zd, the elements every operator fixes
+    points: list  # prime ideals of Zd (frozensets of alg elements)
     stalks: list  # FiniteAlgebra per point
     projections: list  # per point: alg element -> stalk class index
 
@@ -96,11 +95,11 @@ class DualSheaf:
         return tuple(self.projections[i][a] for i in range(len(self.points)))
 
     def basic_open(self, b):
-        """N_b = points whose ideal misses b (b ranges over Nr_J)."""
+        """N_b = points whose ideal misses b (b ranges over Zd)."""
         return frozenset(i for i, x in enumerate(self.points) if b not in x)
 
     def opens(self):
-        return union_closure(self.basic_open(b) for b in self.nr_universe)
+        return union_closure(self.basic_open(b) for b in self.zd)
 
     def support(self, a):
         """[sigma_a] = {x : sigma_a(x) != 0_x}."""
@@ -111,25 +110,19 @@ class DualSheaf:
         )
 
 
-def dual_sheaf(alg, J=frozenset(), operators=None, budget=None):
-    """Base space = prime ideals of Nr_J; stalks = reduct / Co(point),
+def dual_sheaf(alg, operators=None, budget=None):
+    """Base space = prime ideals of Zd; stalks = reduct / Co(point),
     with Co the reduct congruence collapsing the point to 0."""
     ops = default_operators(alg) if operators is None else list(operators)
-    J = frozenset(J)
-    outside = []
-    for f in ops:
-        if f.startswith(("c_", "q_")) and f[2:].isdigit() and int(f[2:]) in J:
-            continue
-        outside.append(f)
-    reduct = sheaf_reduct(alg, outside)
-    nr = tuple(numpy.flatnonzero(~alg.moved(outside).any(axis=0)).tolist())
-    points = prime_ideals_of(reduct, nr, outside, budget)
+    reduct = sheaf_reduct(alg, ops)
+    zd = tuple(numpy.flatnonzero(~alg.moved(ops).any(axis=0)).tolist())
+    points = prime_ideals_of(reduct, zd, ops, budget)
     stalks, projections = [], []
     for x in points:
         q, proj = quotient(reduct, ideal_congruence(reduct, x), name="stalk")
         stalks.append(q)
         projections.append(proj)
-    return DualSheaf(reduct, alg, J, tuple(outside), nr, points, stalks, projections)
+    return DualSheaf(reduct, alg, tuple(ops), zd, points, stalks, projections)
 
 
 def sections(sheaf, budget=None):
@@ -144,10 +137,10 @@ def sections(sheaf, budget=None):
     budget = budget or budgets.from_env()
     alg = sheaf.alg
     npts = len(sheaf.points)
-    # minimal basic neighbourhood of each point: meet of {b in Nr : b not in x}
+    # minimal basic neighbourhood of each point: meet of {b in Zd : b not in x}
     min_nbhd = []
     for x in sheaf.points:
-        acc = alg.meet_all(b for b in sheaf.nr_universe if b not in x)
+        acc = alg.meet_all(b for b in sheaf.zd if b not in x)
         min_nbhd.append(tuple(sorted(sheaf.basic_open(acc))))
     principal = [sheaf.section_of(a) for a in range(alg.size)]
     germs = [

@@ -1,5 +1,5 @@
-"""Filters, prime/maximal spectra, the Zariski topology on Max, and
-theory pairs with consistency, completion and saturation."""
+"""Filters, prime/maximal spectra, the basic Zariski sets of Max, and
+theory pairs with consistency and completion."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -7,15 +7,8 @@ from itertools import combinations
 import numpy
 
 from . import budgets
-from .algebra import (
-    AxiomReport,
-    bitmask,
-    enumerate_closed,
-    generate_closed,
-    splits,
-    union_closure,
-)
-from .errors import DomainError, PreconditionError, SignatureError
+from .algebra import AxiomReport, bitmask, enumerate_closed, generate_closed, splits
+from .errors import DomainError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -77,16 +70,14 @@ def enumerate_filters(alg, kind="all-proper", bound=None, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# spectra and the Zariski topology on Max
+# spectra and the basic Zariski sets of Max
 # ---------------------------------------------------------------------------
 
 
 class SpectrumSpace:
-    """Spec(B) and Max(B) with the basic Zariski sets.
+    """Spec(B) and Max(B) with the basic Zariski sets of Max.
 
-    Point sets are returned as frozensets of indices into max_points
-    (or prime_points for the unrestricted V/D variants).
-    """
+    Point sets are returned as frozensets of indices into max_points."""
 
     def __init__(self, alg, prime_points, max_points):
         self.alg = alg
@@ -98,16 +89,6 @@ class SpectrumSpace:
         }
         full = frozenset(range(len(max_points)))
         self.basis = {a: full - self._vm[a] for a in range(alg.size)}
-        self._v = {
-            a: frozenset(i for i, f in enumerate(prime_points) if a in f.members)
-            for a in range(alg.size)
-        }
-
-    def V(self, a):
-        return self._v[a]
-
-    def D(self, a):
-        return frozenset(range(len(self.prime_points))) - self._v[a]
 
     def VM(self, a):
         return self._vm[a]
@@ -120,31 +101,6 @@ class SpectrumSpace:
         for a in xs:
             out &= self.VM(a)
         return out
-
-    def DM_set(self, xs):
-        return frozenset(range(len(self.max_points))) - self.VM_set(xs)
-
-    # finite topology on Max generated by the D_M basis
-    def opens(self):
-        return union_closure(self.basis.values())
-
-    def interior(self, s):
-        out = frozenset()
-        for b in set(self.basis.values()):
-            if b <= s:
-                out |= b
-        return out
-
-    def closure(self, s):
-        full = frozenset(range(len(self.max_points)))
-        return full - self.interior(full - s)
-
-    def nowhere_dense(self, s):
-        return not self.interior(self.closure(s))
-
-    def is_discrete(self):
-        pts = frozenset(range(len(self.max_points)))
-        return all(self.interior(frozenset([p])) for p in pts)
 
     def report(self):
         points = []
@@ -346,39 +302,6 @@ def pair_complete_extension(tp, record_steps=False):
     if record_steps:
         return out, steps
     return out
-
-
-def pair_saturated(tp, alg=None):
-    """Saturation: c_j a in Gamma demands a witness substitution instance.
-
-    Returns (True, None) or (False, (a, j)) with the first violation.
-    """
-    from .kripke import _tau_name, cylinder_indices, dimension_set, replacement  # avoids a cycle
-
-    alg = alg or tp.alg
-    dims = cylinder_indices(alg)
-    if not dims:
-        raise SignatureError("algebra carries no cylindrifier tables")
-
-    for a in range(alg.size):
-        dims_a = dimension_set(alg, a)
-        for j in dims:
-            cja = alg.apply("c_%d" % j, a)
-            if cja not in tp.gamma:
-                continue
-            witnessed = False
-            for k in dims:
-                if k in dims_a:
-                    continue
-                name = _tau_name(replacement(len(dims), j, k))
-                if name not in alg.signature:
-                    raise SignatureError("missing substitution table %r" % name)
-                if alg.apply(name, a) in tp.gamma:
-                    witnessed = True
-                    break
-            if not witnessed:
-                return False, (a, j)
-    return True, None
 
 
 def upset(alg, a):

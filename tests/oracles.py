@@ -1,6 +1,10 @@
 """Pure-Python reference implementations kept as differential-test oracles.
 
-They are the per-entry loops the vectorized table core replaced: the
+Two are no library code's loop form: `residuum_oracle`, the descending
+scan that the chains' imp tables and `algebra.residuum_closed_form` are
+checked against, and `dimension_set`, the per-index cylindrifier test
+that `kripke.neat_reduct` reads in bulk from `FiniteAlgebra.moved`.
+The others are the per-entry loops the vectorized table core replaced: the
 mask-loop table builder of `kripke.set_algebra`, the per-tuple checker
 of `algebra.check_class_axioms`, the tuple-keyed `algebra.product`, the
 join closure of `amalgam.all_congruences`, and the table loops
@@ -59,6 +63,7 @@ from reslat.amalgam import _union_find, congruence_blocks, ideal_generate, princ
 from reslat.errors import (
     ClosureError,
     DomainError,
+    InternalError,
     InvalidSpecError,
     PreconditionError,
     ResourceError,
@@ -68,7 +73,7 @@ from reslat.kripke import (
     SemigroupG,
     _tau_name,
     compose,
-    dimension_set,
+    cylinder_indices,
     replacement,
     verify_diagonal_equivalence_shadow,
 )
@@ -79,6 +84,24 @@ from reslat.spectra import generate_filter
 def additive(alg):
     """The additive op of an ideal, chosen here apart from the library."""
     return "oplus" if "oplus" in alg.signature else "join"
+
+
+def dimension_set(alg, x):
+    """Delta x = indices whose cylindrifier moves x, one entry read per
+    index: the loop form of the `FiniteAlgebra.moved` rows of
+    `kripke.neat_reduct`."""
+    return frozenset(j for j in cylinder_indices(alg) if alg.apply("c_%d" % j, x) != x)
+
+
+def residuum_oracle(star_table, x, y):
+    """Largest z with star(x, z) <= y, by descending scan of a chain table:
+    the independent oracle for `algebra.residuum_closed_form` and for the
+    imp tables of chains.  Elements are chain indices, order is index
+    order, and star_table must be monotone in both arguments."""
+    for z in range(len(star_table) - 1, -1, -1):
+        if star_table[x][z] <= y:
+            return z
+    raise InternalError("no residuum witness; star(x, 0) > y should be impossible")
 
 
 def table(alg, name):
@@ -899,9 +922,13 @@ def verify_dm_lemma(alg, space, lat_primes, subset_size=2):
     (iv) and the forward half of (vi), which hold by construction; they
     stay here, so equal reports also show that neither fired."""
     sp = space
+    full = frozenset(range(len(sp.max_points)))
 
     def VL(a):
         return frozenset(i for i, f in enumerate(lat_primes) if a in f)
+
+    def DM_set(xs):
+        return full - sp.VM_set(xs)
 
     n = alg.size
     violations = []
@@ -921,17 +948,16 @@ def verify_dm_lemma(alg, space, lat_primes, subset_size=2):
             check("v-vm-meet", sp.VM(a) & sp.VM(b) == sp.VM(alg.meet(a, b)), (a, b))
             check("vi-max-forward", (not alg.leq(a, b)) or sp.VM(a) <= sp.VM(b), (a, b))
             check("vi-separation-iff", alg.leq(a, b) == (VL(a) <= VL(b)), (a, b))
-    full = frozenset(range(len(sp.max_points)))
     for k in range(1, subset_size + 1):
         for xs in combinations(range(n), k):
             fl = generate_filter(alg, xs)
-            check("iii-dm-cover", (sp.DM_set(xs) == full) == (len(fl.members) == n), xs)
+            check("iii-dm-cover", (DM_set(xs) == full) == (len(fl.members) == n), xs)
     for k in range(1, subset_size + 1):
         for xs in combinations(range(n), k):
             for ys in combinations(range(n), k):
                 check(
                     "iv-dm-union",
-                    sp.DM_set(set(xs) | set(ys)) == sp.DM_set(xs) | sp.DM_set(ys),
+                    DM_set(set(xs) | set(ys)) == DM_set(xs) | DM_set(ys),
                     (xs, ys),
                 )
     return AxiomReport("dm-lemma", not violations, violations)
@@ -1595,14 +1621,13 @@ def superamalgam_check(problem, d, k, h):
     return True
 
 
-def interpolant_search(alg, x1, x2, x, z, tau_bound=None, budget=None):
+def interpolant_search(alg, x1, x2, x, z, budget=None):
     """y in Sg(X1 cap X2) with x <= y <= z; when the identity-term phase is
-    empty, retry against n-fold oplus powers of z (n <= tau_bound).
+    empty, retry against n-fold oplus powers of z (n <= Budget.tau_power).
 
     Returns (y, n) with n = 1 for the identity-term case, or None.
     """
-    budget = budget or budgets.from_env()
-    tau_bound = tau_bound or budget.tau_power
+    tau_bound = (budget or budgets.from_env()).tau_power
     sg1 = subalgebra_generate(alg, x1)
     sg2 = subalgebra_generate(alg, x2)
     if x not in sg1:

@@ -29,7 +29,6 @@ from reslat.amalgam import (
     discriminator_check,
     enumerate_ideals,
     gratzer_schmidt_check,
-    ideal_extension,
     ideal_generate,
     ideal_join_characterize,
     interpolant_search,
@@ -130,14 +129,18 @@ def test_ideal_filter_order_duality():
         assert dual_filter == ideal
 
 
+def ideal_extensions(alg, b_sub, m, n, bound=None):
+    """The ideals N' of alg with N <= N' and N' cap B = M, by bitmask."""
+    b_set = frozenset(b_sub)
+    return [i for i in enumerate_ideals(alg, bound=bound) if n <= i and i & b_set == m]
+
+
 def test_ideal_extension_base_case():
     alg = ba4()
     b_sub = sorted(subalgebra_generate(alg, [alg.element_index("(0,1)")]))
     m = frozenset([alg.zero, alg.element_index("(0,1)")])
     n = frozenset([alg.zero])
-    found = ideal_extension(alg, b_sub, m, n)
-    assert found is not None
-    assert found & frozenset(b_sub) == m
+    assert ideal_extensions(alg, b_sub, m, n) == [m]
 
 
 def test_ideal_extension_trivial_m():
@@ -145,8 +148,8 @@ def test_ideal_extension_trivial_m():
     b_sub = sorted(subalgebra_generate(alg, []))
     m = frozenset([alg.zero])
     n = frozenset([alg.zero])
-    found = ideal_extension(alg, b_sub, m, n)
-    assert found is not None and found >= n
+    found = ideal_extensions(alg, b_sub, m, n)
+    assert found and all(i >= n for i in found)
 
 
 def test_ideal_extension_maximal():
@@ -157,10 +160,9 @@ def test_ideal_extension_maximal():
     neg = alg.imp(fr.generators[0], alg.zero)
     m = frozenset([alg.zero, neg])
     n = frozenset([alg.zero])
-    found = ideal_extension(alg, small, m, n, want_maximal=True, bound=16)
-    assert found is not None
     proper = [i for i in enumerate_ideals(alg, bound=16) if len(i) < alg.size]
-    assert not any(found < p for p in proper)
+    maximal = [i for i in proper if not any(i < p for p in proper)]
+    assert any(i in maximal for i in ideal_extensions(alg, small, m, n, bound=16))
 
 
 # ---- congruences ------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """CLI surface: verbs, exit codes, JSON shape, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from reslat import cli
 from reslat.cli import main
 
 
@@ -796,3 +800,26 @@ def test_golden_json_output(capsys, name, argv, exit_code):
     code, out, _ = run(capsys, "--json", *(arg.format(data=DATA) for arg in argv.split()))
     assert code == exit_code
     assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+@pytest.mark.parametrize("argv, env", [
+    ("--json lindenbaum --theory {data}/theory-godel-em.json --vars 2", {}),
+    # the error report that --json also writes on stdout
+    ("--json spectrum godel:4", {"RESLAT_BUDGET": "spectrum=2"}),
+], ids=["report", "error-report"])
+def test_closed_stdout_exits_141_without_a_traceback(argv, env):
+    """A reader that closes the pipe before the report is written gets the
+    documented exit code and a quiet stderr, not a BrokenPipeError."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reslat.cli", *argv.format(data=DATA).split()],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, **env, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr

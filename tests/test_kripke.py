@@ -16,7 +16,6 @@ from reslat.kripke import (
     KripkeSystem,
     SemigroupG,
     compose,
-    dimension_set,
     detect_fault,
     mutate_table,
     neat_reduct,
@@ -148,10 +147,21 @@ def test_growing_worlds_q_of_top():
     assert alg.apply("q_0", alg.one) == alg.one
 
 
+def is_monotone_family(system, fam):
+    """Each world function is at most its value at every later world."""
+    return all(
+        fam[k][v] <= fam[l][v]
+        for k in range(system.world_count())
+        for l in range(system.world_count())
+        if system.leq[k][l]
+        for v in system.assignments[k]
+    )
+
+
 def test_every_element_is_monotone():
     ksa = set_algebra(growing_pair(), with_diagonals=True)
     for idx in range(ksa.algebra.size):
-        assert ksa.is_monotone_family(ksa.decode(idx))
+        assert is_monotone_family(ksa.system, ksa.decode(idx))
 
 
 def test_closure_of_operations_stays_monotone():
@@ -293,21 +303,21 @@ def test_verify_kripke_runs_suites_in_order():
 def test_dimension_sets_of_bounds():
     ksa = set_algebra(one_world(), with_diagonals=True)
     alg = ksa.algebra
-    assert dimension_set(alg, alg.zero) == frozenset()
-    assert dimension_set(alg, alg.one) == frozenset()
+    assert oracles.dimension_set(alg, alg.zero) == frozenset()
+    assert oracles.dimension_set(alg, alg.one) == frozenset()
 
 
 def test_dimension_set_of_diagonal():
     ksa = set_algebra(one_world(), with_diagonals=True)
     alg = ksa.algebra
-    assert dimension_set(alg, alg.const("d_0_1")) <= {0, 1}
+    assert oracles.dimension_set(alg, alg.const("d_0_1")) <= {0, 1}
 
 
 def test_cylindrified_elements_lose_the_index():
     ksa = set_algebra(one_world(), with_diagonals=True)
     alg = ksa.algebra
     for x in range(alg.size):
-        assert 0 not in dimension_set(alg, alg.apply("c_0", x))
+        assert 0 not in oracles.dimension_set(alg, alg.apply("c_0", x))
 
 
 def test_neat_reduct_full_and_empty():
@@ -318,7 +328,7 @@ def test_neat_reduct_full_and_empty():
     empty, witness = neat_reduct(alg, [])
     assert witness is None
     assert set(empty.embedding) == {
-        x for x in range(alg.size) if dimension_set(alg, x) == frozenset()
+        x for x in range(alg.size) if oracles.dimension_set(alg, x) == frozenset()
     }
 
 
@@ -328,7 +338,7 @@ def test_neat_reduct_single_index():
     nr, witness = neat_reduct(alg, [0])
     assert witness is None
     for x in nr.embedding:
-        assert dimension_set(alg, x) <= {0}
+        assert oracles.dimension_set(alg, x) <= {0}
     assert "c_0" in nr.signature and "c_1" not in nr.signature
 
 
@@ -337,12 +347,12 @@ def test_neat_reduct_witness_for_open_candidate_set(opname):
     """One corrupted entry sends an element of Nr_{0} outside it; the
     witness names that op and its arguments as elements of the algebra."""
     alg = set_algebra(one_world(), with_diagonals=True).algebra
-    inside = [x for x in range(alg.size) if dimension_set(alg, x) <= {0}]
+    inside = [x for x in range(alg.size) if oracles.dimension_set(alg, x) <= {0}]
     outside = next(x for x in range(alg.size) if x not in inside)
     args = {"d_0_0": (), "meet": (inside[1], inside[2])}.get(opname, (inside[1],))
     broken = mutate_table(alg, opname, args, outside)
     # only c_1 decides membership in the candidate set, and it is untouched
-    assert [x for x in range(alg.size) if dimension_set(broken, x) <= {0}] == inside
+    assert [x for x in range(alg.size) if oracles.dimension_set(broken, x) <= {0}] == inside
     reduct, witness = neat_reduct(broken, [0])
     assert reduct is None and witness == (opname, args)
     assert witness == oracles.neat_reduct(broken, [0])[1]

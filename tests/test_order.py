@@ -4,15 +4,21 @@ same value and same first witness, on the corpus algebras, on Kripke set
 algebras (which carry extra operators) and on single-entry faults of
 both made by `kripke.mutate_table`.  On the same families, the guard
 that no checker the corpus runs is blind: each one's corpus verdict
-fails on at least one fault."""
+fails on at least one fault.  Last, the guard that the package holds no
+public function or method that only tests reach, unless the README
+lists it as API."""
 
+import ast
 import random
+import re
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import reslat
 from reslat.algebra import ChainSpec, check_class_axioms, lattice_reduct, make_chain
 from reslat.amalgam import (
     AmalgamProblem,
@@ -27,10 +33,10 @@ from reslat.amalgam import (
 )
 from reslat.budgets import Budget
 from reslat.corpus import corpus_algebras, corpus_free
-from reslat.free import FreeAlgebra, atoms, hereditary_closed, is_atomic, is_freely_generated_by
+from reslat.free import FreeAlgebra, atoms, is_atomic, is_freely_generated_by
 from reslat.kripke import cylinder_indices, mutate_table, neat_reduct, random_kripke
 from reslat.logic import isolated_dense_check, join_of_atoms_is_one, type_space
-from reslat.sheaf import strongly_regular_equiv_check
+from reslat.sheaf import strongly_regular_equiv_check, zero_dim
 from reslat.spectra import generate_filter, nowhere_dense_check, upset, zariski_sets
 
 
@@ -218,27 +224,26 @@ def test_is_relatively_complemented_on_boolean_and_chains():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_hereditary_closed_matches_loop(family):
+    """b is hereditary closed iff its down-set lies in `zero_dim`'s Zd."""
     for alg in FAMILIES[family]:
         names = [None] + [[u] for u in ("neg",) if u in alg.signature]
         names += [alg.extra_operator_names()[::-1]] if alg.extra_operator_names() else []
-        for b in range(alg.size):
-            for ops in names:
-                assert hereditary_closed(alg, b, ops) == oracles.hereditary_closed(alg, b, ops), (
-                    alg.name, b, ops
-                )
+        for ops in names:
+            zd = set(zero_dim(alg, ops)[0])
+            for b in range(alg.size):
+                below = set(np.flatnonzero(alg.order[:, b]).tolist())
+                assert (below <= zd) == oracles.hereditary_closed(alg, b, ops)[0], (alg.name, b, ops)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_isolated_dense_check_matches_loop(family):
-    """With every point tagged principal the check passes; with the tags
-    of `type_space` it fails on some faults."""
+    """The check equals its loop over the points and tags of
+    `type_space`, and fails on some faults."""
     sparse = 0
     for alg in FAMILIES[family]:
-        space, tags = type_space(alg, bound=64)
-        for marks in (tags, [True] * len(tags)):
-            got = isolated_dense_check(alg, space, marks)
-            assert got == oracles.isolated_dense_check(alg, space, marks), alg.name
-        sparse += not isolated_dense_check(alg, space, tags)[0]
+        got = isolated_dense_check(alg, bound=64)
+        assert got == oracles.isolated_dense_check(alg, *type_space(alg, bound=64)), alg.name
+        sparse += not got[0]
     assert sparse if family == "faulty" else not sparse
 
 
@@ -277,7 +282,7 @@ CORPUS_VERDICTS = {
             FREE_1.generators,
         )
     ),
-    "isolated_dense_check": lambda alg: isolated_dense_check(alg, *type_space(alg, bound=64))[0],
+    "isolated_dense_check": lambda alg: isolated_dense_check(alg, bound=64)[0],
     "gratzer_schmidt_check": lambda alg: alg.size > 20
     or gratzer_schmidt_check(alg, bound=20)["biconditional"],
     "strongly_regular_equiv_check": lambda alg: strongly_regular_equiv_check(
@@ -304,3 +309,74 @@ def test_every_corpus_checker_can_fail(checker):
     verdict = CORPUS_VERDICTS[checker]
     assert all(verdict(alg) for alg in FAMILIES["kripke"])
     assert any(outcome(verdict, alg) is False for alg in FAMILIES["faulty"])
+
+
+SRC = Path(reslat.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
+
+
+def public_defs(trees):
+    """(module, name, node) of each public module-level function and each
+    public method of a public class, the method named Class.method."""
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield mod, node.name, node
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield mod, "%s.%s" % (node.name, sub.name), sub
+
+
+def references(tree):
+    """(name, line, is_attribute) of every name a module reads or calls:
+    a bare name, or an attribute not read off a foreign module (json.dumps
+    is not FiniteAlgebra.dumps).  Imports and strings do not count, and
+    names are matched without types, so a method shares its attribute
+    references with every other definition of its name."""
+    foreign = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                yield node.attr, node.lineno, True
+
+
+def readme_api():
+    """Per module, the names the API column of the README's Layout table
+    lists, each written as `name`: followed by its reason."""
+    rows = re.findall(r"^\| `reslat\.(\w+)` \|.*\| (.*) \|$", README.read_text(), re.M)
+    return {mod: set(re.findall(r"`([\w.]+)`:", api)) for mod, api in rows}
+
+
+def test_every_public_name_is_run_or_listed_as_api():
+    """Every public function and method in the package is referenced in
+    the package outside its own body, or the README lists it as API with
+    its reason; every name listed there exists.  A method counts as
+    referenced through an attribute only, a function through either."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    refs = {mod: list(references(tree)) for mod, tree in trees.items()}
+    api = readme_api()
+    defs = list(public_defs(trees))
+    unreached = []
+    for mod, qualname, node in defs:
+        method = "." in qualname
+        reached = any(
+            ref == node.name
+            and (is_attribute or not method)
+            and not (m == mod and node.lineno <= line <= node.end_lineno)
+            for m, found in refs.items()
+            for ref, line, is_attribute in found
+        )
+        if not reached and qualname not in api.get(mod, ()):
+            unreached.append("%s.%s" % (mod, qualname))
+    assert not unreached, "neither reached in the package nor listed as API: %s" % unreached
+    defined = {(mod, qualname) for mod, qualname, _ in defs}
+    stale = sorted((mod, name) for mod, names in api.items() for name in names if (mod, name) not in defined)
+    assert not stale

@@ -86,7 +86,8 @@ def kernel_ops(alg, operators):
 
 
 def nr_problems(alg):
-    """The kernel-ideal problems of `dual_sheaf` on Nr_J, for every J."""
+    """Kernel-ideal problems on the elements fixed by every operator but
+    the c_j and q_j with j in J, for every J; J empty is `dual_sheaf`'s."""
     dims = sorted(int(n[2:]) for n in alg.signature.names() if n.startswith("c_"))
     out = []
     for k in range(len(dims) + 1):

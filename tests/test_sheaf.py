@@ -20,7 +20,7 @@ from reslat.amalgam import enumerate_ideals, ideal_generate
 from reslat.budgets import Budget
 from reslat.corpus import _coordinate_closure_product, corpus_algebras
 from reslat.errors import DomainError, ResourceError
-from reslat.kripke import KripkeSystem, dimension_set, set_algebra
+from reslat.kripke import KripkeSystem, set_algebra
 from reslat.sheaf import (
     dual_sheaf,
     eta_check,
@@ -83,7 +83,7 @@ def test_zd_of_kripke_algebra_matches_dimension_sets():
     alg = ksa.algebra
     zd, witness = zero_dim(alg, [n for n in alg.extra_operator_names() if n.startswith("c_")])
     assert witness is None
-    assert set(zd) == {x for x in range(alg.size) if dimension_set(alg, x) == frozenset()}
+    assert set(zd) == {x for x in range(alg.size) if not oracles.dimension_set(alg, x)}
 
 
 def test_zd_of_coordinate_closure_product():

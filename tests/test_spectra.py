@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from reslat.algebra import ChainSpec, core_reduct, make_chain, product
-from reslat.errors import DomainError, PreconditionError, ResourceError, SignatureError
+from reslat.errors import DomainError, PreconditionError, ResourceError
 from reslat.kripke import mutate_table
 from reslat.spectra import (
     TheoryPair,
@@ -15,7 +15,6 @@ from reslat.spectra import (
     nowhere_dense_check,
     pair_complete_extension,
     pair_consistent,
-    pair_saturated,
     prime_lattice_filters,
     upset,
     verify_dm_lemma,
@@ -195,7 +194,7 @@ def test_dm_lemma_item_iii_with_zero():
     sp = zariski_sets(alg)
     fl = generate_filter(alg, [alg.zero])
     assert len(fl.members) == alg.size
-    assert sp.DM_set([alg.zero]) == frozenset(range(len(sp.max_points)))
+    assert not sp.VM_set([alg.zero])  # D_M{0} is all of Max
 
 
 def test_vi_on_max_backward_fails_on_luk3():
@@ -275,9 +274,12 @@ def test_trivial_single_part():
 
 
 def test_max_topology_is_discrete():
-    # finite Hausdorff forces discreteness; asserted, not assumed
+    # finite Hausdorff forces discreteness; asserted, not assumed: every
+    # point of Max is a basic open D_M(a)
     for alg in (godel(3), godel(4), ba4(), luk(4)):
-        assert zariski_sets(alg).is_discrete()
+        sp = zariski_sets(alg)
+        basis = set(sp.basis.values())
+        assert all(frozenset([p]) in basis for p in range(len(sp.max_points)))
 
 
 # ---- Hausdorff witnesses --------------------------------------------------------
@@ -378,64 +380,6 @@ def test_completion_gamma_is_filter_when_filter_seeded():
         tp = TheoryPair(alg, frozenset(seed.members), frozenset([alg.zero]))
         done = pair_complete_extension(tp)
         assert generate_filter(alg, done.gamma).members == done.gamma
-
-
-def test_saturation_on_one_world_total_system():
-    # single total assignment: every cylindrifier is the identity, so every
-    # substitution witness exists and any gamma is saturated
-    from reslat.kripke import KripkeSystem, set_algebra
-
-    system = KripkeSystem(1, [[True]], {0: (0,)}, None, 2)
-    ksa = set_algebra(system, with_diagonals=True)
-    alg = ksa.algebra
-    gamma = frozenset(x for x in range(alg.size) if x != alg.zero)
-    ok, witness = pair_saturated(TheoryPair(alg, gamma, frozenset([alg.zero])))
-    assert ok and witness is None
-
-
-def test_saturation_fails_on_full_dimension_elements():
-    # at finite alpha, elements with full dimension set admit no witness
-    # index: the saturation notion is built for infinite co-dimension
-    from reslat.kripke import KripkeSystem, set_algebra
-
-    system = KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2)
-    ksa = set_algebra(system, with_diagonals=True)
-    alg = ksa.algebra
-    gamma = frozenset(x for x in range(alg.size) if x != alg.zero)
-    ok, witness = pair_saturated(TheoryPair(alg, gamma, frozenset([alg.zero])))
-    assert not ok and witness is not None
-
-
-def test_saturation_needs_cylindrifier_tables():
-    with pytest.raises(SignatureError, match="no cylindrifier tables"):
-        pair_saturated(TheoryPair(luk(3), frozenset(), frozenset()))
-
-
-def test_saturation_vacuous_on_empty_gamma():
-    from reslat.kripke import KripkeSystem, set_algebra
-
-    system = KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2)
-    ksa = set_algebra(system, with_diagonals=True)
-    ok, _ = pair_saturated(TheoryPair(ksa.algebra, frozenset(), frozenset()))
-    assert ok
-
-
-def test_saturation_counterexample():
-    from reslat.kripke import KripkeSystem, set_algebra
-
-    system = KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2)
-    ksa = set_algebra(system, with_diagonals=True)
-    alg = ksa.algebra
-    # find p with c_0 p != p, put only c_0 p in gamma: no substitution witness
-    p = next(
-        x
-        for x in range(alg.size)
-        if alg.apply("c_0", x) != x
-    )
-    gamma = frozenset([alg.apply("c_0", p)])
-    ok, witness = pair_saturated(TheoryPair(alg, gamma, frozenset()))
-    assert not ok
-    assert witness is not None and witness[1] in (0, 1)
 
 
 def test_spectrum_report_shape():
