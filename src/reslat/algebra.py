@@ -853,6 +853,11 @@ def enumerate_closed(alg, universe, up, const, binary=(), unary=()):
     masks = principal_closed(alg, universe, up, const, binary, unary)
     if masks is not None:
         return [frozenset(numpy.flatnonzero(m).tolist()) for m in masks]
+    return _next_closure(alg, universe, up, const, binary, unary)
+
+
+def _next_closure(alg, universe, up, const, binary, unary):
+    """`enumerate_closed` by NextClosure, without the principal-set test."""
     uni = sorted(universe)
 
     def close(seed):

@@ -12,6 +12,7 @@ from .algebra import (
     _axiom_failures,
     _evaluate,
     _grid_chunks,
+    _next_closure,
     _take_grid,
     enumerate_closed,
     generate_closed,
@@ -53,13 +54,15 @@ def enumerate_ideals(alg, operators=(), universe=None, bound=None, budget=None):
     NextClosure fallback, up to 2^(n-1) sets, is refused over the bound."""
     budget = budget or budgets.from_env()
     closure = _ideal_ops(alg, operators)
-    masks = None if universe is None else principal_closed(alg, universe, *closure)
+    what = "ideal enumeration on %r" % alg.name
+    if universe is None:
+        budgets.check_size(what, alg.size, bound, budget.spectrum)
+        return enumerate_closed(alg, range(alg.size), *closure)
+    masks = principal_closed(alg, universe, *closure)
     if masks is not None:
         return [frozenset(numpy.flatnonzero(m).tolist()) for m in masks]
-    universe = range(alg.size) if universe is None else universe
-    what = "ideal enumeration on %r" % alg.name
     budgets.check_size(what, len(universe), bound, budget.spectrum)
-    return enumerate_closed(alg, universe, *closure)
+    return _next_closure(alg, universe, *closure)
 
 
 def ideal_join_characterize(alg, m_ideal, n_ideal):

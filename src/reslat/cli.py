@@ -305,6 +305,7 @@ def _types_of(data):
 
 def cmd_omit(args):
     from .logic import generic_filter, non_principal_certify
+    from .spectra import enumerate_filters
 
     alg = load_algebra(args.alg)
     inside = eval_element_expr(alg, args.inside)
@@ -313,10 +314,8 @@ def cmd_omit(args):
         for entry in load_json(args.types, _types_of)
     ]
     certified = [non_principal_certify(alg, fam) for fam in families]
-    from .spectra import zariski_sets
-
-    space = zariski_sets(alg, bound=args.bound)
-    avoid = [[space.max_points[i] for i in sorted(space.VM_set(fam))] for fam in families]
+    maxes = enumerate_filters(alg, "maximal", bound=args.bound)
+    avoid = [[f for f in maxes if f.members.issuperset(fam)] for fam in families]  # V_M(fam)
     try:
         flt = generic_filter(alg, inside, avoid, bound=args.bound)
     except NoGenericPointError as exc:

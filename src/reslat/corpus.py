@@ -504,11 +504,15 @@ def _random_formula(rng, depth, vars_):
     )
 
 
-def _first_difference(chain, f):
-    """The first (a, b) in product order where f(p0, p1) != expand(f) on the chain."""
-    chunks = valuation_grid(chain, ("p0", "p1"), formulas=(f, expand(f)))
-    firsts = (first_valuation(grid, mask & (x != y)) for grid, mask, (x, y) in chunks)
-    return next((p for p in firsts if p is not None), None)
+def _first_differences(chains, f):
+    """Per chain, the first (a, b) in product order where f(p0, p1) !=
+    expand(f), or None; f and its expansion are each compiled once."""
+    pair, out = (f, expand(f)), []
+    for chain in chains:
+        chunks = valuation_grid(chain, ("p0", "p1"), formulas=pair)
+        firsts = (first_valuation(grid, mask & (x != y)) for grid, mask, (x, y) in chunks)
+        out.append(next((p for p in firsts if p is not None), None))
+    return out
 
 
 @_criterion("11 logic frontend: tautologies and derived-connective coherence")
@@ -524,17 +528,22 @@ def criterion_11():
     # coherence: the per-connective identities make coherence compositional
     # for formulas of every depth; spot-check with seeded deep formulas too
     rng = random.Random(7)
-    formulas = [_random_formula(rng, 4, ["p0", "p1"]) for _ in range(2000)]
-    for spec in (ChainSpec("lukasiewicz", 3), ChainSpec("godel", 3)):
-        chain = make_chain(spec)
-        at = {t: _first_difference(chain, parse(t)) for t in ("p0 /\\ p1", "p0 \\/ p1", "~p0", "p0 <-> p1")}
+    texts = ("p0 /\\ p1", "p0 \\/ p1", "~p0", "p0 <-> p1")
+    formulas = [parse(t) for t in texts]
+    formulas += [_random_formula(rng, 4, ["p0", "p1"]) for _ in range(2000)]
+    specs = (ChainSpec("lukasiewicz", 3), ChainSpec("godel", 3))
+    chains = [make_chain(spec) for spec in specs]
+    # formula by formula, so that each is compiled once for both chains;
+    # failures are still reported chain by chain, connectives first
+    found = [_first_differences(chains, f) for f in formulas]
+    for c, spec in enumerate(specs):
+        at = {t: row[c] for t, row in zip(texts, found)}
         text = min(filter(at.get, at), key=at.get, default=None)  # the first (a, b), then connective
         if text:
             return False, ("connective", str(spec), text, *at[text])
-        for f in formulas:
-            at = _first_difference(chain, f)
-            if at is not None:
-                return False, ("formula", str(spec), str(f), *at)
+        for f, row in zip(formulas[len(texts):], found[len(texts):]):
+            if row[c] is not None:
+                return False, ("formula", str(spec), str(f), *row[c])
     return True, "prelinearity, luk:3 counter-valuation, coherence (per-connective + 2000 seeded depth-4 formulas)"
 
 

@@ -24,7 +24,7 @@ from .errors import (
     NoGenericPointError,
 )
 from .free import VarietySpec, atoms, free_algebra, is_atomic
-from .spectra import upset, zariski_sets
+from .spectra import enumerate_filters, upset, zariski_sets
 
 # ---------------------------------------------------------------------------
 # formulas
@@ -414,9 +414,7 @@ class LindenbaumAlgebra:
     those pairs, and operations act coordinatewise.  The representative of
     a class is the first formula reaching it in breadth-first enumeration."""
 
-    def __init__(self, theory, n, algebra, vectors, reps, generator_classes):
-        self.theory = theory
-        self.n = n
+    def __init__(self, algebra, vectors, reps, generator_classes):
         self.algebra = algebra
         self.vectors = vectors  # class index -> value vector
         self.reps = reps  # class index -> representative formula
@@ -441,7 +439,7 @@ def lindenbaum(theory, n, budget=None):
     labels = [str(r) if r is not None else "e%d" % i for i, r in enumerate(reps)]
     every = range(free.size)
     alg, _ = free.algebra.restrict("lindenbaum(n=%d)" % n, every, every, labels=labels)
-    return LindenbaumAlgebra(theory, n, alg, free.vectors, reps, list(free.generators))
+    return LindenbaumAlgebra(alg, free.vectors, reps, list(free.generators))
 
 
 def _representatives(alg, generators):
@@ -496,8 +494,7 @@ def generic_filter(alg, inside, avoid=(), bound=None, budget=None):
     member frozensets)."""
     if inside == alg.zero:
         raise DomainError("inside element must be nonzero")
-    space = zariski_sets(alg, bound=bound, budget=budget)
-    maxes = space.max_points
+    maxes = enumerate_filters(alg, "maximal", bound=bound, budget=budget)
     avoid_sets = []
     for entry in avoid:
         pts = set()
@@ -537,11 +534,10 @@ def isolated_dense_check(alg, bound=None, budget=None):
     (True, None), or (False, ("basic-open", a)) for the first a whose D_M(a)
     holds none."""
     space, tags = type_space(alg, bound=bound, budget=budget)
-    principal = {i for i, t in enumerate(tags) if t}
-    for a in range(alg.size):
-        dm = space.DM(a)
-        if dm and not (dm & principal):
-            return False, ("basic-open", a)
+    dm = ~space.vm  # row a: D_M(a)
+    bad = dm.any(axis=1) & ~dm[:, numpy.array(tags, dtype=bool)].any(axis=1)
+    if bad.any():
+        return False, ("basic-open", int(bad.argmax()))
     return True, None
 
 

@@ -5,9 +5,10 @@ open-sets correspondence.
 
 Ideals here are congruence-kernel style: the ideals of `reslat.amalgam`
 (downward closed, closed under oplus when present, else join), closed
-also under the declared operators, the notion whose primes carry the
-duality.  `amalgam.enumerate_ideals` lists them and `ideal_generate`
-generates them; congruences come from `reslat.amalgam` too.
+also under the algebra's operators (`extra_operator_names`), the notion
+whose primes carry the duality.  `amalgam.enumerate_ideals` lists them
+and `ideal_generate` generates them; congruences come from
+`reslat.amalgam` too.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy
 
 from . import budgets
-from .algebra import FiniteAlgebra, _take_grid, bitmask, splits, union_closure
+from .algebra import FiniteAlgebra, bitmask, splits, union_closure
 from .amalgam import (
     all_congruences,
     enumerate_ideals,
@@ -29,49 +30,29 @@ from .errors import DomainError, ResourceError
 from .free import _RowKeys, _search
 
 
-def default_operators(alg):
-    return alg.extra_operator_names()
-
-
-def sheaf_reduct(alg, operators=None):
+def sheaf_reduct(alg):
     """The lattice-with-operators reduct the duality lives on: join, meet,
-    bounds, the MV additions when present, and the declared operators.
-    Residuated implication stays out: it is not part of the duality's
-    similarity type, and quotients by point ideals need not respect it."""
-    ops = default_operators(alg) if operators is None else list(operators)
+    bounds, the MV additions when present, and the operators.  Residuated
+    implication stays out: it is not part of the duality's similarity
+    type, and quotients by point ideals need not respect it."""
     names = ["join", "meet", "zero", "one"]
     names += [extra for extra in ("oplus", "odot", "neg") if extra in alg.signature]
+    names += alg.extra_operator_names()
     every = range(alg.size)
-    return alg.restrict(alg.name + "#blo", every, every, names + ops, alg.labels)[0]
+    return alg.restrict(alg.name + "#blo", every, every, names, alg.labels)[0]
 
 
-def zero_dim(alg, operators=None):
-    """Zd: fixed points of every operator, returned with a closure check.
-
-    Returns (elements tuple, witness): witness is None when the fixed-point
-    set is closed under join/meet/imp and the constants, else the first
-    offending (op, args).
-    """
-    ops = default_operators(alg) if operators is None else list(operators)
-    inside = ~alg.moved(ops).any(axis=0)
-    at = numpy.flatnonzero(inside)
-    zd = at.tolist()
-    for name in ("join", "meet", "imp"):
-        if name not in alg.signature:
-            continue
-        out = ~inside.take(_take_grid(alg.np_table(name), at))
-        if out.any():
-            x, y = numpy.unravel_index(out.argmax(), out.shape)
-            return tuple(zd), (name, (zd[x], zd[y]))
-    return tuple(zd), None
+def zero_dim(alg):
+    """Zd: the elements every operator fixes, as a tuple."""
+    return tuple(numpy.flatnonzero(~alg.moved(alg.extra_operator_names()).any(axis=0)).tolist())
 
 
-def prime_ideals_of(alg, subuniverse, operators, budget=None):
+def prime_ideals_of(alg, subuniverse, budget=None):
     """Kernel ideals of the subuniverse that are proper and meet-prime."""
     size = len(set(subuniverse))
     return [
         ideal
-        for ideal in enumerate_ideals(alg, operators, subuniverse, budget=budget)
+        for ideal in enumerate_ideals(alg, alg.extra_operator_names(), subuniverse, budget=budget)
         if len(ideal) < size and splits(alg, "meet", ideal, subuniverse)
     ]
 
@@ -84,8 +65,6 @@ def prime_ideals_of(alg, subuniverse, operators, budget=None):
 @dataclass
 class DualSheaf:
     alg: object  # the lattice-with-operators reduct the duality acts on
-    source: object  # the algebra the sheaf was requested for
-    operators: tuple
     zd: tuple  # Zd, the elements every operator fixes
     points: list  # prime ideals of Zd (frozensets of alg elements)
     stalks: list  # FiniteAlgebra per point
@@ -110,19 +89,18 @@ class DualSheaf:
         )
 
 
-def dual_sheaf(alg, operators=None, budget=None):
+def dual_sheaf(alg, budget=None):
     """Base space = prime ideals of Zd; stalks = reduct / Co(point),
     with Co the reduct congruence collapsing the point to 0."""
-    ops = default_operators(alg) if operators is None else list(operators)
-    reduct = sheaf_reduct(alg, ops)
-    zd = tuple(numpy.flatnonzero(~alg.moved(ops).any(axis=0)).tolist())
-    points = prime_ideals_of(reduct, zd, ops, budget)
+    reduct = sheaf_reduct(alg)
+    zd = zero_dim(reduct)
+    points = prime_ideals_of(reduct, zd, budget)
     stalks, projections = [], []
     for x in points:
         q, proj = quotient(reduct, ideal_congruence(reduct, x), name="stalk")
         stalks.append(q)
         projections.append(proj)
-    return DualSheaf(reduct, alg, tuple(ops), zd, points, stalks, projections)
+    return DualSheaf(reduct, zd, points, stalks, projections)
 
 
 def sections(sheaf, budget=None):
@@ -213,8 +191,12 @@ def eta_check(alg, sheaf=None, budget=None):
 
     Returns (bool, details) where details carries the failure witness."""
     sheaf = sheaf or dual_sheaf(alg, budget=budget)
+    return _eta(sheaf, sections(sheaf, budget=budget), budget)
+
+
+def _eta(sheaf, secs, budget):
+    """`eta_check` on the sheaf's continuous sections `secs`."""
     reduct = sheaf.alg
-    secs = sections(sheaf, budget=budget)
     images = [sheaf.section_of(a) for a in range(reduct.size)]
     if len(set(images)) != reduct.size:
         dup = [
@@ -241,9 +223,10 @@ def eta_check(alg, sheaf=None, budget=None):
 # ---------------------------------------------------------------------------
 
 
-def regularity(alg, operators=None, budget=None):
+def regularity(alg, sheaf=None, budget=None):
     """(regular?, strongly_regular?, congruence_strongly_regular?)
-    quantified over the prime ideals of Zd.
+    quantified over the prime ideals of Zd, the points of `sheaf`, which
+    is `dual_sheaf(alg)` when not given.
 
     'Prime ideal in A' is primality inside the kernel-ideal family
     (J cap K <= I forces J <= I or K <= I): the meet-splitting reading
@@ -252,10 +235,9 @@ def regularity(alg, operators=None, budget=None):
     takes |proper| * |ideals|^2 pairs; more than `Budget.closure` of them
     is a ResourceError before it starts."""
     budget = budget or budgets.from_env()
-    ops = default_operators(alg) if operators is None else list(operators)
-    reduct = sheaf_reduct(alg, ops)
-    zd, _ = zero_dim(alg, ops)
-    primes = prime_ideals_of(reduct, zd, ops, budget)
+    sheaf = sheaf or dual_sheaf(alg, budget=budget)
+    reduct = sheaf.alg
+    ops = reduct.extra_operator_names()
     all_ideals = enumerate_ideals(reduct, ops, range(reduct.size), budget=budget)
     proper = [i for i in all_ideals if len(i) < reduct.size]
     pairs = len(proper) * len(all_ideals) ** 2
@@ -282,7 +264,7 @@ def regularity(alg, operators=None, budget=None):
     regular = True
     strongly = True
     cong_strongly = True
-    for x in primes:
+    for x in sheaf.points:
         ig = ideal_generate(reduct, x, ops)
         if ig not in prime_family:
             regular = False
@@ -297,21 +279,20 @@ def regularity(alg, operators=None, budget=None):
     }
 
 
-def strongly_regular_equiv_check(alg, operators=None, budget=None):
+def strongly_regular_equiv_check(alg, budget=None):
     """In the relatively complemented case the three conditions
     (strong regularity, Zd-generated principal ideals, semisimple stalk
-    space) are equivalent; evaluated independently and compared.
+    space) are equivalent; evaluated independently on one dual sheaf and
+    compared.
 
     Returns {"skipped": reason} when the precondition fails."""
     if not is_relatively_complemented(alg):
         return {"skipped": "not relatively complemented"}
-    ops = default_operators(alg) if operators is None else list(operators)
-    reduct = sheaf_reduct(alg, ops)
-    reg = regularity(alg, ops, budget=budget)
-    cond1 = reg["strongly_regular"]
-    zd_ideals = {ideal_generate(reduct, [z], ops) for z in zero_dim(alg, ops)[0]}
+    sheaf = dual_sheaf(alg, budget=budget)
+    reduct, ops = sheaf.alg, sheaf.alg.extra_operator_names()
+    cond1 = regularity(alg, sheaf, budget=budget)["strongly_regular"]
+    zd_ideals = {ideal_generate(reduct, [z], ops) for z in sheaf.zd}
     cond2 = all(ideal_generate(reduct, [a], ops) in zd_ideals for a in range(alg.size))
-    sheaf = dual_sheaf(alg, operators=ops, budget=budget)
     cond3 = all(
         q.size == 1 or len(all_congruences(q, budget=budget)) == 2
         for q in sheaf.stalks
@@ -329,15 +310,16 @@ def strongly_regular_equiv_check(alg, operators=None, budget=None):
 # ---------------------------------------------------------------------------
 
 
-def regular_ideals_open_sets(alg, sheaf=None, operators=None, budget=None):
+def regular_ideals_open_sets(alg, sheaf=None, budget=None):
     """The two maps I |-> U[I] = union of supports and U |-> J[U] =
     {a : [sigma_a] <= U}; checks they are mutually inverse lattice
-    isomorphisms between regular ideals and the opens of the base."""
-    ops = default_operators(alg) if operators is None else list(operators)
-    sheaf = sheaf or dual_sheaf(alg, operators=ops, budget=budget)
+    isomorphisms between regular ideals and the opens of the base of
+    `sheaf`, which is `dual_sheaf(alg)` when not given."""
+    sheaf = sheaf or dual_sheaf(alg, budget=budget)
     reduct = sheaf.alg
-    zset = set(zero_dim(alg, ops)[0])
-    ideals = enumerate_ideals(reduct, ops, range(reduct.size), budget=budget)
+    zset = set(sheaf.zd)
+    every = range(reduct.size)
+    ideals = enumerate_ideals(reduct, reduct.extra_operator_names(), every, budget=budget)
     # Ig(i & Zd) is the meet of the ideals over i & Zd, so it is i when all hold i
     regular = [i for i in ideals if all(i <= j for j in ideals if i & zset <= j)]
     opens = {bitmask(u) for u in sheaf.opens()}
@@ -380,20 +362,21 @@ def regular_ideals_open_sets(alg, sheaf=None, operators=None, budget=None):
     }
 
 
-def report(alg, operators=None, budget=None, with_eta=True, with_regularity=True):
+def report(alg, budget=None, with_eta=True, with_regularity=True):
     """Sheaf report: base points, stalk sizes and section count, plus the
-    eta verdict `with_eta` and the regularity triple `with_regularity`.
-    A part that is not asked for is neither computed nor reported."""
-    ops = default_operators(alg) if operators is None else list(operators)
-    sheaf = dual_sheaf(alg, operators=ops, budget=budget)
+    eta verdict `with_eta` and the regularity triple `with_regularity`,
+    all on one dual sheaf and its one section search.  A part that is
+    not asked for is neither computed nor reported."""
+    sheaf = dual_sheaf(alg, budget=budget)
+    secs = sections(sheaf, budget=budget)
     out = {
         "format": "reslat/1",
         "base_points": [sorted(p) for p in sheaf.points],
         "stalk_sizes": [q.size for q in sheaf.stalks],
-        "section_count": len(sections(sheaf, budget=budget)),
+        "section_count": len(secs),
     }
     if with_eta:
-        out["eta_isomorphism"] = eta_check(alg, sheaf, budget=budget)[0]
+        out["eta_isomorphism"] = _eta(sheaf, secs, budget)[0]
     if with_regularity:
-        out["regularity"] = regularity(alg, ops, budget=budget)
+        out["regularity"] = regularity(alg, sheaf, budget=budget)
     return out

@@ -47,26 +47,37 @@ def is_prime_filter(alg, members):
     return alg.zero not in members and splits(alg, "join", members)
 
 
-def enumerate_filters(alg, kind="all-proper", bound=None, budget=None):
-    """Exhaustive filter enumeration (star-closed up-sets containing 1).
-
-    kind: all-proper | prime | maximal.  Output sorted by bitmask.
-    """
+def _filters(alg, op, bound=None, budget=None):
+    """The up-sets holding 1 closed under op, the improper one included,
+    as frozensets sorted by bitmask: the filters under star, the lattice
+    filters under meet.  An algebra larger than `bound` (default
+    `Budget.spectrum`) is a ResourceError."""
     budget = budget or budgets.from_env()
-    budgets.check_size("filter enumeration on %r" % alg.name, alg.size, bound, budget.spectrum)
-    filters = enumerate_closed(alg, range(alg.size), True, alg.one, ["star"])
+    what = "%sfilter enumeration on %r" % ("" if op == "star" else "lattice ", alg.name)
+    budgets.check_size(what, alg.size, bound, budget.spectrum)
+    return enumerate_closed(alg, range(alg.size), True, alg.one, [op])
+
+
+def _of_kind(alg, filters, kind):
+    """The proper, prime or maximal filters among `filters`, as Filters."""
     proper = [f for f in filters if alg.zero not in f]
     if kind == "all-proper":
         chosen = proper
     elif kind == "prime":
         chosen = [f for f in proper if is_prime_filter(alg, f)]
     elif kind == "maximal":
-        chosen = [
-            f for f in proper if not any(f < g for g in proper)
-        ]
+        chosen = [f for f in proper if not any(f < g for g in proper)]
     else:
         raise DomainError("unknown filter kind %r" % kind)
     return [Filter(alg, f) for f in chosen]
+
+
+def enumerate_filters(alg, kind="all-proper", bound=None, budget=None):
+    """Exhaustive filter enumeration (star-closed up-sets containing 1).
+
+    kind: all-proper | prime | maximal.  Output sorted by bitmask.
+    """
+    return _of_kind(alg, _filters(alg, "star", bound, budget), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -75,32 +86,24 @@ def enumerate_filters(alg, kind="all-proper", bound=None, budget=None):
 
 
 class SpectrumSpace:
-    """Spec(B) and Max(B) with the basic Zariski sets of Max.
+    """Spec(B) and Max(B) with the basic Zariski sets of Max, read off one
+    enumeration of the filters.
 
-    Point sets are returned as frozensets of indices into max_points."""
+    `vm` is V_M as a read-only bool matrix: [a, i] says whether the i-th
+    maximal point holds a.  D_M(a), its complement, is a frozenset of
+    indices into max_points."""
 
-    def __init__(self, alg, prime_points, max_points):
+    def __init__(self, alg, filters):
         self.alg = alg
-        self.prime_points = prime_points
-        self.max_points = max_points
-        self._vm = {
-            a: frozenset(i for i, f in enumerate(max_points) if a in f.members)
-            for a in range(alg.size)
-        }
-        full = frozenset(range(len(max_points)))
-        self.basis = {a: full - self._vm[a] for a in range(alg.size)}
-
-    def VM(self, a):
-        return self._vm[a]
+        self.filters = filters  # every filter, improper included, sorted by bitmask
+        self.prime_points = _of_kind(alg, filters, "prime")
+        self.max_points = _of_kind(alg, filters, "maximal")
+        self.vm = _members(alg, [f.members for f in self.max_points])
+        self.vm.flags.writeable = False
+        self.basis = {a: frozenset(numpy.flatnonzero(~vm).tolist()) for a, vm in enumerate(self.vm)}
 
     def DM(self, a):
         return self.basis[a]
-
-    def VM_set(self, xs):
-        out = frozenset(range(len(self.max_points)))
-        for a in xs:
-            out &= self.VM(a)
-        return out
 
     def report(self):
         points = []
@@ -123,9 +126,7 @@ class SpectrumSpace:
 
 
 def zariski_sets(alg, bound=None, budget=None):
-    primes = enumerate_filters(alg, "prime", bound=bound, budget=budget)
-    maxes = enumerate_filters(alg, "maximal", bound=bound, budget=budget)
-    return SpectrumSpace(alg, primes, maxes)
+    return SpectrumSpace(alg, _filters(alg, "star", bound, budget))
 
 
 def prime_lattice_filters(alg, bound=None, budget=None):
@@ -134,11 +135,7 @@ def prime_lattice_filters(alg, bound=None, budget=None):
     These separate the order in any distributive algebra: a <= b iff every
     prime lattice filter containing a contains b.  Star-filters cannot do
     this on chains with nilpotents (Fl{1/2} is improper in luk:3)."""
-    budget = budget or budgets.from_env()
-    what = "lattice filter enumeration on %r" % alg.name
-    budgets.check_size(what, alg.size, bound, budget.spectrum)
-    lattice_filters = enumerate_closed(alg, range(alg.size), True, alg.one, ["meet"])
-    return [f for f in lattice_filters if alg.zero not in f and is_prime_filter(alg, f)]
+    return [f for f in _filters(alg, "meet", bound, budget) if is_prime_filter(alg, f)]
 
 
 def _members(alg, sets):
@@ -163,15 +160,16 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     on point sets; and the forward half of (vi), as every filter the
     enumeration lists is an up-set of `order`.
 
-    Point sets are bool rows over the points and each identity is one
-    broadcast.  An identity's witness is its first failure in the order
-    of the statement's loops: pairs (a, b), then subsets, each in
-    lexicographic order; violations are listed in the order those loops
-    first meet them."""
+    V_M and item (iii)'s filters are read off `space`, the spectrum of
+    `alg`, which is built when not given.  Point sets are bool rows over
+    the points and each identity is one broadcast.  An identity's
+    witness is its first failure in the order of the statement's loops:
+    pairs (a, b), then subsets, each in lexicographic order; violations
+    are listed in the order those loops first meet them."""
     sp = space or zariski_sets(alg, bound=bound, budget=budget)
     lat_primes = prime_lattice_filters(alg, bound=bound, budget=budget)
     n = alg.size
-    vm = _members(alg, [f.members for f in sp.max_points])  # row a: V_M(a)
+    vm = sp.vm  # row a: V_M(a)
     dm = ~vm
     vl = _members(alg, lat_primes)
     join, meet, star = (alg.np_table(name) for name in ("join", "meet", "star"))
@@ -185,8 +183,7 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     ]
     failed = [(int((~ok).argmax()), i, aid) for i, (aid, ok) in enumerate(pairs) if not ok.all()]
     violations = [(aid, divmod(k, n)) for k, _, aid in sorted(failed)]
-    closed = enumerate_closed(alg, range(n), True, alg.one, ["star"])
-    filters = _members(alg, [f for f in closed if len(f) < n]).T
+    filters = _members(alg, [f for f in sp.filters if len(f) < n]).T
     for k in range(1, subset_size + 1):
         at = numpy.array(list(combinations(range(n), k)), dtype=numpy.intp).reshape(-1, k)
         improper = numpy.empty(len(at), dtype=bool)
@@ -212,8 +209,7 @@ def nowhere_dense_check(alg, space=None, budget=None):
     of its steps (as p1 v ... v pk = p1 v (p2 v ... v pk)), on any tables.
     Returns (True, None), or (False, (mode, (p1, p2))) for the first
     nonempty residual, join before meet, pairs in lexicographic order."""
-    sp = space or zariski_sets(alg, budget=budget)
-    vm = _members(alg, [f.members for f in sp.max_points])  # row a: V_M(a)
+    vm = (space or zariski_sets(alg, budget=budget)).vm  # row a: V_M(a)
     residuals = (
         ("join", vm.take(alg.np_table("join"), 0) & ~(vm[:, None] | vm[None])),
         ("meet", vm[:, None] & vm[None] & ~vm.take(alg.np_table("meet"), 0)),

@@ -916,6 +916,12 @@ def stalk_congruence(alg, ideal):
     return congruence_closure(alg, [(a, alg.zero) for a in ideal])
 
 
+def VM(space, a):
+    """V_M(a): the indices of the maximal points holding a, read off their
+    members."""
+    return frozenset(i for i, f in enumerate(space.max_points) if a in f.members)
+
+
 def verify_dm_lemma(alg, space, lat_primes, subset_size=2):
     """The six D_M/V_M identities on frozenset point sets, item (iii)
     through one `generate_filter` per subset.  The library leaves out
@@ -928,7 +934,7 @@ def verify_dm_lemma(alg, space, lat_primes, subset_size=2):
         return frozenset(i for i, f in enumerate(lat_primes) if a in f)
 
     def DM_set(xs):
-        return full - sp.VM_set(xs)
+        return full - full.intersection(*(VM(sp, x) for x in xs))
 
     n = alg.size
     violations = []
@@ -945,8 +951,8 @@ def verify_dm_lemma(alg, space, lat_primes, subset_size=2):
                 sp.DM(a) | sp.DM(b) == sp.DM(alg.meet(a, b)) == sp.DM(alg.star(a, b)),
                 (a, b),
             )
-            check("v-vm-meet", sp.VM(a) & sp.VM(b) == sp.VM(alg.meet(a, b)), (a, b))
-            check("vi-max-forward", (not alg.leq(a, b)) or sp.VM(a) <= sp.VM(b), (a, b))
+            check("v-vm-meet", VM(sp, a) & VM(sp, b) == VM(sp, alg.meet(a, b)), (a, b))
+            check("vi-max-forward", (not alg.leq(a, b)) or VM(sp, a) <= VM(sp, b), (a, b))
             check("vi-separation-iff", alg.leq(a, b) == (VL(a) <= VL(b)), (a, b))
     for k in range(1, subset_size + 1):
         for xs in combinations(range(n), k):
@@ -1785,9 +1791,9 @@ def nowhere_dense_check(alg, space):
                 for p in reversed(parts[:-1]):
                     a = fold(p, a)
                 if mode == "join":
-                    residual = space.VM(a) - frozenset().union(*map(space.VM, parts))
+                    residual = VM(space, a).difference(*(VM(space, p) for p in parts))
                 else:
-                    residual = everything.intersection(*map(space.VM, parts)) - space.VM(a)
+                    residual = everything.intersection(*(VM(space, p) for p in parts)) - VM(space, a)
                 if residual:
                     return False, (mode, parts)
     return True, None

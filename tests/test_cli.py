@@ -788,6 +788,12 @@ GOLDEN_CASES = [
     ("spectrum-godel4", "spectrum godel:4 --verify-lemma", 0),
     # excluded middle on the Goedel chains of 2..4 elements
     ("lindenbaum-godel-em", "lindenbaum --theory {data}/theory-godel-em.json --vars 2", 0),
+    # the README's omit, interp and amalgamate examples, on Fr_2 over BA
+    # (a dumped Fr_3 is 4.9 MB) and on two BA_4 over the two-element chain
+    ("omit-fr2", "omit --alg {data}/fr2.json --inside g0 --types {data}/types-fr2.json", 0),
+    ("omit-fr2-excluded", "omit --alg {data}/fr2.json --inside g0 --types {data}/types-fr2-all.json", 1),
+    ("interp-fr2", "interp --alg {data}/fr2.json --x g0/\\g1 --z g1 --x1 g0,g1 --x2 g1", 0),
+    ("amalgamate-ba4", "amalgamate --problem {data}/problem-ba4.json --max-size 16 --super", 0),
 ]
 
 

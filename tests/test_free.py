@@ -339,7 +339,7 @@ def test_relativized_residuation():
 def hereditary_closed(alg, b):
     """b is hereditary closed when every operator fixes everything below
     b: the down-set of b lies inside `sheaf.zero_dim`'s Zd."""
-    return set(numpy.flatnonzero(alg.order[:, b]).tolist()) <= set(zero_dim(alg)[0])
+    return set(numpy.flatnonzero(alg.order[:, b]).tolist()) <= set(zero_dim(alg))
 
 
 def test_hereditary_closed_on_kripke_example():

@@ -258,7 +258,7 @@ def test_lindenbaum_passes_bl_on_bl_chains():
 def class_of(lind, formula):
     """The class of a formula over p0..p{n-1}: its value in the Lindenbaum
     algebra at the generator classes."""
-    names = ("p%d" % i for i in range(lind.n))
+    names = ("p%d" % i for i in range(len(lind.generator_classes)))
     return eval_formula(formula, lind.algebra, dict(zip(names, lind.generator_classes)))
 
 
@@ -794,3 +794,38 @@ def test_join_lemma_needs_complementation():
     assert atoms(g4) == [1]
     assert all(g4.leq(1, b) for b in range(1, g4.size))  # dense
     assert not join_of_atoms_is_one(g4)
+
+
+LUK3, GODEL3 = str(ChainSpec("lukasiewicz", 3)), str(ChainSpec("godel", 3))
+
+
+@pytest.mark.parametrize("planted, want", [
+    ({10: [None, (0, 1)]}, ("formula", GODEL3, 10, 0, 1)),
+    ({10: [None, (0, 1)], 20: [(1, 1), None]}, ("formula", LUK3, 20, 1, 1)),
+    ({10: [None, (0, 1)], 2: [None, (2, 2)], 3: [None, (0, 2)]}, ("connective", GODEL3, 3, 0, 2)),
+    ({2: [None, (0, 0)], 20: [(2, 1), None]}, ("formula", LUK3, 20, 2, 1)),
+    ({}, None),
+], ids=["godel-formula", "luk-formula-first", "godel-connective", "luk-before-godel-connective", "pass"])
+def test_criterion_11_reports_luk3_before_godel3(monkeypatch, planted, want):
+    """Criterion 11 checks each formula on both chains at once, and still
+    reports a failure on luk:3 before any on godel:3, connectives before
+    formulas, and among the connectives the first (a, b).  The planted
+    first differences stand for the 4 connectives and 2000 formulas in
+    the order the criterion checks them."""
+    from reslat import corpus
+
+    seen = []
+
+    def planted_differences(chains, f):
+        seen.append(f)
+        return planted.get(len(seen) - 1, [None, None])
+
+    monkeypatch.setattr(corpus, "_first_differences", planted_differences)
+    result = corpus.criterion_11()
+    assert len(seen) == 2004
+    if want is None:
+        assert result["passed"]
+        return
+    kind, spec, k, a, b = want
+    name = str(seen[k]) if kind == "formula" else ("p0 /\\ p1", "p0 \\/ p1", "~p0", "p0 <-> p1")[k]
+    assert not result["passed"] and result["details"] == (kind, spec, name, a, b)

@@ -224,12 +224,17 @@ def test_is_relatively_complemented_on_boolean_and_chains():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_hereditary_closed_matches_loop(family):
-    """b is hereditary closed iff its down-set lies in `zero_dim`'s Zd."""
-    for alg in FAMILIES[family]:
-        names = [None] + [[u] for u in ("neg",) if u in alg.signature]
-        names += [alg.extra_operator_names()[::-1]] if alg.extra_operator_names() else []
-        for ops in names:
-            zd = set(zero_dim(alg, ops)[0])
+    """b is hereditary closed iff its down-set lies in `zero_dim`'s Zd, on
+    the algebra and on its restriction to every other operator, reversed."""
+    for full in FAMILIES[family]:
+        extra, every = full.extra_operator_names(), range(full.size)
+        rest = [n for n in full.signature.names() if n not in extra]
+        algs = [full]
+        if extra:
+            algs.append(full.restrict(full.name, every, every, rest + extra[::-2])[0])
+        for alg in algs:
+            zd = set(zero_dim(alg))
+            ops = alg.extra_operator_names()
             for b in range(alg.size):
                 below = set(np.flatnonzero(alg.order[:, b]).tolist())
                 assert (below <= zd) == oracles.hereditary_closed(alg, b, ops)[0], (alg.name, b, ops)

@@ -30,13 +30,7 @@ from reslat.amalgam import enumerate_ideals, ideal_congruence, ideal_generate
 from reslat.corpus import corpus_algebras
 from reslat.free import boolean_variety, free_algebra
 from reslat.kripke import random_kripke
-from reslat.sheaf import (
-    default_operators,
-    prime_ideals_of,
-    regular_ideals_open_sets,
-    sheaf_reduct,
-    zero_dim,
-)
+from reslat.sheaf import prime_ideals_of, regular_ideals_open_sets, sheaf_reduct, zero_dim
 from reslat.spectra import is_prime_filter, verify_dm_lemma, zariski_sets
 
 
@@ -87,16 +81,21 @@ def kernel_ops(alg, operators):
 
 def nr_problems(alg):
     """Kernel-ideal problems on the elements fixed by every operator but
-    the c_j and q_j with j in J, for every J; J empty is `dual_sheaf`'s."""
+    the c_j and q_j with j in J, for every J; J empty is `dual_sheaf`'s.
+    Each is posed on the sheaf reduct of the algebra restricted to those
+    operators."""
     dims = sorted(int(n[2:]) for n in alg.signature.names() if n.startswith("c_"))
+    extra = alg.extra_operator_names()
+    rest = [n for n in alg.signature.names() if n not in extra]
+    every = range(alg.size)
     out = []
     for k in range(len(dims) + 1):
         for J in combinations(dims, k):
             outside = [
-                f for f in default_operators(alg)
+                f for f in extra
                 if not (f.startswith(("c_", "q_")) and int(f[2:]) in J)
             ]
-            reduct = sheaf_reduct(alg, outside)
+            reduct = sheaf_reduct(alg.restrict(alg.name, every, every, rest + outside, alg.labels)[0])
             nr = [x for x in range(alg.size) if all(alg.apply(f, x) == x for f in outside)]
             out.append((reduct, nr, outside))
     return out
@@ -119,7 +118,7 @@ def test_kernel_ideals_over_nr_match_dfs():
             ideals = enumerate_ideals(reduct, outside, nr)
             ops = kernel_ops(reduct, outside)
             assert ideals == oracles.enumerate_closed(reduct, nr, False, reduct.zero, *ops)
-            assert prime_ideals_of(reduct, nr, outside) == oracles.prime_ideals_of(
+            assert prime_ideals_of(reduct, nr) == oracles.prime_ideals_of(
                 reduct, nr, outside
             )
             every = range(reduct.size)
@@ -133,13 +132,13 @@ def test_regular_ideals_match_generated_ideals():
     """Regular ideals (Ig(I & Zd) = I) read off the enumeration agree with
     one `ideal_generate` per DFS ideal."""
     for alg in CORPUS + KRIPKE:
-        ops = default_operators(alg)
-        reduct = sheaf_reduct(alg, ops)
-        zd = set(zero_dim(alg, ops)[0])
+        ops = alg.extra_operator_names()
+        reduct = sheaf_reduct(alg)
+        zd = set(zero_dim(alg))
         ideals = oracles.enumerate_closed(reduct, range(reduct.size), False, reduct.zero,
                                           *kernel_ops(reduct, ops))
         regular = [i for i in ideals if ideal_generate(reduct, i & zd, ops) == i]
-        report = regular_ideals_open_sets(alg, operators=ops)
+        report = regular_ideals_open_sets(alg)
         assert report["regular_ideals"] == len(regular), alg.name
 
 

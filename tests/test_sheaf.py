@@ -73,23 +73,23 @@ def coordinate_closure_product(algs):
 
 def test_zd_with_no_operators_is_everything():
     alg = godel(4)
-    zd, witness = zero_dim(alg)
-    assert witness is None and len(zd) == alg.size
+    assert zero_dim(alg) == tuple(range(alg.size))
 
 
 def test_zd_of_kripke_algebra_matches_dimension_sets():
     system = KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2)
     ksa = set_algebra(system, with_diagonals=True)
-    alg = ksa.algebra
-    zd, witness = zero_dim(alg, [n for n in alg.extra_operator_names() if n.startswith("c_")])
-    assert witness is None
-    assert set(zd) == {x for x in range(alg.size) if not oracles.dimension_set(alg, x)}
+    full = ksa.algebra
+    every = range(full.size)
+    extra = full.extra_operator_names()
+    ops = [n for n in full.signature.names() if n not in extra or n.startswith("c_")]
+    alg = full.restrict(full.name, every, every, ops, full.labels)[0]  # the c_j its only operators
+    assert set(zero_dim(alg)) == {x for x in range(alg.size) if not oracles.dimension_set(alg, x)}
 
 
 def test_zd_of_coordinate_closure_product():
     pc = coordinate_closure_product([ba4(), ba4()])
-    zd, witness = zero_dim(pc)
-    assert witness is None and len(zd) == 4
+    assert len(zero_dim(pc)) == 4
 
 
 def test_corpus_coordinate_closure_product_matches_the_stride_loop():
@@ -101,21 +101,15 @@ def test_corpus_coordinate_closure_product_matches_the_stride_loop():
         assert got.tables["c_0"].tolist() == want.tables["c_0"].tolist()
 
 
-def test_zd_witness_is_the_first_entry_outside_in_row_order():
-    """An operator fixing 0, 1/3 and 1 of luk:4: join and meet keep those
-    fixed points, and imp(1/3, 0) = 2/3 is the first value outside."""
+def test_zd_is_every_fixed_point_even_when_not_closed():
+    """An operator fixing 0, 1/3 and 1 of luk:4: Zd is those three, though
+    imp(1/3, 0) = 2/3 lies outside, and its elements are ints."""
     alg = luk(4)
     ops = {name: alg.tables[name] for name in alg.signature.names()} | {"f": [0, 1, 3, 3]}
     with_f = FiniteAlgebra("luk:4+f", 4, Signature(alg.signature.ops + (("f", 1),)), ops)
-    zd, witness = zero_dim(with_f)
-    assert zd == (0, 1, 3)
-    assert witness == ("imp", (1, 0))
-    first = next(
-        (name, (x, y))
-        for name in ("join", "meet", "imp") for x in zd for y in zd
-        if with_f.apply(name, x, y) not in zd
-    )
-    assert witness == first and all(type(v) is int for v in witness[1])
+    zd = zero_dim(with_f)
+    assert zd == (0, 1, 3) and all(type(v) is int for v in zd)
+    assert with_f.imp(1, 0) not in zd
 
 
 # ---- dual sheaves --------------------------------------------------------------
@@ -315,7 +309,7 @@ def brute_force_kernel_ideals(alg, sub, operators):
 def test_kernel_ideals_match_brute_force():
     # a proper subuniverse carrying an operator: the c_0-fixed points
     pc = sheaf_reduct(coordinate_closure_product([luk(3), ba4()]))
-    zd, _ = zero_dim(pc)
+    zd = zero_dim(pc)
     assert 0 < len(zd) < pc.size
     # and a subset the operations leave, where closure is only checked inside
     lower = range(pc.size // 2)

@@ -2,9 +2,12 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import oracles
 from reslat.algebra import ChainSpec, core_reduct, make_chain, product
+from reslat.corpus import corpus_algebras
 from reslat.errors import DomainError, PreconditionError, ResourceError
 from reslat.kripke import mutate_table
 from reslat.spectra import (
@@ -148,12 +151,23 @@ def test_vm_meet_identity():
     sp = zariski_sets(alg)
     for a in range(alg.size):
         for b in range(alg.size):
-            assert sp.VM(a) & sp.VM(b) == sp.VM(alg.meet(a, b))
+            assert oracles.VM(sp, a) & oracles.VM(sp, b) == oracles.VM(sp, alg.meet(a, b))
+
+
+def test_vm_is_one_read_only_matrix_under_dm():
+    """Row a of `vm` is V_M(a) and D_M(a) is its complement, on the corpus."""
+    for alg in corpus_algebras():
+        sp = zariski_sets(alg, bound=64)
+        assert not sp.vm.flags.writeable
+        assert sp.vm.shape == (alg.size, len(sp.max_points))
+        for a in range(alg.size):
+            assert frozenset(np.flatnonzero(sp.vm[a]).tolist()) == oracles.VM(sp, a)
+            assert sp.DM(a) == frozenset(range(len(sp.max_points))) - oracles.VM(sp, a)
 
 
 def test_vm_of_half_in_g3():
     sp = zariski_sets(godel(3))
-    pts = [sorted(sp.max_points[i].members) for i in sp.VM(1)]
+    pts = [sorted(sp.max_points[i].members) for i in oracles.VM(sp, 1)]
     assert pts == [[1, 2]]
 
 
@@ -194,7 +208,7 @@ def test_dm_lemma_item_iii_with_zero():
     sp = zariski_sets(alg)
     fl = generate_filter(alg, [alg.zero])
     assert len(fl.members) == alg.size
-    assert not sp.VM_set([alg.zero])  # D_M{0} is all of Max
+    assert not sp.vm[alg.zero].any()  # D_M{0} is all of Max
 
 
 def test_vi_on_max_backward_fails_on_luk3():
@@ -203,7 +217,7 @@ def test_vi_on_max_backward_fails_on_luk3():
     # backward direction therefore reads over prime lattice filters
     alg = luk(3)
     sp = zariski_sets(alg)
-    assert sp.VM(1) <= sp.VM(0)
+    assert oracles.VM(sp, 1) <= oracles.VM(sp, 0)
     assert not alg.leq(1, 0)
 
 
