@@ -36,9 +36,11 @@ CORE_OPS = (
     ("one", 0),
 )
 CORE_NAMES = frozenset(n for n, _ in CORE_OPS)
+# ops an MV algebra may carry besides the core ones
+MV_OPS = (("oplus", 2), ("odot", 2), ("neg", 1))
 # names that belong to the (residuated/MV) structure rather than to
 # "extra" operators in the BAO sense
-STRUCTURAL_NAMES = CORE_NAMES | {"oplus", "odot", "neg"}
+STRUCTURAL_NAMES = CORE_NAMES | {n for n, _ in MV_OPS}
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,9 @@ class FiniteAlgebra:
             at = (arity, self._slot.get(opname))
             self.tables[opname] = views[at] if arity else consts[opname]
             self.cells[opname] = cells[at] if arity else consts[opname]
+        # per class axiom id, its first witness, or None when the axiom
+        # holds: filled in by `_axiom_failures` as it completes each axiom
+        self._axiom_verdicts = {}
 
     # ---- basic access -------------------------------------------------
 
@@ -391,12 +396,14 @@ class FiniteAlgebra:
             else:
                 sig.append((name, 1))
         arity = dict(sig)
-        for name, want in CORE_OPS:
+        for name, want in CORE_OPS + MV_OPS:
+            required = name in CORE_NAMES
             if name not in arity:
-                raise InvalidSpecError("algebra lacks required op %r" % name)
-            if arity[name] != want:
-                kind = "a binary table" if want else "a constant"
-                raise InvalidSpecError("required op %r must be %s" % (name, kind))
+                if required:
+                    raise InvalidSpecError("algebra lacks required op %r" % name)
+            elif arity[name] != want:
+                kind = ("a constant", "a unary table", "a binary table")[want]
+                raise InvalidSpecError("%s %r must be %s" % ("required op" if required else "op", name, kind))
         return cls(
             data.get("name", "algebra"),
             size,
@@ -540,7 +547,7 @@ def _chain(spec):
     if spec.kind == "lukasiewicz":
         ops["odot"] = ops["star"]
         ops["neg"] = den - numpy.arange(n)
-        sig += [("oplus", 2), ("odot", 2), ("neg", 1)]
+        sig += MV_OPS
     return FiniteAlgebra(str(spec), n, Signature(tuple(sig)), ops, labels=labels)
 
 
@@ -720,7 +727,10 @@ def _evaluate(term, env):
 
 def check_class_axioms(alg, cls):
     """Exhaustively evaluate a class axiom suite; first witness per axiom,
-    the first failing tuple in itertools.product order."""
+    the first failing tuple in itertools.product order.  Each axiom's
+    verdict is computed once per algebra and kept on it, beside `order`,
+    once its evaluation has completed: bl, heyting and boolean read the
+    residuated-lattice verdicts an earlier check left."""
     violations = list(_axiom_failures(alg, cls))
     return AxiomReport(cls, not violations, violations)
 
@@ -728,7 +738,10 @@ def check_class_axioms(alg, cls):
 def _axiom_failures(alg, cls):
     """(axiom id, first witness) of each failing axiom of the suite, lazily
     in suite order, so a caller that needs only a verdict stops at the
-    first failure."""
+    first failure.  Each axiom is evaluated once per algebra: its verdict
+    is written to the algebra's record only when its evaluation has
+    completed, so a caller that stops early leaves no partial entry, and
+    later calls read it from there."""
     for name in ("join", "meet", "star", "imp"):
         if name not in alg.signature:
             raise SignatureError("class check needs core op %r" % name)
@@ -738,18 +751,25 @@ def _axiom_failures(alg, cls):
     env.update({"<=": alg.order, "0": alg.zero, "1": alg.one})
     if cls == "mv":
         env.update(zip(("oplus", "odot", "neg"), _derived_mv_ops(alg)))
-    grids = {}
+    record, grids = alg._axiom_verdicts, {}
     for aid, arity, lhs, rhs in _SUITES[cls]:
-        if arity not in grids:
-            grids[arity] = list(_grid_chunks(alg.size, _VARIABLES[:arity]))
-        for grid in grids[arity]:  # C order: the flat grid is product order
-            env.update(grid)
-            holds = _evaluate(lhs, env) == _evaluate(rhs, env)
-            first = holds.argmin()
-            if not holds.flat[first]:
-                at = numpy.unravel_index(first, holds.shape)
-                yield aid, tuple(grid[v].ravel()[k].item() for v, k in zip(_VARIABLES, at))
-                break
+        if aid in record:
+            witness = record[aid]
+        else:
+            if arity not in grids:
+                grids[arity] = list(_grid_chunks(alg.size, _VARIABLES[:arity]))
+            witness = None
+            for grid in grids[arity]:  # C order: the flat grid is product order
+                env.update(grid)
+                holds = _evaluate(lhs, env) == _evaluate(rhs, env)
+                first = holds.argmin()
+                if not holds.flat[first]:
+                    at = numpy.unravel_index(first, holds.shape)
+                    witness = tuple(grid[v].ravel()[k].item() for v, k in zip(_VARIABLES, at))
+                    break
+            record[aid] = witness
+        if witness is not None:
+            yield aid, witness
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from reslat.algebra import (
     ChainSpec,
     FiniteAlgebra,
     Signature,
+    _AXIOMS,
     _axiom_failures,
     check_class_axioms,
     complement,
@@ -524,6 +525,73 @@ def test_first_axiom_failure_is_the_reports_first(family):
         for cls in ALGEBRA_CLASSES:
             violations = check_class_axioms(alg, cls).violations
             assert next(_axiom_failures(alg, cls), None) == (violations[0] if violations else None)
+
+
+def test_each_axiom_id_names_one_pair_of_sides():
+    """Axiom verdicts are kept per algebra under the axiom's id, so an id
+    must name the same (lhs, rhs) in every suite that has it, and one
+    axiom within its suite."""
+    sides = {}
+    for cls, axioms in _AXIOMS.items():
+        ids = [aid for aid, _, _ in axioms]
+        assert len(set(ids)) == len(ids), cls
+        for aid, lhs, rhs in axioms:
+            assert sides.setdefault(aid, (lhs, rhs)) == (lhs, rhs), aid
+
+
+def kripke16():
+    from reslat.kripke import KripkeSystem, set_algebra
+
+    system = KripkeSystem(1, [[True]], {0: (0, 1)}, None, 2)
+    return set_algebra(system, with_diagonals=True).algebra
+
+
+def record_family():
+    """The corpus algebras, a few products, and the 16-element Kripke set
+    algebra with single faults of it."""
+    from reslat.corpus import corpus_algebras
+    from reslat.kripke import mutate_table
+
+    k16, rng = kripke16(), random.Random(7)
+    faults = [k16]
+    for op in ("join", "meet", "star", "imp"):
+        for _ in range(2):
+            a, b = rng.randrange(16), rng.randrange(16)
+            value = rng.choice([v for v in range(16) if v != k16.tables[op][a, b]])
+            faults.append(mutate_table(k16, op, (a, b), value))
+    faults.append(mutate_table(k16, "one", (), 0))
+    products = [
+        product([luk(2), luk(2), luk(2)]),
+        product([luk(3), luk(3)]),
+        product([core_reduct(luk(3)), core_reduct(godel(4))]),
+    ]
+    return corpus_algebras() + products + faults
+
+
+ORDERS = [
+    ALGEBRA_CLASSES,
+    ALGEBRA_CLASSES[::-1],
+    ("heyting", "residuated-lattice", "boolean", "mv", "bl"),
+    ("boolean", "bl", "mv", "heyting", "residuated-lattice"),
+]
+
+
+def test_recorded_axiom_verdicts_match_per_tuple_oracle():
+    """Class checks run in several orders on one algebra, each axiom
+    verdict read from the algebra's record when an earlier check left it
+    there, report what the per-tuple oracle does, witnesses included.
+    Before every other check, the first failure of another class is read
+    and its generator dropped, which leaves only completed axioms
+    recorded.  Each run starts from a fresh copy, so no earlier check, of
+    this test or another, has filled its record."""
+    for alg in record_family():
+        expected = {cls: oracles.check_class_axioms(alg, cls) for cls in ALGEBRA_CLASSES}
+        for order in ORDERS:
+            copy = FiniteAlgebra.from_json(alg.to_json())
+            for i, cls in enumerate(order):
+                if i % 2:
+                    next(_axiom_failures(copy, order[-1 - i]), None)
+                assert check_class_axioms(copy, cls) == expected[cls], (alg.name, order, cls)
 
 
 def luk3_tables(**changes):

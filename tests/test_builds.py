@@ -1,13 +1,23 @@
-"""Each spectrum, dual sheaf and ideal list is built once: call counts of
-the enumerations behind the spectral, generic-filter and sheaf checks,
-taken by wrapping the module attribute each caller reads."""
+"""Each spectrum, dual sheaf and ideal list is built once, and each class
+axiom is evaluated once per algebra: call counts of the enumerations
+behind the spectral, generic-filter and sheaf checks and of the axiom
+evaluations behind the class checks, taken by wrapping the module
+attribute each caller reads."""
 
 from collections import Counter
 
 import pytest
 
 from reslat import algebra, amalgam, sheaf, spectra
-from reslat.algebra import ChainSpec, make_chain, product
+from reslat.algebra import (
+    ALGEBRA_CLASSES,
+    ChainSpec,
+    FiniteAlgebra,
+    _axiom_failures,
+    check_class_axioms,
+    make_chain,
+    product,
+)
 from reslat.kripke import mutate_table
 from reslat.logic import generic_filter
 
@@ -89,3 +99,69 @@ def test_ideal_fallback_tests_for_principal_sets_once(count):
     assert calls["principal_closed"] == 1
     assert amalgam.enumerate_ideals(alg) == given
     assert calls["principal_closed"] == 2
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """evaluated(): a Counter of the axiom ids the class checks evaluated
+    since its last call.  It wraps `_evaluate`, which also reads each
+    subterm through the module, and pairs its outermost calls, an axiom's
+    lhs and then its rhs once per grid chunk (one chunk up to 40
+    elements)."""
+    axiom_of = {(lhs, rhs): aid for axioms in algebra._AXIOMS.values() for aid, lhs, rhs in axioms}
+    original, sides, depth = algebra._evaluate, [], [0]
+
+    def wrapped(term, env):
+        if not depth[0]:
+            sides.append(term)
+        depth[0] += 1
+        try:
+            return original(term, env)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(algebra, "_evaluate", wrapped)
+
+    def read():
+        ids = Counter(axiom_of[pair] for pair in zip(sides[::2], sides[1::2]))
+        sides.clear()
+        return ids
+
+    return read
+
+
+def suite_ids(cls):
+    return [aid for aid, _, _ in algebra._AXIOMS[cls]]
+
+
+def test_each_class_axiom_is_evaluated_once_per_algebra(evaluated):
+    """bl and heyting evaluate only what they add to residuated-lattice;
+    over all five classes no axiom is evaluated twice; a faulted copy
+    evaluates afresh, and reading its first failure evaluates only the
+    axioms up to it, which a full check then does not evaluate again."""
+    alg = FiniteAlgebra.from_json(luk(4).to_json())  # not make_chain's cached chain
+    total = Counter()
+
+    def check(cls):
+        check_class_axioms(alg, cls)
+        ids = evaluated()
+        total.update(ids)
+        return ids
+
+    assert check("residuated-lattice") == Counter(suite_ids("residuated-lattice"))
+    assert check("bl") == Counter(["prelinearity", "divisibility"])
+    assert check("heyting") == Counter(["star-is-meet"])
+    for cls in ALGEBRA_CLASSES:
+        check(cls)
+    assert total == Counter(set().union(*map(suite_ids, ALGEBRA_CLASSES)))
+
+    fault = mutate_table(alg, "star", (1, 2), 3)  # star-comm fails first
+    check_class_axioms(fault, "residuated-lattice")
+    assert evaluated() == Counter(suite_ids("residuated-lattice"))
+    fault = mutate_table(alg, "star", (1, 2), 3)  # a second copy, its record empty
+    heyting = suite_ids("heyting")
+    assert next(_axiom_failures(fault, "heyting"))[0] == "star-comm"
+    upto = heyting.index("star-comm") + 1
+    assert evaluated() == Counter(heyting[:upto])
+    check_class_axioms(fault, "heyting")
+    assert evaluated() == Counter(heyting[upto:])

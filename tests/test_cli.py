@@ -295,6 +295,29 @@ def test_algebra_file_without_a_core_op_exit_code(tmp_path, capsys, op, table, a
             assert json.loads(out)["error"] == err[len("error: ") :].strip()
 
 
+@pytest.mark.parametrize(
+    "op, table",
+    [("oplus", [0, 1, 2]), ("odot", 1), ("neg", [[0, 1, 2]] * 3), ("neg", 2)],
+    ids=["unary-oplus", "constant-odot", "binary-neg", "constant-neg"],
+)
+@pytest.mark.parametrize("argv", ["check {} --class mv", "sheaf {}"])
+def test_algebra_file_with_a_misshapen_mv_op_exit_code(tmp_path, capsys, op, table, argv):
+    """An algebra file that gives oplus, odot or neg must give oplus and
+    odot as binary tables and neg as a unary one; else the verb exits 2
+    naming the op, with the error also on stdout in --json mode, and no
+    traceback."""
+    data = luk3_json()
+    data["ops"][op] = table
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, *flags, *argv.format(path).split())
+        assert code == 2
+        assert err.startswith("error: ") and repr(op) in err and "Traceback" not in err
+        if flags:
+            assert json.loads(out)["error"] == err[len("error: ") :].strip()
+
+
 def test_algebra_file_errors_name_their_file(tmp_path, capsys):
     """With two algebra files, the error names the faulty one, keeps its
     class and exits 2."""
