@@ -707,6 +707,18 @@ def _grid_chunks(n, names):
             yield {v: numpy.arange(*span).reshape(sh) for v, span, sh in zip(names, spans, shapes)}
 
 
+def first_valuation(grid, mask):
+    """The first valuation of a `_grid_chunks` chunk, in product order,
+    where mask holds, as an element tuple, or None; it reads no other
+    point of the mask.  Chunks are in C order, so the flat mask is in
+    product order."""
+    first = mask.argmax()
+    if not mask.flat[first]:
+        return None
+    at = numpy.unravel_index(first, mask.shape)
+    return tuple(g.ravel()[j].item() for g, j in zip(grid.values(), at))
+
+
 def _evaluate(term, env):
     """Value of a term, broadcast over the variable grids in env; a leaf is any non-tuple.
 
@@ -759,13 +771,10 @@ def _axiom_failures(alg, cls):
             if arity not in grids:
                 grids[arity] = list(_grid_chunks(alg.size, _VARIABLES[:arity]))
             witness = None
-            for grid in grids[arity]:  # C order: the flat grid is product order
+            for grid in grids[arity]:
                 env.update(grid)
-                holds = _evaluate(lhs, env) == _evaluate(rhs, env)
-                first = holds.argmin()
-                if not holds.flat[first]:
-                    at = numpy.unravel_index(first, holds.shape)
-                    witness = tuple(grid[v].ravel()[k].item() for v, k in zip(_VARIABLES, at))
+                witness = first_valuation(grid, _evaluate(lhs, env) != _evaluate(rhs, env))
+                if witness is not None:
                     break
             record[aid] = witness
         if witness is not None:

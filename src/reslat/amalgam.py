@@ -147,6 +147,16 @@ def principal_congruence(alg, x, y):
     return congruence_closure(alg, [(x, y)])
 
 
+def is_simple(alg):
+    """Whether the algebra has exactly two congruences: it has more than
+    one element and Cg(a, b) is total for every a < b.  Every congruence
+    but the identity holds one of these principal ones, so the lattice
+    they generate is not listed."""
+    n = alg.size
+    # total: every class root is the element 0
+    return n > 1 and not any(any(principal_congruence(alg, a, b)) for a in range(n) for b in range(a + 1, n))
+
+
 def all_congruences(alg, budget=None, bound=None):
     """The congruence lattice, as sorted canonical tuples.
 
@@ -273,30 +283,24 @@ class CongruencePair:
 
     def agrees(self):
         common = self.sg12()
-        r_pairs = {(x, y) for x in common for y in common if self.r[x] == self.r[y]}
-        s_pairs = {(x, y) for x in common for y in common if self.s[x] == self.s[y]}
-        return r_pairs == s_pairs
+        return restrict_congruence(self.r, common) == restrict_congruence(self.s, common)
 
 
-def cp_extend(pair, budget=None):
-    """A congruence T of the whole algebra whose restrictions to Sg(X1)
-    and Sg(X2) are R and S; None when no such T exists.  The finest
-    witness in deterministic order is returned (identity pairs extend to
-    the identity)."""
+def cp_extend(pair):
+    """The finest congruence T of the whole algebra whose restrictions to
+    Sg(X1) and Sg(X2) are R and S; None when no such T exists.
+
+    Every such T holds R|Sg(X1) and S|Sg(X2), so it holds their congruence
+    closure: the closure is T when its restrictions are R and S, and no T
+    exists when they are not (identity pairs extend to the identity)."""
     if not pair.agrees():
         raise PreconditionError("R and S disagree on Sg(X1 cap X2)")
-    alg = pair.alg
     sg1, sg2 = pair.sg1(), pair.sg2()
     want_r = restrict_congruence(pair.r, sg1)
     want_s = restrict_congruence(pair.s, sg2)
-    candidates = all_congruences(alg, budget=budget)
-    candidates.sort(key=lambda t: (sum(1 for i, r in enumerate(t) if r != i), t))
-    for theta in candidates:
-        if (
-            restrict_congruence(theta, sg1) == want_r
-            and restrict_congruence(theta, sg2) == want_s
-        ):
-            return theta
+    theta = congruence_closure(pair.alg, want_r | want_s)
+    if restrict_congruence(theta, sg1) == want_r and restrict_congruence(theta, sg2) == want_s:
+        return theta
     return None
 
 

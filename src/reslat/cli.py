@@ -304,7 +304,7 @@ def _types_of(data):
 
 
 def cmd_omit(args):
-    from .logic import generic_filter, non_principal_certify
+    from .logic import _generic_among, non_principal_certify
     from .spectra import enumerate_filters
 
     alg = load_algebra(args.alg)
@@ -317,7 +317,7 @@ def cmd_omit(args):
     maxes = enumerate_filters(alg, "maximal", bound=args.bound)
     avoid = [[f for f in maxes if f.members.issuperset(fam)] for fam in families]  # V_M(fam)
     try:
-        flt = generic_filter(alg, inside, avoid, bound=args.bound)
+        flt = _generic_among(alg, maxes, inside, avoid)
     except NoGenericPointError as exc:
         _emit(
             args,

@@ -17,7 +17,7 @@ from itertools import count
 import numpy
 
 from . import budgets
-from .algebra import _evaluate, _grid_chunks, core_reduct, make_chain, parse_chain_name
+from .algebra import _evaluate, _grid_chunks, core_reduct, first_valuation, make_chain, parse_chain_name
 from .errors import (
     DomainError,
     InvalidSpecError,
@@ -77,7 +77,7 @@ class ParseError(InvalidSpecError):
         super().__init__("%s (at position %d)" % (message, position))
 
 
-_TOKENS = ("->", "<->", "&", "/\\", "\\/", "~", "(", ")")
+_TOKENS = ("<->", "->", "/\\", "\\/", "&", "~", "(", ")")  # longest match first
 
 
 def tokenize(text):
@@ -89,7 +89,7 @@ def tokenize(text):
             i += 1
             continue
         matched = False
-        for t in ("<->", "->", "/\\", "\\/", "&", "~", "(", ")"):
+        for t in _TOKENS:
             if text.startswith(t, i):
                 out.append((t, i))
                 i += len(t)
@@ -333,16 +333,6 @@ def valuations_at(grid, mask):
     return (tuple(ax[j] for ax, j in zip(axes, row.tolist())) for row in numpy.argwhere(mask))
 
 
-def first_valuation(grid, mask):
-    """The first valuation of a chunk, in product order, where mask holds,
-    as an element tuple, or None; it reads no other point of the mask."""
-    first = mask.argmax()
-    if not mask.flat[first]:
-        return None
-    at = numpy.unravel_index(first, mask.shape)
-    return tuple(g.ravel()[j].item() for g, j in zip(grid.values(), at))
-
-
 def parse_chain_list(text):
     """Chain list syntax: 'luk:2..6,godel:3' -> list of ChainSpec, each
     piece a chain name or range as `algebra.parse_chain_name` reads it."""
@@ -492,32 +482,30 @@ def generic_filter(alg, inside, avoid=(), bound=None, budget=None):
 
     `avoid` entries are collections of maximal filters (Filter objects or
     member frozensets)."""
+    # a zero `inside` is refused before any enumeration
+    maxes = [] if inside == alg.zero else enumerate_filters(alg, "maximal", bound=bound, budget=budget)
+    return _generic_among(alg, maxes, inside, avoid)
+
+
+def _generic_among(alg, maxes, inside, avoid):
+    """`generic_filter` over `maxes`, the algebra's maximal filters as
+    `enumerate_filters` lists them, for a caller that has them already."""
     if inside == alg.zero:
         raise DomainError("inside element must be nonzero")
-    maxes = enumerate_filters(alg, "maximal", bound=bound, budget=budget)
+    index = {f.members: i for i, f in enumerate(maxes)}
     avoid_sets = []
     for entry in avoid:
-        pts = set()
-        for f in entry:
-            members = f.members if hasattr(f, "members") else frozenset(f)
-            for i, g in enumerate(maxes):
-                if g.members == members:
-                    pts.add(i)
-        avoid_sets.append(frozenset(pts))
-    banned = frozenset().union(*avoid_sets) if avoid_sets else frozenset()
-    admissible = [
-        i
-        for i, f in enumerate(maxes)
-        if inside in f.members and i not in banned
-    ]
+        members = (f.members if hasattr(f, "members") else frozenset(f) for f in entry)
+        avoid_sets.append(frozenset(index[m] for m in members if m in index))
+    banned = frozenset().union(*avoid_sets)
+    admissible = [i for i, f in enumerate(maxes) if inside in f.members and i not in banned]
     if not admissible:
         raise NoGenericPointError(
             "every maximal filter through %s is excluded" % alg.label(inside),
             inside=inside,
             avoid=avoid_sets,
         )
-    best = min(admissible, key=lambda i: maxes[i].bitmask())
-    return maxes[best]
+    return maxes[min(admissible, key=lambda i: maxes[i].bitmask())]
 
 
 def type_space(alg, bound=None, budget=None):

@@ -18,12 +18,11 @@ import numpy
 from . import budgets
 from .algebra import FiniteAlgebra, bitmask, splits, union_closure
 from .amalgam import (
-    all_congruences,
     enumerate_ideals,
     ideal_congruence,
     ideal_generate,
     is_relatively_complemented,
-    partition_leq,
+    is_simple,
     quotient,
 )
 from .errors import DomainError, ResourceError
@@ -226,7 +225,21 @@ def _eta(sheaf, secs, budget):
 def regularity(alg, sheaf=None, budget=None):
     """(regular?, strongly_regular?, congruence_strongly_regular?)
     quantified over the prime ideals of Zd, the points of `sheaf`, which
-    is `dual_sheaf(alg)` when not given.
+    is `dual_sheaf(alg)` when not given.  The first two are
+    `_ideal_regularity`'s.  Co(x) is maximal exactly when its quotient,
+    the stalk at x, is simple, so the third reads the stalks."""
+    sheaf = sheaf or dual_sheaf(alg, budget=budget)
+    regular, strongly = _ideal_regularity(sheaf, budget)
+    return {
+        "regular": regular,
+        "strongly_regular": strongly,
+        "congruence_strongly_regular": all(map(is_simple, sheaf.stalks)),
+    }
+
+
+def _ideal_regularity(sheaf, budget):
+    """(regular?, strongly_regular?): whether Ig(x) is prime, and whether
+    it is maximal, for every point x.
 
     'Prime ideal in A' is primality inside the kernel-ideal family
     (J cap K <= I forces J <= I or K <= I): the meet-splitting reading
@@ -235,7 +248,6 @@ def regularity(alg, sheaf=None, budget=None):
     takes |proper| * |ideals|^2 pairs; more than `Budget.closure` of them
     is a ResourceError before it starts."""
     budget = budget or budgets.from_env()
-    sheaf = sheaf or dual_sheaf(alg, budget=budget)
     reduct = sheaf.alg
     ops = reduct.extra_operator_names()
     all_ideals = enumerate_ideals(reduct, ops, range(reduct.size), budget=budget)
@@ -254,49 +266,26 @@ def regularity(alg, sheaf=None, budget=None):
             for k in all_ideals
         ):
             prime_family.add(ideal)
-    congs = all_congruences(reduct, budget=budget)
-    proper_congs = [t for t in congs if len(set(t)) > 1]
-    maximal_congs = {
-        t
-        for t in proper_congs
-        if not any(t != u and partition_leq(t, u) for u in proper_congs)
-    }
-    regular = True
-    strongly = True
-    cong_strongly = True
-    for x in sheaf.points:
-        ig = ideal_generate(reduct, x, ops)
-        if ig not in prime_family:
-            regular = False
-        if ig not in maximal_ideals:
-            strongly = False
-        if ideal_congruence(reduct, x) not in maximal_congs:
-            cong_strongly = False
-    return {
-        "regular": regular,
-        "strongly_regular": strongly,
-        "congruence_strongly_regular": cong_strongly,
-    }
+    generated = [ideal_generate(reduct, x, ops) for x in sheaf.points]
+    return all(ig in prime_family for ig in generated), all(ig in maximal_ideals for ig in generated)
 
 
 def strongly_regular_equiv_check(alg, budget=None):
     """In the relatively complemented case the three conditions
     (strong regularity, Zd-generated principal ideals, semisimple stalk
     space) are equivalent; evaluated independently on one dual sheaf and
-    compared.
+    compared.  A one-element stalk counts as semisimple, a stalk of more
+    elements when it is simple.
 
     Returns {"skipped": reason} when the precondition fails."""
     if not is_relatively_complemented(alg):
         return {"skipped": "not relatively complemented"}
     sheaf = dual_sheaf(alg, budget=budget)
     reduct, ops = sheaf.alg, sheaf.alg.extra_operator_names()
-    cond1 = regularity(alg, sheaf, budget=budget)["strongly_regular"]
+    cond1 = _ideal_regularity(sheaf, budget)[1]
     zd_ideals = {ideal_generate(reduct, [z], ops) for z in sheaf.zd}
     cond2 = all(ideal_generate(reduct, [a], ops) in zd_ideals for a in range(alg.size))
-    cond3 = all(
-        q.size == 1 or len(all_congruences(q, budget=budget)) == 2
-        for q in sheaf.stalks
-    )
+    cond3 = all(q.size == 1 or is_simple(q) for q in sheaf.stalks)
     return {
         "strongly_regular": cond1,
         "principal_ideals_zd_generated": cond2,

@@ -46,7 +46,10 @@ shorter argument replaced: `is_freely_generated_by`, one homomorphism
 search per valuation, where the universal property of the free
 generators now answers, and `nowhere_dense_check` over every
 decomposition of 2 and 3 parts, which the pair check of
-`spectra.nowhere_dense_check` covers.  `table` hands every loop here the
+`spectra.nowhere_dense_check` covers.  Then the two congruence questions
+that one congruence stopped listing the lattice for: the candidate
+search of `amalgam.cp_extend`, and the maximal-congruence scan of
+`sheaf.regularity`'s congruence clause.  `table` hands every loop here the
 nested-list form of a table.
 Tests compare the library against them on every input they generate.
 """
@@ -59,7 +62,14 @@ import numpy as np
 
 from reslat import budgets
 from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, make_chain
-from reslat.amalgam import _union_find, congruence_blocks, ideal_generate, principal_congruence
+from reslat.amalgam import (
+    _union_find,
+    congruence_blocks,
+    ideal_congruence,
+    ideal_generate,
+    partition_leq,
+    principal_congruence,
+)
 from reslat.errors import (
     ClosureError,
     DomainError,
@@ -448,6 +458,35 @@ def all_congruences(alg, budget=None, bound=None):
                     new.append(j)
         frontier = new
     return sorted(known)
+
+
+def cp_extend(pair, congruences):
+    """The candidate search that one congruence closure replaced in
+    `amalgam.cp_extend`: among `congruences`, every congruence of the
+    algebra, the first with fewest collapsed elements, then least as a
+    tuple, whose restrictions to Sg(X1) and Sg(X2) are R and S; or None."""
+
+    def restrict(theta, sub):
+        return {(x, y) for x in sub for y in sub if theta[x] == theta[y]}
+
+    common = pair.sg12()
+    if restrict(pair.r, common) != restrict(pair.s, common):
+        raise PreconditionError("R and S disagree on Sg(X1 cap X2)")
+    sg1, sg2 = pair.sg1(), pair.sg2()
+    want_r, want_s = restrict(pair.r, sg1), restrict(pair.s, sg2)
+    for theta in sorted(congruences, key=lambda t: (sum(1 for i, r in enumerate(t) if r != i), t)):
+        if restrict(theta, sg1) == want_r and restrict(theta, sg2) == want_s:
+            return theta
+    return None
+
+
+def congruence_strongly_regular(sheaf, congruences):
+    """The congruence clause of `sheaf.regularity` before it read the
+    stalks: Co(x) of every point is maximal among the proper congruences
+    of the sheaf's reduct, `congruences` being all of them."""
+    proper = [t for t in congruences if len(set(t)) > 1]
+    maximal = {t for t in proper if not any(t != u and partition_leq(t, u) for u in proper)}
+    return all(ideal_congruence(sheaf.alg, x) in maximal for x in sheaf.points)
 
 
 def quotient(alg, theta, name=None):

@@ -1,6 +1,7 @@
 """Ideals, congruences, amalgamation, interpolation, Gratzer-Schmidt."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -40,8 +41,9 @@ from reslat.amalgam import (
     restrict_congruence,
     superamalgam_check,
 )
+from reslat.budgets import Budget
 from reslat.corpus import corpus_algebras
-from reslat.errors import DomainError, PreconditionError
+from reslat.errors import DomainError, PreconditionError, ResourceError
 from reslat.free import boolean_variety, distributive_lattice_variety, free_algebra
 from reslat.kripke import mutate_table, random_kripke
 from reslat.spectra import generate_filter
@@ -384,6 +386,65 @@ def test_cp_disagreeing_pair_rejected():
     pair = CongruencePair(alg, (g0,), (g1,), r, s)
     with pytest.raises(PreconditionError):
         cp_extend(pair)
+
+
+def congruence_pairs(alg, rng, per_side=3):
+    """Pairs over X1 = {x1} and X2 = {x2}, two random elements: R and S
+    run over the identity and `per_side` random principal congruences of
+    Sg(X1) and of Sg(X2)."""
+    x1, x2 = rng.randrange(alg.size), rng.randrange(alg.size)
+
+    def side(x):
+        sub = sorted(subalgebra_generate(alg, [x]))
+        picked = rng.sample(list(combinations(sub, 2)), min(per_side, len(sub) * (len(sub) - 1) // 2))
+        return [tuple(range(alg.size))] + [principal_congruence_on(alg, sub, [p]) for p in picked]
+
+    return [CongruencePair(alg, (x1,), (x2,), r, s) for r in side(x1) for s in side(x2)]
+
+
+@pytest.mark.parametrize("family", ["corpus", "kripke", "faulty"])
+def test_cp_extend_is_the_search_over_every_congruence(family):
+    """On the corpus algebras, Kripke set algebras and single faults of
+    both (tests/test_order.py), the one congruence closure answers as the
+    search over the congruence lattice did: the same finest extension, or
+    None; both refuse a pair that disagrees on Sg(X1 cap X2)."""
+    from test_order import FAMILIES
+
+    rng = random.Random(0)
+    outcomes = Counter()
+    for alg in FAMILIES[family]:
+        congruences = all_congruences(alg, budget=Budget(spectrum=64))
+        for pair in congruence_pairs(alg, rng):
+            if not pair.agrees():
+                with pytest.raises(PreconditionError):
+                    oracles.cp_extend(pair, congruences)
+                with pytest.raises(PreconditionError):
+                    cp_extend(pair)
+                outcomes["disagree"] += 1
+                continue
+            theta = cp_extend(pair)
+            assert theta == oracles.cp_extend(pair, congruences), (alg.name, pair.r, pair.s)
+            outcomes["none" if theta is None else "found"] += 1
+    assert outcomes["found"] and outcomes["disagree"]
+    assert outcomes["none"] or family == "kripke"
+
+
+def test_cp_extend_runs_past_the_congruence_lattice_gate(monkeypatch):
+    """godel:6 x godel:6, a corpus algebra of 36 elements, is over the
+    default gate of the congruence lattice, which cp_extend does not list."""
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    g6 = core_reduct(godel(6))
+    alg = product([g6, g6])
+    with pytest.raises(ResourceError):
+        all_congruences(alg)
+    x1, x2 = alg.labels.index("(2/5,1)"), alg.labels.index("(1,3/5)")
+    sg1, sg2 = sorted(subalgebra_generate(alg, [x1])), sorted(subalgebra_generate(alg, [x2]))
+    r = principal_congruence_on(alg, sg1, [(x1, alg.one)])
+    s = tuple(range(alg.size))
+    theta = cp_extend(CongruencePair(alg, (x1,), (x2,), r, s))
+    assert len(set(theta)) == 18
+    assert restrict_congruence(theta, sg1) == restrict_congruence(r, sg1)
+    assert restrict_congruence(theta, sg2) == restrict_congruence(s, sg2)
 
 
 # ---- amalgamation -----------------------------------------------------------------

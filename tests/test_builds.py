@@ -1,14 +1,16 @@
-"""Each spectrum, dual sheaf and ideal list is built once, and each class
-axiom is evaluated once per algebra: call counts of the enumerations
-behind the spectral, generic-filter and sheaf checks and of the axiom
-evaluations behind the class checks, taken by wrapping the module
-attribute each caller reads."""
+"""Each spectrum, dual sheaf and ideal list is built once, each class
+axiom is evaluated once per algebra, and no congruence question that one
+congruence settles lists the congruence lattice: call counts of the
+enumerations behind the spectral, generic-filter, sheaf and congruence
+checks and of the axiom evaluations behind the class checks, taken by
+wrapping the module attribute each caller reads."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from reslat import algebra, amalgam, sheaf, spectra
+from reslat import algebra, amalgam, cli, corpus, sheaf, spectra
 from reslat.algebra import (
     ALGEBRA_CLASSES,
     ChainSpec,
@@ -72,6 +74,24 @@ def test_generic_filter_enumerates_once(count):
     assert calls == {("star",): 1}
 
 
+def test_criterion_10_enumerates_once_per_algebra(count):
+    """The 500 generic filters read the maximal points of the one space
+    built per algebra drawn."""
+    calls = count("enumerate_closed", spectra, key=lambda alg, *rest: (alg.name,) + by_ops(alg, *rest))
+    assert corpus.criterion_10()["passed"]
+    assert set(calls.values()) == {1} and {key[1:] for key in calls} == {("star",)}
+
+
+def test_omit_enumerates_once(count, capsys):
+    """`reslat omit` reads V_M of its types and the generic filter off one
+    enumeration, on the README's Fr_2 example."""
+    calls = count("enumerate_closed", spectra, key=by_ops)
+    data = Path(__file__).parent / "data"
+    argv = ["omit", "--alg", str(data / "fr2.json"), "--inside", "g0", "--types", str(data / "types-fr2.json")]
+    assert cli.main(argv) == 0
+    assert calls == {("star",): 1}
+
+
 def sheaf_counts(count):
     return [count(name, sheaf) for name in ("sheaf_reduct", "prime_ideals_of", "sections")]
 
@@ -80,6 +100,25 @@ def test_strongly_regular_equiv_check_builds_one_sheaf(count):
     reduct, primes, _ = sheaf_counts(count)
     assert sheaf.strongly_regular_equiv_check(ba4())["equivalent"]
     assert (reduct["sheaf_reduct"], primes["prime_ideals_of"]) == (1, 1)
+
+
+def test_strongly_regular_equiv_check_lists_no_congruence_lattice(count):
+    """Semisimplicity is decided once per stalk of more than one element,
+    from its principal congruences."""
+    lattices = count("all_congruences", amalgam)
+    simple = count("is_simple", sheaf)
+    alg = product([luk(2)] * 3)
+    assert sheaf.strongly_regular_equiv_check(alg)["equivalent"]
+    assert not hasattr(sheaf, "all_congruences") and lattices == {}
+    assert simple["is_simple"] == len(sheaf.dual_sheaf(alg).stalks) == 3
+
+
+def test_cp_extend_lists_no_congruence_lattice(count):
+    lattices = count("all_congruences", amalgam)
+    alg = ba4()
+    ident = tuple(range(alg.size))
+    assert amalgam.cp_extend(amalgam.CongruencePair(alg, (1,), (2,), ident, ident)) == ident
+    assert lattices == {}
 
 
 def test_report_builds_one_sheaf_and_one_section_list(count):

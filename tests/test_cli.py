@@ -369,8 +369,9 @@ def test_sheaf_of_all_zero_tables_exit_code(tmp_path, capsys, monkeypatch, n):
 
 def test_sheaf_runs_only_the_parts_its_flags_ask_for(tmp_path, capsys, monkeypatch):
     """luk:6 x luk:6, a corpus algebra of 36 elements: the sheaf report
-    passes on its own, and only --regularity meets the congruence bound,
-    whose message names the file."""
+    passes with or without --regularity, and only --regularity meets the
+    closure budget of the regularity scan, 45,360 ideal pairs, when it is
+    set one lower; the message names the file."""
     from reslat.algebra import ChainSpec, core_reduct, make_chain, product
 
     monkeypatch.delenv("RESLAT_BUDGET", raising=False)
@@ -382,9 +383,17 @@ def test_sheaf_runs_only_the_parts_its_flags_ask_for(tmp_path, capsys, monkeypat
     assert code == 0
     assert (report["section_count"], report["eta_isomorphism"]) == (36, True)
     assert "regularity" not in report
+    code, out, _ = run(capsys, "--json", "sheaf", str(path), "--regularity")
+    assert code == 0
+    assert json.loads(out)["regularity"] == {
+        "regular": True,
+        "strongly_regular": False,
+        "congruence_strongly_regular": False,
+    }
+    monkeypatch.setenv("RESLAT_BUDGET", "closure=45359")
     code, _, err = run(capsys, "sheaf", str(path), "--regularity")
     assert code == 3
-    assert err.startswith("resource bound: %s: congruence lattice of " % path)
+    assert err.startswith("resource bound: %s: regularity scan of 45360 ideal pairs" % path)
 
 
 def test_sheaf_of_the_one_element_algebra(tmp_path, capsys):

@@ -31,7 +31,6 @@ from reslat.amalgam import (
     is_relatively_complemented,
     superamalgam_check,
 )
-from reslat.budgets import Budget
 from reslat.corpus import corpus_algebras, corpus_free
 from reslat.free import FreeAlgebra, atoms, is_atomic, is_freely_generated_by
 from reslat.kripke import cylinder_indices, mutate_table, neat_reduct, random_kripke
@@ -290,9 +289,7 @@ CORPUS_VERDICTS = {
     "isolated_dense_check": lambda alg: isolated_dense_check(alg, bound=64)[0],
     "gratzer_schmidt_check": lambda alg: alg.size > 20
     or gratzer_schmidt_check(alg, bound=20)["biconditional"],
-    "strongly_regular_equiv_check": lambda alg: strongly_regular_equiv_check(
-        alg, budget=Budget(spectrum=32)
-    ).get("equivalent", True),
+    "strongly_regular_equiv_check": lambda alg: strongly_regular_equiv_check(alg).get("equivalent", True),
     "ideal_join_characterize": ideal_joins_described,
     "join_of_atoms_is_one": lambda alg: join_of_atoms_is_one(alg)
     == check_class_axioms(alg, "boolean").passed,

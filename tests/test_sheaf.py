@@ -1,5 +1,6 @@
 """Dual sheaves: zero-dimensional parts, stalks, sections, eta, regularity."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -16,11 +17,11 @@ from reslat.algebra import (
     make_chain,
     product,
 )
-from reslat.amalgam import enumerate_ideals, ideal_generate
+from reslat.amalgam import all_congruences, enumerate_ideals, ideal_congruence, ideal_generate, is_simple
 from reslat.budgets import Budget
 from reslat.corpus import _coordinate_closure_product, corpus_algebras
 from reslat.errors import DomainError, ResourceError
-from reslat.kripke import KripkeSystem, set_algebra
+from reslat.kripke import KripkeSystem, random_kripke, set_algebra
 from reslat.sheaf import (
     dual_sheaf,
     eta_check,
@@ -214,6 +215,68 @@ def test_equiv_check_on_simple_kripke():
     rep = strongly_regular_equiv_check(ksa.algebra)
     if "skipped" not in rep:
         assert rep["equivalent"]
+
+
+def canonical(projection):
+    """A projection as a canonical tuple: each element to the least member
+    of its class."""
+    first = {}
+    return tuple(first.setdefault(c, x) for x, c in enumerate(projection))
+
+
+@pytest.mark.parametrize("family", ["corpus", "kripke", "faulty"])
+def test_congruence_clause_is_the_maximal_congruence_scan(family):
+    """On the corpus algebras, Kripke set algebras and single faults of
+    both (tests/test_order.py), each stalk's projection is Co(x), and
+    reading the stalks for simplicity answers as the scan for maximal
+    congruences in the reduct's congruence lattice did.  On 20 faults
+    `regularity` refuses the ideal enumeration before the clause; there
+    the clause's stalk test is read directly."""
+    from test_order import FAMILIES
+
+    verdicts, lattices = Counter(), {}
+    for alg in FAMILIES[family]:
+        sheaf = dual_sheaf(alg)
+        for x, projection in zip(sheaf.points, sheaf.projections):
+            assert canonical(projection) == ideal_congruence(sheaf.alg, x), alg.name
+        try:
+            got = regularity(alg, sheaf)["congruence_strongly_regular"]
+        except ResourceError:
+            got = all(map(is_simple, sheaf.stalks))
+            verdicts["gated"] += 1
+        # equal tables, equal lattices: the corpus products of two chains of
+        # the same lengths share their sheaf reduct, as do the star faults
+        tables = tuple(
+            (name, t if type(t) is int else (t.shape, t.dtype.str, t.tobytes()))
+            for name, t in sorted(sheaf.alg.tables.items())
+        )
+        if tables not in lattices:
+            lattices[tables] = all_congruences(sheaf.alg, budget=Budget(spectrum=64))
+        assert got == oracles.congruence_strongly_regular(sheaf, lattices[tables]), alg.name
+        verdicts[got] += 1
+    assert verdicts[True] and (verdicts[False] or family == "kripke")
+    assert verdicts["gated"] == (20 if family == "faulty" else 0)
+
+
+def test_equiv_check_runs_on_every_family_by_default(monkeypatch):
+    """Under the default budget the check answers, or skips, on every
+    algebra of tests/test_order.py's families."""
+    from test_order import FAMILIES
+
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    for alg in (alg for family in FAMILIES.values() for alg in family):
+        assert isinstance(strongly_regular_equiv_check(alg), dict), alg.name
+
+
+def test_equiv_check_on_the_32_element_kripke_algebra(monkeypatch):
+    """The Boolean set algebra of `random_kripke(5, 2, 2, 2)` has 32
+    elements, over the default gate of the congruence lattice, which the
+    check does not list."""
+    monkeypatch.delenv("RESLAT_BUDGET", raising=False)
+    alg = random_kripke(5, 2, 2, 2)[1].algebra
+    assert alg.size == 32
+    rep = strongly_regular_equiv_check(alg)
+    assert rep["equivalent"], rep
 
 
 # ---- regular ideals <-> opens --------------------------------------------------------
