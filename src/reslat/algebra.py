@@ -949,20 +949,33 @@ def principal_closed(alg, universe, up, const, binary=(), unary=()):
     return kept[numpy.lexsort(kept.T)]
 
 
-def splits(alg, op, members, universe=None):
-    """Whether op(a, b) in `members` forces a or b into `members`, for a
-    and b in `universe` (default: every element): primeness of a filter
-    under join, of an ideal under meet."""
-    inside = numpy.zeros(alg.size, dtype=bool)
-    inside[list(members)] = True
+def member_rows(size, sets):
+    """Bool matrix whose row i says which of the elements 0..size-1 lie
+    in the i-th of `sets`."""
+    out = numpy.zeros((len(sets), size), dtype=bool)
+    for i, members in enumerate(sets):
+        out[i, list(members)] = True
+    return out
+
+
+def splits(alg, op, sets, universe=None):
+    """For each row of the bool matrix `sets` (`member_rows`), whether
+    op(a, b) in the set forces a or b into it, for a and b in `universe`
+    (default: every element): primeness of a filter under join, of an
+    ideal under meet.  Each chunk of rows is one broadcast."""
     t = alg.np_table(op)
+    out = ~sets
     if universe is not None:
         uni = numpy.array(sorted(universe), dtype=numpy.intp)
         t = _take_grid(t, uni)
-        out = ~inside[uni]
-    else:
-        out = ~inside
-    return not (inside.take(t) & out[:, None] & out).any()
+        out = out[:, uni]
+    step = max(1, (1 << 20) // max(1, t.size))  # bounds each broadcast
+    ok = numpy.empty(len(sets), dtype=bool)
+    for lo in range(0, len(sets), step):
+        o = out[lo : lo + step]
+        stray = sets[lo : lo + step].take(t, 1) & o[:, :, None] & o[:, None, :]
+        ok[lo : lo + step] = ~stray.any(axis=(1, 2))
+    return ok
 
 
 def generate_closed(alg, seed, up, const, binary=(), unary=(), universe=None):
@@ -998,9 +1011,9 @@ def generate_closed(alg, seed, up, const, binary=(), unary=(), universe=None):
 
 
 def union_closure(basis):
-    """Every union of basis sets, the empty union included: the opens of
-    the finite topology the basis generates."""
-    out = {frozenset()}
+    """Every union of basis sets, given as bitmasks, the empty union 0
+    included: the opens of the finite topology the basis generates."""
+    out = {0}
     for b in set(basis):
         out |= {u | b for u in out}
     return out

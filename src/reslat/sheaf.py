@@ -6,24 +6,25 @@ open-sets correspondence.
 Ideals here are congruence-kernel style: the ideals of `reslat.amalgam`
 (downward closed, closed under oplus when present, else join), closed
 also under the algebra's operators (`extra_operator_names`), the notion
-whose primes carry the duality.  `amalgam.enumerate_ideals` lists them
-and `ideal_generate` generates them; congruences come from
-`reslat.amalgam` too.
+whose primes carry the duality.  `amalgam.ideal_rows` lists them as
+bool rows, `enumerate_ideals` as frozensets, and `ideal_generate`
+generates them; congruences come from `reslat.amalgam` too.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy
 
 from . import budgets
-from .algebra import FiniteAlgebra, bitmask, splits, union_closure
+from .algebra import FiniteAlgebra, member_rows, splits, union_closure
 from .amalgam import (
     enumerate_ideals,
     ideal_congruence,
     ideal_generate,
+    ideal_rows,
     is_relatively_complemented,
     is_simple,
-    quotient,
 )
 from .errors import DomainError, ResourceError
 from .free import _RowKeys, _search
@@ -48,12 +49,10 @@ def zero_dim(alg):
 
 def prime_ideals_of(alg, subuniverse, budget=None):
     """Kernel ideals of the subuniverse that are proper and meet-prime."""
-    size = len(set(subuniverse))
-    return [
-        ideal
-        for ideal in enumerate_ideals(alg, alg.extra_operator_names(), subuniverse, budget=budget)
-        if len(ideal) < size and splits(alg, "meet", ideal, subuniverse)
-    ]
+    rows = ideal_rows(alg, alg.extra_operator_names(), subuniverse, budget=budget)
+    proper = rows[rows.sum(axis=1) < len(set(subuniverse))]
+    prime = proper[splits(alg, "meet", proper, subuniverse)]
+    return [frozenset(numpy.flatnonzero(row).tolist()) for row in prime]
 
 
 # ---------------------------------------------------------------------------
@@ -63,43 +62,51 @@ def prime_ideals_of(alg, subuniverse, budget=None):
 
 @dataclass
 class DualSheaf:
+    """The base points and, as one read-only (points x n) int32 matrix,
+    the projections: [i, a] is the class of a in the stalk at the i-th
+    point, classes numbered in the order of their least members."""
+
     alg: object  # the lattice-with-operators reduct the duality acts on
     zd: tuple  # Zd, the elements every operator fixes
     points: list  # prime ideals of Zd (frozensets of alg elements)
-    stalks: list  # FiniteAlgebra per point
-    projections: list  # per point: alg element -> stalk class index
+    projections: numpy.ndarray  # [i, a]: the class of a at the i-th point
 
     def section_of(self, a):
-        return tuple(self.projections[i][a] for i in range(len(self.points)))
+        return tuple(self.projections[:, a].tolist())
 
-    def basic_open(self, b):
-        """N_b = points whose ideal misses b (b ranges over Zd)."""
-        return frozenset(i for i, x in enumerate(self.points) if b not in x)
-
-    def opens(self):
-        return union_closure(self.basic_open(b) for b in self.zd)
-
-    def support(self, a):
-        """[sigma_a] = {x : sigma_a(x) != 0_x}."""
-        return frozenset(
-            i
-            for i in range(len(self.points))
-            if self.projections[i][a] != self.stalks[i].zero
-        )
+    @cached_property
+    def stalks(self):
+        """The quotient algebra at each point, built on first read from
+        its projection row."""
+        out = []
+        for row in self.projections:
+            reps = numpy.unique(row, return_index=True)[1]
+            labels = ["[" + self.alg.label(r) + "]" for r in reps.tolist()]
+            out.append(self.alg.restrict("stalk", reps, row, labels=labels)[0])
+        return out
 
 
 def dual_sheaf(alg, budget=None):
-    """Base space = prime ideals of Zd; stalks = reduct / Co(point),
-    with Co the reduct congruence collapsing the point to 0."""
+    """Base space = prime ideals of Zd; the stalk at a point is
+    reduct / Co(point), with Co the reduct congruence collapsing the point
+    to 0, all points' congruences found by one `ideal_congruence` call."""
     reduct = sheaf_reduct(alg)
     zd = zero_dim(reduct)
     points = prime_ideals_of(reduct, zd, budget)
-    stalks, projections = [], []
-    for x in points:
-        q, proj = quotient(reduct, ideal_congruence(reduct, x), name="stalk")
-        stalks.append(q)
-        projections.append(proj)
-    return DualSheaf(reduct, zd, points, stalks, projections)
+    thetas = ideal_congruence(reduct, points)
+    rank = numpy.cumsum(thetas == numpy.arange(reduct.size), axis=1, dtype=numpy.int32) - 1
+    projections = numpy.take_along_axis(rank, thetas, 1)
+    projections.flags.writeable = False
+    return DualSheaf(reduct, zd, points, projections)
+
+
+def _min_nbhd(sheaf):
+    """Bool matrix whose entry [i, j] says whether the j-th point lies in
+    U_i, the minimal basic neighbourhood of the i-th: N_b for b the meet
+    of the elements of Zd outside it."""
+    alg = sheaf.alg
+    tops = [alg.meet_all(b for b in sheaf.zd if b not in x) for x in sheaf.points]
+    return ~member_rows(alg.size, sheaf.points)[:, tops].T
 
 
 def sections(sheaf, budget=None):
@@ -107,50 +114,49 @@ def sections(sheaf, budget=None):
     with some principal section sigma_a on a basic neighbourhood of every
     point.
 
-    Search branches over principal germs (each choice pins the whole
-    minimal neighbourhood of a point), which keeps the walk close to the
-    actual section count instead of the raw product of stalk sizes.
-    Without points the one section is the empty tuple."""
+    The search pins the minimal neighbourhood U_i of one point after
+    another to a principal germ, which keeps the walk close to the actual
+    section count instead of the raw product of stalk sizes.  It skips a
+    point j that lies in another point's U_i: U_i is an open holding j,
+    so it holds U_j, as in a finite space a point's minimal neighbourhood
+    lies inside every open holding the point (P. Alexandroff, Diskrete
+    Raume, 1937), and every germ on U_i restricts to one on U_j.  The
+    test reads U_j inside U_i off the neighbourhoods themselves, and of
+    two equal ones skips the later point's.  Without points the one
+    section is the empty tuple."""
     budget = budget or budgets.from_env()
-    alg = sheaf.alg
     npts = len(sheaf.points)
-    # minimal basic neighbourhood of each point: meet of {b in Zd : b not in x}
-    min_nbhd = []
-    for x in sheaf.points:
-        acc = alg.meet_all(b for b in sheaf.zd if b not in x)
-        min_nbhd.append(tuple(sorted(sheaf.basic_open(acc))))
-    principal = [sheaf.section_of(a) for a in range(alg.size)]
-    germs = [
-        sorted({tuple(pr[q] for q in min_nbhd[i]) for pr in principal})
-        for i in range(npts)
-    ]
+    nbhd = _min_nbhd(sheaf)
+    inside = ~(nbhd[None, :, :] & ~nbhd[:, None, :]).any(axis=2)  # [i, j]: U_j within U_i
+    order = numpy.arange(npts)
+    covers = nbhd & inside & (~inside.T | (order[:, None] < order)) & (order[:, None] != order)
+    levels = []
+    for i in numpy.flatnonzero(~covers.any(axis=0)):
+        at = numpy.flatnonzero(nbhd[i])
+        germs = sorted(set(map(tuple, sheaf.projections[at].T.tolist())))
+        levels.append((at, numpy.array(germs, dtype=numpy.int32).reshape(len(germs), len(at))))
     out = set()
     nodes = 0
+    partial = numpy.full(npts, -1, dtype=numpy.int32)
 
-    def rec(i, partial):
+    def rec(level):
         nonlocal nodes
         nodes += 1
         if nodes > budget.sections:
             raise ResourceError(
                 "section search of %d nodes over budget %d" % (nodes, budget.sections)
             )
-        if i == npts:
-            out.add(tuple(partial[q] for q in range(npts)))
+        if level == len(levels):
+            out.add(tuple(partial.tolist()))
             return
-        nb = min_nbhd[i]
-        for patt in germs[i]:
-            if any(q in partial and partial[q] != v for q, v in zip(nb, patt)):
-                continue
-            added = []
-            for q, v in zip(nb, patt):
-                if q not in partial:
-                    partial[q] = v
-                    added.append(q)
-            rec(i + 1, partial)
-            for q in added:
-                del partial[q]
+        at, germs = levels[level]
+        seen = partial[at]
+        for germ in germs[((germs == seen) | (seen < 0)).all(axis=1)]:
+            partial[at] = germ
+            rec(level + 1)
+        partial[at] = seen
 
-    rec(0, {})
+    rec(0)
     return sorted(out)
 
 
@@ -158,30 +164,43 @@ def section_algebra(sheaf, secs=None, budget=None):
     """Pointwise operations on the continuous sections `secs` (default:
     all of them), which are sorted and distinct, as `sections` returns
     them.  Sections are packed into `free._RowKeys` keys, so a section's
-    key order is its index; each op is applied to the keys at once over
-    the stalks' tables.  The first op, in signature order, with a value
-    that is not a section is a DomainError."""
+    key order is its index.  Each op is one gather over all points: its
+    table at the least members of the sections' classes, read back
+    through the projections.  The first op, in signature order, with a
+    value that is not a section is a DomainError."""
     secs = secs if secs is not None else sections(sheaf, budget=budget)
     if not secs:  # then no constant has a section as its value
         first = next(name for name, ar in sheaf.alg.signature.ops if ar == 0)
         raise DomainError("sections not closed under constant %r" % first)
+    proj = sheaf.projections
+    (npts, n), count = proj.shape, len(secs)
     index = {s: i for i, s in enumerate(secs)}
-    keys = _RowKeys([q.size for q in sheaf.stalks])
-    known = keys.encode(secs)
-    rows = keys.decode(known)
+    keys = _RowKeys((proj.max(axis=1) + 1).tolist())
+    classes = numpy.array(secs, dtype=numpy.intp).reshape(count, npts)  # [s, i]
+    known = keys.encode(classes)
+    pts = numpy.arange(npts)
+    least = numpy.full(proj.shape, n)  # [i, c]: the least member of class c at point i
+    numpy.minimum.at(least, (pts[:, None], proj), numpy.arange(n))
+    reps = least[pts, classes]  # [s, i]: the least member of the class of section s at point i
+    step = max(1, (1 << 20) // max(1, count * npts))  # bounds each binary gather
     tables = {}
     for name, ar in sheaf.alg.signature.ops:
+        t = sheaf.alg.np_table(name)
         if ar == 0:
-            found = keys.encode([q.const(name) for q in sheaf.stalks])
+            found = keys.encode(proj[:, int(t)])
+        elif ar == 1:
+            found = keys.encode(proj[pts, t[reps]])
         else:
-            shifted = keys.shifted([q.np_table(name) for q in sheaf.stalks])
-            found = keys.apply([shifted], rows, None if ar == 1 else rows)[0]
+            found = numpy.concatenate([
+                keys.encode(proj[pts, t[left[:, None], reps]].reshape(len(left) * count, npts))
+                for left in (reps[lo : lo + step] for lo in range(0, count, step))
+            ], axis=1)
         at = _search(known, found)
-        if not (at < len(secs)).all() or (known[:, at] != found).any():
+        if not (at < count).all() or (known[:, at] != found).any():
             kind = "constant " if ar == 0 else ""
             raise DomainError("sections not closed under %s%r" % (kind, name))
-        tables[name] = int(at[0]) if ar == 0 else at.reshape((len(secs),) * ar)
-    return FiniteAlgebra("Gamma(%s)" % sheaf.alg.name, len(secs), sheaf.alg.signature, tables), index
+        tables[name] = int(at[0]) if ar == 0 else at.reshape((count,) * ar)
+    return FiniteAlgebra("Gamma(%s)" % sheaf.alg.name, count, sheaf.alg.signature, tables), index
 
 
 def eta_check(alg, sheaf=None, budget=None):
@@ -196,7 +215,7 @@ def eta_check(alg, sheaf=None, budget=None):
 def _eta(sheaf, secs, budget):
     """`eta_check` on the sheaf's continuous sections `secs`."""
     reduct = sheaf.alg
-    images = [sheaf.section_of(a) for a in range(reduct.size)]
+    images = list(map(tuple, sheaf.projections.T.tolist()))
     if len(set(images)) != reduct.size:
         dup = [
             (a, b)
@@ -299,56 +318,50 @@ def strongly_regular_equiv_check(alg, budget=None):
 # ---------------------------------------------------------------------------
 
 
+def _bits(rows):
+    """Each row of a bool matrix as a bitmask, bit i for column i."""
+    weights = numpy.array([1 << i for i in range(rows.shape[1])], dtype=object)
+    return (rows.astype(object) @ weights).tolist()
+
+
 def regular_ideals_open_sets(alg, sheaf=None, budget=None):
     """The two maps I |-> U[I] = union of supports and U |-> J[U] =
     {a : [sigma_a] <= U}; checks they are mutually inverse lattice
     isomorphisms between regular ideals and the opens of the base of
-    `sheaf`, which is `dual_sheaf(alg)` when not given."""
+    `sheaf`, which is `dual_sheaf(alg)` when not given.
+
+    Ideals and point sets are 0/1 matrices, so the regularity test, U, J
+    and the order check are integer matrix products; opens are bitmasks.
+    Once U maps the regular ideals one to one onto the opens and J undoes
+    it, J maps every open to a regular ideal that U maps back to it, so
+    that needs no check of its own."""
     sheaf = sheaf or dual_sheaf(alg, budget=budget)
     reduct = sheaf.alg
-    zset = set(sheaf.zd)
-    every = range(reduct.size)
-    ideals = enumerate_ideals(reduct, reduct.extra_operator_names(), every, budget=budget)
+    n = reduct.size
+    members = ideal_rows(reduct, reduct.extra_operator_names(), range(n), budget=budget).astype(int)
+    outside = 1 - members
+    within = members @ outside.T == 0  # [i, j]: ideal i inside ideal j
+    zd = member_rows(n, [sheaf.zd]).astype(int)
     # Ig(i & Zd) is the meet of the ideals over i & Zd, so it is i when all hold i
-    regular = [i for i in ideals if all(i <= j for j in ideals if i & zset <= j)]
-    opens = {bitmask(u) for u in sheaf.opens()}
-    support = [bitmask(sheaf.support(a)) for a in range(reduct.size)]  # point bitmasks
-
-    def U_of(ideal):
-        u = 0
-        for a in ideal:
-            u |= support[a]
-        return u
-
-    def J_of(u):
-        return frozenset(a for a in range(reduct.size) if not support[a] & ~u)
-
-    forward = {i: U_of(i) for i in regular}
-    if set(forward.values()) != opens:
-        return {"isomorphism": False, "reason": "image mismatch",
-                "regular_ideals": len(regular), "opens": len(opens)}
-    if len(set(forward.values())) != len(regular):
-        return {"isomorphism": False, "reason": "not injective",
-                "regular_ideals": len(regular), "opens": len(opens)}
-    for i in regular:
-        if J_of(forward[i]) != i:
-            return {"isomorphism": False, "reason": "not inverse", "witness": sorted(i),
-                    "regular_ideals": len(regular), "opens": len(opens)}
-    regular_set = set(regular)
-    for u in sorted(opens):
-        j = J_of(u)
-        if j not in regular_set or U_of(j) != u:
-            return {"isomorphism": False, "reason": "J[U] not regular or not inverse",
-                    "witness": [i for i in range(len(sheaf.points)) if u >> i & 1],
-                    "regular_ideals": len(regular), "opens": len(opens)}
-    order_ok = all(
-        (i1 <= i2) == (not forward[i1] & ~forward[i2]) for i1 in regular for i2 in regular
-    )
-    return {
-        "isomorphism": order_ok,
-        "regular_ideals": len(regular),
-        "opens": len(opens),
-    }
+    regular = (((members * zd) @ outside.T != 0) | within).all(axis=1)
+    basis = _bits(~member_rows(n, sheaf.points)[:, list(sheaf.zd)].T)  # N_b for b in Zd
+    opens = union_closure(basis)
+    support = (sheaf.projections != sheaf.projections[:, [reduct.zero]]).astype(int)  # [x, a]
+    kept = members[regular]
+    image = (kept @ support.T > 0).astype(int)  # [i, x]: x in U of the i-th regular ideal
+    forward = _bits(image)
+    sizes = {"regular_ideals": len(kept), "opens": len(opens)}
+    if set(forward) != opens:
+        return {"isomorphism": False, "reason": "image mismatch", **sizes}
+    if len(set(forward)) != len(kept):
+        return {"isomorphism": False, "reason": "not injective", **sizes}
+    back = (1 - image) @ support == 0  # [i, a]: a in J of the i-th image
+    wrong = (back != kept.astype(bool)).any(axis=1)
+    if wrong.any():
+        witness = numpy.flatnonzero(kept[wrong.argmax()]).tolist()
+        return {"isomorphism": False, "reason": "not inverse", "witness": witness, **sizes}
+    order_ok = (within[regular][:, regular] == (image @ (1 - image).T == 0)).all()
+    return {"isomorphism": bool(order_ok), **sizes}
 
 
 def report(alg, budget=None, with_eta=True, with_regularity=True):

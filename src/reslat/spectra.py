@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy
 
 from . import budgets
-from .algebra import AxiomReport, bitmask, enumerate_closed, generate_closed, splits
+from .algebra import AxiomReport, bitmask, enumerate_closed, generate_closed, member_rows, splits
 from .errors import DomainError, PreconditionError
 
 
@@ -43,8 +43,10 @@ def generate_filter(alg, seed):
     return Filter(alg, generate_closed(alg, seed, True, alg.one, ["star"]))
 
 
-def is_prime_filter(alg, members):
-    return alg.zero not in members and splits(alg, "join", members)
+def prime_filters(alg, sets):
+    """The proper ones among `sets` that are prime under join, in order."""
+    proper = [f for f in sets if alg.zero not in f]
+    return [f for f, ok in zip(proper, splits(alg, "join", member_rows(alg.size, proper))) if ok]
 
 
 def _filters(alg, op, bound=None, budget=None):
@@ -64,7 +66,7 @@ def _of_kind(alg, filters, kind):
     if kind == "all-proper":
         chosen = proper
     elif kind == "prime":
-        chosen = [f for f in proper if is_prime_filter(alg, f)]
+        chosen = prime_filters(alg, proper)
     elif kind == "maximal":
         chosen = [f for f in proper if not any(f < g for g in proper)]
     else:
@@ -98,7 +100,7 @@ class SpectrumSpace:
         self.filters = filters  # every filter, improper included, sorted by bitmask
         self.prime_points = _of_kind(alg, filters, "prime")
         self.max_points = _of_kind(alg, filters, "maximal")
-        self.vm = _members(alg, [f.members for f in self.max_points])
+        self.vm = member_rows(alg.size, [f.members for f in self.max_points]).T
         self.vm.flags.writeable = False
         self.basis = {a: frozenset(numpy.flatnonzero(~vm).tolist()) for a, vm in enumerate(self.vm)}
 
@@ -135,16 +137,7 @@ def prime_lattice_filters(alg, bound=None, budget=None):
     These separate the order in any distributive algebra: a <= b iff every
     prime lattice filter containing a contains b.  Star-filters cannot do
     this on chains with nilpotents (Fl{1/2} is improper in luk:3)."""
-    return [f for f in _filters(alg, "meet", bound, budget) if is_prime_filter(alg, f)]
-
-
-def _members(alg, sets):
-    """Bool matrix whose entry [a, i] says whether element a lies in the
-    i-th set."""
-    out = numpy.zeros((alg.size, len(sets)), dtype=bool)
-    for i, members in enumerate(sets):
-        out[list(members), i] = True
-    return out
+    return prime_filters(alg, _filters(alg, "meet", bound, budget))
 
 
 def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
@@ -171,7 +164,7 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     n = alg.size
     vm = sp.vm  # row a: V_M(a)
     dm = ~vm
-    vl = _members(alg, lat_primes)
+    vl = member_rows(n, lat_primes).T
     join, meet, star = (alg.np_table(name) for name in ("join", "meet", "star"))
     pairs = [
         ("i-dm-join", ((dm[:, None] & dm[None]) == dm.take(join, 0)).all(-1)),
@@ -183,7 +176,7 @@ def verify_dm_lemma(alg, space=None, subset_size=2, bound=None, budget=None):
     ]
     failed = [(int((~ok).argmax()), i, aid) for i, (aid, ok) in enumerate(pairs) if not ok.all()]
     violations = [(aid, divmod(k, n)) for k, _, aid in sorted(failed)]
-    filters = _members(alg, [f for f in sp.filters if len(f) < n]).T
+    filters = member_rows(n, [f for f in sp.filters if len(f) < n])
     for k in range(1, subset_size + 1):
         at = numpy.array(list(combinations(range(n), k)), dtype=numpy.intp).reshape(-1, k)
         improper = numpy.empty(len(at), dtype=bool)

@@ -49,8 +49,11 @@ decomposition of 2 and 3 parts, which the pair check of
 `spectra.nowhere_dense_check` covers.  Then the two congruence questions
 that one congruence stopped listing the lattice for: the candidate
 search of `amalgam.cp_extend`, and the maximal-congruence scan of
-`sheaf.regularity`'s congruence clause.  `table` hands every loop here the
-nested-list form of a table.
+`sheaf.regularity`'s congruence clause.  Last, the forms that stacked
+rows replaced: the one-set `algebra.splits`, the section search of
+`sheaf.sections` that branched at every point, and the frozenset
+`sheaf.regular_ideals_open_sets` with its four failure checks.  `table`
+hands every loop here the nested-list form of a table.
 Tests compare the library against them on every input they generate.
 """
 
@@ -65,7 +68,6 @@ from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, make
 from reslat.amalgam import (
     _union_find,
     congruence_blocks,
-    ideal_congruence,
     ideal_generate,
     partition_leq,
     principal_congruence,
@@ -486,7 +488,7 @@ def congruence_strongly_regular(sheaf, congruences):
     of the sheaf's reduct, `congruences` being all of them."""
     proper = [t for t in congruences if len(set(t)) > 1]
     maximal = {t for t in proper if not any(t != u and partition_leq(t, u) for u in proper)}
-    return all(ideal_congruence(sheaf.alg, x) in maximal for x in sheaf.points)
+    return all(stalk_congruence(sheaf.alg, x) in maximal for x in sheaf.points)
 
 
 def quotient(alg, theta, name=None):
@@ -1857,3 +1859,117 @@ def join_of_atoms_is_one(alg):
     return (not covers) or acc == alg.one
 def upset(alg, a):
     return frozenset(b for b in range(alg.size) if alg.leq(a, b))
+
+
+# ---- the per-set and per-point forms that stacked rows replaced ----
+
+
+def splits(alg, op, members, universe=None):
+    """Whether op(a, b) in `members` forces a or b into it, for a and b in
+    `universe` (default: every element), one set at a time."""
+    inside = np.zeros(alg.size, dtype=bool)
+    inside[list(members)] = True
+    t = alg.np_table(op)
+    if universe is not None:
+        uni = np.array(sorted(universe), dtype=np.intp)
+        t = t[uni[:, None], uni]
+        out = ~inside[uni]
+    else:
+        out = ~inside
+    return not (inside[t] & out[:, None] & out).any()
+
+
+def _basic_open(sheaf, b):
+    """N_b: the indices of the points whose ideal misses b."""
+    return frozenset(i for i, x in enumerate(sheaf.points) if b not in x)
+
+
+def sections(sheaf, budget=None):
+    """The section search that branched at every point: each point's
+    minimal neighbourhood pinned to a principal germ, in point order."""
+    budget = budget or budgets.from_env()
+    alg = sheaf.alg
+    npts = len(sheaf.points)
+    min_nbhd = []
+    for x in sheaf.points:
+        acc = alg.meet_all(b for b in sheaf.zd if b not in x)
+        min_nbhd.append(tuple(sorted(_basic_open(sheaf, acc))))
+    principal = [sheaf.section_of(a) for a in range(alg.size)]
+    germs = [sorted({tuple(pr[q] for q in min_nbhd[i]) for pr in principal}) for i in range(npts)]
+    out = set()
+    nodes = 0
+
+    def rec(i, partial):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.sections:
+            raise ResourceError("section search of %d nodes over budget %d" % (nodes, budget.sections))
+        if i == npts:
+            out.add(tuple(partial[q] for q in range(npts)))
+            return
+        nb = min_nbhd[i]
+        for patt in germs[i]:
+            if any(q in partial and partial[q] != v for q, v in zip(nb, patt)):
+                continue
+            added = []
+            for q, v in zip(nb, patt):
+                if q not in partial:
+                    partial[q] = v
+                    added.append(q)
+            rec(i + 1, partial)
+            for q in added:
+                del partial[q]
+
+    rec(0, {})
+    return sorted(out)
+
+
+def regular_ideals_open_sets(sheaf, ideals):
+    """The regular-ideals / open-sets check on frozensets and bitmasks,
+    `ideals` being every kernel ideal of the sheaf's reduct, with its four
+    failure reasons checked in turn."""
+    reduct = sheaf.alg
+    zset = set(sheaf.zd)
+    npts = len(sheaf.points)
+    regular = [i for i in ideals if all(i <= j for j in ideals if i & zset <= j)]
+    opens = {frozenset()}
+    for b in {_basic_open(sheaf, b) for b in sheaf.zd}:
+        opens |= {u | b for u in opens}
+    opens = {bitmask(u) for u in opens}
+    proj = sheaf.projections
+    support = [  # point bitmasks: sigma_a(x) != 0_x
+        bitmask(i for i in range(npts) if proj[i][a] != proj[i][reduct.zero])
+        for a in range(reduct.size)
+    ]
+
+    def U_of(ideal):
+        u = 0
+        for a in ideal:
+            u |= support[a]
+        return u
+
+    def J_of(u):
+        return frozenset(a for a in range(reduct.size) if not support[a] & ~u)
+
+    forward = {i: U_of(i) for i in regular}
+    if set(forward.values()) != opens:
+        return {"isomorphism": False, "reason": "image mismatch",
+                "regular_ideals": len(regular), "opens": len(opens)}
+    if len(set(forward.values())) != len(regular):
+        return {"isomorphism": False, "reason": "not injective",
+                "regular_ideals": len(regular), "opens": len(opens)}
+    for i in regular:
+        if J_of(forward[i]) != i:
+            return {"isomorphism": False, "reason": "not inverse", "witness": sorted(i),
+                    "regular_ideals": len(regular), "opens": len(opens)}
+    regular_set = set(regular)
+    for u in sorted(opens):
+        j = J_of(u)
+        if j not in regular_set or U_of(j) != u:
+            return {"isomorphism": False, "reason": "J[U] not regular or not inverse",
+                    "witness": [i for i in range(npts) if u >> i & 1],
+                    "regular_ideals": len(regular), "opens": len(opens)}
+    order_ok = all(
+        (i1 <= i2) == (not forward[i1] & ~forward[i2]) for i1 in regular for i2 in regular
+    )
+    return {"isomorphism": order_ok, "regular_ideals": len(regular), "opens": len(opens)}

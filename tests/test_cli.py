@@ -812,6 +812,10 @@ GOLDEN_CASES = [
     # space, and the cylindrifiers do not commute
     ("kripke-system-path", "kripke verify --system {data}/kripke-path.json", 1),
     ("sheaf", "sheaf luk:3 --eta --regularity", 0),
+    # five points, so the section search skips the covered ones; and a
+    # closure operator, so Zd is not the whole algebra (criterion 8)
+    ("sheaf-luk4-x-godel3", "sheaf {data}/luk4-x-godel3.json --eta --regularity", 0),
+    ("sheaf-coordinate-closure", "sheaf {data}/coordinate-closure.json --eta --regularity", 0),
     ("free", "free --variety ba --gens 2 --atoms --decompose-check", 0),
     ("check-luk3-mv", "check luk:3 --class mv", 0),
     ("check-godel3-mv", "check godel:3 --class mv", 1),

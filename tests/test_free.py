@@ -513,7 +513,7 @@ def test_shared_slots_give_what_distinct_tables_give(build):
         same(lambda x: (oracles.table_lists(relativize(x, b)), relativize(x, b).embedding))
         c = complement(alg, b)
         same(lambda x: product_of(relativize(x, b), relativize(x, c)))  # of alg.size elements
-        theta = same(lambda x: ideal_congruence(x, ideal_generate(x, [b])))
+        theta = same(lambda x: tuple(ideal_congruence(x, [ideal_generate(x, [b])])[0].tolist()))
         same(lambda x: (oracles.table_lists(quotient(x, theta)[0]), quotient(x, theta)[1]))
     luk2 = make_chain(ChainSpec("lukasiewicz", 2))
     gens = generating_sequence(alg)

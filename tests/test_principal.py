@@ -1,10 +1,11 @@
 """Principal closed sets, bitmask spectra and ideal congruences, each
 against the reference it replaced in tests/oracles.py: the DFS of
-`enumerate_closed`, the loop prime tests, the frozenset
-`verify_dm_lemma` and the union-find stalk congruence.  The NextClosure
-fallback of `enumerate_closed` is checked against the DFS on partial
-orders and against a scan of every subset on faulty tables."""
+`enumerate_closed`, the loop prime tests, the one-set `splits`, the
+frozenset `verify_dm_lemma` and the union-find stalk congruence.  The
+NextClosure fallback of `enumerate_closed` is checked against the DFS on
+partial orders and against a scan of every subset on faulty tables."""
 
+import random
 import time
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from reslat import algebra
+from reslat import algebra, amalgam
 from reslat.algebra import (
     ChainSpec,
     FiniteAlgebra,
@@ -23,15 +24,17 @@ from reslat.algebra import (
     generate_closed,
     lattice_reduct,
     make_chain,
+    member_rows,
     principal_closed,
     product,
+    splits,
 )
 from reslat.amalgam import enumerate_ideals, ideal_congruence, ideal_generate
 from reslat.corpus import corpus_algebras
 from reslat.free import boolean_variety, free_algebra
 from reslat.kripke import random_kripke
 from reslat.sheaf import prime_ideals_of, regular_ideals_open_sets, sheaf_reduct, zero_dim
-from reslat.spectra import is_prime_filter, verify_dm_lemma, zariski_sets
+from reslat.spectra import prime_filters, verify_dm_lemma, zariski_sets
 
 
 def kripke_algebras():
@@ -107,9 +110,7 @@ def test_enumerate_closed_matches_dfs(family):
         for problem in problems(alg):
             closed = enumerate_closed(alg, *problem)
             assert closed == oracles.enumerate_closed(alg, *problem), (alg.name, problem)
-            assert [is_prime_filter(alg, f) for f in closed] == [
-                oracles.is_prime_filter(alg, f) for f in closed
-            ]
+            assert prime_filters(alg, closed) == [f for f in closed if oracles.is_prime_filter(alg, f)]
 
 
 def test_kernel_ideals_over_nr_match_dfs():
@@ -124,8 +125,7 @@ def test_kernel_ideals_over_nr_match_dfs():
             every = range(reduct.size)
             ideals = enumerate_ideals(reduct, outside, every)
             assert ideals == oracles.enumerate_closed(reduct, every, False, reduct.zero, *ops)
-            for ideal in ideals:
-                assert ideal_congruence(reduct, ideal) == oracles.stalk_congruence(reduct, ideal)
+            assert ideal_congruence(reduct, ideals).tolist() == stalk_congruences(reduct, ideals)
 
 
 def test_regular_ideals_match_generated_ideals():
@@ -142,10 +142,24 @@ def test_regular_ideals_match_generated_ideals():
         assert report["regular_ideals"] == len(regular), alg.name
 
 
+def stalk_congruences(alg, ideals):
+    """One union-find closure per ideal, as the rows of a list."""
+    return [list(oracles.stalk_congruence(alg, ideal)) for ideal in ideals]
+
+
 def test_ideal_congruence_matches_union_find_on_lattices():
     for alg in FAMILIES["lattice"]:
-        for ideal in enumerate_closed(alg, range(alg.size), False, alg.zero, ["join"]):
-            assert ideal_congruence(alg, ideal) == oracles.stalk_congruence(alg, ideal)
+        ideals = enumerate_closed(alg, range(alg.size), False, alg.zero, ["join"])
+        assert ideal_congruence(alg, ideals).tolist() == stalk_congruences(alg, ideals)
+
+
+@pytest.mark.parametrize("family", ["corpus", "kripke"])
+def test_ideal_congruence_matches_union_find_on_algebras(family):
+    """All ideals of an algebra in one call, which also checks implication
+    and star: a join partition that does not respect them falls back."""
+    for alg in FAMILIES[family]:
+        ideals = enumerate_closed(alg, range(alg.size), False, alg.zero, [oracles.additive(alg)])
+        assert ideal_congruence(alg, ideals).tolist() == stalk_congruences(alg, ideals), alg.name
 
 
 def lattice(name, covers, n):
@@ -170,17 +184,59 @@ def lattice(name, covers, n):
     return FiniteAlgebra(name, n, sig, {"join": join, "meet": meet, "zero": 0, "one": n - 1})
 
 
-def test_ideal_congruence_falls_back_off_distributive_lattices():
+def test_ideal_congruence_falls_back_off_distributive_lattices(monkeypatch):
     """In N5 and M3 the partition by a join m is not always a congruence,
-    so the union-find closure answers.  In N5 (0 < 1 < 3 < 4, 0 < 2 < 4)
+    so the union-find closure answers for those rows of the batched call,
+    and for no others.  In N5 (0 < 1 < 3 < 4, 0 < 2 < 4)
     the ideal {0, 1} gives the classes {0, 1}, {2, 4}, {3}; the least
     congruence collapsing it also puts 3 with 0."""
     n5 = lattice("N5", [(0, 1), (1, 3), (0, 2), (2, 4), (3, 4)], 5)
     m3 = lattice("M3", [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], 5)
+    fallbacks, rows = [], 0
+
+    def closure(*args):
+        fallbacks.append(args)
+        return oracles.congruence_closure(*args)
+
+    monkeypatch.setattr(amalgam, "congruence_closure", closure)
     for alg in (n5, m3):
-        for ideal in enumerate_closed(alg, range(alg.size), False, alg.zero, ["join"]):
-            assert ideal_congruence(alg, ideal) == oracles.stalk_congruence(alg, ideal)
-    assert ideal_congruence(n5, {0, 1}) == (0, 0, 2, 0, 2)
+        ideals = enumerate_closed(alg, range(alg.size), False, alg.zero, ["join"])
+        assert ideal_congruence(alg, ideals).tolist() == stalk_congruences(alg, ideals)
+        rows += len(ideals)
+    assert 0 < len(fallbacks) < rows  # some rows take the closure, not all
+    assert ideal_congruence(n5, [{0, 1}]).tolist() == [[0, 0, 2, 0, 2]]
+
+
+def split_cases(alg, sets):
+    """Per op and universe, the batched `splits` of `sets` and the
+    one-set form's answers."""
+    n = alg.size
+    rows = member_rows(n, sets)
+    for op in ("join", "meet"):
+        for universe in (None, range(1, n), range(0, n, 2)):
+            want = [oracles.splits(alg, op, s, universe) for s in sets]
+            yield splits(alg, op, rows, universe).tolist(), want
+
+
+def test_splits_matches_per_set_form_on_corpus():
+    """Every closed set of the problems, and 1,000 random subsets of each
+    algebra, which on luk:6 x luk:6 spans two chunks of rows."""
+    rng = random.Random(0)
+    for alg in CORPUS:
+        sets = [s for problem in problems(alg) for s in enumerate_closed(alg, *problem)]
+        sets += [{x for x in range(alg.size) if rng.random() < 0.5} for _ in range(1000)]
+        for got, want in split_cases(alg, sets):
+            assert got == want, alg.name
+
+
+def test_splits_matches_per_set_form_on_faults():
+    """Every subset of every single-entry fault of the algebras in SMALL
+    of at most four elements."""
+    for alg in [a for a in SMALL if a.size <= 4]:
+        every = [set(c) for r in range(alg.size + 1) for c in combinations(range(alg.size), r)]
+        for fault, bad in single_faults(alg):
+            for got, want in split_cases(bad, every):
+                assert got == want, fault
 
 
 def lemma_oracle(alg, subset_size):

@@ -3,6 +3,7 @@
 from collections import Counter
 from itertools import combinations
 
+import numpy
 import pytest
 
 import oracles
@@ -17,12 +18,13 @@ from reslat.algebra import (
     make_chain,
     product,
 )
-from reslat.amalgam import all_congruences, enumerate_ideals, ideal_congruence, ideal_generate, is_simple
+from reslat.amalgam import all_congruences, enumerate_ideals, ideal_generate, is_simple
 from reslat.budgets import Budget
 from reslat.corpus import _coordinate_closure_product, corpus_algebras
 from reslat.errors import DomainError, ResourceError
 from reslat.kripke import KripkeSystem, random_kripke, set_algebra
 from reslat.sheaf import (
+    DualSheaf,
     dual_sheaf,
     eta_check,
     regular_ideals_open_sets,
@@ -238,7 +240,7 @@ def test_congruence_clause_is_the_maximal_congruence_scan(family):
     for alg in FAMILIES[family]:
         sheaf = dual_sheaf(alg)
         for x, projection in zip(sheaf.points, sheaf.projections):
-            assert canonical(projection) == ideal_congruence(sheaf.alg, x), alg.name
+            assert canonical(projection) == oracles.stalk_congruence(sheaf.alg, x), alg.name
         try:
             got = regularity(alg, sheaf)["congruence_strongly_regular"]
         except ResourceError:
@@ -425,8 +427,7 @@ def test_section_algebra_without_points_matches_oracle():
     """The one-element algebra has no prime ideal, so its sheaf has no
     point, and one section: the empty tuple, the one element of the empty
     product.  Gamma is the one-element algebra, and eta an isomorphism."""
-    ops = {"join": [[0]], "meet": [[0]], "star": [[0]], "imp": [[0]], "zero": 0, "one": 0}
-    alg = FiniteAlgebra("trivial", 1, Signature(CORE_OPS), ops)
+    alg = trivial()
     sheaf = dual_sheaf(alg)
     assert sheaf.points == [] and sections(sheaf) == [()]
     got = gamma_outcome(section_algebra, sheaf, [()])
@@ -434,3 +435,123 @@ def test_section_algebra_without_points_matches_oracle():
     assert got == gamma_outcome(oracles.section_algebra, sheaf, [()]) == want
     assert gamma_outcome(section_algebra, sheaf, []) == "sections not closed under constant 'zero'"
     assert eta_check(alg, sheaf) == (True, {"sections": 1, "mapping": [0]})
+
+
+# ---- the projection matrix against the per-point forms ------------------------
+
+
+def trivial():
+    ops = {"join": [[0]], "meet": [[0]], "star": [[0]], "imp": [[0]], "zero": 0, "one": 0}
+    return FiniteAlgebra("trivial", 1, Signature(CORE_OPS), ops)
+
+
+def sheaf_family(family):
+    """The corpus, the Kripke set algebras of tests/test_principal.py, and
+    the coordinate-closure product of criterion 8 with the one-element
+    algebra."""
+    if family == "kripke":
+        from test_principal import KRIPKE
+
+        return KRIPKE
+    if family == "corpus":
+        return corpus_algebras()
+    return [_coordinate_closure_product([luk(2), ba4()]), trivial()]
+
+
+def kernel_ideals(sheaf):
+    reduct = sheaf.alg
+    return enumerate_ideals(reduct, reduct.extra_operator_names(), range(reduct.size))
+
+
+@pytest.mark.parametrize("family", ["corpus", "kripke", "other"])
+def test_pruned_section_search_matches_the_search_over_every_point(family):
+    for alg in sheaf_family(family):
+        sheaf = dual_sheaf(alg)
+        assert sections(sheaf) == oracles.sections(sheaf), alg.name
+
+
+@pytest.mark.parametrize("family", ["corpus", "kripke", "other"])
+def test_regular_ideals_open_sets_matches_frozenset_form(family):
+    """The whole dict, key order included."""
+    for alg in sheaf_family(family):
+        sheaf = dual_sheaf(alg)
+        want = oracles.regular_ideals_open_sets(sheaf, kernel_ideals(sheaf))
+        assert list(regular_ideals_open_sets(alg, sheaf).items()) == list(want.items()), alg.name
+
+
+def test_section_search_budget_counts_the_nodes_it_visits():
+    """luk:4 x godel:3 has five points, two of them covered by the others'
+    neighbourhoods: the search visits fewer nodes than the one over every
+    point, and the budget error fires at the node after the budget."""
+    sheaf = dual_sheaf(product([core_reduct(luk(4)), core_reduct(godel(3))]))
+
+    def nodes(search):
+        """The least budget the search runs under."""
+        for budget in range(1, 1000):
+            try:
+                search(sheaf, budget=Budget(sections=budget))
+            except ResourceError:
+                continue
+            return budget
+
+    pruned = nodes(sections)
+    assert pruned < nodes(oracles.sections)
+    message = "section search of %d nodes over budget %d$" % (pruned, pruned - 1)
+    with pytest.raises(ResourceError, match=message):
+        sections(sheaf, budget=Budget(sections=pruned - 1))
+
+
+def perturbed(sheaf):
+    """Copies of the sheaf with one projection entry moved to another
+    class, and, where it has two points, with the second point and its
+    row made copies of the first."""
+    proj = sheaf.projections
+    for x, a in numpy.ndindex(*proj.shape):
+        for v in range(proj[x].max() + 1):
+            if v != proj[x, a]:
+                rows = proj.copy()
+                rows[x, a] = v
+                yield DualSheaf(sheaf.alg, sheaf.zd, sheaf.points, rows)
+    if len(sheaf.points) > 1:
+        rows = proj.copy()
+        rows[1] = rows[0]
+        yield DualSheaf(sheaf.alg, sheaf.zd, [sheaf.points[0]] * 2 + sheaf.points[2:], rows)
+
+
+def test_regular_ideals_open_sets_failures_match_frozenset_form():
+    """Perturbed sheaves of the corpus algebras of at most nine elements
+    reach every failure reason, each with the frozenset form's dict.  The
+    frozenset form's fourth check, an open whose J is not a regular ideal
+    U maps back to it, never fails after the other three pass: U is then
+    a bijection onto the opens that J undoes."""
+    reasons = Counter()
+    for alg in [a for a in corpus_algebras() if a.size <= 9]:
+        sheaf = dual_sheaf(alg)
+        ideals = kernel_ideals(sheaf)
+        for bent in perturbed(sheaf):
+            got = regular_ideals_open_sets(alg, bent)
+            assert list(got.items()) == list(oracles.regular_ideals_open_sets(bent, ideals).items())
+            reasons[got.get("reason")] += 1
+    assert set(reasons) == {None, "image mismatch", "not injective", "not inverse"}, reasons
+
+
+def test_projections_are_one_read_only_matrix_and_stalks_wait_for_a_read(monkeypatch):
+    """`dual_sheaf` builds no quotient algebra; its first read of `stalks`
+    builds one per point, named and labelled as the point's quotient."""
+    from reslat import algebra
+
+    built, restrict = [], algebra.FiniteAlgebra.restrict
+
+    def counted(self, name, *args, **kw):
+        built.append(name)
+        return restrict(self, name, *args, **kw)
+
+    monkeypatch.setattr(algebra.FiniteAlgebra, "restrict", counted)
+    sheaf = dual_sheaf(ba4())
+    assert sheaf.projections.dtype == numpy.int32 and not sheaf.projections.flags.writeable
+    assert sheaf.projections.shape == (2, 4) and built == [ba4().name + "#blo"]
+    eta_check(ba4(), sheaf)
+    regular_ideals_open_sets(ba4(), sheaf)
+    assert built.count("stalk") == 0
+    labels = [["[(0,0)]", "[(1,0)]"], ["[(0,0)]", "[(0,1)]"]]
+    assert [list(q.labels) for q in sheaf.stalks] == labels and built.count("stalk") == 2
