@@ -383,7 +383,9 @@ class FiniteAlgebra:
             raise InvalidSpecError("size must be an integer, not %r" % (size,))
         if not isinstance(ops, dict):
             raise InvalidSpecError("ops must be an object mapping names to tables")
-        labels = data.get("labels")
+        title, labels = data.get("name", "algebra"), data.get("labels")
+        if type(title) is not str:
+            raise InvalidSpecError("name must be a string, not %r" % (title,))
         if labels is not None and not (isinstance(labels, list) and all(type(x) is str for x in labels)):
             raise InvalidSpecError("labels must be a list of strings, not %r" % (labels,))
         sig = []
@@ -404,13 +406,7 @@ class FiniteAlgebra:
             elif arity[name] != want:
                 kind = ("a constant", "a unary table", "a binary table")[want]
                 raise InvalidSpecError("%s %r must be %s" % ("required op" if required else "op", name, kind))
-        return cls(
-            data.get("name", "algebra"),
-            size,
-            Signature(tuple(sig)),
-            ops,
-            labels=labels,
-        )
+        return cls(title, size, Signature(tuple(sig)), ops, labels=labels)
 
     @classmethod
     def load(cls, path):

@@ -151,7 +151,7 @@ def ideal_congruence(alg, ideals):
     ok = (join[:, zero] == numpy.arange(n)).all() & (
         (keys == keys[:, zero, None]) | ~member_rows(n, ideals)
     ).all(1)
-    ok[ok] = _respects(alg, thetas[ok])
+    ok[ok] = _respects(alg, thetas[ok], alg.signature.names())
     for i in numpy.flatnonzero(~ok):
         thetas[i] = congruence_closure(alg, [(a, zero) for a in ideals[i]])
     return thetas
@@ -178,9 +178,11 @@ def all_congruences(alg, budget=None, bound=None):
     suite passes) congruences correspond to filters: theta_F relates x
     and y when x->y and y->x lie in F.  Each congruence of the algebra is
     one of its reduct's, so the theta_F that respect every table are all
-    of them.  Any other algebra closes its principal congruences under
-    join: every congruence of a finite algebra is a join of principal
-    ones, so each new congruence is joined with the principal ones only."""
+    of them.  Each already respects join, meet, star and imp, so only the
+    other ops are checked.  Any other algebra closes its principal
+    congruences under join: every congruence of a finite algebra is a
+    join of principal ones, so each new congruence is joined with the
+    principal ones only."""
     budget = budget or budgets.from_env()
     what = "congruence lattice of %r" % alg.name
     budgets.check_size(what, alg.size, bound, max(budget.spectrum, 20))
@@ -188,7 +190,8 @@ def all_congruences(alg, budget=None, bound=None):
         next(_axiom_failures(alg, "residuated-lattice"), None) is None
     ):
         thetas = _filter_congruences(alg)
-        return sorted(map(tuple, thetas[_respects(alg, thetas)].tolist()))
+        extra = [name for name in alg.signature.names() if name not in CORE_NAMES]
+        return sorted(map(tuple, thetas[_respects(alg, thetas, extra)].tolist()))
     n = alg.size
     identity = tuple(range(n))
     principals = {principal_congruence(alg, x, y) for x in range(n) for y in range(x + 1, n)}
@@ -219,16 +222,16 @@ def _filter_congruences(alg):
     return out
 
 
-def _respects(alg, thetas):
+def _respects(alg, thetas, names):
     """For each row of `thetas`, a (k, n) array of canonical tuples,
-    whether it is compatible with every table: an op's value class
-    depends only on its arguments' classes.  Each row is read with
-    `take`, rows first, which beats one broadcast over all rows 2.5x on
-    16 rows of 256 elements and matches it on 5 rows of 36."""
+    whether it is compatible with the table of each op in `names`: an
+    op's value class depends only on its arguments' classes.  Each row is
+    read with `take`, rows first, which beats one broadcast over all rows
+    2.5x on 16 rows of 256 elements and matches it on 5 rows of 36."""
     r = numpy.asarray(thetas, dtype=numpy.int32).reshape(len(thetas), alg.size)
     ok = numpy.ones(len(r), dtype=bool)
     for name, arity in alg.signature.ops:
-        if arity:
+        if arity and name in names:
             t = alg.np_table(name)
             for i in numpy.flatnonzero(ok):
                 ok[i] = numpy.array_equal(r[i].take(t), r[i].take(_take_grid(t, r[i])))
@@ -345,6 +348,12 @@ class AmalgamProblem:
     max_size: int = 0
 
     def validate(self):
+        sigs = [set(alg.signature.ops) for alg in (self.a, self.b, self.c)]
+        every = set.union(*sigs)
+        lacks = ["%s lacks %s" % (k, ", ".join(sorted("%s/%d" % op for op in every - sig)))
+                 for k, sig in zip("ABC", sigs) if every - sig]
+        if lacks:
+            raise PreconditionError("A, B and C must have one signature: " + "; ".join(lacks))
         for name, images, target in (("m", self.m, self.a), ("n", self.n, self.b)):
             if len(images) != self.c.size or not all(
                 (type(v) is int or isinstance(v, numpy.integer)) and 0 <= v < target.size

@@ -203,8 +203,13 @@ def cmd_amalgamate(args):
     from .amalgam import AmalgamProblem, amalgamate, superamalgam_check
 
     def build(data):
-        a, b, c = (FiniteAlgebra.from_json(data[k]) for k in "ABC")
-        return AmalgamProblem(a, b, c, tuple(data["m"]), tuple(data["n"]), args.max_size)
+        algs = [FiniteAlgebra.from_json(data[k]) for k in "ABC"]
+        maps = data["m"], data["n"]
+        if not all(isinstance(images, list) for images in maps):
+            raise InvalidSpecError('"m" and "n" must be lists of elements of C')
+        problem = AmalgamProblem(*algs, *map(tuple, maps), args.max_size)
+        problem.validate()  # here, so that a failed precondition names the file
+        return problem
 
     problem = load_json(args.problem, build)
     result = amalgamate(problem, require_super=args.super_check)

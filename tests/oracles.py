@@ -33,20 +33,22 @@ loop of `first_hom_failure` that the table comparison of
 `algebra.first_hom_failure` replaced, and `free_algebra` over
 big-endian void row keys.  Last of all come the
 scalar loops that array reads of the table stacks replaced: the
-`alg.leq` walk of `generate_closed`, the per-entry union-find of
-`amalgam.congruence_closure` and the tuple lookups of
-`sheaf.section_algebra`.  Then the per-pair `alg.leq` loops that row
+`alg.leq` walk of `generate_closed` and the per-entry union-find of
+`amalgam.congruence_closure`.  Then the per-pair `alg.leq` loops that row
 and column reads of `FiniteAlgebra.order` replaced: `is_filter` and
 `is_ideal` (the loop forms of a set being its own `generate_filter` or
 `ideal_generate`), `ideal_join_characterize`, `superamalgam_check`,
 `interpolant_search`, `discriminator_check`, `is_relatively_complemented`,
 `atoms`, `is_atomic`, `hereditary_closed`, `isolated_dense_check`,
-`join_of_atoms_is_one` and `upset`.  Last come two checks that a
+`join_of_atoms_is_one` and `upset`.  Last come three checks that a
 shorter argument replaced: `is_freely_generated_by`, one homomorphism
 search per valuation, where the universal property of the free
-generators now answers, and `nowhere_dense_check` over every
+generators now answers; `nowhere_dense_check` over every
 decomposition of 2 and 3 parts, which the pair check of
-`spectra.nowhere_dense_check` covers.  Then the two congruence questions
+`spectra.nowhere_dense_check` covers; and `section_algebra`, the
+algebra of sections by tuple lookups, into which `sheaf.eta_check` no
+longer checks a homomorphism, since each projection row is a
+congruence.  Then the two congruence questions
 that one congruence stopped listing the lattice for: the candidate
 search of `amalgam.cp_extend`, and the maximal-congruence scan of
 `sheaf.regularity`'s congruence clause.  Last, the forms that stacked

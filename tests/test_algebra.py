@@ -426,6 +426,7 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "l3.json"
     path.write_text(l3.dumps())
     back = load_algebra(str(path))
+    assert back.name == l3.name and "neg" in back.signature.names()
     assert back.size == l3.size
     assert oracles.table_lists(back) == oracles.table_lists(l3)
 

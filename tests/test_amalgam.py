@@ -240,6 +240,22 @@ def test_all_congruences_match_oracle_without_filters():
         assert all_congruences(alg) == oracles.all_congruences(alg), alg.name
 
 
+@pytest.mark.parametrize("build, op, position, value", [
+    (lambda: product([luk(3), luk(3)]), "neg", (0,), 0),
+    (lambda: random_kripke(11, 2, 2, 2)[1].algebra, "c_0", (0,), 1),
+], ids=["neg", "operator"])
+def test_filter_congruences_check_the_ops_outside_the_core(build, op, position, value):
+    """A fault in neg or in an operator leaves the residuated-lattice suite
+    passing, so the filter path runs, which checks no core op: it still
+    drops every theta_F that the fault breaks."""
+    alg = build()
+    fault = mutate_table(alg, op, position, value)
+    assert is_residuated_lattice(fault)
+    got = all_congruences(fault)
+    assert got == oracles.all_congruences(fault)
+    assert len(got) < len(all_congruences(alg))
+
+
 def test_all_congruences_match_oracle_on_free_distributive_lattice():
     # several rounds of joins on the fallback path; the slowest oracle run
     fr3 = free_algebra(distributive_lattice_variety(), 3).algebra
@@ -499,6 +515,20 @@ def test_amalgam_rejects_non_embeddings():
     l3, l2 = luk(3), luk(2)
     with pytest.raises(PreconditionError):
         AmalgamProblem(l3, l3, l2, (0, 0), (0, 2)).validate()
+
+
+def test_amalgam_rejects_algebras_of_two_signatures():
+    """A, B and C share one signature, whichever of them lacks an op."""
+
+    def without_neg(alg):
+        data = alg.to_json()
+        del data["ops"]["neg"]
+        return FiniteAlgebra.from_json(data)
+
+    l3, l2 = luk(3), luk(2)
+    for args, side in (((without_neg(l3), l3, l2), "A"), ((l3, l3, without_neg(l2)), "C")):
+        with pytest.raises(PreconditionError, match="^A, B and C must have one signature: %s lacks neg/1$" % side):
+            AmalgamProblem(*args, (0, 2), (0, 2)).validate()
 
 
 def test_superamalgam_broken_witness():

@@ -1,5 +1,7 @@
 """CLI surface: verbs, exit codes, JSON shape, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from reslat import cli
 from reslat.cli import main
@@ -427,8 +431,9 @@ def test_non_utf8_file_exit_code(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "m, n",
-    [([0, 9], [0, 3]), ([0, 3], [-1, 3]), ([0, 3], [0]), ([0, "3"], [0, 3]), ([0, True], [0, 3])],
-    ids=["m-above", "n-negative", "n-short", "m-string", "m-bool"],
+    [([0, 9], [0, 3]), ([0, 3], [-1, 3]), ([0, 3], [0]), ([0, "3"], [0, 3]), ([0, True], [0, 3]),
+     ([0, 3], 3)],
+    ids=["m-above", "n-negative", "n-short", "m-string", "m-bool", "n-int"],
 )
 def test_amalgam_map_outside_the_universe_exit_code(tmp_path, capsys, m, n):
     from reslat.algebra import ChainSpec, make_chain, product
@@ -865,3 +870,94 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, env):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
+# ---- malformed input files ----------------------------------------------------
+
+
+def data_file(name):
+    return json.loads((DATA / name).read_text())
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_amalgam_problem_whose_side_lacks_an_op_of_c_exit_code(tmp_path, capsys, side):
+    data = data_file("problem-ba4.json")
+    del data[side]["ops"]["neg"]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "amalgamate", "--problem", str(path))
+    assert code == 2
+    assert err == "error: %s: A, B and C must have one signature: %s lacks neg/1\n" % (path, side)
+
+
+def test_check_of_an_algebra_file_reports_its_name(capsys):
+    path = DATA / "luk4-x-godel3.json"
+    code, out, _ = run(capsys, "--json", "check", str(path), "--class", "mv")
+    assert code == 1
+    assert json.loads(out)["algebra"] == data_file("luk4-x-godel3.json")["name"] == "luk:4#core x godel:3#core"
+
+
+def test_amalgam_problem_with_a_name_that_is_no_string_exit_code(tmp_path, capsys):
+    data = data_file("problem-ba4.json")
+    data["A"]["name"] = 7
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "amalgamate", "--problem", str(path))
+    assert code == 2
+    assert err == "error: %s: name must be a string, not 7\n" % path
+
+
+def test_sheaf_of_an_algebra_file_with_a_name_that_is_no_string_exit_code(tmp_path, capsys):
+    data = data_file("luk4-x-godel3.json")
+    data["name"] = 7
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "sheaf", str(path))
+    assert code == 2
+    assert err == "error: %s: name must be a string, not 7\n" % path
+
+
+FUZZ_RUNS = [
+    ("luk4-x-godel3.json", "sheaf {} --eta --regularity"),
+    ("coordinate-closure.json", "sheaf {} --eta --regularity"),
+    ("fr2.json", "spectrum {} --verify-lemma"),
+    ("luk4-x-godel3.json", "check {} --class mv"),
+    ("coordinate-closure.json", "check {} --class bl"),
+    ("problem-ba4.json", "amalgamate --problem {} --max-size 16 --super"),
+]
+ODD_VALUES = [None, True, -1, 7, 2**40, 1.5, "x", [], {}, [[]]]
+
+
+@st.composite
+def mutated_input(draw):
+    """A verb and one of its files under data/ with one node changed: the
+    path walks down from the root and stops at each node with even odds;
+    the node there is replaced by an odd value or deleted, which deletes a
+    key or drops a list entry."""
+    name, argv = draw(st.sampled_from(FUZZ_RUNS))
+    data = data_file(name)
+    parent, key, node = None, None, data
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    if draw(st.booleans()):
+        parent[key] = draw(st.sampled_from(ODD_VALUES))
+    else:
+        del parent[key]
+    return argv, data
+
+
+@seed(20131001)
+@settings(max_examples=200, database=None, deadline=None, suppress_health_check=list(HealthCheck))
+@given(case=mutated_input())
+def test_mutated_input_files_exit_by_the_contract(tmp_path_factory, case):
+    """Every run on a mutated input file exits 0-3 with no traceback."""
+    argv, data = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.format(path).split())
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

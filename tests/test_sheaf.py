@@ -21,16 +21,16 @@ from reslat.algebra import (
 from reslat.amalgam import all_congruences, enumerate_ideals, ideal_generate, is_simple
 from reslat.budgets import Budget
 from reslat.corpus import _coordinate_closure_product, corpus_algebras
-from reslat.errors import DomainError, ResourceError
+from reslat.errors import ResourceError
 from reslat.kripke import KripkeSystem, random_kripke, set_algebra
 from reslat.sheaf import (
     DualSheaf,
+    _eta,
     dual_sheaf,
     eta_check,
     regular_ideals_open_sets,
     regularity,
     report,
-    section_algebra,
     sections,
     sheaf_reduct,
     strongly_regular_equiv_check,
@@ -398,43 +398,25 @@ def test_report_shape():
     assert rep["stalk_sizes"] == [2, 2]
 
 
-def gamma_outcome(build, sheaf, secs):
-    """Tables and index of Gamma over `secs`, or the DomainError's message."""
-    try:
-        gamma, index = build(sheaf, secs)
-    except DomainError as exc:
-        return str(exc)
-    return gamma.name, gamma.size, oracles.table_lists(gamma), index
-
-
 @pytest.mark.parametrize("alg", corpus_algebras(), ids=lambda a: a.name)
 def test_section_algebra_matches_oracle_on_corpus(alg):
-    """Gamma on packed section keys against the tuple-lookup loop: on all
-    sections, and on sorted parts of them that some op leaves, where the
-    first such op in signature order names the error."""
-    sheaf = dual_sheaf(alg)
-    secs = sections(sheaf)
-    errors = 0
-    for part in (secs, secs[::2], secs[1:], secs[:-1]):
-        got = gamma_outcome(section_algebra, sheaf, part)
-        assert got == gamma_outcome(oracles.section_algebra, sheaf, part)
-        errors += type(got) is str
-    assert type(gamma_outcome(section_algebra, sheaf, secs)) is tuple
-    assert errors or len(secs) == 1
+    """On each corpus algebra eta is an isomorphism onto Gamma, the
+    oracle's algebra of the continuous sections, and `eta_check` answers
+    as the three-step check of `eta_oracle`, details included (the corpus
+    family of `test_eta_check_is_the_three_step_check`)."""
+    assert eta_matches_oracle(alg)
 
 
 def test_section_algebra_without_points_matches_oracle():
     """The one-element algebra has no prime ideal, so its sheaf has no
     point, and one section: the empty tuple, the one element of the empty
-    product.  Gamma is the one-element algebra, and eta an isomorphism."""
-    alg = trivial()
-    sheaf = dual_sheaf(alg)
+    product.  Gamma is the one-element algebra and eta an isomorphism."""
+    sheaf = dual_sheaf(trivial())
     assert sheaf.points == [] and sections(sheaf) == [()]
-    got = gamma_outcome(section_algebra, sheaf, [()])
-    want = ("Gamma(%s)" % sheaf.alg.name, 1, {"join": [[0]], "meet": [[0]], "zero": 0, "one": 0}, {(): 0})
-    assert got == gamma_outcome(oracles.section_algebra, sheaf, [()]) == want
-    assert gamma_outcome(section_algebra, sheaf, []) == "sections not closed under constant 'zero'"
-    assert eta_check(alg, sheaf) == (True, {"sections": 1, "mapping": [0]})
+    gamma, index = oracles.section_algebra(sheaf, [()])
+    assert index == {(): 0} and oracles.table_lists(gamma) == oracles.table_lists(sheaf.alg)
+    want = (True, {"sections": 1, "mapping": [0]})
+    assert eta_check(trivial(), sheaf) == eta_oracle(sheaf, [()]) == want
 
 
 # ---- the projection matrix against the per-point forms ------------------------
@@ -461,6 +443,65 @@ def sheaf_family(family):
 def kernel_ideals(sheaf):
     reduct = sheaf.alg
     return enumerate_ideals(reduct, reduct.extra_operator_names(), range(reduct.size))
+
+
+def eta_oracle(sheaf, secs):
+    """eta in three steps: injective, onto the sections, and a
+    homomorphism into Gamma as the tuple-lookup loop builds it."""
+    n = sheaf.alg.size
+    images = [sheaf.section_of(a) for a in range(n)]
+    dup = [(a, b) for a, b in combinations(range(n), 2) if images[a] == images[b]]
+    if dup:
+        return False, {"injective": False, "witness": dup[0]}
+    if set(images) != set(secs):
+        missing = sorted(set(secs) - set(images))
+        return False, {"surjective": False, "witness": missing[0] if missing else None}
+    gamma, index = oracles.section_algebra(sheaf, secs)
+    mapping = [index[s] for s in images]
+    if oracles.first_hom_failure(sheaf.alg, gamma, mapping) is not None:
+        return False, {"homomorphism": False}
+    return True, {"sections": len(secs), "mapping": mapping}
+
+
+def eta_matches_oracle(alg):
+    """`eta_check` on alg's dual sheaf against `eta_oracle`, and `_eta`
+    with one more section, which is no sigma_a, when eta is a bijection:
+    no sheaf here has such a section, so this reaches the surjectivity
+    check.  Returns eta's verdict."""
+    sheaf = dual_sheaf(alg)
+    secs = sections(sheaf)
+    got = eta_check(alg, sheaf)
+    assert got == eta_oracle(sheaf, secs), alg.name
+    if got[0] and sheaf.points:
+        more = secs + [(alg.size,) * len(sheaf.points)]
+        want = (False, {"surjective": False, "witness": more[-1]})
+        assert _eta(sheaf, more) == eta_oracle(sheaf, more) == want, alg.name
+    return got[0]
+
+
+@pytest.mark.parametrize("family", ["kripke", "faulty"])
+def test_eta_check_is_the_three_step_check(family):
+    """On the Kripke set algebras and the single faults of
+    tests/test_order.py, eta's two set checks answer as the three steps
+    did, details included: Gamma is never left by an op and a |-> sigma_a
+    always preserves every op once eta is a bijection.  That rests on each
+    projection row being a congruence of the reduct, which
+    `test_congruence_clause_is_the_maximal_congruence_scan` pins against
+    the union-find closure.  The corpus and the one-element algebra are
+    checked by the two tests above."""
+    from test_order import FAMILIES
+
+    verdicts = Counter(eta_matches_oracle(alg) for alg in FAMILIES[family])
+    assert verdicts[True] and (verdicts[False] or family != "faulty"), verdicts
+
+
+@pytest.mark.parametrize("family", ["corpus", "kripke", "faulty"])
+def test_report_reads_the_stalk_sizes_off_the_projections(family):
+    from test_order import FAMILIES
+
+    for alg in FAMILIES[family] + [trivial()]:
+        got = report(alg, with_eta=False, with_regularity=False)["stalk_sizes"]
+        assert got == [q.size for q in dual_sheaf(alg).stalks], alg.name
 
 
 @pytest.mark.parametrize("family", ["corpus", "kripke", "other"])
@@ -536,7 +577,8 @@ def test_regular_ideals_open_sets_failures_match_frozenset_form():
 
 
 def test_projections_are_one_read_only_matrix_and_stalks_wait_for_a_read(monkeypatch):
-    """`dual_sheaf` builds no quotient algebra; its first read of `stalks`
+    """`dual_sheaf` builds no quotient algebra, nor do eta, the regular
+    ideals or a report without regularity; the first read of `stalks`
     builds one per point, named and labelled as the point's quotient."""
     from reslat import algebra
 
@@ -552,6 +594,7 @@ def test_projections_are_one_read_only_matrix_and_stalks_wait_for_a_read(monkeyp
     assert sheaf.projections.shape == (2, 4) and built == [ba4().name + "#blo"]
     eta_check(ba4(), sheaf)
     regular_ideals_open_sets(ba4(), sheaf)
+    report(ba4(), with_regularity=False)
     assert built.count("stalk") == 0
     labels = [["[(0,0)]", "[(1,0)]"], ["[(0,0)]", "[(0,1)]"]]
     assert [list(q.labels) for q in sheaf.stalks] == labels and built.count("stalk") == 2
