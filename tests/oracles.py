@@ -51,7 +51,9 @@ longer checks a homomorphism, since each projection row is a
 congruence.  Then the two congruence questions
 that one congruence stopped listing the lattice for: the candidate
 search of `amalgam.cp_extend`, and the maximal-congruence scan of
-`sheaf.regularity`'s congruence clause.  Last, the forms that stacked
+`sheaf.regularity`'s congruence clause; with them the surjectivity test
+of `amalgam.gratzer_schmidt_check` against the listed lattice, which
+the principal congruences replaced.  Last, the forms that stacked
 rows replaced: the one-set `algebra.splits`, the section search of
 `sheaf.sections` that branched at every point, and the frozenset
 `sheaf.regular_ideals_open_sets` with its four failure checks.  `table`
@@ -66,11 +68,15 @@ from itertools import product as iproduct
 import numpy as np
 
 from reslat import budgets
-from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, make_chain
+from reslat.algebra import CORE_OPS, AxiomReport, FiniteAlgebra, Signature, lattice_reduct, make_chain
 from reslat.amalgam import (
     _union_find,
     congruence_blocks,
+    enumerate_ideals,
+    ideal_congruence,
     ideal_generate,
+    is_distributive,
+    is_relatively_complemented,
     partition_leq,
     principal_congruence,
 )
@@ -491,6 +497,34 @@ def congruence_strongly_regular(sheaf, congruences):
     proper = [t for t in congruences if len(set(t)) > 1]
     maximal = {t for t in proper if not any(t != u and partition_leq(t, u) for u in proper)}
     return all(stalk_congruence(sheaf.alg, x) in maximal for x in sheaf.points)
+
+
+def gratzer_schmidt_check(alg, listing, bound=None, budget=None):
+    """`amalgam.gratzer_schmidt_check` as it was when it listed the
+    congruence lattice: I |-> Co(I) is surjective iff its image is the
+    whole list `listing(reduct, budget=budget)` (`amalgam.all_congruences`),
+    made after the ideals, as the check made it."""
+    budget = budget or budgets.from_env()
+    lat = lattice_reduct(alg)
+    ideals = enumerate_ideals(lat, bound=bound, budget=budget)
+    congruences = listing(lat, budget=budget)
+    mapping = dict(zip(ideals, map(tuple, ideal_congruence(lat, ideals).tolist())))
+    injective = len(set(mapping.values())) == len(mapping)
+    surjective = set(mapping.values()) == set(congruences)
+    monotone = all(
+        (i <= j) == partition_leq(mapping[i], mapping[j]) for i in ideals for j in ideals
+    )
+    correspondence = injective and surjective and monotone
+    distributive = is_distributive(lat)
+    relatively_complemented = is_relatively_complemented(lat)
+    conditions = distributive and relatively_complemented
+    return {
+        "correspondence": correspondence,
+        "distributive": distributive,
+        "relatively_complemented": relatively_complemented,
+        "conditions": conditions,
+        "biconditional": correspondence == conditions,
+    }
 
 
 def quotient(alg, theta, name=None):

@@ -691,6 +691,32 @@ def test_gratzer_schmidt_on_g3():
     assert rep["biconditional"]
 
 
+def raised(f, *args, **kw):
+    """f's value, or the type and message of the error it raises."""
+    try:
+        return f(*args, **kw)
+    except Exception as exc:  # the preconditions of faulty tables
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", ["corpus", "kripke", "faulty"])
+def test_gratzer_schmidt_check_is_the_listing(family):
+    """On the corpus algebras of at most 20 elements, the Kripke set
+    algebras and the single faults of tests/test_order.py, reading
+    surjectivity off the principal congruences gives the whole report,
+    or the error, that comparing the image with the listed congruence
+    lattice gave.  The Kripke budget admits their 32-element one."""
+    from test_order import FAMILIES
+
+    budget = Budget(spectrum=64) if family == "kripke" else None
+    for alg in FAMILIES[family]:
+        if family == "corpus" and alg.size > 20:
+            continue
+        for bound in (20, None):
+            want = raised(oracles.gratzer_schmidt_check, alg, all_congruences, bound, budget)
+            assert raised(gratzer_schmidt_check, alg, bound, budget) == want, (alg.name, bound)
+
+
 def test_gratzer_schmidt_biconditional_on_corpus_sample():
     samples = [luk(2), luk(4), godel(4), ba4(), product([core_reduct(luk(3)), core_reduct(godel(3))])]
     for alg in samples:

@@ -121,6 +121,12 @@ def test_cp_extend_lists_no_congruence_lattice(count):
     assert lattices == {}
 
 
+def test_gratzer_schmidt_check_lists_no_congruence_lattice(count):
+    lattices = count("all_congruences", amalgam)
+    assert amalgam.gratzer_schmidt_check(product([luk(2)] * 3))["correspondence"]
+    assert lattices == {}
+
+
 def test_report_builds_one_sheaf_and_one_section_list(count):
     reduct, primes, secs = sheaf_counts(count)
     out = sheaf.report(luk(3), with_eta=True, with_regularity=True)

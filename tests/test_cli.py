@@ -757,7 +757,7 @@ def test_chain_names_read_alike_by_check_and_taut(capsys, name):
 
 def _resource_cases():
     from reslat import amalgam, free, kripke, logic, sheaf, spectra
-    from reslat.algebra import ChainSpec, make_chain
+    from reslat.algebra import ChainSpec, make_chain, product
     from reslat.budgets import Budget
 
     ba4 = free.free_algebra(free.boolean_variety(), 1).algebra
@@ -769,7 +769,8 @@ def _resource_cases():
          lambda: kripke.set_algebra(system, budget=Budget(kripke_universe=1))),
         ("spectra.prime_lattice_filters", 2, lambda: spectra.prime_lattice_filters(ba4, bound=2)),
         ("amalgam.enumerate_ideals", 2, lambda: amalgam.enumerate_ideals(ba4, bound=2)),
-        ("amalgam.all_congruences", 2, lambda: amalgam.all_congruences(ba4, bound=2)),
+        ("amalgam.all_congruences", 20,
+         lambda: amalgam.all_congruences(product([ba4] * 3), budget=Budget())),
         ("free.free_algebra", 10,
          lambda: free.free_algebra(free.boolean_variety(), 3, budget=Budget(closure=10))),
         ("logic.lindenbaum", 10,
@@ -924,6 +925,9 @@ FUZZ_RUNS = [
     ("luk4-x-godel3.json", "check {} --class mv"),
     ("coordinate-closure.json", "check {} --class bl"),
     ("problem-ba4.json", "amalgamate --problem {} --max-size 16 --super"),
+    ("kripke-path.json", "kripke verify --system {}"),
+    ("theory-godel-em.json", "lindenbaum --theory {} --vars 1"),
+    ("types-fr2.json", "omit --alg %s --inside g0 --types {}" % (DATA / "fr2.json")),
 ]
 ODD_VALUES = [None, True, -1, 7, 2**40, 1.5, "x", [], {}, [[]]]
 

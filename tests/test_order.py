@@ -287,8 +287,7 @@ CORPUS_VERDICTS = {
         )
     ),
     "isolated_dense_check": lambda alg: isolated_dense_check(alg, bound=64)[0],
-    "gratzer_schmidt_check": lambda alg: alg.size > 20
-    or gratzer_schmidt_check(alg, bound=20)["biconditional"],
+    "gratzer_schmidt_check": lambda alg: gratzer_schmidt_check(alg, bound=64)["biconditional"],
     "strongly_regular_equiv_check": lambda alg: strongly_regular_equiv_check(alg).get("equivalent", True),
     "ideal_join_characterize": ideal_joins_described,
     "join_of_atoms_is_one": lambda alg: join_of_atoms_is_one(alg)
